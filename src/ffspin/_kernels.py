@@ -1,46 +1,22 @@
-"""RK4 stepping kernels for the fast-forward Schrodinger equation.
+"""RK4 stepping kernel for the fast-forward Schrodinger equation.
 
 The hot loop assembles H(t) = H_base + R(t) H_slope + v(t) * sum_k w_k(R) G_k
-at each Runge-Kutta stage and advances the state with fixed steps.  The same
-source function is compiled with numba when available and also kept as a
-pure-numpy fallback; selection happens once at import time through the
-``FFSPIN_PURE_NUMPY`` environment flag (set to 1/true/yes to force numpy).
-
-Both backends run the identical arithmetic expressed with array operations,
-so results agree to the last few ulps; repeated runs on one backend are
-bit-for-bit reproducible.
+at each Runge-Kutta stage and advances the state with fixed steps.  Repeated
+runs are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-
-ENV_FLAG = "FFSPIN_PURE_NUMPY"
-
-
-def pure_numpy_requested(env: dict | None = None) -> bool:
-    value = (env if env is not None else os.environ).get(ENV_FLAG, "")
-    return value.strip().lower() in {"1", "true", "yes"}
-
-
-def numba_available() -> bool:
-    return numba is not None
 
 
 def _rk4_run(h_base, h_slope, gens, breaks, coeffs, r0, v_bar, t_ff,
              psi0, n_steps, stride, drive):
     """Fixed-step RK4 for i dpsi/dt = H(t) psi, recording every ``stride`` steps.
 
-    Parameters are plain arrays/scalars so the function stays compilable:
-    ``gens`` is (3, dim, dim) complex, ``breaks``/``coeffs`` describe the
-    piecewise-cubic coefficient interpolants (coeffs is (3, 4, n_segments),
-    highest power first), ``drive`` switches the driving term.
+    Parameters are plain arrays and scalars: ``gens`` is (3, dim, dim)
+    complex, ``breaks``/``coeffs`` describe the piecewise-cubic coefficient
+    interpolants (coeffs is (3, 4, n_segments), highest power first),
+    ``drive`` switches the driving term.
 
     Returns (psis, ts, rs, vs, ws) with one row per record; ws has columns
     (w1, w2, bz) evaluated at the record parameter.
@@ -101,30 +77,3 @@ def _rk4_run(h_base, h_slope, gens, breaks, coeffs, r0, v_bar, t_ff,
         k4 = -1j * (h_stage[2] @ (psi + dt * k3))
         psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return psis, ts, rs, vs, ws
-
-
-_kernel_cache: dict[bool, object] = {}
-
-
-def build_kernel(use_numba: bool):
-    """Return the RK4 kernel, numba-compiled or plain, caching each variant."""
-    if use_numba and numba is None:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if use_numba not in _kernel_cache:
-        if use_numba:
-            _kernel_cache[True] = numba.njit(cache=True)(_rk4_run)
-        else:
-            _kernel_cache[False] = _rk4_run
-    return _kernel_cache[use_numba]
-
-
-def active_backend() -> str:
-    """Name of the backend the package will use for integration."""
-    if numba_available() and not pure_numpy_requested():
-        return "numba"
-    return "numpy"
-
-
-def rk4_kernel():
-    """The RK4 kernel for the active backend."""
-    return build_kernel(active_backend() == "numba")

@@ -3,7 +3,7 @@
 Configs are flat ``key=value`` text files; every key can also be overridden
 on the command line (``ffspin run --config run.cfg --v_bar 100``).  A run
 writes its resolved configuration to ``run_manifest.txt`` next to the CSVs,
-and identical configurations produce byte-identical files on one backend.
+and identical configurations produce byte-identical files.
 
 Modes and their outputs:
 
@@ -22,10 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fastforward import FastForwardProfile, backend_name, integrate, r_of_t
+from .fastforward import FastForwardProfile, integrate, r_of_t
 from .model import MODEL_KINDS, TWO_SPIN, ModelSpec, h0
 from .regularization import coefficient_table
-from .spectrum import branch_vector_at, default_r_grid, eigensolve, track_branch
+from .spectrum import (branch_vector_at, default_r_grid, eigensolve,
+                       nearest_level_gap, track_branch)
 
 MODES = ("fast_forward", "no_driving", "spectrum_only", "regularization_only")
 
@@ -132,7 +133,6 @@ def _spec_profile(config: ScenarioConfig) -> tuple[ModelSpec, FastForwardProfile
 
 def _write_manifest(out_dir: Path, config: ScenarioConfig) -> None:
     lines = [f"{key}={value}" for key, value in sorted(asdict(config).items())]
-    lines.append(f"backend={backend_name()}")
     lines.append(f"ffspin_version={__version__}")
     (out_dir / MANIFEST).write_text("\n".join(lines) + "\n")
 
@@ -147,9 +147,7 @@ def _emit_eigenvalues_and_gap(out_dir: Path, config: ScenarioConfig,
         w, _ = eigensolve(h0(spec, r))
         eig_rows.append([_fmt(t), _fmt(r)] + [_fmt(e) for e in w])
         _, e_branch = branch_vector_at(spec, branch, r)
-        own = int(np.argmin(np.abs(w - e_branch)))
-        gap = float(np.min(np.abs(np.delete(w, own) - e_branch)))
-        gap_rows.append([_fmt(t), _fmt(r), _fmt(gap)])
+        gap_rows.append([_fmt(t), _fmt(r), _fmt(nearest_level_gap(w, e_branch))])
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]
     _write_csv(out_dir / EIGENVALUES_CSV, header, eig_rows)
     _write_csv(out_dir / GAP_CSV, ["t", "R", "gap"], gap_rows)

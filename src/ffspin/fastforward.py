@@ -6,8 +6,7 @@ The production schedule is the asymptotic (large magnification) limit:
     v(t) = vbar (1 - cos(2 pi t / T)),
 
 so v vanishes at both endpoints and the full Hamiltonian coincides with the
-bare one there.  The finite-magnification alpha(t) and its integral are kept
-only as diagnostics.
+bare one there.
 
 Integration is fixed-step RK4 with no per-step renormalization; the norm is
 recorded so that drift stays visible as a diagnostic instead of being hidden.
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import active_backend, rk4_kernel
+from ._kernels import _rk4_run
 from .model import DrivingCoefficients, ModelSpec, h0, h0_parts, h_candidate, driving_generators
 from .regularization import CoefficientTable, coefficient_table
 from .spectrum import (DEFAULT_GRID_POINTS, AdiabaticBranch, branch_vector_at,
@@ -34,14 +33,11 @@ NORM_DRIFT_LIMIT = 1e-6
 class FastForwardProfile:
     """Velocity scale and duration of the fast-forwarded schedule.
 
-    ``alpha_bar`` only feeds the diagnostic magnification functions; the
-    integration itself always uses the asymptotic-limit schedule above.
     A zero duration is allowed and means the degenerate instantaneous run.
     """
 
     v_bar: float
     t_ff: float
-    alpha_bar: float | None = None
 
     def __post_init__(self):
         if self.v_bar < 0:
@@ -74,29 +70,6 @@ def v_of_t(profile: FastForwardProfile, t: float) -> float:
     if profile.t_ff == 0.0:
         return 0.0
     return profile.v_bar * (1.0 - math.cos(2.0 * math.pi * t / profile.t_ff))
-
-
-def alpha_of_t(profile: FastForwardProfile, t: float) -> float:
-    """Diagnostic finite magnification factor alpha(t)."""
-    _check_time(profile, t)
-    if profile.alpha_bar is None or profile.alpha_bar < 1.0:
-        raise ValueError("alpha_of_t needs alpha_bar >= 1")
-    if profile.t_ff == 0.0:
-        return 1.0
-    a = profile.alpha_bar
-    return a - (a - 1.0) * math.cos(2.0 * math.pi * t / profile.t_ff)
-
-
-def lambda_of_t(profile: FastForwardProfile, t: float) -> float:
-    """Closed-form integral of alpha over [0, t] (diagnostic)."""
-    _check_time(profile, t)
-    if profile.alpha_bar is None or profile.alpha_bar < 1.0:
-        raise ValueError("lambda_of_t needs alpha_bar >= 1")
-    if profile.t_ff == 0.0:
-        return 0.0
-    a = profile.alpha_bar
-    return a * t - (a - 1.0) * (profile.t_ff / (2.0 * math.pi)) \
-        * math.sin(2.0 * math.pi * t / profile.t_ff)
 
 
 def fidelity(psi: np.ndarray, branch_vector: np.ndarray,
@@ -204,8 +177,7 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     h_base, h_slope = h0_parts(spec)
     gens = driving_generators(spec)
     breaks, coeffs = table.spline_data()
-    kernel = rk4_kernel()
-    psis, ts, rs, vs, ws = kernel(
+    psis, ts, rs, vs, ws = _rk4_run(
         np.ascontiguousarray(h_base), np.ascontiguousarray(h_slope),
         np.ascontiguousarray(gens), np.ascontiguousarray(breaks),
         np.ascontiguousarray(coeffs), float(spec.r0), float(profile.v_bar),
@@ -231,8 +203,3 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             "increase the step count")
     return records
-
-
-def backend_name() -> str:
-    """Integration backend currently selected (numba or numpy)."""
-    return active_backend()

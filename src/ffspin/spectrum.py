@@ -1,41 +1,35 @@
-"""Exact diagonalization, gauge fixing, and adiabatic-branch continuation.
+"""Exact diagonalization and adiabatic-branch tracking in the parity-even block.
 
-The tracked branch is the family of instantaneous eigenvectors selected by
-overlap continuity along an R grid, not by picking the lowest eigenvalue at
-each point.  That distinction matters here: for the two-spin ramp the
-followed level leaves the global ground position between its start and the
-sector crossing near R = 8, yet remains the physically continued state
-because no term of the Hamiltonian or of the driving couples the two
-symmetry sectors.
+The bare Hamiltonian and every driving generator commute with the parity
+P = z1 z2 ... zn, which is diagonal in the z basis.  The tracked branch is
+the lowest level of the P = +1 block: the kets with an even number of down
+spins, indices (0, 3) for two spins and (0, 3, 5, 6) for three.  Inside that
+block the level is nondegenerate along the paper's ramps, so it is chosen by
+index, not by overlap.  The degeneracies of the full spectrum (at the ramp
+start, and the crossing with a flat odd-parity level near R = 8 for two
+spins) all lie between the two sectors and never enter the solve.  Vectors
+and dC/dR are returned embedded in the full space, with the odd-parity
+components exactly zero.
 
-Eigenvector derivatives are computed from first-order perturbation theory
-(the resolvent sum over off-branch levels).  Levels quasi-degenerate with
-the branch are excluded from the sum; their coupling through dH/dR is
-checked to vanish, which is exactly the symmetry protection that makes the
-exclusion legitimate.  A central finite-difference variant is provided as
-an independent cross-check.
+dC/dR is the first-order resolvent sum over the other levels of the block.
+An in-sector near-degeneracy of the tracked level makes that sum singular
+and raises, naming the R where it happens.  A central finite-difference
+variant is kept as an independent cross-check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .model import ModelSpec, d_h0_dr, h0
 from .spin_algebra import require_hermitian
 
 EIG_RESIDUAL_ATOL = 1e-10
-#: levels within this fraction of the spectral scale count as one cluster
-#: when continuing the branch through (near-)degeneracies
-CLUSTER_RTOL = 1e-4
-#: detection threshold for an exactly degenerate ground level at the start
-DEGENERACY_ATOL = 1e-8
-#: levels within this fraction of the spectral scale are excluded from the
-#: resolvent sum (their coupling must be symmetry-protected to zero)
-RESOLVENT_GAP_RTOL = 1e-3
-PROTECTED_COUPLING_ATOL = 1e-4
+#: an in-sector gap below this fraction of the block's spectral scale counts
+#: as a crossing of the tracked level
+SECTOR_GAP_RTOL = 1e-3
 DEFAULT_GRID_POINTS = 2001
 MIN_CONTINUITY_OVERLAP = 0.99
 
@@ -87,6 +81,36 @@ def fix_gauge(vector: np.ndarray, reference: np.ndarray | None = None,
     return out
 
 
+@lru_cache(maxsize=None)
+def parity_even_indices(dim: int) -> np.ndarray:
+    """z-basis indices with an even number of down spins (the P = +1 block)."""
+    ix = np.array([i for i in range(dim) if bin(i).count("1") % 2 == 0])
+    ix.flags.writeable = False
+    return ix
+
+
+def _embed(block_vectors: np.ndarray, dim: int) -> np.ndarray:
+    """Place P = +1 block components into the full space, zeros elsewhere."""
+    full = np.zeros(block_vectors.shape[:-1] + (dim,))
+    full[..., parity_even_indices(dim)] = block_vectors
+    return full
+
+
+def _even_block(spec: ModelSpec, r: float, reference: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigensystem (w, v) of the P = +1 block of h0 at r and its gauge-fixed
+    level 0, signed against the block vector ``reference`` when given."""
+    ix = parity_even_indices(spec.dim)
+    w, v = eigensolve(h0(spec, r)[np.ix_(ix, ix)])
+    return w, v, fix_gauge(v[:, 0], reference=reference)
+
+
+def _in_sector_crossing(where: str) -> RuntimeError:
+    return RuntimeError(
+        f"in-sector crossing of the tracked level {where}: the adiabatic branch "
+        "is not defined there; change b0 or j0")
+
+
 @dataclass
 class AdiabaticBranch:
     """Gauge-fixed eigenvector family C(R) with energies and dC/dR samples."""
@@ -100,191 +124,71 @@ class AdiabaticBranch:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    @cached_property
-    def _vector_spline(self):
-        if len(self.r_grid) < 2 or self.r_grid[-1] == self.r_grid[0]:
-            return None
-        return CubicSpline(self.r_grid, self.vectors, axis=0)
-
-    def vector_estimate(self, r: float) -> np.ndarray:
-        """Interpolated (approximate) branch vector at r, unit normalized."""
-        if self._vector_spline is None:
-            return self.vectors[0].copy()
-        est = self._vector_spline(r)
-        return est / np.linalg.norm(est)
-
-
-def _continue_through(w: np.ndarray, v: np.ndarray, reference: np.ndarray,
-                      cluster_atol: float) -> tuple[np.ndarray, float]:
-    """Project a reference vector through the eigenbasis at one grid point.
-
-    Nearly degenerate levels are treated as one subspace so that an
-    arbitrary eigenvector basis inside the cluster cannot break continuity.
-    Returns the projected unit vector and the projection norm (the
-    continuity overlap).
-    """
-    overlaps = np.abs(v.conj().T @ reference)
-    k = int(np.argmax(overlaps))
-    members = np.abs(w - w[k]) < cluster_atol
-    sub = v[:, members]
-    proj = sub @ (sub.conj().T @ reference)
-    norm = float(np.linalg.norm(proj))
-    if norm < 1e-12:
-        raise RuntimeError("branch reference is orthogonal to the selected cluster")
-    return proj / norm, norm
-
-
-def resolve_initial_degeneracy(spec: ModelSpec, r0: float,
-                               delta: float | None = None) -> np.ndarray:
-    """Starting vector for branch tracking at r0, where the ground level of
-    both ramps is two-fold degenerate.
-
-    The combination is fixed by diagonalizing dH/dR projected onto the
-    degenerate subspace and taking the maximal-slope eigenvector (the level
-    whose energy actually moves with R; the flat partner lives in the other
-    symmetry sector and is never coupled by the driving).  When that
-    projection is itself proportional to the identity, as happens for the
-    three-spin cluster where the sectors split only at second order, the
-    combination is resolved instead by projecting the ground state at
-    r0 + delta back onto the subspace.
-    """
-    if delta is None:
-        delta = 1e-4 * max(abs(spec.j0), 1.0)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    w, v = eigensolve(h0(spec, r0))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    members = np.abs(w - w[0]) < DEGENERACY_ATOL * scale
-    sub = v[:, members]
-    if sub.shape[1] == 1:
-        return fix_gauge(sub[:, 0])
-    wp, vp = eigensolve(h0(spec, r0 + delta))
-    projected = sub.conj().T @ d_h0_dr(spec) @ sub
-    mu, u = np.linalg.eigh(projected)
-    spread = float(mu[-1] - mu[0])
-    if spread > 1e-6 * max(1.0, float(np.max(np.abs(mu)))):
-        candidate = sub @ u[:, -1]
-    else:
-        # first order does not split the subspace: fall back to the probe
-        proj = sub @ (sub.conj().T @ vp[:, 0])
-        norm = float(np.linalg.norm(proj))
-        if norm < 0.5:
-            raise RuntimeError(
-                f"degeneracy at r0={r0} unresolved: probe ground state has "
-                f"projection {norm:.3f} onto the degenerate subspace")
-        candidate = proj / norm
-    candidate = fix_gauge(candidate)
-    # sanity: the resolved state must continue smoothly past r0
-    _, overlap = _continue_through(wp, vp, candidate, CLUSTER_RTOL * scale)
-    if overlap < MIN_CONTINUITY_OVERLAP:
-        raise RuntimeError("resolved initial state does not continue smoothly")
-    return candidate
-
-
-def branch_derivative(spec: ModelSpec, r: float, vector: np.ndarray) -> np.ndarray:
-    """dC/dR of a branch eigenvector from the first-order resolvent sum.
-
-    Quasi-degenerate levels are excluded from the sum; the coupling of dH/dR
-    into the excluded subspace (orthogonally to the branch vector itself)
-    must vanish, otherwise the degeneracy is genuinely unprotected and a
-    RuntimeError is raised.
-    """
-    h = h0(spec, r)
-    w, v = eigensolve(h)
-    e = float(np.real(vector @ h @ vector))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    dh_c = d_h0_dr(spec) @ vector
-    near = np.abs(w - e) < RESOLVENT_GAP_RTOL * scale
-    far = ~near
-    coups = v[:, far].conj().T @ dh_c
-    d = v[:, far] @ (coups / (e - w[far]))
-    cluster = v[:, near]
-    leak = cluster @ (cluster.conj().T @ dh_c) - vector * np.vdot(vector, dh_c)
-    leak_norm = float(np.linalg.norm(leak))
-    if leak_norm > PROTECTED_COUPLING_ATOL * scale:
-        raise RuntimeError(
-            f"unprotected quasi-degeneracy at r={r}: dH/dR couples the branch "
-            f"to a nearby level with strength {leak_norm:.3e}")
-    if float(np.max(np.abs(d.imag))) > 1e-9:
-        raise RuntimeError("branch derivative acquired an imaginary part")
-    return d.real
-
 
 def fd_branch_derivative(spec: ModelSpec, r: float, vector: np.ndarray,
                          step: float = 1e-4, richardson: bool = True) -> np.ndarray:
-    """Central finite-difference dC/dR, matched to the branch by overlap.
+    """Central finite-difference dC/dR of the block level signed like ``vector``.
 
-    Kept as an independent cross-check of :func:`branch_derivative`; probe
+    Kept as an independent cross-check of the resolvent derivative; probe
     points may fall slightly outside the tracked R interval, which is fine
     because the Hamiltonian is defined for every R.
     """
+    reference = vector[parity_even_indices(spec.dim)]
+
     def probed(rr: float) -> np.ndarray:
-        w, v = eigensolve(h0(spec, rr))
-        scale = max(1.0, float(np.max(np.abs(w))))
-        proj, _ = _continue_through(w, v, vector, CLUSTER_RTOL * scale)
-        return fix_gauge(proj, reference=vector)
+        return _even_block(spec, rr, reference)[2]
 
-    coarse = (probed(r + step) - probed(r - step)) / (2.0 * step)
-    if not richardson:
-        return coarse
-    fine = (probed(r + step / 2.0) - probed(r - step / 2.0)) / step
-    return (4.0 * fine - coarse) / 3.0
+    d = (probed(r + step) - probed(r - step)) / (2.0 * step)
+    if richardson:
+        fine = (probed(r + step / 2.0) - probed(r - step / 2.0)) / step
+        d = (4.0 * fine - d) / 3.0
+    return _embed(d, spec.dim)
 
 
-def track_branch(spec: ModelSpec, r_grid: np.ndarray,
-                 min_overlap: float = MIN_CONTINUITY_OVERLAP,
-                 derivative: str = "resolvent",
-                 fd_step: float | None = None) -> AdiabaticBranch:
-    """Follow the adiabatic branch along ``r_grid`` by maximal-overlap continuity.
+def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
+    """Follow level 0 of the P = +1 block along a monotone ``r_grid``.
 
-    Parameters
-    ----------
-    spec : ModelSpec
-    r_grid : array
-        Monotone non-decreasing control-parameter samples.  The branch
-        starts from the resolved state at ``r_grid[0]``.
-    min_overlap : float
-        Consecutive-sample continuity threshold; below it the grid is
-        declared too coarse.
-    derivative : {"resolvent", "fd"}
-        How dC/dR is evaluated at each sample.
-    fd_step : float, optional
-        Step for the "fd" variant; defaults to 1e-5 of the grid span.
+    The sign of each sample follows the previous one.  Raises RuntimeError
+    where the tracked level meets another level of the block, and where
+    consecutive samples overlap by less than ``MIN_CONTINUITY_OVERLAP``
+    (the grid is too coarse).
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) < 1:
         raise ValueError("r_grid must be a non-empty 1-d array")
     if np.any(np.diff(r_grid) < 0):
         raise ValueError("r_grid must be monotone non-decreasing")
-    if derivative not in ("resolvent", "fd"):
-        raise ValueError(f"unknown derivative scheme {derivative!r}")
-    span = float(r_grid[-1] - r_grid[0])
-    if fd_step is None:
-        fd_step = 1e-5 * span if span > 0 else 1e-4
-
-    current = resolve_initial_degeneracy(spec, float(r_grid[0]))
-    vectors = np.empty((len(r_grid), spec.dim))
+    ix = parity_even_indices(spec.dim)
+    dh = d_h0_dr(spec)[np.ix_(ix, ix)]
     energies = np.empty(len(r_grid))
+    vectors = np.empty((len(r_grid), len(ix)))
     d_vectors = np.empty_like(vectors)
+    previous = None
     for k, r in enumerate(r_grid):
-        h = h0(spec, float(r))
-        w, v = eigensolve(h)
-        scale = max(1.0, float(np.max(np.abs(w))))
-        proj, overlap = _continue_through(w, v, current, CLUSTER_RTOL * scale)
-        if overlap < min_overlap:
-            raise RuntimeError(
-                f"grid too coarse: continuity overlap {overlap:.4f} < "
-                f"{min_overlap} at r={float(r)} (sample {k})")
-        vec = fix_gauge(proj, reference=current if k > 0 else None)
-        energies[k] = float(np.real(vec @ h @ vec))
-        if derivative == "resolvent":
-            d_vectors[k] = branch_derivative(spec, float(r), vec)
-        else:
-            d_vectors[k] = fd_branch_derivative(spec, float(r), vec, step=fd_step)
+        w, v, vec = _even_block(spec, float(r), previous)
+        gap = float(w[1] - w[0])
+        if gap < SECTOR_GAP_RTOL * max(1.0, float(np.max(np.abs(w)))):
+            raise _in_sector_crossing(f"at r={float(r):g} (gap {gap:.3e})")
+        if previous is not None:
+            overlap = abs(float(vec @ previous))
+            if overlap < MIN_CONTINUITY_OVERLAP:
+                if abs(np.vdot(v[:, 1], previous)) >= MIN_CONTINUITY_OVERLAP:
+                    raise _in_sector_crossing(
+                        f"between r={float(r_grid[k - 1]):g} and r={float(r):g}")
+                raise RuntimeError(
+                    f"grid too coarse: continuity overlap {overlap:.4f} < "
+                    f"{MIN_CONTINUITY_OVERLAP} at r={float(r)} (sample {k})")
+        couplings = v[:, 1:].conj().T @ (dh @ vec)
+        d = v[:, 1:] @ (couplings / (w[0] - w[1:]))
+        if float(np.max(np.abs(d.imag))) > 1e-9:
+            raise RuntimeError("branch derivative acquired an imaginary part")
+        energies[k] = w[0]
         vectors[k] = vec
-        current = vec
+        d_vectors[k] = d.real
+        previous = vec
     return AdiabaticBranch(r_grid=r_grid, energies=energies,
-                           vectors=vectors, d_vectors=d_vectors)
+                           vectors=_embed(vectors, spec.dim),
+                           d_vectors=_embed(d_vectors, spec.dim))
 
 
 def default_r_grid(spec: ModelSpec, r_end: float,
@@ -297,27 +201,23 @@ def branch_vector_at(spec: ModelSpec, branch: AdiabaticBranch,
                      r: float) -> tuple[np.ndarray, float]:
     """Exact branch eigenvector and energy at an arbitrary r inside the grid.
 
-    A spline estimate from the tracked samples selects the right level (and
-    disentangles clusters at crossings); the returned vector comes from a
-    fresh diagonalization, so it is exact up to solver precision.
+    A fresh solve of the P = +1 block at r; the sign follows the nearest
+    tracked sample.
     """
-    estimate = branch.vector_estimate(r)
-    h = h0(spec, r)
-    w, v = eigensolve(h)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    proj, overlap = _continue_through(w, v, estimate, CLUSTER_RTOL * scale)
-    if overlap < MIN_CONTINUITY_OVERLAP:
-        raise RuntimeError(f"branch interpolation lost the level at r={r}")
-    vec = fix_gauge(proj, reference=estimate)
-    return vec, float(np.real(vec @ h @ vec))
+    nearest = int(np.argmin(np.abs(branch.r_grid - r)))
+    reference = branch.vectors[nearest, parity_even_indices(spec.dim)]
+    w, _, vec = _even_block(spec, r, reference)
+    return _embed(vec, spec.dim), float(w[0])
+
+
+def nearest_level_gap(levels: np.ndarray, energy: float) -> float:
+    """Distance from ``energy`` to the nearest of ``levels`` other than its own."""
+    own = int(np.argmin(np.abs(levels - energy)))
+    return float(np.min(np.abs(np.delete(levels, own) - energy)))
 
 
 def gap_report(branch: AdiabaticBranch, spec: ModelSpec) -> np.ndarray:
-    """Per-sample distance from the branch energy to the nearest other level."""
-    gaps = np.empty(len(branch.r_grid))
-    for k, r in enumerate(branch.r_grid):
-        w, _ = eigensolve(h0(spec, float(r)))
-        own = int(np.argmin(np.abs(w - branch.energies[k])))
-        others = np.delete(w, own)
-        gaps[k] = float(np.min(np.abs(others - branch.energies[k])))
-    return gaps
+    """Per-sample distance from the branch energy to the nearest other level
+    of the full spectrum."""
+    return np.array([nearest_level_gap(eigensolve(h0(spec, float(r)))[0], e)
+                     for r, e in zip(branch.r_grid, branch.energies)])

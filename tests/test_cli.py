@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +125,33 @@ def test_manifest_echoes_resolved_config(tmp_path):
     manifest = (tmp_path / "run_manifest.txt").read_text()
     assert "model=two_spin" in manifest
     assert "grid_points=51" in manifest
-    assert "backend=" in manifest
+    assert "backend=" not in manifest
+
+
+def test_two_spin_offset_start_follows_even_branch(tmp_path):
+    # at r0 = 2.5 the global ground state is the undriven odd-parity level
+    # (ud - du)/sqrt(2); the run must still start on the P = +1 branch
+    config = make_config({"model": "two_spin", "r0": "2.5", **FAST_KEYS})
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="core system rank")
+        assert run(config, tmp_path) == 0
+    _, rows = _read_csv(tmp_path / "trajectory.csv")
+    start = [float(x) for x in rows[0][7:]]
+    assert start[1] == 0.0 and start[2] == 0.0
+    assert start[0] + start[3] == pytest.approx(1.0, abs=1e-12)
+    _, reg_rows = _read_csv(tmp_path / "regularization.csv")
+    assert any(float(r[2]) != 0.0 for r in reg_rows)
+    assert min(float(r[6]) for r in rows) > 0.999
+
+
+def test_in_sector_crossing_fails_before_integration(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--model", "two_spin", "--b0", "5", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "in-sector crossing of the tracked level at r=5 " in err
+    assert "change b0 or j0" in err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_repeat_runs_byte_identical(tmp_path):

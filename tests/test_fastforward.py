@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.fastforward import (FastForwardProfile, alpha_of_t, fidelity, h_ff,
-                                integrate, lambda_of_t, r_of_t, v_of_t)
+from ffspin.fastforward import (FastForwardProfile, fidelity, h_ff, integrate,
+                                r_of_t, v_of_t)
 from ffspin.model import h0
 
 RNG = np.random.RandomState(7)
@@ -45,24 +45,6 @@ def test_v_of_t_is_derivative_of_r_of_t(ramp_profile):
         fd = (r_of_t(ramp_profile, 0.0, t + h)
               - r_of_t(ramp_profile, 0.0, t - h)) / (2 * h)
         assert fd == pytest.approx(v_of_t(ramp_profile, t), abs=1e-7)
-
-
-def test_alpha_and_lambda():
-    profile = FastForwardProfile(v_bar=10.0, t_ff=1.0, alpha_bar=5.0)
-    assert alpha_of_t(profile, 0.0) == pytest.approx(1.0)
-    assert alpha_of_t(profile, 0.5) == pytest.approx(2 * 5.0 - 1.0)
-    assert lambda_of_t(profile, 1.0) == pytest.approx(5.0, abs=1e-12)
-    # numerical integral of alpha matches the closed form
-    ts = np.linspace(0.0, 0.73, 20001)
-    alphas = np.array([alpha_of_t(profile, float(t)) for t in ts])
-    quad = float(np.sum(0.5 * (alphas[1:] + alphas[:-1]) * np.diff(ts)))
-    assert quad == pytest.approx(lambda_of_t(profile, 0.73), abs=1e-6)
-
-
-def test_alpha_requires_magnification_at_least_one():
-    profile = FastForwardProfile(v_bar=10.0, t_ff=1.0, alpha_bar=0.5)
-    with pytest.raises(ValueError, match="alpha_bar"):
-        alpha_of_t(profile, 0.3)
 
 
 def test_profile_rejects_negative_parameters():
@@ -186,12 +168,6 @@ def test_zero_velocity_constant_hamiltonian(two_spec):
     assert min(rec.fidelity for rec in recs) > 1.0 - 1e-9
     assert all(rec.r == 0.0 for rec in recs)
     assert all(rec.v == 0.0 for rec in recs)
-
-
-def test_diagnostics_degenerate_at_zero_duration():
-    profile = FastForwardProfile(v_bar=10.0, t_ff=0.0, alpha_bar=3.0)
-    assert alpha_of_t(profile, 0.0) == 1.0
-    assert lambda_of_t(profile, 0.0) == 0.0
 
 
 def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,

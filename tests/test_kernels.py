@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin._kernels import (build_kernel, numba_available, pure_numpy_requested,
-                             rk4_kernel)
+from ffspin._kernels import _rk4_run
 from ffspin.model import ModelSpec, TWO_SPIN, driving_generators, h0_parts
 
 
@@ -19,35 +18,16 @@ def _kernel_args(table, branch, steps=400, stride=100, drive=True):
             0.0, 10.0, 1.0, psi0, steps, stride, drive)
 
 
-def test_env_flag_parsing():
-    assert pure_numpy_requested({"FFSPIN_PURE_NUMPY": "1"})
-    assert pure_numpy_requested({"FFSPIN_PURE_NUMPY": "true"})
-    assert pure_numpy_requested({"FFSPIN_PURE_NUMPY": " YES "})
-    assert not pure_numpy_requested({"FFSPIN_PURE_NUMPY": "0"})
-    assert not pure_numpy_requested({})
-
-
 def test_numpy_kernel_reproducible(two_table, two_branch):
     args = _kernel_args(two_table, two_branch)
-    kernel = build_kernel(False)
-    first = kernel(*args)
-    second = kernel(*args)
+    first = _rk4_run(*args)
+    second = _rk4_run(*args)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.skipif(not numba_available(), reason="numba not installed")
-def test_backends_agree(two_table, two_branch):
-    args = _kernel_args(two_table, two_branch)
-    out_jit = build_kernel(True)(*args)
-    out_py = build_kernel(False)(*args)
-    names = ("psis", "ts", "rs", "vs", "ws")
-    for name, a, b in zip(names, out_jit, out_py):
-        assert np.max(np.abs(a - b)) < 1e-12, name
-
-
 def test_record_layout(two_table, two_branch):
-    psis, ts, rs, vs, ws = build_kernel(False)(*_kernel_args(two_table, two_branch))
+    psis, ts, rs, vs, ws = _rk4_run(*_kernel_args(two_table, two_branch))
     assert psis.shape == (5, 4)
     assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0, abs=1e-12)
     assert rs[0] == 0.0
@@ -58,12 +38,11 @@ def test_record_layout(two_table, two_branch):
 def test_drive_flag_changes_the_evolution(two_table, two_branch):
     args_on = _kernel_args(two_table, two_branch, drive=True)
     args_off = _kernel_args(two_table, two_branch, drive=False)
-    psis_on = build_kernel(False)(*args_on)[0]
-    psis_off = build_kernel(False)(*args_off)[0]
+    psis_on = _rk4_run(*args_on)[0]
+    psis_off = _rk4_run(*args_off)[0]
     assert not np.allclose(psis_on[-1], psis_off[-1])
 
 
 def test_active_kernel_callable(two_table, two_branch):
-    kernel = rk4_kernel()
-    psis, *_ = kernel(*_kernel_args(two_table, two_branch, steps=100, stride=100))
+    psis, *_ = _rk4_run(*_kernel_args(two_table, two_branch, steps=100, stride=100))
     assert psis.shape[0] == 2

@@ -5,8 +5,7 @@ import pytest
 
 from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0
 from ffspin.spectrum import (branch_vector_at, eigensolve, fd_branch_derivative,
-                             fix_gauge, gap_report, resolve_initial_degeneracy,
-                             track_branch)
+                             fix_gauge, gap_report, track_branch)
 
 RNG = np.random.RandomState(42)
 
@@ -73,30 +72,21 @@ def test_fix_gauge_rejects_truly_complex_ray():
         fix_gauge(v)
 
 
-def test_resolve_two_spin_initial_state():
-    spec = ModelSpec(kind=TWO_SPIN)
-    c = resolve_initial_degeneracy(spec, 0.0)
-    assert abs(c[1]) < 1e-10 and abs(c[2]) < 1e-10
+def test_resolve_two_spin_initial_state(two_branch):
+    c = two_branch.vectors[0]
+    assert c[1] == 0.0 and c[2] == 0.0
     assert c[0] ** 2 == pytest.approx(0.5, abs=1e-10)
     assert c[3] ** 2 == pytest.approx(0.5, abs=1e-10)
     # the two nonzero amplitudes carry opposite signs
     assert c[0] * c[3] < 0
 
 
-def test_resolve_three_spin_initial_state():
-    spec = ModelSpec(kind=THREE_SPIN_KAGOME)
-    c = resolve_initial_degeneracy(spec, 0.0)
+def test_resolve_three_spin_initial_state(three_branch):
+    c = three_branch.vectors[0]
     for k in (1, 2, 4, 7):
-        assert abs(c[k]) < 1e-8
+        assert c[k] == 0.0
     assert c[3] == pytest.approx(c[6], abs=1e-9)
     assert abs(c[0]) == pytest.approx(0.5, abs=1e-8)
-
-
-def test_resolve_nondegenerate_returns_ground():
-    spec = ModelSpec(kind=TWO_SPIN)
-    c = resolve_initial_degeneracy(spec, 1.0)
-    w, v = eigensolve(h0(spec, 1.0))
-    assert abs(np.vdot(v[:, 0], c)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_two_spin_branch_endpoints(two_branch):
@@ -109,8 +99,9 @@ def test_two_spin_branch_endpoints(two_branch):
 
 
 def test_two_spin_branch_stays_in_parity_block(two_branch):
-    assert np.max(np.abs(two_branch.vectors[:, 1])) < 1e-10
-    assert np.max(np.abs(two_branch.vectors[:, 2])) < 1e-10
+    for k in (1, 2):
+        assert np.all(two_branch.vectors[:, k] == 0.0)
+        assert np.all(two_branch.d_vectors[:, k] == 0.0)
 
 
 def test_two_spin_sector_crossing_near_eight(two_branch):
@@ -125,7 +116,8 @@ def test_two_spin_sector_crossing_near_eight(two_branch):
 def test_three_spin_branch_support(three_branch):
     vecs = three_branch.vectors
     for k in (1, 2, 4, 7):
-        assert np.max(np.abs(vecs[:, k])) < 1e-8
+        assert np.all(vecs[:, k] == 0.0)
+        assert np.all(three_branch.d_vectors[:, k] == 0.0)
     assert np.max(np.abs(vecs[:, 3] - vecs[:, 6])) < 1e-9
 
 
@@ -212,5 +204,11 @@ def test_track_branch_rejects_bad_grid():
     spec = ModelSpec(kind=TWO_SPIN)
     with pytest.raises(ValueError, match="monotone"):
         track_branch(spec, np.array([0.0, 1.0, 0.5]))
-    with pytest.raises(ValueError, match="derivative"):
-        track_branch(spec, np.linspace(0, 1, 11), derivative="spectral")
+
+
+def test_in_sector_crossing_between_samples_raises():
+    # with b0 = j0/2 the P = +1 block [[Bz, J1 - J2], [J1 - J2, -Bz]] is zero
+    # at R = 5; a grid that steps over R = 5 sees the two levels swap
+    spec = ModelSpec(kind=TWO_SPIN, j0=10.0, b0=5.0)
+    with pytest.raises(RuntimeError, match=r"in-sector crossing .* between r=4\.99.* and r=5\.00"):
+        track_branch(spec, np.linspace(0.0, 10.0, 2000))
