@@ -115,10 +115,10 @@ def _fmt(x: float) -> str:
     return format(x, ".16e")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _uniform_times(config: ScenarioConfig) -> np.ndarray:
@@ -131,43 +131,40 @@ def _spec_profile(config: ScenarioConfig) -> tuple[ModelSpec, FastForwardProfile
     return spec, profile
 
 
-def _write_manifest(out_dir: Path, config: ScenarioConfig) -> None:
+def _manifest(config: ScenarioConfig) -> str:
     lines = [f"{key}={value}" for key, value in sorted(asdict(config).items())]
     lines.append(f"ffspin_version={__version__}")
-    (out_dir / MANIFEST).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _emit_eigenvalues_and_gap(out_dir: Path, config: ScenarioConfig,
-                              spec, profile, branch) -> None:
+def _eigenvalues_and_gap_csv(config: ScenarioConfig, spec, profile,
+                             branch) -> tuple[str, str]:
     times = _uniform_times(config)
     eig_rows = []
     gap_rows = []
-    for t in times:
-        r = r_of_t(profile, spec.r0, float(t))
+    for t, r in zip(times, r_of_t(profile, spec.r0, times)):
         w, _ = eigensolve(h0(spec, r))
         eig_rows.append([_fmt(t), _fmt(r)] + [_fmt(e) for e in w])
-        _, e_branch = branch_vector_at(spec, branch, r)
+        _, e_branch = branch_vector_at(spec, branch, float(r))
         gap_rows.append([_fmt(t), _fmt(r), _fmt(nearest_level_gap(w, e_branch))])
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]
-    _write_csv(out_dir / EIGENVALUES_CSV, header, eig_rows)
-    _write_csv(out_dir / GAP_CSV, ["t", "R", "gap"], gap_rows)
+    return _csv(header, eig_rows), _csv(["t", "R", "gap"], gap_rows)
 
 
-def _emit_regularization(out_dir: Path, config: ScenarioConfig,
-                         spec, profile, table, zero_driving: bool) -> None:
+def _regularization_csv(config: ScenarioConfig, spec, profile, table,
+                        zero_driving: bool) -> str:
+    times = _uniform_times(config)
+    rs = r_of_t(profile, spec.r0, times)
+    coeffs = table(rs)
+    w1s = np.zeros_like(rs) if zero_driving else coeffs.w1
+    w2s = np.zeros_like(rs) if zero_driving else coeffs.w2
     two_spin = spec.kind == TWO_SPIN
-    rows = []
-    for t in _uniform_times(config):
-        r = r_of_t(profile, spec.r0, float(t))
-        coeffs = table(r)
-        w1 = 0.0 if zero_driving else coeffs.w1
-        w2 = 0.0 if zero_driving else coeffs.w2
-        rows.append([_fmt(t), _fmt(r), _fmt(w1), "" if two_spin else _fmt(w2)])
-    _write_csv(out_dir / REGULARIZATION_CSV, ["t", "R", "w1", "w2"], rows)
+    rows = ([_fmt(t), _fmt(r), _fmt(w1), "" if two_spin else _fmt(w2)]
+            for t, r, w1, w2 in zip(times, rs, w1s, w2s))
+    return _csv(["t", "R", "w1", "w2"], rows)
 
 
-def _emit_trajectory(out_dir: Path, config: ScenarioConfig,
-                     spec, profile, branch, table) -> None:
+def _trajectory_csv(config: ScenarioConfig, spec, profile, branch, table) -> str:
     records = integrate(spec, profile, steps=config.integrator_steps,
                         output_stride=config.output_stride,
                         branch=branch, table=table,
@@ -175,42 +172,45 @@ def _emit_trajectory(out_dir: Path, config: ScenarioConfig,
     two_spin = spec.kind == TWO_SPIN
     header = (["t", "R", "v", "w1", "w2", "norm", "fidelity"]
               + [f"prob_{i + 1}" for i in range(spec.dim)])
-    rows = []
-    for rec in records:
-        probs = np.abs(rec.psi) ** 2
-        rows.append([_fmt(rec.t), _fmt(rec.r), _fmt(rec.v), _fmt(rec.coeffs.w1),
-                     "" if two_spin else _fmt(rec.coeffs.w2),
-                     _fmt(rec.norm), _fmt(rec.fidelity)]
-                    + [_fmt(p) for p in probs])
-    _write_csv(out_dir / TRAJECTORY_CSV, header, rows)
+    rows = ([_fmt(rec.t), _fmt(rec.r), _fmt(rec.v), _fmt(rec.coeffs.w1),
+             "" if two_spin else _fmt(rec.coeffs.w2),
+             _fmt(rec.norm), _fmt(rec.fidelity)]
+            + [_fmt(p) for p in np.abs(rec.psi) ** 2]
+            for rec in records)
+    return _csv(header, rows)
 
 
 def run(config: ScenarioConfig, out_dir: str | Path) -> int:
-    """Execute one scenario, writing its output files; returns the exit status."""
+    """Execute one scenario, writing its output files; returns the exit status.
+
+    Every file is computed before the output directory is created, so a run
+    that fails leaves nothing behind.
+    """
     problems = validate(config)
     if problems:
         for p in problems:
             print(f"invalid config: {p}", file=sys.stderr)
         return 2
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     spec, profile = _spec_profile(config)
     grid = default_r_grid(spec, profile.r_end(spec.r0), config.grid_points)
     branch = track_branch(spec, grid)
     table = None
     if config.mode != "spectrum_only":
         table = coefficient_table(spec, branch)
+    files = {}
     if config.mode in ("fast_forward", "no_driving"):
-        _emit_trajectory(out, config, spec, profile, branch, table)
-        _emit_regularization(out, config, spec, profile, table,
-                             zero_driving=(config.mode == "no_driving"))
-        _emit_eigenvalues_and_gap(out, config, spec, profile, branch)
-    elif config.mode == "spectrum_only":
-        _emit_eigenvalues_and_gap(out, config, spec, profile, branch)
-    elif config.mode == "regularization_only":
-        _emit_regularization(out, config, spec, profile, table,
-                             zero_driving=False)
-    _write_manifest(out, config)
+        files[TRAJECTORY_CSV] = _trajectory_csv(config, spec, profile, branch, table)
+    if config.mode != "spectrum_only":
+        files[REGULARIZATION_CSV] = _regularization_csv(
+            config, spec, profile, table, zero_driving=(config.mode == "no_driving"))
+    if config.mode != "regularization_only":
+        files[EIGENVALUES_CSV], files[GAP_CSV] = _eigenvalues_and_gap_csv(
+            config, spec, profile, branch)
+    files[MANIFEST] = _manifest(config)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
     return 0
 
 

@@ -6,20 +6,26 @@ The production schedule is the asymptotic (large magnification) limit:
     v(t) = vbar (1 - cos(2 pi t / T)),
 
 so v vanishes at both endpoints and the full Hamiltonian coincides with the
-bare one there.
+bare one there.  The fast-forward Hamiltonian (Masuda & Nakamura, Proc. R.
+Soc. A 466, 1135 (2010)) is
+
+    H_FF(t) = H0(R(t)) + v(t) sum_k w_k(R(t)) G_k,
+
+written once, in :func:`h_ff`.  The schedule, ``h_ff`` and the coefficient
+table all accept arrays, so :func:`integrate` evaluates the RK4 stage
+Hamiltonians a fixed block of steps at a time and its Python loop only does
+the mat-vecs.
 
 Integration is fixed-step RK4 with no per-step renormalization; the norm is
 recorded so that drift stays visible as a diagnostic instead of being hidden.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _rk4_run
-from .model import DrivingCoefficients, ModelSpec, h0, h0_parts, h_candidate, driving_generators
+from .model import DrivingCoefficients, ModelSpec, h0, h_candidate
 from .regularization import CoefficientTable, coefficient_table
 from .spectrum import (DEFAULT_GRID_POINTS, AdiabaticBranch, branch_vector_at,
                        default_r_grid, track_branch)
@@ -27,6 +33,9 @@ from .spectrum import (DEFAULT_GRID_POINTS, AdiabaticBranch, branch_vector_at,
 DEFAULT_STEPS = 10_000
 DEFAULT_STRIDE = 100
 NORM_DRIFT_LIMIT = 1e-6
+#: RK4 steps whose stage Hamiltonians are built in one call of ``h_ff``; the
+#: buffer holds 2 * BLOCK_STEPS + 1 matrices whatever the step count
+BLOCK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -49,27 +58,30 @@ class FastForwardProfile:
         return r0 + self.v_bar * self.t_ff
 
 
-def _check_time(profile: FastForwardProfile, t: float) -> None:
-    if not 0.0 <= t <= profile.t_ff:
-        raise ValueError(f"t={t} outside [0, {profile.t_ff}]")
+def _check_time(profile: FastForwardProfile, t: float | np.ndarray) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    outside = ~((0.0 <= t) & (t <= profile.t_ff))
+    if outside.any():
+        raise ValueError(f"t={t[outside][0]} outside [0, {profile.t_ff}]")
+    return t
 
 
-def r_of_t(profile: FastForwardProfile, r0: float, t: float) -> float:
-    """Control parameter at time t of the fast-forwarded schedule."""
-    _check_time(profile, t)
+def r_of_t(profile: FastForwardProfile, r0: float, t: float | np.ndarray):
+    """Control parameter at time t (a float or an array) of the schedule."""
+    t = _check_time(profile, t)
     if profile.t_ff == 0.0:
-        return r0
-    phase = 2.0 * math.pi * t / profile.t_ff
-    return r0 + 2.0 * profile.v_bar * (0.5 * t - profile.t_ff * math.sin(phase)
-                                       / (4.0 * math.pi))
+        return r0 + 0.0 * t
+    phase = 2.0 * np.pi * t / profile.t_ff
+    return r0 + 2.0 * profile.v_bar * (0.5 * t - profile.t_ff * np.sin(phase)
+                                       / (4.0 * np.pi))
 
 
-def v_of_t(profile: FastForwardProfile, t: float) -> float:
-    """dR/dt at time t; exactly zero at t = 0 and t = t_ff."""
-    _check_time(profile, t)
+def v_of_t(profile: FastForwardProfile, t: float | np.ndarray):
+    """dR/dt at time t (a float or an array); exactly zero at t = 0 and t = t_ff."""
+    t = _check_time(profile, t)
     if profile.t_ff == 0.0:
-        return 0.0
-    return profile.v_bar * (1.0 - math.cos(2.0 * math.pi * t / profile.t_ff))
+        return 0.0 * t
+    return profile.v_bar * (1.0 - np.cos(2.0 * np.pi * t / profile.t_ff))
 
 
 def fidelity(psi: np.ndarray, branch_vector: np.ndarray,
@@ -93,31 +105,25 @@ class TrajectoryRecord:
     psi: np.ndarray
     norm: float
     fidelity: float
-    branch_energy: float
 
 
 def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
-         t: float) -> np.ndarray:
+         t: float | np.ndarray) -> np.ndarray:
     """Fast-forward Hamiltonian H0(R(t)) + v(t) * driving(R(t)).
 
-    At the endpoints v vanishes identically and the bare Hamiltonian is
-    returned unchanged, so the pinning is exact rather than approximate.
+    An array of times gives the stack of matrices.  At the endpoints v
+    vanishes identically and adding the zero driving term leaves the bare
+    Hamiltonian unchanged, so the pinning is exact rather than approximate.
     """
     r = r_of_t(profile, spec.r0, t)
-    return _h_ff_at(spec, table, r, v_of_t(profile, t))
-
-
-def _h_ff_at(spec: ModelSpec, table: CoefficientTable, r: float,
-             v: float) -> np.ndarray:
     pad = 1e-9 * max(1.0, abs(table.r_max - table.r_min))
-    if not table.r_min - pad <= r <= table.r_max + pad:
+    outside = ~((table.r_min - pad <= r) & (r <= table.r_max + pad))
+    if np.any(outside):
         raise ValueError(
-            f"r={r} outside the tabulated coefficient range "
-            f"[{table.r_min}, {table.r_max}]")
-    bare = h0(spec, r)
-    if v == 0.0:
-        return bare
-    return bare + v * h_candidate(spec, table(r))
+            f"r={np.asarray(r)[outside][0]} outside the tabulated coefficient "
+            f"range [{table.r_min}, {table.r_max}]")
+    v = np.asarray(v_of_t(profile, t))[..., None, None]
+    return h0(spec, r) + v * h_candidate(spec, table(r))
 
 
 def integrate(spec: ModelSpec, profile: FastForwardProfile,
@@ -146,8 +152,9 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
         With False the driving term is dropped and the recorded driving
         coefficients are zero (negative-control mode).
 
-    Norm drift beyond ``NORM_DRIFT_LIMIT`` raises, with the advice to raise
-    ``steps``.
+    The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
+    so the last step ends exactly at t_ff.  Norm drift beyond
+    ``NORM_DRIFT_LIMIT`` raises, with the advice to raise ``steps``.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -167,36 +174,52 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
         raise ValueError("initial_state must be unit norm")
 
     if profile.t_ff == 0.0:
-        vec, energy = branch.vectors[0], float(branch.energies[0])
         return [TrajectoryRecord(
             t=0.0, r=float(spec.r0), v=0.0,
             coeffs=DrivingCoefficients(0.0, 0.0, 0.0), psi=psi0.copy(),
             norm=float(np.linalg.norm(psi0)),
-            fidelity=fidelity(psi0, vec), branch_energy=energy)]
+            fidelity=fidelity(psi0, branch.vectors[0]))]
 
-    h_base, h_slope = h0_parts(spec)
-    gens = driving_generators(spec)
-    breaks, coeffs = table.spline_data()
-    psis, ts, rs, vs, ws = _rk4_run(
-        np.ascontiguousarray(h_base), np.ascontiguousarray(h_slope),
-        np.ascontiguousarray(gens), np.ascontiguousarray(breaks),
-        np.ascontiguousarray(coeffs), float(spec.r0), float(profile.v_bar),
-        float(profile.t_ff), psi0, int(steps), int(output_stride), bool(drive))
-
-    records = []
-    for i in range(psis.shape[0]):
-        psi = psis[i]
-        norm = float(np.linalg.norm(psi))
-        vec, energy = branch_vector_at(spec, branch, float(rs[i]))
-        fid = float(abs(np.vdot(vec, psi / norm)) ** 2)
+    stage_t = np.linspace(0.0, profile.t_ff, 2 * steps + 1)
+    dt = profile.t_ff / steps
+    psis = np.empty((steps // output_stride + 1, psi0.shape[0]), dtype=np.complex128)
+    psis[0] = psi = psi0
+    for first in range(0, steps, BLOCK_STEPS):
+        last = min(first + BLOCK_STEPS, steps)
+        block_t = stage_t[2 * first:2 * last + 1]
         if drive:
-            rec_coeffs = DrivingCoefficients(w1=float(ws[i, 0]), w2=float(ws[i, 1]),
-                                             bz_tilde=float(ws[i, 2]))
+            h = h_ff(spec, profile, table, block_t)
         else:
-            rec_coeffs = DrivingCoefficients(0.0, 0.0, 0.0)
+            h = h0(spec, r_of_t(profile, spec.r0, block_t))
+        # rows 2n, 2n + 1, 2n + 2 of -iH are the start, midpoint and end
+        # stages of step first + n
+        minus_ih = -1j * h
+        for n in range(last - first):
+            start, mid, end = minus_ih[2 * n:2 * n + 3]
+            k1 = start @ psi
+            k2 = mid @ (psi + (0.5 * dt) * k1)
+            k3 = mid @ (psi + (0.5 * dt) * k2)
+            k4 = end @ (psi + dt * k3)
+            psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if (first + n + 1) % output_stride == 0:
+                psis[(first + n + 1) // output_stride] = psi
+
+    rec_t = stage_t[::2 * output_stride]
+    rec_r = r_of_t(profile, spec.r0, rec_t)
+    rec_v = v_of_t(profile, rec_t)
+    if drive:
+        w = table(rec_r)
+        rec_coeffs = [DrivingCoefficients(float(w1), float(w2), float(bz))
+                      for w1, w2, bz in zip(w.w1, w.w2, w.bz_tilde)]
+    else:
+        rec_coeffs = [DrivingCoefficients(0.0, 0.0, 0.0)] * len(rec_t)
+    records = []
+    for t, r, v, coeffs, psi in zip(rec_t, rec_r, rec_v, rec_coeffs, psis):
+        norm = float(np.linalg.norm(psi))
+        vec, _ = branch_vector_at(spec, branch, float(r))
         records.append(TrajectoryRecord(
-            t=float(ts[i]), r=float(rs[i]), v=float(vs[i]), coeffs=rec_coeffs,
-            psi=psi.copy(), norm=norm, fidelity=fid, branch_energy=energy))
+            t=float(t), r=float(r), v=float(v), coeffs=coeffs, psi=psi,
+            norm=norm, fidelity=float(abs(np.vdot(vec, psi / norm)) ** 2)))
     drift = max(abs(rec.norm - 1.0) for rec in records)
     if drift > NORM_DRIFT_LIMIT:
         raise RuntimeError(

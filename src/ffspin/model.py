@@ -61,14 +61,15 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class DrivingCoefficients:
-    """Driving-term coefficients: w1 (and w2 for three spins) plus a z field."""
+    """Driving-term coefficients: w1 (and w2 for three spins) plus a z field.
+
+    Each field is a float, or an array of one common shape when a
+    :class:`~ffspin.regularization.CoefficientTable` is evaluated on an array.
+    """
 
     w1: float
     w2: float = 0.0
     bz_tilde: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w1, self.w2, self.bz_tilde], dtype=float)
 
 
 def schedules(spec: ModelSpec, r: float) -> tuple[float, float, float]:
@@ -111,16 +112,14 @@ def _driving_terms(kind: str) -> np.ndarray:
     return gens
 
 
-def h0(spec: ModelSpec, r: float) -> np.ndarray:
-    """Bare Hamiltonian at control parameter r (Hermitian, real entries)."""
+def h0(spec: ModelSpec, r: float | np.ndarray) -> np.ndarray:
+    """Bare Hamiltonian at control parameter r (Hermitian, real entries).
+
+    An array of r gives the stack of matrices, shape ``r.shape + (dim, dim)``.
+    """
     m_j1, m_j2, m_bz = _h0_terms(spec.kind)
-    j1, j2, bz = schedules(spec, r)
+    j1, j2, bz = schedules(spec, np.asarray(r, dtype=float)[..., None, None])
     return j1 * m_j1 + j2 * m_j2 + bz * m_bz
-
-
-def h0_parts(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(base, slope) with h0(r) = base + r * slope; slope is d_h0_dr."""
-    return h0(spec, 0.0), d_h0_dr(spec)
 
 
 def d_h0_dr(spec: ModelSpec) -> np.ndarray:
@@ -136,7 +135,11 @@ def driving_generators(spec: ModelSpec) -> np.ndarray:
 
 
 def h_candidate(spec: ModelSpec, coeffs: DrivingCoefficients) -> np.ndarray:
-    """Driving operator w1*G1 + w2*G2 + bz_tilde*G3 (Hermitian)."""
+    """Driving operator w1*G1 + w2*G2 + bz_tilde*G3 (Hermitian).
+
+    Coefficients holding arrays give the stack of operators.
+    """
     gens = _driving_terms(spec.kind)
-    return (coeffs.w1 * gens[0] + coeffs.w2 * gens[1]
-            + coeffs.bz_tilde * gens[2])
+    w1, w2, bz = (np.asarray(w, dtype=float)[..., None, None]
+                  for w in (coeffs.w1, coeffs.w2, coeffs.bz_tilde))
+    return w1 * gens[0] + w2 * gens[1] + bz * gens[2]

@@ -142,12 +142,16 @@ class CoefficientTable:
     residuals: np.ndarray
 
     @cached_property
-    def _splines(self):
+    def _columns(self) -> np.ndarray:
+        return np.column_stack([self.w1, self.w2, self.bz_tilde])
+
+    @cached_property
+    def _spline(self):
+        """One cubic spline over the (w1, w2, bz) columns; None for a
+        single-point grid, where the coefficients are constant."""
         if len(self.r_grid) < 2 or self.r_grid[-1] == self.r_grid[0]:
             return None
-        return (CubicSpline(self.r_grid, self.w1),
-                CubicSpline(self.r_grid, self.w2),
-                CubicSpline(self.r_grid, self.bz_tilde))
+        return CubicSpline(self.r_grid, self._columns)
 
     @property
     def r_min(self) -> float:
@@ -157,33 +161,13 @@ class CoefficientTable:
     def r_max(self) -> float:
         return float(self.r_grid[-1])
 
-    def __call__(self, r: float) -> DrivingCoefficients:
-        if self._splines is None:
-            return DrivingCoefficients(w1=float(self.w1[0]), w2=float(self.w2[0]),
-                                       bz_tilde=float(self.bz_tilde[0]))
-        s1, s2, s3 = self._splines
-        return DrivingCoefficients(w1=float(s1(r)), w2=float(s2(r)),
-                                   bz_tilde=float(s3(r)))
-
-    def spline_data(self) -> tuple[np.ndarray, np.ndarray]:
-        """Breakpoints and stacked cubic coefficients for the stepping kernels.
-
-        Returns ``(breaks, coeffs)`` with ``coeffs[k, p, j]`` the p-th cubic
-        coefficient of channel k (w1, w2, bz) on segment j, highest power
-        first, in the local variable ``r - breaks[j]``.
-        """
-        if self._splines is None:
-            r0 = float(self.r_grid[0])
-            breaks = np.array([r0 - 0.5, r0 + 0.5])
-            coeffs = np.zeros((3, 4, 1))
-            coeffs[0, 3, 0] = float(self.w1[0])
-            coeffs[1, 3, 0] = float(self.w2[0])
-            coeffs[2, 3, 0] = float(self.bz_tilde[0])
-            return breaks, coeffs
-        s1, s2, s3 = self._splines
-        breaks = np.ascontiguousarray(s1.x)
-        coeffs = np.ascontiguousarray(np.stack([s1.c, s2.c, s3.c]))
-        return breaks, coeffs
+    def __call__(self, r: float | np.ndarray) -> DrivingCoefficients:
+        """Interpolated coefficients at r; an array of r gives array fields."""
+        if self._spline is None:
+            values = np.broadcast_to(self._columns[0], np.shape(r) + (3,))
+        else:
+            values = self._spline(r)
+        return DrivingCoefficients(*np.moveaxis(values, -1, 0))
 
 
 def coefficient_table(spec: ModelSpec, branch: AdiabaticBranch) -> CoefficientTable:

@@ -1,9 +1,8 @@
 """Dense Pauli tensor-product algebra on small spin Hilbert spaces.
 
-Operators are assembled by Kronecker products in a fixed ket ordering and,
-when a different ordering is requested, permuted into it afterwards.  The
-reference ordering is binary counting with site 1 as the most significant
-bit and spin-up mapped to 0, so for two spins the kets read
+Operators are assembled by Kronecker products in one fixed ket ordering:
+binary counting with site 1 as the most significant bit and spin-up mapped
+to 0, so for two spins the kets read
 
     uu, ud, du, dd
 
@@ -16,7 +15,6 @@ dense storage is used throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -29,48 +27,6 @@ PAULI = {
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
 _ID2 = np.eye(2, dtype=complex)
-
-
-def ket_label(index: int, n_spins: int) -> str:
-    """Ket label for a binary-counting basis index, e.g. 5 -> 'dud' for 3 spins."""
-    return "".join("d" if (index >> (n_spins - 1 - s)) & 1 else "u"
-                   for s in range(n_spins))
-
-
-@dataclass(frozen=True)
-class BasisOrder:
-    """Ordering of the n-spin z-basis kets.
-
-    ``perm[p]`` is the binary-counting index of the ket displayed at
-    position ``p``.  The identity permutation reproduces binary counting.
-    """
-
-    n_spins: int
-    perm: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        dim = 2 ** self.n_spins
-        perm = self.perm if self.perm else tuple(range(dim))
-        object.__setattr__(self, "perm", perm)
-        if sorted(perm) != list(range(dim)):
-            raise ValueError(f"perm must be a permutation of 0..{dim - 1}")
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n_spins
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(ket_label(k, self.n_spins) for k in self.perm)
-
-    def index_of(self, label: str) -> int:
-        """Position of a ket label such as 'udd' in this ordering."""
-        return self.labels.index(label)
-
-
-def binary_order(n_spins: int) -> BasisOrder:
-    """The reference binary-counting ordering (site 1 = most significant bit)."""
-    return BasisOrder(n_spins)
 
 
 @lru_cache(maxsize=None)
@@ -86,29 +42,20 @@ def _single_site(axis: str, site: int, n_spins: int) -> np.ndarray:
     return m
 
 
-def _permute(m: np.ndarray, order: BasisOrder | None) -> np.ndarray:
-    if order is None or order.perm == tuple(range(m.shape[0])):
-        return m.copy()
-    p = np.array(order.perm)
-    return m[np.ix_(p, p)]
-
-
-def pauli_on_site(axis: str, site: int, n_spins: int,
-                  order: BasisOrder | None = None) -> np.ndarray:
+def pauli_on_site(axis: str, site: int, n_spins: int) -> np.ndarray:
     """Pauli operator on one site of an n-spin system, as a 2**n square matrix.
 
     ``site`` is 1-based.  The result is Hermitian and squares to the identity.
     """
-    return _permute(_single_site(axis, site, n_spins), order)
+    return _single_site(axis, site, n_spins).copy()
 
 
-def pair_coupling(axis_i: str, axis_j: str, i: int, j: int, n_spins: int,
-                  order: BasisOrder | None = None) -> np.ndarray:
+def pair_coupling(axis_i: str, axis_j: str, i: int, j: int,
+                  n_spins: int) -> np.ndarray:
     """Product sigma_i^a sigma_j^b of Pauli operators on two distinct sites."""
     if i == j:
         raise ValueError(f"pair_coupling requires distinct sites, got i == j == {i}")
-    m = _single_site(axis_i, i, n_spins) @ _single_site(axis_j, j, n_spins)
-    return _permute(m, order)
+    return _single_site(axis_i, i, n_spins) @ _single_site(axis_j, j, n_spins)
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:

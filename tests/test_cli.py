@@ -152,6 +152,7 @@ def test_in_sector_crossing_fails_before_integration(tmp_path, capsys):
     assert "in-sector crossing of the tracked level at r=5 " in err
     assert "change b0 or j0" in err
     assert not (out / "trajectory.csv").exists()
+    assert not out.exists()
 
 
 def test_repeat_runs_byte_identical(tmp_path):

@@ -75,6 +75,16 @@ def test_h_ff_out_of_range_interpolation(two_spec, two_table):
         h_ff(two_spec, profile, two_table, 0.8)
 
 
+def test_h_ff_array_matches_scalar_calls(three_spec, three_table, ramp_profile):
+    ts = np.linspace(0.0, 1.0, 65)
+    stack = h_ff(three_spec, ramp_profile, three_table, ts)
+    assert stack.shape == (65, 8, 8)
+    assert np.array_equal(
+        stack, [h_ff(three_spec, ramp_profile, three_table, t) for t in ts])
+    assert np.array_equal(stack[0], h0(three_spec, 0.0))
+    assert np.array_equal(stack[-1], h0(three_spec, r_of_t(ramp_profile, 0.0, 1.0)))
+
+
 def test_fidelity_basics():
     x = np.array([1.0, 0.0], dtype=complex)
     y = np.array([0.0, 1.0], dtype=complex)
@@ -113,14 +123,28 @@ def test_mirror_symmetry_of_three_spin_run(three_run):
     assert worst < 1e-9
 
 
-def test_records_cover_run(three_run):
-    assert len(three_run) == 101
-    assert three_run[0].t == 0.0
-    assert three_run[-1].t == pytest.approx(1.0, abs=1e-12)
-    assert three_run[-1].r == pytest.approx(10.0, abs=1e-12)
-    # velocity recorded as zero at both ends
-    assert three_run[0].v == 0.0
-    assert abs(three_run[-1].v) < 1e-12
+def test_records_cover_run(three_run, two_spec, profile, two_branch, two_table):
+    # (records, expected count): the default three-spin run, then two-spin
+    # runs of 400 steps at stride 100 and of a single record interval (200
+    # steps: at 100 the RK4 norm drift, 1.5e-6, fails the drift check)
+    layouts = [(three_run, 101)] + [
+        (integrate(two_spec, profile, steps=steps, output_stride=stride,
+                   branch=two_branch, table=two_table), count)
+        for steps, stride, count in ((400, 100, 5), (200, 200, 2))]
+    for records, count in layouts:
+        assert len(records) == count
+        assert records[0].t == 0.0
+        assert records[0].r == 0.0
+        assert records[-1].t == 1.0  # the last stage time is exactly t_ff
+        assert records[-1].r == pytest.approx(10.0, abs=1e-12)
+        # velocity recorded as zero at both ends
+        assert records[0].v == 0.0
+        assert records[-1].v == 0.0
+    # a rerun is bitwise identical
+    rerun = integrate(two_spec, profile, steps=400, output_stride=100,
+                      branch=two_branch, table=two_table)
+    assert np.array_equal([rec.psi for rec in rerun],
+                          [rec.psi for rec in layouts[1][0]])
 
 
 def test_step_halving_fourth_order(two_spec, ramp_profile, two_branch, two_table):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec
+from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, DrivingCoefficients, ModelSpec
 from ffspin.regularization import (closed_form_two_spin, closed_form_w,
                                    coefficient_table, component_form_three_spin,
                                    solve_core)
@@ -114,6 +114,12 @@ def test_table_residuals_and_interpolation(three_spec, three_table):
     coeffs = three_table(r)
     assert coeffs.w1 == pytest.approx(three_table.w1[k], abs=1e-12)
     assert coeffs.w2 == pytest.approx(three_table.w2[k], abs=1e-12)
+    # an array of r gives the per-point values
+    probes = np.linspace(0.0, 10.0, 37)
+    stacked = three_table(probes)
+    for i, r in enumerate(probes):
+        assert three_table(float(r)) == DrivingCoefficients(
+            stacked.w1[i], stacked.w2[i], stacked.bz_tilde[i])
 
 
 def test_grid_doubling_stability(three_spec, three_table, profile):
@@ -125,15 +131,3 @@ def test_grid_doubling_stability(three_spec, three_table, profile):
         a, b = three_table(float(r)), dense(float(r))
         assert abs(a.w1 - b.w1) < 1e-6
         assert abs(a.w2 - b.w2) < 1e-6
-
-
-def test_spline_data_matches_table(two_table):
-    breaks, coeffs = two_table.spline_data()
-    assert coeffs.shape[0] == 3 and coeffs.shape[1] == 4
-    # evaluate segment polynomial by hand at a probe point
-    r = 4.321
-    j = int(np.searchsorted(breaks, r)) - 1
-    u = r - breaks[j]
-    w1 = ((coeffs[0, 0, j] * u + coeffs[0, 1, j]) * u + coeffs[0, 2, j]) * u \
-        + coeffs[0, 3, j]
-    assert w1 == pytest.approx(two_table(r).w1, abs=1e-12)

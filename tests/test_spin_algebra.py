@@ -1,23 +1,26 @@
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
-from ffspin.spin_algebra import (BasisOrder, binary_order, is_hermitian,
-                                 ket_label, pair_coupling, pauli_on_site)
-
-RNG = np.random.RandomState(20240817)
+from ffspin.spin_algebra import is_hermitian, pair_coupling, pauli_on_site
 
 
-def slow_pauli(axis: str, site: int, order: BasisOrder) -> np.ndarray:
+def binary_labels(n_spins: int) -> list[str]:
+    """Ket labels in binary counting order: site 1 most significant, u before d."""
+    return ["".join(spins) for spins in product("ud", repeat=n_spins)]
+
+
+def slow_pauli(axis: str, site: int, labels: list[str]) -> np.ndarray:
     """Independent oracle: build the operator by acting on ket labels."""
     action = {
         "x": {"u": ("d", 1.0), "d": ("u", 1.0)},
         "y": {"u": ("d", 1.0j), "d": ("u", -1.0j)},
         "z": {"u": ("u", 1.0), "d": ("d", -1.0)},
     }[axis]
-    labels = order.labels
-    dim = order.dim
+    dim = len(labels)
     m = np.zeros((dim, dim), dtype=complex)
     for col, ket in enumerate(labels):
         new_spin, factor = action[ket[site - 1]]
@@ -46,8 +49,8 @@ def test_pauli_hermitian(axis):
 def test_three_spin_yy_matrix_element():
     # <uuu| y1 y3 |dud> = -1; that ket pair sits at positions (1, 6)
     m = pair_coupling("y", "y", 1, 3, 3)
-    order = binary_order(3)
-    assert order.labels[0] == "uuu" and order.labels[5] == "dud"
+    labels = binary_labels(3)
+    assert labels[0] == "uuu" and labels[5] == "dud"
     assert m[0, 5] == pytest.approx(-1.0)
     assert m[5, 0] == pytest.approx(-1.0)
 
@@ -86,18 +89,12 @@ def test_distinct_site_paulis_commute(a, b):
 
 @pytest.mark.parametrize("n_spins", [2, 3])
 def test_permutation_consistency(n_spins):
-    # building directly in a shuffled order == permuting the standard build
-    dim = 2 ** n_spins
-    for _ in range(5):
-        perm = tuple(RNG.permutation(dim))
-        order = BasisOrder(n_spins=n_spins, perm=perm)
-        for axis in "xyz":
-            direct = slow_pauli(axis, 1, order)
-            built = pauli_on_site(axis, 1, n_spins, order=order)
-            std = pauli_on_site(axis, 1, n_spins)
-            p = np.array(perm)
-            assert np.allclose(built, direct, atol=1e-14)
-            assert np.allclose(built, std[np.ix_(p, p)], atol=1e-14)
+    # the Kronecker build agrees with the label-action oracle in binary order
+    labels = binary_labels(n_spins)
+    for axis in "xyz":
+        for site in range(1, n_spins + 1):
+            assert np.array_equal(pauli_on_site(axis, site, n_spins),
+                                  slow_pauli(axis, site, labels))
 
 
 def test_pair_coupling_same_site_raises():
@@ -114,16 +111,3 @@ def test_invalid_site_raises(site):
 def test_invalid_axis_raises():
     with pytest.raises(ValueError, match="axis"):
         pauli_on_site("q", 1, 2)
-
-
-def test_ket_labels_binary_counting():
-    assert ket_label(0, 3) == "uuu"
-    assert ket_label(5, 3) == "dud"
-    order = binary_order(3)
-    assert order.labels == ("uuu", "uud", "udu", "udd", "duu", "dud", "ddu", "ddd")
-    assert order.index_of("udd") == 3
-
-
-def test_bad_permutation_rejected():
-    with pytest.raises(ValueError, match="permutation"):
-        BasisOrder(n_spins=2, perm=(0, 1, 1, 3))
