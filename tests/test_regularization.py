@@ -114,12 +114,6 @@ def test_table_residuals_and_interpolation(three_spec, three_table):
     coeffs = three_table(r)
     assert coeffs.w1 == pytest.approx(three_table.w1[k], abs=1e-12)
     assert coeffs.w2 == pytest.approx(three_table.w2[k], abs=1e-12)
-    # an array of r gives the per-point values
-    probes = np.linspace(0.0, 10.0, 37)
-    stacked = three_table(probes)
-    for i, r in enumerate(probes):
-        assert three_table(float(r)) == DrivingCoefficients(
-            stacked.w1[i], stacked.w2[i], stacked.bz_tilde[i])
 
 
 def test_grid_doubling_stability(three_spec, three_table, profile):
@@ -131,3 +125,22 @@ def test_grid_doubling_stability(three_spec, three_table, profile):
         a, b = three_table(float(r)), dense(float(r))
         assert abs(a.w1 - b.w1) < 1e-6
         assert abs(a.w2 - b.w2) < 1e-6
+
+
+def test_spline_data_matches_table(two_table):
+    # one spline over the (w1, w2, bz) columns: evaluate its segment
+    # polynomial by hand at a probe point
+    spline = two_table._spline
+    assert spline.c.shape == (4, len(two_table.r_grid) - 1, 3)
+    r = 4.321
+    j = int(np.searchsorted(spline.x, r)) - 1
+    u = r - spline.x[j]
+    w1 = ((spline.c[0, j, 0] * u + spline.c[1, j, 0]) * u + spline.c[2, j, 0]) * u \
+        + spline.c[3, j, 0]
+    assert w1 == pytest.approx(two_table(r).w1, abs=1e-12)
+    # an array of r gives the per-point values
+    probes = np.linspace(0.0, 10.0, 37)
+    stacked = two_table(probes)
+    for i, r in enumerate(probes):
+        assert two_table(float(r)) == DrivingCoefficients(
+            stacked.w1[i], stacked.w2[i], stacked.bz_tilde[i])
