@@ -11,6 +11,9 @@ Modes and their outputs:
 * ``no_driving``       same files, driving disabled (w columns zero)
 * ``spectrum_only``    eigenvalues.csv, gap.csv
 * ``regularization_only``  regularization.csv
+
+``ffspin validate`` also tracks the branch on the configured grid, so a grid
+too coarse to follow it or an in-sector crossing is reported before a run.
 """
 from __future__ import annotations
 
@@ -125,10 +128,12 @@ def _uniform_times(config: ScenarioConfig) -> np.ndarray:
     return np.linspace(0.0, config.t_ff, config.grid_points)
 
 
-def _spec_profile(config: ScenarioConfig) -> tuple[ModelSpec, FastForwardProfile]:
+def _track(config: ScenarioConfig):
+    """Model, schedule and the branch tracked on the configured grid."""
     spec = ModelSpec(kind=config.model, j0=config.j0, b0=config.b0, r0=config.r0)
     profile = FastForwardProfile(v_bar=config.v_bar, t_ff=config.t_ff)
-    return spec, profile
+    grid = default_r_grid(spec, profile.r_end(spec.r0), config.grid_points)
+    return spec, profile, track_branch(spec, grid)
 
 
 def _manifest(config: ScenarioConfig) -> str:
@@ -140,13 +145,12 @@ def _manifest(config: ScenarioConfig) -> str:
 def _eigenvalues_and_gap_csv(config: ScenarioConfig, spec, profile,
                              branch) -> tuple[str, str]:
     times = _uniform_times(config)
-    eig_rows = []
-    gap_rows = []
-    for t, r in zip(times, r_of_t(profile, spec.r0, times)):
-        w, _ = eigensolve(h0(spec, r))
-        eig_rows.append([_fmt(t), _fmt(r)] + [_fmt(e) for e in w])
-        _, e_branch = branch_vector_at(spec, branch, float(r))
-        gap_rows.append([_fmt(t), _fmt(r), _fmt(nearest_level_gap(w, e_branch))])
+    rs = r_of_t(profile, spec.r0, times)
+    levels, _ = eigensolve(h0(spec, rs))
+    gaps = nearest_level_gap(levels, branch_vector_at(spec, branch, rs)[1])
+    eig_rows = ([_fmt(t), _fmt(r)] + [_fmt(e) for e in w]
+                for t, r, w in zip(times, rs, levels))
+    gap_rows = ([_fmt(t), _fmt(r), _fmt(g)] for t, r, g in zip(times, rs, gaps))
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]
     return _csv(header, eig_rows), _csv(["t", "R", "gap"], gap_rows)
 
@@ -191,9 +195,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
         for p in problems:
             print(f"invalid config: {p}", file=sys.stderr)
         return 2
-    spec, profile = _spec_profile(config)
-    grid = default_r_grid(spec, profile.r_end(spec.r0), config.grid_points)
-    branch = track_branch(spec, grid)
+    spec, profile, branch = _track(config)
     table = None
     if config.mode != "spectrum_only":
         table = coefficient_table(spec, branch)
@@ -255,7 +257,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.command == "validate":
+        # tracked here, not in validate(): run() calls validate() and then tracks
         problems = validate(config)
+        if not problems:
+            try:
+                _track(config)
+            except RuntimeError as exc:
+                problems.append(str(exc))
         if problems:
             for p in problems:
                 print(p)

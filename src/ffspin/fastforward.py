@@ -213,14 +213,14 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
                       for w1, w2, bz in zip(w.w1, w.w2, w.bz_tilde)]
     else:
         rec_coeffs = [DrivingCoefficients(0.0, 0.0, 0.0)] * len(rec_t)
-    records = []
-    for t, r, v, coeffs, psi in zip(rec_t, rec_r, rec_v, rec_coeffs, psis):
-        norm = float(np.linalg.norm(psi))
-        vec, _ = branch_vector_at(spec, branch, float(r))
-        records.append(TrajectoryRecord(
-            t=float(t), r=float(r), v=float(v), coeffs=coeffs, psi=psi,
-            norm=norm, fidelity=float(abs(np.vdot(vec, psi / norm)) ** 2)))
-    drift = max(abs(rec.norm - 1.0) for rec in records)
+    norms = np.linalg.norm(psis, axis=1)
+    vecs, _ = branch_vector_at(spec, branch, rec_r)
+    fids = np.abs(np.einsum("ij,ij->i", vecs, psis / norms[:, None])) ** 2
+    records = [TrajectoryRecord(t=float(t), r=float(r), v=float(v), coeffs=coeffs,
+                                psi=psi, norm=float(norm), fidelity=float(fid))
+               for t, r, v, coeffs, psi, norm, fid
+               in zip(rec_t, rec_r, rec_v, rec_coeffs, psis, norms, fids)]
+    drift = float(np.max(np.abs(norms - 1.0)))
     if drift > NORM_DRIFT_LIMIT:
         raise RuntimeError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "

@@ -8,7 +8,9 @@ system
 where the G's are the model's driving generators.  For these two clusters
 the ansatz spans the right-hand side exactly, so the residual sits at
 numerical noise; a residual above tolerance signals a modeling bug, not an
-approximation to be accepted.
+approximation to be accepted.  ``solve_core`` accepts a stack of samples and
+solves them all with one batched pseudo-inverse, so ``coefficient_table`` is
+a single call.
 
 Two printed closed forms act as independent cross-checks:
 
@@ -39,50 +41,44 @@ IMAG_RESIDUE_ATOL = 1e-10
 
 @dataclass(frozen=True)
 class CoreSolution:
-    """Least-squares driving coefficients plus the fit residual norm."""
+    """Least-squares driving coefficients plus the fit residual norm; arrays
+    of one shape for a stack of samples."""
 
     coeffs: DrivingCoefficients
-    residual: float
-
-
-def _unknown_count(spec: ModelSpec) -> int:
-    return 2 if spec.kind == TWO_SPIN else 3
+    residual: float | np.ndarray
 
 
 def solve_core(spec: ModelSpec, vector: np.ndarray,
                d_vector: np.ndarray) -> CoreSolution:
-    """Solve the core system for one branch sample (C, dC/dR).
+    """Solve the core system for a branch sample (C, dC/dR).
 
-    The unknowns are real; the complex system is solved by stacking real and
-    imaginary parts.  Raises RuntimeError when the residual exceeds
-    ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient system falls back to the
-    minimum-norm solution with a warning.
+    (..., dim) stacks of samples give coefficient and residual arrays of
+    shape (...).  The unknowns are real; the complex system is solved by
+    stacking real and imaginary parts.  Raises RuntimeError when a residual
+    exceeds ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient sample falls back to
+    the minimum-norm solution, with one warning per call.
     """
-    gens = driving_generators(spec)
-    n_unknowns = _unknown_count(spec)
-    if n_unknowns == 2:
-        columns = [gens[0] @ vector, gens[2] @ vector]
-    else:
-        columns = [gens[0] @ vector, gens[1] @ vector, gens[2] @ vector]
+    used = [0, 2] if spec.kind == TWO_SPIN else [0, 1, 2]  # two spins: no w2
+    a = np.einsum("kij,...j->...ik", driving_generators(spec)[used], vector)
     target = 1j * d_vector
-    a = np.stack(columns, axis=1)
-    a_real = np.vstack([a.real, a.imag])
-    b_real = np.concatenate([target.real, target.imag])
-    x, _, rank, _ = np.linalg.lstsq(a_real, b_real, rcond=None)
-    if rank < n_unknowns:
+    a_real = np.concatenate([a.real, a.imag], axis=-2)
+    b_real = np.concatenate([target.real, target.imag], axis=-1)
+    # lstsq's singular-value cutoff, so rank and solution agree with it
+    rcond = max(a_real.shape[-2:]) * np.finfo(float).eps
+    x = (np.linalg.pinv(a_real, rcond=rcond) @ b_real[..., None])[..., 0]
+    rank = np.linalg.matrix_rank(a_real)
+    if np.any(rank < len(used)):
         warnings.warn(
-            f"core system rank {rank} < {n_unknowns}; returning the "
+            f"core system rank {np.min(rank)} < {len(used)}; returning the "
             "minimum-norm solution", RuntimeWarning, stacklevel=2)
-    residual = float(np.linalg.norm(a_real @ x - b_real))
-    if residual > ANSATZ_RESIDUAL_LIMIT:
+    residual = np.linalg.norm((a_real @ x[..., None])[..., 0] - b_real, axis=-1)
+    if np.any(residual > ANSATZ_RESIDUAL_LIMIT):
         raise RuntimeError(
-            f"driving ansatz insufficient: core residual {residual:.3e}")
-    if n_unknowns == 2:
-        coeffs = DrivingCoefficients(w1=float(x[0]), w2=0.0, bz_tilde=float(x[1]))
-    else:
-        coeffs = DrivingCoefficients(w1=float(x[0]), w2=float(x[1]),
-                                     bz_tilde=float(x[2]))
-    return CoreSolution(coeffs=coeffs, residual=residual)
+            f"driving ansatz insufficient: core residual {np.max(residual):.3e}")
+    if len(used) == 2:
+        x = np.insert(x, 1, 0.0, axis=-1)
+    return CoreSolution(coeffs=DrivingCoefficients(*np.moveaxis(x, -1, 0)),
+                        residual=residual)
 
 
 def closed_form_w(bz: float, j1: float, j2: float,
@@ -172,16 +168,7 @@ class CoefficientTable:
 
 def coefficient_table(spec: ModelSpec, branch: AdiabaticBranch) -> CoefficientTable:
     """Solve the core system at every branch sample and tabulate the results."""
-    n = len(branch.r_grid)
-    w1 = np.empty(n)
-    w2 = np.empty(n)
-    bz = np.empty(n)
-    res = np.empty(n)
-    for k in range(n):
-        sol = solve_core(spec, branch.vectors[k], branch.d_vectors[k])
-        w1[k] = sol.coeffs.w1
-        w2[k] = sol.coeffs.w2
-        bz[k] = sol.coeffs.bz_tilde
-        res[k] = sol.residual
-    return CoefficientTable(r_grid=branch.r_grid, w1=w1, w2=w2,
-                            bz_tilde=bz, residuals=res)
+    sol = solve_core(spec, branch.vectors, branch.d_vectors)
+    return CoefficientTable(r_grid=branch.r_grid, w1=sol.coeffs.w1,
+                            w2=sol.coeffs.w2, bz_tilde=sol.coeffs.bz_tilde,
+                            residuals=sol.residual)

@@ -15,6 +15,9 @@ dC/dR is the first-order resolvent sum over the other levels of the block.
 An in-sector near-degeneracy of the tracked level makes that sum singular
 and raises, naming the R where it happens.  A central finite-difference
 variant is kept as an independent cross-check.
+
+Every function accepts stacks (``eigensolve`` an (..., d, d) array, one
+``eigh`` call; the others arrays of R), so a run calls each once, not per R.
 """
 from __future__ import annotations
 
@@ -37,16 +40,18 @@ MIN_CONTINUITY_OVERLAP = 0.99
 def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    Raises ValueError for non-Hermitian input and RuntimeError if the
-    decomposition fails its own residual check.
+    An (..., d, d) stack gives (..., d) eigenvalues and (..., d, d) vectors.
+    Raises ValueError if a matrix is not Hermitian and RuntimeError if a
+    decomposition fails its own residual check, scaled per matrix.
     """
     require_hermitian(h)
     w, v = np.linalg.eigh(h)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    residual = float(np.max(np.abs(h @ v - v * w)))
-    if residual > EIG_RESIDUAL_ATOL * scale:
-        raise RuntimeError(f"eigensolve residual {residual:.3e} exceeds tolerance")
-    ortho = float(np.max(np.abs(v.conj().T @ v - np.eye(h.shape[0]))))
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
+    residual = np.max(np.abs(h @ v - v * w[..., None, :]), axis=(-2, -1))
+    if np.any(residual > EIG_RESIDUAL_ATOL * scale):
+        raise RuntimeError(
+            f"eigensolve residual {np.max(residual):.3e} exceeds tolerance")
+    ortho = float(np.max(np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(h.shape[-1]))))
     if ortho > EIG_RESIDUAL_ATOL:
         raise RuntimeError(f"eigenvectors not orthonormal to {ortho:.3e}")
     return w, v
@@ -60,25 +65,23 @@ def fix_gauge(vector: np.ndarray, reference: np.ndarray | None = None,
     makes the vector real to ``imag_atol`` the ray is irreducibly complex and
     a ValueError is raised.  With no ``reference`` the sign convention makes
     the largest-magnitude component positive; otherwise the sign is chosen
-    for positive overlap with ``reference``.
+    for positive overlap with ``reference``.  An (..., d) stack is fixed row
+    by row, against an (..., d) ``reference``.
     """
     v = np.asarray(vector, dtype=complex)
-    z = np.sum(v * v)
-    if abs(z) < 1e-14:
+    z = np.sum(v * v, axis=-1, keepdims=True)
+    if np.any(np.abs(z) < 1e-14):
         raise ValueError("eigenvector ray is irreducibly complex")
-    phase = np.exp(-0.5j * np.angle(z))
-    real = v * phase
-    if float(np.max(np.abs(real.imag))) > imag_atol:
+    real = v * np.exp(-0.5j * np.angle(z))
+    residue = float(np.max(np.abs(real.imag)))
+    if residue > imag_atol:
         raise ValueError(
-            f"eigenvector has imaginary residue {np.max(np.abs(real.imag)):.3e} "
+            f"eigenvector has imaginary residue {residue:.3e} "
             "after optimal global phase")
-    out = real.real.copy()
-    if reference is not None:
-        if float(out @ reference) < 0.0:
-            out = -out
-    elif out[int(np.argmax(np.abs(out)))] < 0.0:
-        out = -out
-    return out
+    out = real.real
+    if reference is None:  # the unit vector on the largest-magnitude component
+        reference = np.eye(out.shape[-1])[np.argmax(np.abs(out), axis=-1)]
+    return np.where(np.sum(out * reference, axis=-1, keepdims=True) < 0.0, -out, out)
 
 
 @lru_cache(maxsize=None)
@@ -96,13 +99,15 @@ def _embed(block_vectors: np.ndarray, dim: int) -> np.ndarray:
     return full
 
 
-def _even_block(spec: ModelSpec, r: float, reference: np.ndarray | None = None
+def _even_block(spec: ModelSpec, r: float | np.ndarray,
+                reference: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigensystem (w, v) of the P = +1 block of h0 at r and its gauge-fixed
-    level 0, signed against the block vector ``reference`` when given."""
+    """Eigensystem (w, v) of the P = +1 block of h0 at r (a float or an
+    array) and its gauge-fixed level 0, signed against the block vectors
+    ``reference`` when given."""
     ix = parity_even_indices(spec.dim)
-    w, v = eigensolve(h0(spec, r)[np.ix_(ix, ix)])
-    return w, v, fix_gauge(v[:, 0], reference=reference)
+    w, v = eigensolve(h0(spec, r)[..., ix[:, None], ix])
+    return w, v, fix_gauge(v[..., 0], reference=reference)
 
 
 def _in_sector_crossing(where: str) -> RuntimeError:
@@ -148,10 +153,11 @@ def fd_branch_derivative(spec: ModelSpec, r: float, vector: np.ndarray,
 def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
     """Follow level 0 of the P = +1 block along a monotone ``r_grid``.
 
-    The sign of each sample follows the previous one.  Raises RuntimeError
-    where the tracked level meets another level of the block, and where
+    The whole grid is diagonalized in one stacked solve.  The sign of each
+    sample follows the previous one.  Raises RuntimeError at the first sample
+    where the tracked level meets another level of the block, or where
     consecutive samples overlap by less than ``MIN_CONTINUITY_OVERLAP``
-    (the grid is too coarse).
+    (the grid is too coarse); the crossing is reported first.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) < 1:
@@ -160,35 +166,31 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
         raise ValueError("r_grid must be monotone non-decreasing")
     ix = parity_even_indices(spec.dim)
     dh = d_h0_dr(spec)[np.ix_(ix, ix)]
-    energies = np.empty(len(r_grid))
-    vectors = np.empty((len(r_grid), len(ix)))
-    d_vectors = np.empty_like(vectors)
-    previous = None
-    for k, r in enumerate(r_grid):
-        w, v, vec = _even_block(spec, float(r), previous)
-        gap = float(w[1] - w[0])
-        if gap < SECTOR_GAP_RTOL * max(1.0, float(np.max(np.abs(w)))):
-            raise _in_sector_crossing(f"at r={float(r):g} (gap {gap:.3e})")
-        if previous is not None:
-            overlap = abs(float(vec @ previous))
-            if overlap < MIN_CONTINUITY_OVERLAP:
-                if abs(np.vdot(v[:, 1], previous)) >= MIN_CONTINUITY_OVERLAP:
-                    raise _in_sector_crossing(
-                        f"between r={float(r_grid[k - 1]):g} and r={float(r):g}")
-                raise RuntimeError(
-                    f"grid too coarse: continuity overlap {overlap:.4f} < "
-                    f"{MIN_CONTINUITY_OVERLAP} at r={float(r)} (sample {k})")
-        couplings = v[:, 1:].conj().T @ (dh @ vec)
-        d = v[:, 1:] @ (couplings / (w[0] - w[1:]))
-        if float(np.max(np.abs(d.imag))) > 1e-9:
-            raise RuntimeError("branch derivative acquired an imaginary part")
-        energies[k] = w[0]
-        vectors[k] = vec
-        d_vectors[k] = d.real
-        previous = vec
-    return AdiabaticBranch(r_grid=r_grid, energies=energies,
+    w, v, raw = _even_block(spec, r_grid)
+    gap = w[:, 1] - w[:, 0]
+    crossing = gap < SECTOR_GAP_RTOL * np.maximum(1.0, np.max(np.abs(w), axis=1))
+    overlap = np.sum(raw[1:] * raw[:-1], axis=1)
+    broken = np.concatenate([[False], np.abs(overlap) < MIN_CONTINUITY_OVERLAP])
+    bad = np.flatnonzero(crossing | broken)
+    if bad.size:
+        k = int(bad[0])
+        r = float(r_grid[k])
+        if crossing[k]:
+            raise _in_sector_crossing(f"at r={r:g} (gap {gap[k]:.3e})")
+        if abs(np.vdot(v[k, :, 1], raw[k - 1])) >= MIN_CONTINUITY_OVERLAP:
+            raise _in_sector_crossing(f"between r={float(r_grid[k - 1]):g} and r={r:g}")
+        raise RuntimeError(
+            f"grid too coarse: continuity overlap {abs(overlap[k - 1]):.4f} < "
+            f"{MIN_CONTINUITY_OVERLAP} at r={r} (sample {k})")
+    # sign each sample like its predecessor: a running product of overlap signs
+    vectors = raw * np.cumprod(np.sign(np.concatenate([[1.0], overlap])))[:, None]
+    couplings = np.einsum("nji,jk,nk->ni", v[:, :, 1:].conj(), dh, vectors)
+    d = np.einsum("nij,nj->ni", v[:, :, 1:], couplings / (w[:, :1] - w[:, 1:]))
+    if float(np.max(np.abs(d.imag))) > 1e-9:
+        raise RuntimeError("branch derivative acquired an imaginary part")
+    return AdiabaticBranch(r_grid=r_grid, energies=w[:, 0],
                            vectors=_embed(vectors, spec.dim),
-                           d_vectors=_embed(d_vectors, spec.dim))
+                           d_vectors=_embed(d.real, spec.dim))
 
 
 def default_r_grid(spec: ModelSpec, r_end: float,
@@ -198,26 +200,32 @@ def default_r_grid(spec: ModelSpec, r_end: float,
 
 
 def branch_vector_at(spec: ModelSpec, branch: AdiabaticBranch,
-                     r: float) -> tuple[np.ndarray, float]:
+                     r: float | np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Exact branch eigenvector and energy at an arbitrary r inside the grid.
 
     A fresh solve of the P = +1 block at r; the sign follows the nearest
-    tracked sample.
+    tracked sample, the lower one on a tie.  An array of r gives
+    (..., dim) vectors and (...) energies.
     """
-    nearest = int(np.argmin(np.abs(branch.r_grid - r)))
-    reference = branch.vectors[nearest, parity_even_indices(spec.dim)]
+    grid = branch.r_grid
+    r = np.asarray(r, dtype=float)
+    # argmin(|grid - r|) picks the first sample of the run below r or at/above it
+    upper = np.minimum(np.searchsorted(grid, r), len(grid) - 1)
+    lower = np.searchsorted(grid, grid[np.maximum(upper - 1, 0)])
+    nearest = np.where(np.abs(grid[lower] - r) <= np.abs(grid[upper] - r), lower, upper)
+    reference = branch.vectors[nearest][..., parity_even_indices(spec.dim)]
     w, _, vec = _even_block(spec, r, reference)
-    return _embed(vec, spec.dim), float(w[0])
+    return _embed(vec, spec.dim), w[..., 0][()]
 
 
-def nearest_level_gap(levels: np.ndarray, energy: float) -> float:
-    """Distance from ``energy`` to the nearest of ``levels`` other than its own."""
-    own = int(np.argmin(np.abs(levels - energy)))
-    return float(np.min(np.abs(np.delete(levels, own) - energy)))
+def nearest_level_gap(levels: np.ndarray, energy: float | np.ndarray):
+    """Distance from ``energy`` to the nearest other of ``levels``; row-wise on stacks."""
+    dist = np.abs(np.asarray(levels) - np.asarray(energy)[..., None])
+    np.put_along_axis(dist, np.argmin(dist, axis=-1)[..., None], np.inf, axis=-1)
+    return np.min(dist, axis=-1)
 
 
 def gap_report(branch: AdiabaticBranch, spec: ModelSpec) -> np.ndarray:
     """Per-sample distance from the branch energy to the nearest other level
     of the full spectrum."""
-    return np.array([nearest_level_gap(eigensolve(h0(spec, float(r)))[0], e)
-                     for r, e in zip(branch.r_grid, branch.energies)])
+    return nearest_level_gap(eigensolve(h0(spec, branch.r_grid))[0], branch.energies)

@@ -59,11 +59,12 @@ def pair_coupling(axis_i: str, axis_j: str, i: int, j: int,
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) < atol)
+    """True if the matrix, or every matrix of an (..., d, d) stack, is Hermitian."""
+    return bool(np.max(np.abs(m - m.conj().swapaxes(-1, -2))) < atol)
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
     if not is_hermitian(m, atol):
-        dev = float(np.max(np.abs(m - m.conj().T)))
+        dev = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2))))
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return m

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ffspin import cli, spectrum
 from ffspin.cli import (ScenarioConfig, main, make_config, parse_config_file,
                         run, validate)
 
@@ -169,6 +170,34 @@ def test_repeat_runs_byte_identical(tmp_path):
 def test_main_validate_ok(capsys):
     assert main(["validate", "--model", "two_spin"]) == 0
     assert capsys.readouterr().out.strip() == "ok"
+
+
+def test_main_validate_tracks_the_branch(capsys):
+    assert main(["validate", "--model", "two_spin", "--b0", "5"]) == 2
+    out = capsys.readouterr().out
+    assert "in-sector crossing" in out and "change b0 or j0" in out
+    assert main(["validate", "--grid_points", "5"]) == 2
+    assert "grid too coarse" in capsys.readouterr().out
+
+
+def test_eigensolve_calls_do_not_grow_with_grid_or_records(tmp_path, monkeypatch):
+    # the spectral layer works on whole stacks: a per-sample or per-record
+    # loop would make these counts grow with grid_points or 1/output_stride
+    calls = []
+    for module in (spectrum, cli):
+        def counted(h, _eigensolve=module.eigensolve, _name=module.__name__):
+            calls.append(_name)
+            return _eigensolve(h)
+        monkeypatch.setattr(module, "eigensolve", counted)
+    counts = {}
+    for grid, stride in (("51", "1"), ("401", "1"), ("51", "100"), ("401", "100")):
+        calls.clear()
+        config = make_config({"model": "two_spin", "grid_points": grid,
+                              "integrator_steps": "400", "output_stride": stride})
+        assert run(config, tmp_path / f"{grid}_{stride}") == 0
+        counts[grid, stride] = sorted(calls)
+    assert len({tuple(c) for c in counts.values()}) == 1, counts
+    assert "ffspin.cli" in counts["51", "1"]
 
 
 def test_main_validate_reports_problems(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,36 @@ def test_field_coefficient_vanishes_along_branch(fixture, spec_kind, request):
     for k in range(0, len(branch.r_grid), 100):
         sol = solve_core(spec, branch.vectors[k], branch.d_vectors[k])
         assert abs(sol.coeffs.bz_tilde) < 1e-10
+
+
+@pytest.mark.parametrize("fixture,spec_kind", [("two_branch", TWO_SPIN),
+                                               ("three_branch", THREE_SPIN_KAGOME)])
+def test_solve_core_stack_matches_per_sample_calls(fixture, spec_kind, request):
+    branch = request.getfixturevalue(fixture)
+    spec = ModelSpec(kind=spec_kind)
+    ks = np.arange(0, len(branch.r_grid), 125)
+    stacked = solve_core(spec, branch.vectors[ks], branch.d_vectors[ks])
+    assert stacked.residual.shape == ks.shape
+    for i, k in enumerate(ks):
+        single = solve_core(spec, branch.vectors[k], branch.d_vectors[k])
+        assert single.coeffs == DrivingCoefficients(
+            stacked.coeffs.w1[i], stacked.coeffs.w2[i], stacked.coeffs.bz_tilde[i])
+        assert single.residual == stacked.residual[i]
+
+
+def test_rank_deficient_sample_warns_once_per_call(two_spec, two_branch):
+    # the odd-parity state (ud - du)/sqrt(2): no driving generator reaches it
+    dark = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    vectors = np.stack([two_branch.vectors[0], dark, two_branch.vectors[5], dark])
+    d_vectors = np.stack([two_branch.d_vectors[0], np.zeros(4),
+                          two_branch.d_vectors[5], np.zeros(4)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_core(two_spec, vectors, d_vectors)
+    assert [str(w.message) for w in caught] == [
+        "core system rank 0 < 2; returning the minimum-norm solution"]
+    assert sol.coeffs.w1[1] == 0.0 and sol.coeffs.w1[3] == 0.0
+    assert sol.coeffs.w1[0] == pytest.approx(0.05, abs=1e-9)
 
 
 def test_closed_form_at_start_is_exact(two_spec):

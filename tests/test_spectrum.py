@@ -5,7 +5,8 @@ import pytest
 
 from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0
 from ffspin.spectrum import (branch_vector_at, eigensolve, fd_branch_derivative,
-                             fix_gauge, gap_report, track_branch)
+                             fix_gauge, gap_report, nearest_level_gap,
+                             track_branch)
 
 RNG = np.random.RandomState(42)
 
@@ -38,6 +39,20 @@ def test_eigensolve_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
         eigensolve(m)
+
+
+@pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
+def test_eigensolve_stack_matches_per_matrix_calls(kind):
+    hs = h0(ModelSpec(kind=kind), np.linspace(0.0, 10.0, 7))
+    w, v = eigensolve(hs)
+    assert w.shape == hs.shape[:2] and v.shape == hs.shape
+    for k, h in enumerate(hs):
+        wk, vk = eigensolve(h)
+        assert np.array_equal(w[k], wk) and np.array_equal(v[k], vk)
+    bad = hs.copy()
+    bad[4, 0, 1] += 1e-6  # one non-Hermitian matrix inside the stack
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigensolve(bad)
 
 
 def test_eigensolve_random_hermitian_residuals():
@@ -154,6 +169,16 @@ def test_consecutive_overlap_positive(two_branch):
     assert np.all(dots > 0.99)
 
 
+def test_sign_carried_where_largest_component_changes():
+    # at b0 = 3 the block ground vector is (1, -1)/sqrt(2) at R = 3, so its
+    # largest component changes there; the sign must still follow sample to
+    # sample
+    branch = track_branch(ModelSpec(kind=TWO_SPIN, b0=3.0),
+                          np.linspace(0.0, 10.0, 2001))
+    dots = np.sum(branch.vectors[:-1] * branch.vectors[1:], axis=1)
+    assert np.all(dots > 0.99)
+
+
 def test_constant_grid_keeps_vector_fixed():
     spec = ModelSpec(kind=TWO_SPIN)
     branch = track_branch(spec, np.full(5, 1.0))
@@ -172,6 +197,17 @@ def test_gap_zero_at_start_positive_after(three_branch, three_spec):
     gaps = gap_report(three_branch, three_spec)
     assert gaps[0] == pytest.approx(0.0, abs=1e-10)
     assert np.all(gaps[1:] > 0.0)
+
+
+def test_gap_report_matches_per_sample_nearest_level_gap(three_branch, three_spec):
+    ks = np.arange(0, len(three_branch.r_grid), 100)
+    levels = np.array([eigensolve(h0(three_spec, float(three_branch.r_grid[k])))[0]
+                       for k in ks])
+    expected = [nearest_level_gap(lv, three_branch.energies[k])
+                for lv, k in zip(levels, ks)]
+    assert np.array_equal(nearest_level_gap(levels, three_branch.energies[ks]),
+                          expected)
+    assert np.array_equal(gap_report(three_branch, three_spec)[ks], expected)
 
 
 def test_two_spin_gap_at_end(two_branch, two_spec):
@@ -198,6 +234,34 @@ def test_branch_vector_at_between_samples(two_branch, two_spec):
     assert np.linalg.norm(h @ vec - energy * vec) < 1e-10
     j1, j2, bz = 10.0 - r, r, -r
     assert energy == pytest.approx(-np.sqrt(bz ** 2 + (j1 - j2) ** 2), abs=1e-10)
+
+
+def test_branch_vector_at_array_matches_scalar_calls(two_spec):
+    # spacing 1/8: grid values and the midpoints between them are exact
+    branch = track_branch(two_spec, np.linspace(0.0, 10.0, 81))
+    grid = branch.r_grid
+    # flip sample 41 so that the result shows which sample set its sign
+    branch.vectors[41] *= -1.0
+    mid = 0.5 * (grid[40] + grid[41])
+    rs = np.array([grid[0], grid[-1], mid, np.nextafter(mid, 11.0), 3.141])
+    vecs, energies = branch_vector_at(two_spec, branch, rs)
+    assert vecs.shape == (5, 4) and energies.shape == (5,)
+    for k, r in enumerate(rs):
+        vec, energy = branch_vector_at(two_spec, branch, float(r))
+        assert np.array_equal(vecs[k], vec) and energies[k] == energy
+    assert np.allclose(vecs[0], branch.vectors[0], atol=1e-14)
+    assert np.allclose(vecs[1], branch.vectors[-1], atol=1e-14)
+    # exactly midway the lower sample wins, as argmin's first-index rule
+    assert vecs[2] @ branch.vectors[40] > 0.0 > vecs[2] @ branch.vectors[41]
+    assert vecs[3] @ branch.vectors[41] > 0.0
+
+
+def test_branch_vector_at_repeated_samples_follow_the_first():
+    spec = ModelSpec(kind=TWO_SPIN)
+    branch = track_branch(spec, np.full(4, 1.0))
+    branch.vectors[1:] *= -1.0
+    vecs, _ = branch_vector_at(spec, branch, np.array([0.9, 1.0, 1.1]))
+    assert np.all(vecs @ branch.vectors[0] > 0.0)
 
 
 def test_track_branch_rejects_bad_grid():
