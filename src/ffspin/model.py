@@ -19,6 +19,10 @@ purpose, matching the closed-form solutions each model admits:
   the single off-diagonal driving matrix element (entries -i*w1 / +i*w1);
 * three_spin_kagome: generators (x1y2 + y1x2) + (x2y3 + y2x3) for w1 and
   (x3y1 + y3x1) for w2, giving matrix elements of magnitude 2*w1 and 2*w2.
+
+``h0``, ``h_candidate`` and H_FF are each one matmul of coefficients with a
+read-only stack of six structural terms; the terms commute with the parity
+P = z1 z2 ... zn, and ``parity=+1/-1`` evaluates on that block.
 """
 from __future__ import annotations
 
@@ -78,60 +82,68 @@ def schedules(spec: ModelSpec, r: float) -> tuple[float, float, float]:
 
 
 @lru_cache(maxsize=None)
-def _h0_terms(kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Structural matrices (M_j1, M_j2, M_bz) with h0 = J1 M_j1 + J2 M_j2 + Bz M_bz."""
-    if kind == TWO_SPIN:
-        m_j1 = pair_coupling("x", "x", 1, 2, 2)
-        m_j2 = pair_coupling("y", "y", 1, 2, 2)
-        m_bz = 0.5 * (pauli_on_site("z", 1, 2) + pauli_on_site("z", 2, 2))
-    else:
-        m_j1 = pair_coupling("x", "x", 1, 2, 3) + pair_coupling("x", "x", 2, 3, 3)
-        m_j2 = pair_coupling("y", "y", 3, 1, 3)
-        m_bz = 0.5 * (pauli_on_site("z", 1, 3) + pauli_on_site("z", 2, 3)
-                      + pauli_on_site("z", 3, 3))
-    for m in (m_j1, m_j2, m_bz):
-        m.flags.writeable = False
-    return m_j1, m_j2, m_bz
+def parity_indices(dim: int, parity: int = 1) -> np.ndarray:
+    """z-basis indices of the P = ``parity`` block: the kets with an even
+    (P = +1) or odd (P = -1) number of down spins."""
+    ix = np.array([i for i in range(dim) if (-1) ** bin(i).count("1") == parity])
+    ix.flags.writeable = False
+    return ix
 
 
 @lru_cache(maxsize=None)
-def _driving_terms(kind: str) -> np.ndarray:
-    """Generators (G_w1, G_w2, G_bz) stacked as a (3, dim, dim) array."""
+def structural_terms(kind: str, parity: int | None = None) -> np.ndarray:
+    """(M_j1, M_j2, M_bz, G_w1, G_w2, G_bz) as one read-only (6, d, d) stack,
+    sliced once to the P = ``parity`` block unless ``parity`` is None."""
+    if parity is not None:
+        full = structural_terms(kind, None)
+        ix = parity_indices(full.shape[-1], parity)
+        terms = np.ascontiguousarray(full[:, ix[:, None], ix])
+        terms.flags.writeable = False
+        return terms
+    n = 2 if kind == TWO_SPIN else 3
+
+    def bonds(a: str, b: str, *pairs: tuple[int, int]) -> np.ndarray:
+        return sum(pair_coupling(a, b, i, j, n) for i, j in pairs)
+
+    def xy(*pairs: tuple[int, int]) -> np.ndarray:
+        return bonds("x", "y", *pairs) + bonds("y", "x", *pairs)
+
+    z = 0.5 * sum(pauli_on_site("z", site, n) for site in range(1, n + 1))
     if kind == TWO_SPIN:
-        g1 = 0.5 * (pair_coupling("x", "y", 1, 2, 2) + pair_coupling("y", "x", 1, 2, 2))
-        g2 = np.zeros((4, 4), dtype=complex)
-        g3 = 0.5 * (pauli_on_site("z", 1, 2) + pauli_on_site("z", 2, 2))
+        terms = [bonds("x", "x", (1, 2)), bonds("y", "y", (1, 2)), z,
+                 0.5 * xy((1, 2)), np.zeros_like(z), z]
     else:
-        g1 = (pair_coupling("x", "y", 1, 2, 3) + pair_coupling("y", "x", 1, 2, 3)
-              + pair_coupling("x", "y", 2, 3, 3) + pair_coupling("y", "x", 2, 3, 3))
-        g2 = pair_coupling("x", "y", 3, 1, 3) + pair_coupling("y", "x", 3, 1, 3)
-        g3 = 0.5 * (pauli_on_site("z", 1, 3) + pauli_on_site("z", 2, 3)
-                    + pauli_on_site("z", 3, 3))
-    gens = np.stack([g1, g2, g3])
-    gens.flags.writeable = False
-    return gens
+        terms = [bonds("x", "x", (1, 2), (2, 3)), bonds("y", "y", (3, 1)), z,
+                 xy((1, 2), (2, 3)), xy((3, 1)), z]
+    terms = np.stack(terms)
+    terms.flags.writeable = False
+    return terms
 
 
-def h0(spec: ModelSpec, r: float | np.ndarray) -> np.ndarray:
+def combine(coefficients, terms: np.ndarray) -> np.ndarray:
+    """sum_k coefficients[..., k] * terms[k] as one matmul: (..., k) real
+    coefficients and a (k, d, d) stack give (..., d, d)."""
+    coefficients = np.asarray(coefficients, dtype=float)
+    k, d, _ = terms.shape
+    flat = coefficients.reshape(-1, k) @ terms.reshape(k, d * d)
+    return flat.reshape(coefficients.shape[:-1] + (d, d))
+
+
+def h0(spec: ModelSpec, r: float | np.ndarray,
+       parity: int | None = None) -> np.ndarray:
     """Bare Hamiltonian at control parameter r (Hermitian, real entries).
 
-    An array of r gives the stack of matrices, shape ``r.shape + (dim, dim)``.
+    An array of r gives the stack of matrices, shape ``r.shape + (d, d)``;
+    with ``parity`` the matrices are that parity block.
     """
-    m_j1, m_j2, m_bz = _h0_terms(spec.kind)
-    j1, j2, bz = schedules(spec, np.asarray(r, dtype=float)[..., None, None])
-    return j1 * m_j1 + j2 * m_j2 + bz * m_bz
+    j1, j2, bz = schedules(spec, np.asarray(r, dtype=float))
+    return combine(np.stack([j1, j2, bz], axis=-1),
+                   structural_terms(spec.kind, parity)[:3])
 
 
-def d_h0_dr(spec: ModelSpec) -> np.ndarray:
+def d_h0_dr(spec: ModelSpec, parity: int | None = None) -> np.ndarray:
     """Exact derivative of h0 with respect to r (r-independent: linear ramps)."""
-    m_j1, m_j2, m_bz = _h0_terms(spec.kind)
-    dj1, dj2, dbz = SCHEDULE_RATES
-    return dj1 * m_j1 + dj2 * m_j2 + dbz * m_bz
-
-
-def driving_generators(spec: ModelSpec) -> np.ndarray:
-    """The three driving generators as a read-only (3, dim, dim) complex array."""
-    return _driving_terms(spec.kind)
+    return combine(SCHEDULE_RATES, structural_terms(spec.kind, parity)[:3])
 
 
 def h_candidate(spec: ModelSpec, coeffs: DrivingCoefficients) -> np.ndarray:
@@ -139,7 +151,5 @@ def h_candidate(spec: ModelSpec, coeffs: DrivingCoefficients) -> np.ndarray:
 
     Coefficients holding arrays give the stack of operators.
     """
-    gens = _driving_terms(spec.kind)
-    w1, w2, bz = (np.asarray(w, dtype=float)[..., None, None]
-                  for w in (coeffs.w1, coeffs.w2, coeffs.bz_tilde))
-    return w1 * gens[0] + w2 * gens[1] + bz * gens[2]
+    w = np.broadcast_arrays(coeffs.w1, coeffs.w2, coeffs.bz_tilde)
+    return combine(np.stack(w, axis=-1), structural_terms(spec.kind)[3:])

@@ -28,7 +28,8 @@ from functools import cached_property
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .model import SCHEDULE_RATES, DrivingCoefficients, ModelSpec, TWO_SPIN, driving_generators, schedules
+from .model import (SCHEDULE_RATES, DrivingCoefficients, ModelSpec, TWO_SPIN, schedules,
+                    structural_terms)
 from .spectrum import AdiabaticBranch
 
 #: least-squares residual above this value means the ansatz cannot represent
@@ -58,8 +59,8 @@ def solve_core(spec: ModelSpec, vector: np.ndarray,
     exceeds ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient sample falls back to
     the minimum-norm solution, with one warning per call.
     """
-    used = [0, 2] if spec.kind == TWO_SPIN else [0, 1, 2]  # two spins: no w2
-    a = np.einsum("kij,...j->...ik", driving_generators(spec)[used], vector)
+    used = [3, 5] if spec.kind == TWO_SPIN else [3, 4, 5]  # generators; two spins: no w2
+    a = np.einsum("kij,...j->...ik", structural_terms(spec.kind)[used], vector)
     target = 1j * d_vector
     a_real = np.concatenate([a.real, a.imag], axis=-2)
     b_real = np.concatenate([target.real, target.imag], axis=-1)

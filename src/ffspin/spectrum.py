@@ -13,8 +13,7 @@ components exactly zero.
 
 dC/dR is the first-order resolvent sum over the other levels of the block.
 An in-sector near-degeneracy of the tracked level makes that sum singular
-and raises, naming the R where it happens.  A central finite-difference
-variant is kept as an independent cross-check.
+and raises, naming the R where it happens.
 
 Every function accepts stacks (``eigensolve`` an (..., d, d) array, one
 ``eigh`` call; the others arrays of R), so a run calls each once, not per R.
@@ -22,11 +21,9 @@ Every function accepts stacks (``eigensolve`` an (..., d, d) array, one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .model import ModelSpec, d_h0_dr, h0
+from .model import ModelSpec, d_h0_dr, h0, parity_indices
 from .spin_algebra import require_hermitian
 
 EIG_RESIDUAL_ATOL = 1e-10
@@ -84,18 +81,10 @@ def fix_gauge(vector: np.ndarray, reference: np.ndarray | None = None,
     return np.where(np.sum(out * reference, axis=-1, keepdims=True) < 0.0, -out, out)
 
 
-@lru_cache(maxsize=None)
-def parity_even_indices(dim: int) -> np.ndarray:
-    """z-basis indices with an even number of down spins (the P = +1 block)."""
-    ix = np.array([i for i in range(dim) if bin(i).count("1") % 2 == 0])
-    ix.flags.writeable = False
-    return ix
-
-
 def _embed(block_vectors: np.ndarray, dim: int) -> np.ndarray:
     """Place P = +1 block components into the full space, zeros elsewhere."""
     full = np.zeros(block_vectors.shape[:-1] + (dim,))
-    full[..., parity_even_indices(dim)] = block_vectors
+    full[..., parity_indices(dim)] = block_vectors
     return full
 
 
@@ -105,8 +94,7 @@ def _even_block(spec: ModelSpec, r: float | np.ndarray,
     """Eigensystem (w, v) of the P = +1 block of h0 at r (a float or an
     array) and its gauge-fixed level 0, signed against the block vectors
     ``reference`` when given."""
-    ix = parity_even_indices(spec.dim)
-    w, v = eigensolve(h0(spec, r)[..., ix[:, None], ix])
+    w, v = eigensolve(h0(spec, r, parity=1))
     return w, v, fix_gauge(v[..., 0], reference=reference)
 
 
@@ -130,26 +118,6 @@ class AdiabaticBranch:
         return self.vectors.shape[1]
 
 
-def fd_branch_derivative(spec: ModelSpec, r: float, vector: np.ndarray,
-                         step: float = 1e-4, richardson: bool = True) -> np.ndarray:
-    """Central finite-difference dC/dR of the block level signed like ``vector``.
-
-    Kept as an independent cross-check of the resolvent derivative; probe
-    points may fall slightly outside the tracked R interval, which is fine
-    because the Hamiltonian is defined for every R.
-    """
-    reference = vector[parity_even_indices(spec.dim)]
-
-    def probed(rr: float) -> np.ndarray:
-        return _even_block(spec, rr, reference)[2]
-
-    d = (probed(r + step) - probed(r - step)) / (2.0 * step)
-    if richardson:
-        fine = (probed(r + step / 2.0) - probed(r - step / 2.0)) / step
-        d = (4.0 * fine - d) / 3.0
-    return _embed(d, spec.dim)
-
-
 def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
     """Follow level 0 of the P = +1 block along a monotone ``r_grid``.
 
@@ -164,8 +132,6 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
         raise ValueError("r_grid must be a non-empty 1-d array")
     if np.any(np.diff(r_grid) < 0):
         raise ValueError("r_grid must be monotone non-decreasing")
-    ix = parity_even_indices(spec.dim)
-    dh = d_h0_dr(spec)[np.ix_(ix, ix)]
     w, v, raw = _even_block(spec, r_grid)
     gap = w[:, 1] - w[:, 0]
     crossing = gap < SECTOR_GAP_RTOL * np.maximum(1.0, np.max(np.abs(w), axis=1))
@@ -184,7 +150,8 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
             f"{MIN_CONTINUITY_OVERLAP} at r={r} (sample {k})")
     # sign each sample like its predecessor: a running product of overlap signs
     vectors = raw * np.cumprod(np.sign(np.concatenate([[1.0], overlap])))[:, None]
-    couplings = np.einsum("nji,jk,nk->ni", v[:, :, 1:].conj(), dh, vectors)
+    couplings = np.einsum("nji,jk,nk->ni", v[:, :, 1:].conj(),
+                          d_h0_dr(spec, parity=1), vectors)
     d = np.einsum("nij,nj->ni", v[:, :, 1:], couplings / (w[:, :1] - w[:, 1:]))
     if float(np.max(np.abs(d.imag))) > 1e-9:
         raise RuntimeError("branch derivative acquired an imaginary part")
@@ -213,7 +180,7 @@ def branch_vector_at(spec: ModelSpec, branch: AdiabaticBranch,
     upper = np.minimum(np.searchsorted(grid, r), len(grid) - 1)
     lower = np.searchsorted(grid, grid[np.maximum(upper - 1, 0)])
     nearest = np.where(np.abs(grid[lower] - r) <= np.abs(grid[upper] - r), lower, upper)
-    reference = branch.vectors[nearest][..., parity_even_indices(spec.dim)]
+    reference = branch.vectors[nearest][..., parity_indices(spec.dim)]
     w, _, vec = _even_block(spec, r, reference)
     return _embed(vec, spec.dim), w[..., 0][()]
 

@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.fastforward import (FastForwardProfile, fidelity, h_ff, integrate,
-                                r_of_t, v_of_t)
-from ffspin.model import h0
+from ffspin.fastforward import (FastForwardProfile, h_ff, integrate, r_of_t,
+                                v_of_t)
+from ffspin.model import h0, parity_indices
 
 RNG = np.random.RandomState(7)
 
@@ -52,6 +52,8 @@ def test_profile_rejects_negative_parameters():
         FastForwardProfile(v_bar=-1.0, t_ff=1.0)
     with pytest.raises(ValueError):
         FastForwardProfile(v_bar=1.0, t_ff=-1.0)
+    with pytest.raises(ValueError):
+        FastForwardProfile(v_bar=1.0, t_ff=0.0)
 
 
 def test_h_ff_endpoint_pinning(two_spec, two_table, ramp_profile):
@@ -83,24 +85,10 @@ def test_h_ff_array_matches_scalar_calls(three_spec, three_table, ramp_profile):
         stack, [h_ff(three_spec, ramp_profile, three_table, t) for t in ts])
     assert np.array_equal(stack[0], h0(three_spec, 0.0))
     assert np.array_equal(stack[-1], h0(three_spec, r_of_t(ramp_profile, 0.0, 1.0)))
-
-
-def test_fidelity_basics():
-    x = np.array([1.0, 0.0], dtype=complex)
-    y = np.array([0.0, 1.0], dtype=complex)
-    assert fidelity(x, x) == pytest.approx(1.0)
-    assert fidelity(x, y) == pytest.approx(0.0)
-    with pytest.raises(ValueError, match="normalized"):
-        fidelity(2 * x, x)
-
-
-def test_zero_duration_returns_initial_state(two_spec, two_branch, two_table):
-    profile = FastForwardProfile(v_bar=10.0, t_ff=0.0)
-    records = integrate(two_spec, profile, branch=two_branch, table=two_table,
-                        steps=100)
-    assert len(records) == 1
-    assert records[0].fidelity == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(records[0].psi, two_branch.vectors[0])
+    for parity in (1, -1):  # a parity block equals the slice of the full matrices
+        ix = parity_indices(three_spec.dim, parity)
+        assert np.array_equal(h_ff(three_spec, ramp_profile, three_table, ts, parity),
+                              stack[:, ix[:, None], ix])
 
 
 def test_driven_run_keeps_fidelity(two_run):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, DrivingCoefficients,
-                          ModelSpec, d_h0_dr, driving_generators, h0,
-                          h_candidate, schedules)
+                          ModelSpec, d_h0_dr, h0, h_candidate, schedules,
+                          structural_terms)
 from ffspin.spin_algebra import is_hermitian, pair_coupling, pauli_on_site
 
 
@@ -112,7 +112,7 @@ def test_two_spin_candidate_coefficient_convention(two):
     expected[3, 0] = 1.0j
     assert np.allclose(m, expected, atol=1e-14)
     pair = pair_coupling("x", "y", 1, 2, 2) + pair_coupling("y", "x", 1, 2, 2)
-    assert np.allclose(driving_generators(two)[0], 0.5 * pair, atol=1e-14)
+    assert np.allclose(structural_terms(two.kind)[3], 0.5 * pair, atol=1e-14)
 
 
 def test_two_spin_d_h0_dr_explicit(two):

@@ -3,10 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0
-from ffspin.spectrum import (branch_vector_at, eigensolve, fd_branch_derivative,
-                             fix_gauge, gap_report, nearest_level_gap,
-                             track_branch)
+from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0,
+                          parity_indices)
+from ffspin.spectrum import (branch_vector_at, eigensolve, fix_gauge, gap_report,
+                             nearest_level_gap, track_branch)
 
 RNG = np.random.RandomState(42)
 
@@ -214,6 +214,26 @@ def test_two_spin_gap_at_end(two_branch, two_spec):
     # |E_branch(10)| = sqrt(200); the nearest level is the flat one at -10
     gaps = gap_report(two_branch, two_spec)
     assert gaps[-1] == pytest.approx(np.sqrt(200.0) - 10.0, abs=1e-9)
+
+
+def fd_branch_derivative(spec: ModelSpec, r: float, vector: np.ndarray,
+                         step: float = 1e-4) -> np.ndarray:
+    """Central finite-difference dC/dR of level 0 of the P = +1 block, signed
+    like ``vector``, with one Richardson extrapolation: an oracle for the
+    resolvent derivative that shares only ``h0`` and ``eigensolve`` with it.
+    Probe points may fall slightly outside the tracked R interval, which is
+    fine because the Hamiltonian is defined for every R."""
+    ix = parity_indices(spec.dim)
+
+    def probed(rr: float) -> np.ndarray:
+        return fix_gauge(eigensolve(h0(spec, rr, parity=1))[1][:, 0],
+                         reference=vector[ix])
+
+    coarse = (probed(r + step) - probed(r - step)) / (2.0 * step)
+    fine = (probed(r + step / 2.0) - probed(r - step / 2.0)) / step
+    full = np.zeros(spec.dim)
+    full[ix] = (4.0 * fine - coarse) / 3.0
+    return full
 
 
 @pytest.mark.parametrize("kind,indices", [(TWO_SPIN, (0, 700, 1600)),
