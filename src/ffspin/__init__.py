@@ -9,13 +9,13 @@ from .spectrum import (AdiabaticBranch, branch_vector_at, default_r_grid,
 from .regularization import (CoefficientTable, CoreSolution, coefficient_table,
                              closed_form_two_spin, component_form_three_spin,
                              solve_core)
-from .fastforward import (FastForwardProfile, TrajectoryRecord, h_ff, integrate,
-                          r_of_t, v_of_t)
+from .fastforward import (FastForwardProfile, Trajectory, h_ff, integrate, r_of_t,
+                          v_of_t)
 
 __all__ = [
     "AdiabaticBranch", "CoefficientTable", "CoreSolution",
     "DrivingCoefficients", "FastForwardProfile", "ModelSpec",
-    "THREE_SPIN_KAGOME", "TWO_SPIN", "TrajectoryRecord", "branch_vector_at",
+    "THREE_SPIN_KAGOME", "TWO_SPIN", "Trajectory", "branch_vector_at",
     "closed_form_two_spin", "coefficient_table", "component_form_three_spin",
     "d_h0_dr",
     "default_r_grid", "eigensolve", "fix_gauge", "gap_report",

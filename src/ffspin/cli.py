@@ -113,19 +113,21 @@ def validate(config: ScenarioConfig) -> list[str]:
     return problems
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits: round-trips float64 exactly."""
-    return format(x, ".16e")
-
-
-def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _uniform_times(config: ScenarioConfig) -> np.ndarray:
-    return np.linspace(0.0, config.t_ff, config.grid_points)
+def _csv(header: list[str], columns: list[np.ndarray | None]) -> str:
+    """CSV of (n,) or (n, k) float columns, one row format applied once; cells
+    are ``"%.16e"`` (the bytes of ``format(x, ".16e")``, which round-trips
+    float64), and a None column is an empty cell."""
+    cells, arrays = [], []
+    for column in columns:
+        if column is None:
+            cells.append("")
+        else:
+            array = np.asarray(column, dtype=float).reshape(len(column), -1)
+            cells += ["%.16e"] * array.shape[1]
+            arrays.append(array)
+    row = ",".join(cells) + "\n"
+    values = tuple(np.hstack(arrays).ravel().tolist())
+    return ",".join(header) + "\n" + (row * len(arrays[0])) % values
 
 
 def _track(config: ScenarioConfig):
@@ -142,46 +144,32 @@ def _manifest(config: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _eigenvalues_and_gap_csv(config: ScenarioConfig, spec, profile,
-                             branch) -> tuple[str, str]:
-    times = _uniform_times(config)
-    rs = r_of_t(profile, spec.r0, times)
-    levels, _ = eigensolve(h0(spec, rs))
+def _eigenvalues_and_gap_csv(spec, branch, times, rs) -> tuple[str, str]:
+    """Both parity blocks solved as one stack, their levels merged."""
+    levels, _ = eigensolve(np.stack([h0(spec, rs, 1), h0(spec, rs, -1)]))
+    levels = np.sort(np.concatenate(levels, axis=-1), axis=-1)
     gaps = nearest_level_gap(levels, branch_vector_at(spec, branch, rs)[1])
-    eig_rows = ([_fmt(t), _fmt(r)] + [_fmt(e) for e in w]
-                for t, r, w in zip(times, rs, levels))
-    gap_rows = ([_fmt(t), _fmt(r), _fmt(g)] for t, r, g in zip(times, rs, gaps))
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]
-    return _csv(header, eig_rows), _csv(["t", "R", "gap"], gap_rows)
+    return _csv(header, [times, rs, levels]), _csv(["t", "R", "gap"], [times, rs, gaps])
 
 
-def _regularization_csv(config: ScenarioConfig, spec, profile, table,
-                        zero_driving: bool) -> str:
-    times = _uniform_times(config)
-    rs = r_of_t(profile, spec.r0, times)
+def _regularization_csv(spec, table, times, rs, zero_driving: bool) -> str:
     coeffs = table(rs)
-    w1s = np.zeros_like(rs) if zero_driving else coeffs.w1
-    w2s = np.zeros_like(rs) if zero_driving else coeffs.w2
-    two_spin = spec.kind == TWO_SPIN
-    rows = ([_fmt(t), _fmt(r), _fmt(w1), "" if two_spin else _fmt(w2)]
-            for t, r, w1, w2 in zip(times, rs, w1s, w2s))
-    return _csv(["t", "R", "w1", "w2"], rows)
+    w1 = np.zeros_like(rs) if zero_driving else coeffs.w1
+    w2 = np.zeros_like(rs) if zero_driving else coeffs.w2
+    return _csv(["t", "R", "w1", "w2"],
+                [times, rs, w1, None if spec.kind == TWO_SPIN else w2])
 
 
 def _trajectory_csv(config: ScenarioConfig, spec, profile, branch, table) -> str:
-    records = integrate(spec, profile, steps=config.integrator_steps,
-                        output_stride=config.output_stride,
-                        branch=branch, table=table,
-                        drive=(config.mode != "no_driving"))
-    two_spin = spec.kind == TWO_SPIN
+    run = integrate(spec, profile, steps=config.integrator_steps,
+                    output_stride=config.output_stride, branch=branch, table=table,
+                    drive=(config.mode != "no_driving"))
     header = (["t", "R", "v", "w1", "w2", "norm", "fidelity"]
               + [f"prob_{i + 1}" for i in range(spec.dim)])
-    rows = ([_fmt(rec.t), _fmt(rec.r), _fmt(rec.v), _fmt(rec.coeffs.w1),
-             "" if two_spin else _fmt(rec.coeffs.w2),
-             _fmt(rec.norm), _fmt(rec.fidelity)]
-            + [_fmt(p) for p in np.abs(rec.psi) ** 2]
-            for rec in records)
-    return _csv(header, rows)
+    w2 = None if spec.kind == TWO_SPIN else run.coeffs.w2
+    return _csv(header, [run.t, run.r, run.v, run.coeffs.w1, w2, run.norm,
+                         run.fidelity, np.abs(run.psi) ** 2])
 
 
 def run(config: ScenarioConfig, out_dir: str | Path) -> int:
@@ -199,15 +187,18 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
     table = None
     if config.mode != "spectrum_only":
         table = coefficient_table(spec, branch)
+    # the output time grid of the regularization and spectrum CSVs
+    times = np.linspace(0.0, config.t_ff, config.grid_points)
+    rs = r_of_t(profile, spec.r0, times)
     files = {}
     if config.mode in ("fast_forward", "no_driving"):
         files[TRAJECTORY_CSV] = _trajectory_csv(config, spec, profile, branch, table)
     if config.mode != "spectrum_only":
         files[REGULARIZATION_CSV] = _regularization_csv(
-            config, spec, profile, table, zero_driving=(config.mode == "no_driving"))
+            spec, table, times, rs, zero_driving=(config.mode == "no_driving"))
     if config.mode != "regularization_only":
         files[EIGENVALUES_CSV], files[GAP_CSV] = _eigenvalues_and_gap_csv(
-            config, spec, profile, branch)
+            spec, branch, times, rs)
     files[MANIFEST] = _manifest(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

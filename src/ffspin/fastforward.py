@@ -81,17 +81,21 @@ def v_of_t(profile: FastForwardProfile, t: float | np.ndarray):
     return profile.v_bar * (1.0 - np.cos(2.0 * np.pi * t / profile.t_ff))
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One sampled time step of a fast-forward run."""
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Records of a fast-forward run, one array row per sampled step: (n,)
+    arrays, ``coeffs`` of (n,) arrays (zero when undriven), ``psi`` (n, dim)."""
 
-    t: float
-    r: float
-    v: float
+    t: np.ndarray
+    r: np.ndarray
+    v: np.ndarray
     coeffs: DrivingCoefficients
     psi: np.ndarray
-    norm: float
-    fidelity: float
+    norm: np.ndarray
+    fidelity: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
@@ -115,6 +119,13 @@ def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
     coefficients = np.stack([*schedules(spec, r), v * w.w1, v * w.w2,
                              v * w.bz_tilde], axis=-1)
     return combine(coefficients, structural_terms(spec.kind, parity))
+
+
+def _stage_times(profile: FastForwardProfile, steps: int, index: np.ndarray):
+    """Entries ``index`` of linspace(0, t_ff, 2 * steps + 1), bit for bit."""
+    t = index * (profile.t_ff / (2 * steps))
+    t[index == 2 * steps] = profile.t_ff
+    return t
 
 
 def _chunks(steps: int, stride: int):
@@ -158,8 +169,9 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
               branch: AdiabaticBranch | None = None,
               table: CoefficientTable | None = None,
               grid_points: int | None = None,
-              drive: bool = True) -> list[TrajectoryRecord]:
-    """Integrate the fast-forward TDSE and sample trajectory records.
+              drive: bool = True) -> Trajectory:
+    """Integrate the fast-forward TDSE and sample a trajectory every
+    ``output_stride`` steps.
 
     Parameters
     ----------
@@ -178,10 +190,10 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
         coefficients are zero (negative-control mode).
 
     The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
-    so the last step ends exactly at t_ff.  Only the parity blocks that the
-    initial state occupies are propagated; the components of an unoccupied
-    block stay exactly 0.0.  Norm drift beyond ``NORM_DRIFT_LIMIT`` raises,
-    with the advice to raise ``steps``.
+    built a chunk at a time, so the last step ends exactly at t_ff.  Only the
+    parity blocks that the initial state occupies are propagated; the
+    components of an unoccupied block stay exactly 0.0.  Norm drift beyond
+    ``NORM_DRIFT_LIMIT`` raises, with the advice to raise ``steps``.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -200,7 +212,6 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("initial_state must be unit norm")
 
-    stage_t = np.linspace(0.0, profile.t_ff, 2 * steps + 1)
     dt = profile.t_ff / steps
     psis = np.zeros((steps // output_stride + 1, psi0.shape[0]), dtype=np.complex128)
     psis[0] = psi0
@@ -210,7 +221,7 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
             continue
         psi = psi0[ix]
         for first, last in _chunks(steps, output_stride):
-            block_t = stage_t[2 * first:2 * last + 1]
+            block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
             if drive:
                 h = h_ff(spec, profile, table, block_t, parity)
             else:
@@ -223,25 +234,16 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
                 if last % output_stride == 0:  # else the interval goes on
                     psis[row, ix] = psi
 
-    rec_t = stage_t[::2 * output_stride]
+    rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
     rec_r = r_of_t(profile, spec.r0, rec_t)
-    rec_v = v_of_t(profile, rec_t)
-    if drive:
-        w = table(rec_r)
-        rec_coeffs = [DrivingCoefficients(float(w1), float(w2), float(bz))
-                      for w1, w2, bz in zip(w.w1, w.w2, w.bz_tilde)]
-    else:
-        rec_coeffs = [DrivingCoefficients(0.0, 0.0, 0.0)] * len(rec_t)
+    coeffs = table(rec_r) if drive else DrivingCoefficients(*np.zeros((3, len(rec_t))))
     norms = np.linalg.norm(psis, axis=1)
     vecs, _ = branch_vector_at(spec, branch, rec_r)
     fids = np.abs(np.einsum("ij,ij->i", vecs, psis / norms[:, None])) ** 2
-    records = [TrajectoryRecord(t=float(t), r=float(r), v=float(v), coeffs=coeffs,
-                                psi=psi, norm=float(norm), fidelity=float(fid))
-               for t, r, v, coeffs, psi, norm, fid
-               in zip(rec_t, rec_r, rec_v, rec_coeffs, psis, norms, fids)]
     drift = float(np.max(np.abs(norms - 1.0)))
     if drift > NORM_DRIFT_LIMIT:
         raise RuntimeError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             "increase the step count")
-    return records
+    return Trajectory(t=rec_t, r=rec_r, v=v_of_t(profile, rec_t), coeffs=coeffs,
+                      psi=psis, norm=norms, fidelity=fids)

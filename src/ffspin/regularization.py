@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .model import (SCHEDULE_RATES, DrivingCoefficients, ModelSpec, TWO_SPIN, schedules,
                     structural_terms)
@@ -148,6 +147,8 @@ class CoefficientTable:
         single-point grid, where the coefficients are constant."""
         if len(self.r_grid) < 2 or self.r_grid[-1] == self.r_grid[0]:
             return None
+        # imported here: scipy.interpolate is most of `import ffspin.cli`'s time
+        from scipy.interpolate import CubicSpline
         return CubicSpline(self.r_grid, self._columns)
 
     @property

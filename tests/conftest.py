@@ -65,7 +65,7 @@ def three_run_no_driving(three_spec, profile, three_branch, three_table):
 
 @pytest.fixture(scope="session")
 def three_fast_runs(three_spec, three_branch, three_table):
-    """(driven, undriven) three-spin records at vbar=100, T=0.1: the
+    """(driven, undriven) three-spin trajectories at vbar=100, T=0.1: the
     reference ramp, R from 0 to 10, run ten times faster."""
     profile = FastForwardProfile(v_bar=100.0, t_ff=0.1)
     return tuple(integrate(three_spec, profile, branch=three_branch,
@@ -73,5 +73,5 @@ def three_fast_runs(three_spec, three_branch, three_table):
                  for drive in (True, False))
 
 
-def probabilities(record) -> np.ndarray:
-    return np.abs(record.psi) ** 2
+def probabilities(psi: np.ndarray) -> np.ndarray:
+    return np.abs(psi) ** 2

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ffspin import cli, spectrum
+import ffspin
+from ffspin import cli, fastforward, spectrum
 from ffspin.cli import (ScenarioConfig, main, make_config, parse_config_file,
                         run, validate)
 
@@ -198,6 +202,44 @@ def test_eigensolve_calls_do_not_grow_with_grid_or_records(tmp_path, monkeypatch
         counts[grid, stride] = sorted(calls)
     assert len({tuple(c) for c in counts.values()}) == 1, counts
     assert "ffspin.cli" in counts["51", "1"]
+
+
+def test_fast_forward_run_enters_every_traced_layer(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps these names and stops a traced run that
+    # never enters one of them
+    entered = set()
+    for module, name in ((cli, "track_branch"), (cli, "coefficient_table"),
+                         (cli, "integrate"), (cli, "eigensolve"),
+                         (cli, "branch_vector_at"),
+                         (fastforward, "branch_vector_at"),
+                         (spectrum, "eigensolve")):
+        def counted(*args, _fn=getattr(module, name),
+                    _label=f"{module.__name__}.{name}", **kwargs):
+            entered.add(_label)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert run(make_config(FAST_KEYS), tmp_path) == 0
+    assert len(entered) == 7, sorted(entered)
+
+
+def test_csv_matches_per_cell_format():
+    special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 0.1, -2.5])
+    column, matrix = special[:4], special.reshape(4, 2)
+    expected = "a,b,c,d\n" + "".join(
+        f"{format(x, '.16e')},,{format(y, '.16e')},{format(z, '.16e')}\n"
+        for x, (y, z) in zip(column.tolist(), matrix.tolist()))
+    assert cli._csv(list("abcd"), [column, None, matrix]) == expected
+    expected = "a,b\n" + "".join(f"{format(x, '.16e')},\n" for x in column.tolist())
+    assert cli._csv(["a", "b"], [column, None]) == expected
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(ffspin.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ffspin.cli; assert 'scipy' not in sys.modules"],
+        check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_main_validate_reports_problems(capsys):

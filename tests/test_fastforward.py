@@ -92,41 +92,38 @@ def test_h_ff_array_matches_scalar_calls(three_spec, three_table, ramp_profile):
 
 
 def test_driven_run_keeps_fidelity(two_run):
-    assert min(rec.fidelity for rec in two_run) > 1.0 - 1e-9
-    assert max(abs(rec.norm - 1.0) for rec in two_run) < 1e-9
+    assert two_run.fidelity.min() > 1.0 - 1e-9
+    assert np.max(np.abs(two_run.norm - 1.0)) < 1e-9
 
 
 def test_driven_run_matches_branch_populations(three_run, three_spec, three_branch):
     from ffspin.spectrum import branch_vector_at
-    worst = 0.0
-    for rec in three_run[::10]:
-        vec, _ = branch_vector_at(three_spec, three_branch, rec.r)
-        worst = max(worst, float(np.max(np.abs(np.abs(rec.psi) ** 2 - vec ** 2))))
-    assert worst < 1e-9
+    vecs, _ = branch_vector_at(three_spec, three_branch, three_run.r[::10])
+    assert np.max(np.abs(np.abs(three_run.psi[::10]) ** 2 - vecs ** 2)) < 1e-9
 
 
 def test_mirror_symmetry_of_three_spin_run(three_run):
-    worst = max(abs(abs(rec.psi[3]) ** 2 - abs(rec.psi[6]) ** 2)
-                for rec in three_run)
-    assert worst < 1e-9
+    p = np.abs(three_run.psi) ** 2
+    assert np.max(np.abs(p[:, 3] - p[:, 6])) < 1e-9
 
 
 def test_records_cover_run(three_run):
     assert len(three_run) == 101
-    assert three_run[0].t == 0.0
-    assert three_run[-1].t == 1.0  # the last stage time is exactly t_ff
-    assert three_run[-1].r == pytest.approx(10.0, abs=1e-12)
+    assert three_run.psi.shape == (101, 8)
+    assert three_run.t[0] == 0.0
+    assert three_run.t[-1] == 1.0  # the last stage time is exactly t_ff
+    assert three_run.r[-1] == pytest.approx(10.0, abs=1e-12)
     # velocity recorded as zero at both ends
-    assert three_run[0].v == 0.0
-    assert three_run[-1].v == 0.0
+    assert three_run.v[0] == 0.0
+    assert three_run.v[-1] == 0.0
 
 
 def test_step_halving_fourth_order(two_spec, ramp_profile, two_branch, two_table):
     outs = []
     for steps in (2000, 4000, 8000):
-        recs = integrate(two_spec, ramp_profile, steps=steps, output_stride=steps,
-                         branch=two_branch, table=two_table)
-        outs.append(recs[-1].psi)
+        run = integrate(two_spec, ramp_profile, steps=steps, output_stride=steps,
+                        branch=two_branch, table=two_table)
+        outs.append(run.psi[-1])
     d1 = np.linalg.norm(outs[0] - outs[1])
     d2 = np.linalg.norm(outs[1] - outs[2])
     assert d1 / d2 > 12.0
@@ -137,35 +134,35 @@ def test_no_driving_controls(two_spec, three_spec, ramp_profile, two_branch,
                              three_run_no_driving):
     recs2 = integrate(two_spec, ramp_profile, branch=two_branch, table=two_table,
                       drive=False)
-    fid2 = recs2[-1].fidelity
+    fid2 = recs2.fidelity[-1]
     assert fid2 == pytest.approx(NO_DRIVING_FINAL_FIDELITY["two_spin"], abs=1e-4)
     assert fid2 < 0.9  # the two-spin ramp alone is far from adiabatic
-    fid3 = three_run_no_driving[-1].fidelity
+    fid3 = three_run_no_driving.fidelity[-1]
     assert fid3 == pytest.approx(
         NO_DRIVING_FINAL_FIDELITY["three_spin_kagome"], abs=1e-4)
     # the three-spin ramp is already nearly adiabatic at this speed; the
     # driving still buys nine orders of magnitude in the fidelity deficit
     assert 1e-4 < 1.0 - fid3 < 1e-2
     # driving coefficients recorded as zero in control mode
-    assert all(rec.coeffs.w1 == 0.0 for rec in three_run_no_driving)
+    assert np.all(three_run_no_driving.coeffs.w1 == 0.0)
 
 
 def test_fast_profile_keeps_fidelity(three_fast_runs):
     # ten times faster over the same ramp: the velocity-scaled driving must
     # still pin the state to the branch
-    recs, bare = three_fast_runs
-    assert min(rec.fidelity for rec in recs) > 1.0 - 1e-9
-    assert bare[-1].fidelity == pytest.approx(0.512644, abs=1e-4)
+    driven, bare = three_fast_runs
+    assert driven.fidelity.min() > 1.0 - 1e-9
+    assert bare.fidelity[-1] == pytest.approx(0.512644, abs=1e-4)
 
 
 def test_zero_velocity_constant_hamiltonian(two_spec):
     # vbar = 0 keeps R pinned at the start; the eigenstate just gains phase
     profile = FastForwardProfile(v_bar=0.0, t_ff=1.0)
-    recs = integrate(two_spec, profile, steps=2000, output_stride=500,
-                     grid_points=5)
-    assert min(rec.fidelity for rec in recs) > 1.0 - 1e-9
-    assert all(rec.r == 0.0 for rec in recs)
-    assert all(rec.v == 0.0 for rec in recs)
+    run = integrate(two_spec, profile, steps=2000, output_stride=500,
+                    grid_points=5)
+    assert run.fidelity.min() > 1.0 - 1e-9
+    assert np.all(run.r == 0.0)
+    assert np.all(run.v == 0.0)
 
 
 def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,

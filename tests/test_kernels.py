@@ -3,11 +3,13 @@ drive flag, agreement with a plain per-step RK4 loop, the parity blocks it
 leaves untouched and its chunking."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ffspin import fastforward
-from ffspin.fastforward import h_ff, integrate, r_of_t
+from ffspin.fastforward import FastForwardProfile, h_ff, integrate, r_of_t
 from ffspin.model import h0, parity_indices
 
 
@@ -19,35 +21,40 @@ def _run(spec, profile, table, branch, steps=400, stride=100, drive=True):
 def test_numpy_kernel_reproducible(two_spec, profile, two_table, two_branch):
     first = _run(two_spec, profile, two_table, two_branch)
     second = _run(two_spec, profile, two_table, two_branch)
-    for a, b in zip(first, second):
-        assert np.array_equal(a.psi, b.psi)
-        assert (a.t, a.r, a.v, a.coeffs) == (b.t, b.r, b.v, b.coeffs)
+    for name in ("t", "r", "v", "psi", "norm", "fidelity"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
+    for name in ("w1", "w2", "bz_tilde"):
+        assert np.array_equal(getattr(first.coeffs, name), getattr(second.coeffs, name))
 
 
 def test_record_layout(two_spec, profile, two_table, two_branch):
-    records = _run(two_spec, profile, two_table, two_branch)
-    assert len(records) == 5
-    assert all(rec.psi.shape == (4,) for rec in records)
-    assert records[0].t == 0.0
-    assert records[-1].t == 1.0  # the last stage time is exactly t_ff
-    assert records[0].r == 0.0
-    assert records[-1].r == pytest.approx(10.0, abs=1e-12)
+    run = _run(two_spec, profile, two_table, two_branch)
+    assert len(run) == 5
+    assert run.psi.shape == (5, 4)
+    for name in ("t", "r", "v", "norm", "fidelity"):
+        assert getattr(run, name).shape == (5,)
+    for name in ("w1", "w2", "bz_tilde"):
+        assert getattr(run.coeffs, name).shape == (5,)
+    assert run.t[0] == 0.0
+    assert run.t[-1] == 1.0  # the last stage time is exactly t_ff
+    assert run.r[0] == 0.0
+    assert run.r[-1] == pytest.approx(10.0, abs=1e-12)
     # velocity recorded as zero at both ends
-    assert records[0].v == 0.0
-    assert records[-1].v == 0.0
+    assert run.v[0] == 0.0
+    assert run.v[-1] == 0.0
 
 
 def test_drive_flag_changes_the_evolution(two_spec, profile, two_table, two_branch):
     driven = _run(two_spec, profile, two_table, two_branch, drive=True)
     bare = _run(two_spec, profile, two_table, two_branch, drive=False)
-    assert not np.allclose(driven[-1].psi, bare[-1].psi)
+    assert not np.allclose(driven.psi[-1], bare.psi[-1])
 
 
 def test_active_kernel_callable(two_spec, profile, two_table, two_branch):
     # a single record interval; 200 steps, since at 100 the RK4 norm drift
     # (1.5e-6) fails integrate's drift check
-    records = _run(two_spec, profile, two_table, two_branch, steps=200, stride=200)
-    assert len(records) == 2
+    run = _run(two_spec, profile, two_table, two_branch, steps=200, stride=200)
+    assert len(run) == 2
 
 
 def rk4_loop_reference(spec, profile, table, psi0, steps, stride, drive=True):
@@ -88,18 +95,18 @@ def test_records_match_per_step_loop(model, start, drive, profile, request):
     spec, branch, table = (request.getfixturevalue(f"{model}_{name}")
                            for name in ("spec", "branch", "table"))
     psi0 = branch.vectors[0] if start == "default" else _mixed_parity_state(spec, branch)
-    records = integrate(spec, profile, initial_state=psi0, steps=2000,
-                        output_stride=100, branch=branch, table=table, drive=drive)
+    run = integrate(spec, profile, initial_state=psi0, steps=2000,
+                    output_stride=100, branch=branch, table=table, drive=drive)
     expected = rk4_loop_reference(spec, profile, table, psi0, 2000, 100, drive)
-    assert np.max(np.abs(np.array([rec.psi for rec in records]) - expected)) <= 1e-13
+    assert np.max(np.abs(run.psi - expected)) <= 1e-13
 
 
 def test_default_start_leaves_odd_block_exactly_zero(two_spec, three_spec,
                                                      two_run, three_run):
     for spec, run in ((two_spec, two_run), (three_spec, three_run)):
         odd = parity_indices(spec.dim, -1)
-        assert all(np.all(rec.psi[odd] == 0.0) for rec in run)
-        assert np.any(run[-1].psi[parity_indices(spec.dim, 1)] != 0.0)
+        assert np.all(run.psi[:, odd] == 0.0)
+        assert np.any(run.psi[-1, parity_indices(spec.dim, 1)] != 0.0)
 
 
 def test_small_chunks_match_default_chunks(monkeypatch, three_spec, profile,
@@ -118,9 +125,35 @@ def test_small_chunks_match_default_chunks(monkeypatch, three_spec, profile,
 
     monkeypatch.setattr(fastforward, "CHUNK_STEPS", 7)
     monkeypatch.setattr(fastforward, "h_ff", counting_h_ff)
-    records = run()
+    small = run()
     assert max(sizes) <= 2 * 7 + 1
     # each record interval of 100 steps is 14 chunks of 7 and one of 2
     assert len(sizes) == 20 * 15
-    assert np.max(np.abs(np.array([rec.psi for rec in records])
-                         - [rec.psi for rec in reference])) <= 1e-13
+    assert np.max(np.abs(small.psi - reference.psi)) <= 1e-13
+
+
+def test_stage_times_equal_linspace():
+    for steps in (800, 2000, 12345, 200_000):
+        for t_ff in (0.1, 0.37, 1.0, 3.0):
+            profile = FastForwardProfile(v_bar=1.0, t_ff=t_ff)
+            grid = np.linspace(0.0, t_ff, 2 * steps + 1)
+            for index in (np.arange(2 * steps + 1),
+                          np.arange(10, 2 * steps + 1),      # a last chunk
+                          np.arange(0, 2 * steps + 1, 4)):   # stride-2 records
+                assert np.array_equal(
+                    fastforward._stage_times(profile, steps, index), grid[index])
+
+
+def test_stage_time_memory_does_not_grow_with_steps(three_spec, profile,
+                                                   three_branch, three_table):
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            integrate(three_spec, profile, steps=steps, output_stride=steps,
+                      branch=three_branch, table=three_table)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # builds the table's spline outside the measured calls
+    assert peak(200_000) <= 1.1 * peak(10_000)

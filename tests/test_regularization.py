@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, DrivingCoefficients, ModelSpec
-from ffspin.regularization import (closed_form_two_spin, closed_form_w,
+from ffspin.regularization import (RESIDUAL_NOISE_ATOL, closed_form_two_spin,
+                                   closed_form_w,
                                    coefficient_table, component_form_three_spin,
                                    solve_core)
 
@@ -139,7 +140,7 @@ def test_ansatz_insufficient_raises(three_spec, three_branch):
 
 
 def test_table_residuals_and_interpolation(three_spec, three_table):
-    assert float(np.max(three_table.residuals)) < 1e-8
+    assert float(np.max(three_table.residuals)) < RESIDUAL_NOISE_ATOL
     # interpolation hits the samples
     k = 700
     r = float(three_table.r_grid[k])
