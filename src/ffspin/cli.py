@@ -96,6 +96,9 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append(f"model must be one of {MODEL_KINDS}, got {config.model!r}")
     if config.mode not in MODES:
         problems.append(f"mode must be one of {MODES}, got {config.mode!r}")
+    for key in ("j0", "b0", "r0", "v_bar", "t_ff"):
+        if not np.isfinite(getattr(config, key)):
+            problems.append(f"{key} must be finite")
     if config.j0 <= 0:
         problems.append("j0 must be positive")
     if config.t_ff <= 0:
@@ -145,10 +148,11 @@ def _manifest(config: ScenarioConfig) -> str:
 
 
 def _eigenvalues_and_gap_csv(spec, branch, times, rs) -> tuple[str, str]:
-    """Both parity blocks solved as one stack, their levels merged."""
-    levels, _ = eigensolve(np.stack([h0(spec, rs, 1), h0(spec, rs, -1)]))
-    levels = np.sort(np.concatenate(levels, axis=-1), axis=-1)
-    gaps = nearest_level_gap(levels, branch_vector_at(spec, branch, rs)[1])
+    """The P = +1 levels of the branch solve and the solved P = -1 block, merged."""
+    even = branch_vector_at(spec, branch, rs)[1]
+    odd, _ = eigensolve(h0(spec, rs, -1))
+    levels = np.sort(np.concatenate([even, odd], axis=-1), axis=-1)
+    gaps = nearest_level_gap(levels, even[:, 0])
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]
     return _csv(header, [times, rs, levels]), _csv(["t", "R", "gap"], [times, rs, gaps])
 

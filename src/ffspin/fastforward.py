@@ -30,9 +30,8 @@ import numpy as np
 
 from .model import (DrivingCoefficients, ModelSpec, combine, h0, parity_indices,
                     schedules, structural_terms)
-from .regularization import CoefficientTable, coefficient_table
-from .spectrum import (DEFAULT_GRID_POINTS, AdiabaticBranch, branch_vector_at,
-                       default_r_grid, track_branch)
+from .regularization import CoefficientTable
+from .spectrum import AdiabaticBranch, branch_vector_at
 
 DEFAULT_STEPS = 10_000
 DEFAULT_STRIDE = 100
@@ -165,10 +164,8 @@ def _ordered_product(d: np.ndarray) -> np.ndarray:
 def integrate(spec: ModelSpec, profile: FastForwardProfile,
               initial_state: np.ndarray | None = None,
               steps: int = DEFAULT_STEPS, *,
+              branch: AdiabaticBranch, table: CoefficientTable,
               output_stride: int = DEFAULT_STRIDE,
-              branch: AdiabaticBranch | None = None,
-              table: CoefficientTable | None = None,
-              grid_points: int | None = None,
               drive: bool = True) -> Trajectory:
     """Integrate the fast-forward TDSE and sample a trajectory every
     ``output_stride`` steps.
@@ -183,8 +180,7 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
         Number of fixed RK4 steps; must be a positive multiple of
         ``output_stride``.
     branch, table
-        Precomputed branch and coefficient table (built on a default grid
-        when omitted).
+        The tracked branch and its coefficient table.
     drive
         With False the driving term is dropped and the recorded driving
         coefficients are zero (negative-control mode).
@@ -200,12 +196,6 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     if output_stride < 1 or steps % output_stride != 0:
         raise ValueError("steps must be a positive multiple of output_stride")
 
-    if branch is None:
-        n_points = DEFAULT_GRID_POINTS if grid_points is None else grid_points
-        branch = track_branch(
-            spec, default_r_grid(spec, profile.r_end(spec.r0), n_points))
-    if table is None:
-        table = coefficient_table(spec, branch)
     if initial_state is None:
         initial_state = branch.vectors[0]
     psi0 = np.ascontiguousarray(initial_state, dtype=np.complex128)
@@ -238,12 +228,12 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     rec_r = r_of_t(profile, spec.r0, rec_t)
     coeffs = table(rec_r) if drive else DrivingCoefficients(*np.zeros((3, len(rec_t))))
     norms = np.linalg.norm(psis, axis=1)
-    vecs, _ = branch_vector_at(spec, branch, rec_r)
-    fids = np.abs(np.einsum("ij,ij->i", vecs, psis / norms[:, None])) ** 2
     drift = float(np.max(np.abs(norms - 1.0)))
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:  # a NaN drift (RK4 overflow) fails too
         raise RuntimeError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             "increase the step count")
+    vecs, _ = branch_vector_at(spec, branch, rec_r)
+    fids = np.abs(np.einsum("ij,ij->i", vecs, psis / norms[:, None])) ** 2
     return Trajectory(t=rec_t, r=rec_r, v=v_of_t(profile, rec_t), coeffs=coeffs,
                       psi=psis, norm=norms, fidelity=fids)

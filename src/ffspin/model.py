@@ -131,19 +131,20 @@ def combine(coefficients, terms: np.ndarray) -> np.ndarray:
 
 def h0(spec: ModelSpec, r: float | np.ndarray,
        parity: int | None = None) -> np.ndarray:
-    """Bare Hamiltonian at control parameter r (Hermitian, real entries).
+    """Bare Hamiltonian at control parameter r, real symmetric float64 (xx, yy
+    and z are real in the z basis; only the driving generators are not).
 
     An array of r gives the stack of matrices, shape ``r.shape + (d, d)``;
     with ``parity`` the matrices are that parity block.
     """
     j1, j2, bz = schedules(spec, np.asarray(r, dtype=float))
     return combine(np.stack([j1, j2, bz], axis=-1),
-                   structural_terms(spec.kind, parity)[:3])
+                   structural_terms(spec.kind, parity)[:3].real)
 
 
 def d_h0_dr(spec: ModelSpec, parity: int | None = None) -> np.ndarray:
     """Exact derivative of h0 with respect to r (r-independent: linear ramps)."""
-    return combine(SCHEDULE_RATES, structural_terms(spec.kind, parity)[:3])
+    return combine(SCHEDULE_RATES, structural_terms(spec.kind, parity)[:3].real)
 
 
 def h_candidate(spec: ModelSpec, coeffs: DrivingCoefficients) -> np.ndarray:

@@ -7,9 +7,10 @@ spins, indices (0, 3) for two spins and (0, 3, 5, 6) for three.  Inside that
 block the level is nondegenerate along the paper's ramps, so it is chosen by
 index, not by overlap.  The degeneracies of the full spectrum (at the ramp
 start, and the crossing with a flat odd-parity level near R = 8 for two
-spins) all lie between the two sectors and never enter the solve.  Vectors
-and dC/dR are returned embedded in the full space, with the odd-parity
-components exactly zero.
+spins) all lie between the two sectors and never enter the solve.  The block
+of the real symmetric h0 has real eigenvectors, so the gauge is a sign.
+Vectors and dC/dR are returned embedded in the full space, with the
+odd-parity components exactly zero.
 
 dC/dR is the first-order resolvent sum over the other levels of the block.
 An in-sector near-degeneracy of the tracked level makes that sum singular
@@ -54,31 +55,17 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def fix_gauge(vector: np.ndarray, reference: np.ndarray | None = None,
-              imag_atol: float = 1e-8) -> np.ndarray:
-    """Rotate a complex eigenvector onto the real axis and fix its sign.
+def fix_gauge(vector: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:
+    """Fix the sign of a real eigenvector.
 
-    The optimal global phase is the half-argument of sum(v_k^2); if no phase
-    makes the vector real to ``imag_atol`` the ray is irreducibly complex and
-    a ValueError is raised.  With no ``reference`` the sign convention makes
-    the largest-magnitude component positive; otherwise the sign is chosen
-    for positive overlap with ``reference``.  An (..., d) stack is fixed row
-    by row, against an (..., d) ``reference``.
+    With no ``reference`` the largest-magnitude component is made positive;
+    otherwise the sign is chosen for positive overlap with ``reference``.  An
+    (..., d) stack is fixed row by row, against an (..., d) ``reference``.
     """
-    v = np.asarray(vector, dtype=complex)
-    z = np.sum(v * v, axis=-1, keepdims=True)
-    if np.any(np.abs(z) < 1e-14):
-        raise ValueError("eigenvector ray is irreducibly complex")
-    real = v * np.exp(-0.5j * np.angle(z))
-    residue = float(np.max(np.abs(real.imag)))
-    if residue > imag_atol:
-        raise ValueError(
-            f"eigenvector has imaginary residue {residue:.3e} "
-            "after optimal global phase")
-    out = real.real
+    v = np.asarray(vector, dtype=float)
     if reference is None:  # the unit vector on the largest-magnitude component
-        reference = np.eye(out.shape[-1])[np.argmax(np.abs(out), axis=-1)]
-    return np.where(np.sum(out * reference, axis=-1, keepdims=True) < 0.0, -out, out)
+        reference = np.eye(v.shape[-1])[np.argmax(np.abs(v), axis=-1)]
+    return np.where(np.sum(v * reference, axis=-1, keepdims=True) < 0.0, -v, v)
 
 
 def _embed(block_vectors: np.ndarray, dim: int) -> np.ndarray:
@@ -150,14 +137,12 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
             f"{MIN_CONTINUITY_OVERLAP} at r={r} (sample {k})")
     # sign each sample like its predecessor: a running product of overlap signs
     vectors = raw * np.cumprod(np.sign(np.concatenate([[1.0], overlap])))[:, None]
-    couplings = np.einsum("nji,jk,nk->ni", v[:, :, 1:].conj(),
-                          d_h0_dr(spec, parity=1), vectors)
+    couplings = np.einsum("nji,jk,nk->ni", v[:, :, 1:], d_h0_dr(spec, parity=1),
+                          vectors)
     d = np.einsum("nij,nj->ni", v[:, :, 1:], couplings / (w[:, :1] - w[:, 1:]))
-    if float(np.max(np.abs(d.imag))) > 1e-9:
-        raise RuntimeError("branch derivative acquired an imaginary part")
     return AdiabaticBranch(r_grid=r_grid, energies=w[:, 0],
                            vectors=_embed(vectors, spec.dim),
-                           d_vectors=_embed(d.real, spec.dim))
+                           d_vectors=_embed(d, spec.dim))
 
 
 def default_r_grid(spec: ModelSpec, r_end: float,
@@ -167,12 +152,14 @@ def default_r_grid(spec: ModelSpec, r_end: float,
 
 
 def branch_vector_at(spec: ModelSpec, branch: AdiabaticBranch,
-                     r: float | np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-    """Exact branch eigenvector and energy at an arbitrary r inside the grid.
+                     r: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact branch eigenvector and the P = +1 block levels at an arbitrary r
+    inside the grid.
 
-    A fresh solve of the P = +1 block at r; the sign follows the nearest
-    tracked sample, the lower one on a tie.  An array of r gives
-    (..., dim) vectors and (...) energies.
+    A fresh solve of the block at r; the sign follows the nearest tracked
+    sample, the lower one on a tie.  The levels ascend, so ``levels[..., 0]``
+    is the branch energy.  An array of r gives (..., dim) vectors and
+    (..., dim // 2) levels.
     """
     grid = branch.r_grid
     r = np.asarray(r, dtype=float)
@@ -182,7 +169,7 @@ def branch_vector_at(spec: ModelSpec, branch: AdiabaticBranch,
     nearest = np.where(np.abs(grid[lower] - r) <= np.abs(grid[upper] - r), lower, upper)
     reference = branch.vectors[nearest][..., parity_indices(spec.dim)]
     w, _, vec = _even_block(spec, r, reference)
-    return _embed(vec, spec.dim), w[..., 0][()]
+    return _embed(vec, spec.dim), w
 
 
 def nearest_level_gap(levels: np.ndarray, energy: float | np.ndarray):

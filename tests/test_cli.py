@@ -204,6 +204,21 @@ def test_eigensolve_calls_do_not_grow_with_grid_or_records(tmp_path, monkeypatch
     assert "ffspin.cli" in counts["51", "1"]
 
 
+def test_fast_forward_run_solves_the_even_block_once_per_r(tmp_path, monkeypatch):
+    # tracking and the spectrum CSVs each solve the P = +1 block once per grid
+    # point, the records once each, and the P = -1 block once per grid point
+    solved = []
+    for module in (spectrum, cli):
+        def counted(h, _eigensolve=module.eigensolve):
+            solved.append(int(np.prod(np.shape(h)[:-2])))
+            return _eigensolve(h)
+        monkeypatch.setattr(module, "eigensolve", counted)
+    config = make_config(FAST_KEYS)
+    assert run(config, tmp_path) == 0
+    records = config.integrator_steps // config.output_stride + 1
+    assert sum(solved) == 3 * config.grid_points + records, solved
+
+
 def test_fast_forward_run_enters_every_traced_layer(tmp_path, monkeypatch):
     # the benchmark's tracer wraps these names and stops a traced run that
     # never enters one of them
@@ -240,6 +255,28 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c",
          "import sys, ffspin.cli; assert 'scipy' not in sys.modules"],
         check=True, env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["j0", "b0", "r0", "v_bar", "t_ff"])
+def test_non_finite_float_names_the_key(key, value, tmp_path, capsys):
+    assert main(["validate", f"--{key}", value]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().out
+    assert main(["run", f"--{key}", value, "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
+    # at j0 = 1e5 the RK4 steps overflow and the norms are NaN, which a plain
+    # `drift > limit` comparison would let through
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main(["run", "--model", "two_spin", "--j0", "1e5", "--out", str(out)]
+                    + [f"--{key}={value}" for key, value in FAST_KEYS.items()])
+    assert code == 1
+    assert "norm drift" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_validate_reports_problems(capsys):

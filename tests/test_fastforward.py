@@ -6,6 +6,8 @@ import pytest
 from ffspin.fastforward import (FastForwardProfile, h_ff, integrate, r_of_t,
                                 v_of_t)
 from ffspin.model import h0, parity_indices
+from ffspin.regularization import coefficient_table
+from ffspin.spectrum import default_r_grid, track_branch
 
 RNG = np.random.RandomState(7)
 
@@ -158,8 +160,9 @@ def test_fast_profile_keeps_fidelity(three_fast_runs):
 def test_zero_velocity_constant_hamiltonian(two_spec):
     # vbar = 0 keeps R pinned at the start; the eigenstate just gains phase
     profile = FastForwardProfile(v_bar=0.0, t_ff=1.0)
-    run = integrate(two_spec, profile, steps=2000, output_stride=500,
-                    grid_points=5)
+    branch = track_branch(two_spec, default_r_grid(two_spec, profile.r_end(0.0), 5))
+    run = integrate(two_spec, profile, steps=2000, output_stride=500, branch=branch,
+                    table=coefficient_table(two_spec, branch))
     assert run.fidelity.min() > 1.0 - 1e-9
     assert np.all(run.r == 0.0)
     assert np.all(run.v == 0.0)

@@ -132,6 +132,17 @@ def test_h0_affine_in_r(kind, delta):
     assert np.allclose(h0(spec, 4.2), h0(spec, 0) + 4.2 * d_h0_dr(spec), atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
+@pytest.mark.parametrize("parity", [None, 1, -1])
+def test_bare_hamiltonian_is_real(kind, parity):
+    # xx, yy and z are real in the z basis; only the xy + yx generators are not
+    spec = ModelSpec(kind=kind)
+    assert not np.any(structural_terms(kind, parity)[:3].imag)
+    assert h0(spec, 3.7, parity).dtype == np.float64
+    assert h0(spec, np.linspace(0.0, 10.0, 3), parity).dtype == np.float64
+    assert d_h0_dr(spec, parity).dtype == np.float64
+
+
 def test_three_spin_dh_hermitian_traceless(three):
     m = d_h0_dr(three)
     assert is_hermitian(m)
