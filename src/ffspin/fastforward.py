@@ -15,20 +15,25 @@ written once, in :func:`h_ff`, on the full space or on one parity block.
 
 Every term commutes with the parity P = z1 z2 ... zn, so :func:`integrate`
 propagates only the parity blocks the initial state occupies (P = +1 for the
-default start).  RK4 is linear in psi, so each fixed step is a matrix; these
-are built as batched matmuls a chunk of steps at a time, multiplied pairwise
-within each record interval (Blelloch, "Prefix sums and their applications",
-1990) and applied to psi once per record or chunk.  There is no per-step
-renormalization; the norm is recorded so that drift stays visible as a
-diagnostic instead of being hidden.
+default start), each in its real form: a complex matrix a = ar + i ai becomes
+[[ar, -ai], [ai, ar]] and psi becomes [Re psi; Im psi], so the stage matrices
+-iH are one real matmul of the H_FF coefficients with cached real forms of -iT
+for the six structural terms T.  RK4 is linear in psi, so each fixed step is a
+matrix; these are built as batched matmuls a chunk of steps at a time,
+multiplied pairwise within each record interval (Blelloch, "Prefix sums and
+their applications", 1990) and joined by an inclusive prefix scan over the
+chunk's intervals (Hillis & Steele, CACM 29, 1170 (1986)), so each record is
+one product with psi.  There is no per-step renormalization; the norm is
+recorded so that drift stays visible as a diagnostic instead of being hidden.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .model import (DrivingCoefficients, ModelSpec, combine, h0, parity_indices,
+from .model import (DrivingCoefficients, ModelSpec, combine, parity_indices,
                     schedules, structural_terms)
 from .regularization import CoefficientTable
 from .spectrum import AdiabaticBranch, branch_vector_at
@@ -49,8 +54,8 @@ class FastForwardProfile:
     t_ff: float
 
     def __post_init__(self):
-        if self.v_bar < 0:
-            raise ValueError("v_bar must be non-negative")
+        if not 0 <= self.v_bar < np.inf:  # NaN fails too
+            raise ValueError("v_bar must be finite and non-negative")
         if not self.t_ff > 0:
             raise ValueError("t_ff must be positive")
 
@@ -97,15 +102,9 @@ class Trajectory:
         return len(self.t)
 
 
-def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
-         t: float | np.ndarray, parity: int | None = None) -> np.ndarray:
-    """Fast-forward Hamiltonian H0(R(t)) + v(t) * driving(R(t)).
-
-    An array of times gives the stack of matrices; with ``parity`` they are
-    that parity block.  At the endpoints v vanishes identically and the zero
-    driving coefficients leave the bare Hamiltonian unchanged, so the pinning
-    is exact rather than approximate.
-    """
+def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
+                       table: CoefficientTable, t: float | np.ndarray) -> np.ndarray:
+    """(..., 6) coefficients of H_FF on the structural terms at times t."""
     r = r_of_t(profile, spec.r0, t)
     pad = 1e-9 * max(1.0, abs(table.r_max - table.r_min))
     outside = ~((table.r_min - pad <= r) & (r <= table.r_max + pad))
@@ -115,9 +114,32 @@ def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
             f"range [{table.r_min}, {table.r_max}]")
     v = v_of_t(profile, t)
     w = table(r)
-    coefficients = np.stack([*schedules(spec, r), v * w.w1, v * w.w2,
-                             v * w.bz_tilde], axis=-1)
-    return combine(coefficients, structural_terms(spec.kind, parity))
+    return np.stack([*schedules(spec, r), v * w.w1, v * w.w2, v * w.bz_tilde],
+                    axis=-1)
+
+
+def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
+         t: float | np.ndarray, parity: int | None = None) -> np.ndarray:
+    """Fast-forward Hamiltonian H0(R(t)) + v(t) * driving(R(t)).
+
+    An array of times gives the stack of matrices; with ``parity`` they are
+    that parity block.  At the endpoints v vanishes identically and the zero
+    driving coefficients leave the bare Hamiltonian unchanged, so the pinning
+    is exact rather than approximate.
+    """
+    return combine(_h_ff_coefficients(spec, profile, table, t),
+                   structural_terms(spec.kind, parity))
+
+
+@lru_cache(maxsize=None)
+def _real_stage_terms(kind: str, parity: int) -> np.ndarray:
+    """Real forms [[Re a, -Im a], [Im a, Re a]] of a = -i T for the six
+    structural terms T of the P = ``parity`` block, as a read-only
+    (6, 2k, 2k) stack."""
+    a = -1j * structural_terms(kind, parity)
+    terms = np.block([[a.real, -a.imag], [a.imag, a.real]])
+    terms.flags.writeable = False
+    return terms
 
 
 def _stage_times(profile: FastForwardProfile, steps: int, index: np.ndarray):
@@ -141,13 +163,26 @@ def _step_increments(a: np.ndarray, dt: float) -> np.ndarray:
     """D_n = P_n - I for the RK4 step matrices psi_{n+1} = P_n psi_n, from the
     2n + 1 stage matrices A = -iH at the steps' starts, midpoints and ends:
     P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
-    K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3)."""
+    K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3).  The identity is added on
+    the diagonal in place and K2...K4 reuse two buffers."""
     a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
-    eye = np.eye(a.shape[-1])
-    k2 = am @ (eye + (0.5 * dt) * a0)
-    k3 = am @ (eye + (0.5 * dt) * k2)
-    k4 = a1 @ (eye + dt * k3)
-    return (dt / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    m = (0.5 * dt) * a0
+    diagonal = m.reshape(len(m), -1)[:, ::a.shape[-1] + 1]
+    diagonal += 1.0
+    k2 = am @ m
+    np.multiply(k2, 0.5 * dt, out=m)
+    diagonal += 1.0
+    k3 = am @ m
+    np.multiply(k3, dt, out=m)
+    diagonal += 1.0
+    k2 *= 2.0
+    k2 += a0
+    k3 *= 2.0
+    k2 += k3
+    np.matmul(a1, m, out=k3)  # K4
+    k2 += k3
+    k2 *= dt / 6.0
+    return k2
 
 
 def _ordered_product(d: np.ndarray) -> np.ndarray:
@@ -159,6 +194,17 @@ def _ordered_product(d: np.ndarray) -> np.ndarray:
         x, y = d[:, 1:even:2], d[:, 0:even:2]
         d = np.concatenate([x + y + x @ y, d[:, even:]], axis=1)
     return d[:, 0]
+
+
+def _prefix_products(d: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products (I + d[j]) ... (I + d[0]) - I of a (g, k, k)
+    stack, in log2(g) batched matmuls (Hillis & Steele)."""
+    shift = 1
+    while shift < len(d):
+        x, y = d[shift:], d[:-shift]
+        d = np.concatenate([d[:shift], x + y + x @ y])
+        shift *= 2
+    return d
 
 
 def integrate(spec: ModelSpec, profile: FastForwardProfile,
@@ -199,30 +245,37 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     if initial_state is None:
         initial_state = branch.vectors[0]
     psi0 = np.ascontiguousarray(initial_state, dtype=np.complex128)
+    if psi0.shape != (spec.dim,):
+        raise ValueError(
+            f"initial_state must have shape ({spec.dim},), got {psi0.shape}")
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
         raise ValueError("initial_state must be unit norm")
 
     dt = profile.t_ff / steps
-    psis = np.zeros((steps // output_stride + 1, psi0.shape[0]), dtype=np.complex128)
-    psis[0] = psi0
+    psis = np.zeros((steps // output_stride + 1, spec.dim), dtype=np.complex128)
     for parity in (1, -1):
         ix = parity_indices(spec.dim, parity)
         if not np.any(psi0[ix]):
             continue
-        psi = psi0[ix]
+        terms = _real_stage_terms(spec.kind, parity)
+        rows = np.empty((len(psis), 2 * len(ix)))  # [Re psi, Im psi] per record
+        rows[0] = psi = np.concatenate([psi0[ix].real, psi0[ix].imag])
         for first, last in _chunks(steps, output_stride):
             block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
             if drive:
-                h = h_ff(spec, profile, table, block_t, parity)
+                a = combine(_h_ff_coefficients(spec, profile, table, block_t), terms)
             else:
-                h = h0(spec, r_of_t(profile, spec.r0, block_t), parity)
-            d = _step_increments(-1j * h, dt)
+                r = r_of_t(profile, spec.r0, block_t)
+                a = combine(np.stack(schedules(spec, r), axis=-1), terms[:3])
+            d = _step_increments(a, dt)
             groups = _ordered_product(
                 d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]))
-            for row, group in enumerate(groups, start=first // output_stride + 1):
-                psi = psi + group @ psi
-                if last % output_stride == 0:  # else the interval goes on
-                    psis[row, ix] = psi
+            states = psi + _prefix_products(groups) @ psi
+            psi = states[-1]
+            if last % output_stride == 0:  # else the interval goes on
+                end = last // output_stride + 1
+                rows[end - len(states):end] = states
+        psis[:, ix] = rows[:, :len(ix)] + 1j * rows[:, len(ix):]
 
     rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
     rec_r = r_of_t(profile, spec.r0, rec_t)

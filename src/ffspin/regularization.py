@@ -9,7 +9,7 @@ where the G's are the model's driving generators.  For these two clusters
 the ansatz spans the right-hand side exactly, so the residual sits at
 numerical noise; a residual above tolerance signals a modeling bug, not an
 approximation to be accepted.  ``solve_core`` accepts a stack of samples and
-solves them all with one batched pseudo-inverse, so ``coefficient_table`` is
+solves them all with one batched SVD, so ``coefficient_table`` is
 a single call.
 
 Two printed closed forms act as independent cross-checks:
@@ -63,10 +63,14 @@ def solve_core(spec: ModelSpec, vector: np.ndarray,
     target = 1j * d_vector
     a_real = np.concatenate([a.real, a.imag], axis=-2)
     b_real = np.concatenate([target.real, target.imag], axis=-1)
-    # lstsq's singular-value cutoff, so rank and solution agree with it
+    # one SVD gives numpy's pinv and matrix_rank, with lstsq's cutoff for both
+    u, s, vt = np.linalg.svd(a_real, full_matrices=False)
     rcond = max(a_real.shape[-2:]) * np.finfo(float).eps
-    x = (np.linalg.pinv(a_real, rcond=rcond) @ b_real[..., None])[..., 0]
-    rank = np.linalg.matrix_rank(a_real)
+    kept = s > rcond * np.max(s, axis=-1, keepdims=True)
+    rank = np.count_nonzero(kept, axis=-1)
+    s_inv = np.divide(1.0, s, where=kept, out=np.zeros_like(s))
+    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
+    x = (pinv @ b_real[..., None])[..., 0]
     if np.any(rank < len(used)):
         warnings.warn(
             f"core system rank {np.min(rank)} < {len(used)}; returning the "

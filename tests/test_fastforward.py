@@ -56,6 +56,9 @@ def test_profile_rejects_negative_parameters():
         FastForwardProfile(v_bar=1.0, t_ff=-1.0)
     with pytest.raises(ValueError):
         FastForwardProfile(v_bar=1.0, t_ff=0.0)
+    for v_bar in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="v_bar"):
+            FastForwardProfile(v_bar=v_bar, t_ff=1.0)
 
 
 def test_h_ff_endpoint_pinning(two_spec, two_table, ramp_profile):
@@ -177,3 +180,7 @@ def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,
     with pytest.raises(ValueError, match="unit norm"):
         integrate(two_spec, ramp_profile, initial_state=bad,
                   branch=two_branch, table=two_table)
+    for length in (8, 3):  # unit norm, wrong length for two spins
+        with pytest.raises(ValueError, match="initial_state"):
+            integrate(two_spec, ramp_profile, initial_state=np.eye(length)[0],
+                      branch=two_branch, table=two_table)

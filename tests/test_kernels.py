@@ -1,6 +1,6 @@
 """The RK4 propagator inside `integrate`: record layout, reproducibility, the
 drive flag, agreement with a plain per-step RK4 loop, the parity blocks it
-leaves untouched and its chunking."""
+leaves untouched, its chunking and its real-form stage terms."""
 from __future__ import annotations
 
 import tracemalloc
@@ -10,7 +10,7 @@ import pytest
 
 from ffspin import fastforward
 from ffspin.fastforward import FastForwardProfile, h_ff, integrate, r_of_t
-from ffspin.model import h0, parity_indices
+from ffspin.model import MODEL_KINDS, h0, parity_indices, structural_terms
 
 
 def _run(spec, profile, table, branch, steps=400, stride=100, drive=True):
@@ -88,16 +88,20 @@ def _mixed_parity_state(spec, branch):
     return (branch.vectors[0] + odd) / np.sqrt(2.0)
 
 
-@pytest.mark.parametrize("model", ["two", "three"])
-@pytest.mark.parametrize("start", ["default", "mixed"])
-@pytest.mark.parametrize("drive", [True, False])
-def test_records_match_per_step_loop(model, start, drive, profile, request):
+# stride 1 scans 512 record intervals per chunk; 1000 spans two chunks.  The
+# stride-100 cases keep their ids without a stride suffix.
+@pytest.mark.parametrize("model, start, drive, stride", [
+    pytest.param(model, start, drive, stride, id="-".join(
+        [str(drive), start, model] + ([f"stride{stride}"] if stride != 100 else [])))
+    for stride in (100, 1, 1000) for drive in (True, False)
+    for start in ("default", "mixed") for model in ("two", "three")])
+def test_records_match_per_step_loop(model, start, drive, stride, profile, request):
     spec, branch, table = (request.getfixturevalue(f"{model}_{name}")
                            for name in ("spec", "branch", "table"))
     psi0 = branch.vectors[0] if start == "default" else _mixed_parity_state(spec, branch)
     run = integrate(spec, profile, initial_state=psi0, steps=2000,
-                    output_stride=100, branch=branch, table=table, drive=drive)
-    expected = rk4_loop_reference(spec, profile, table, psi0, 2000, 100, drive)
+                    output_stride=stride, branch=branch, table=table, drive=drive)
+    expected = rk4_loop_reference(spec, profile, table, psi0, 2000, stride, drive)
     assert np.max(np.abs(run.psi - expected)) <= 1e-13
 
 
@@ -117,19 +121,35 @@ def test_small_chunks_match_default_chunks(monkeypatch, three_spec, profile,
 
     reference = run()
     sizes = []
-    original = fastforward.h_ff
+    original = fastforward._h_ff_coefficients
 
-    def counting_h_ff(*args, **kwargs):
+    def counting_coefficients(*args, **kwargs):
         sizes.append(np.size(args[3]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fastforward, "CHUNK_STEPS", 7)
-    monkeypatch.setattr(fastforward, "h_ff", counting_h_ff)
+    monkeypatch.setattr(fastforward, "_h_ff_coefficients", counting_coefficients)
     small = run()
     assert max(sizes) <= 2 * 7 + 1
     # each record interval of 100 steps is 14 chunks of 7 and one of 2
     assert len(sizes) == 20 * 15
     assert np.max(np.abs(small.psi - reference.psi)) <= 1e-13
+
+
+def _real_form(a):
+    """[[Re a, -Im a], [Im a, Re a]] of each matrix in a complex stack."""
+    top = np.concatenate([a.real, -a.imag], axis=-1)
+    bottom = np.concatenate([a.imag, a.real], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("parity", [1, -1])
+def test_real_stage_terms_are_real_forms_of_minus_i_terms(kind, parity):
+    terms = fastforward._real_stage_terms(kind, parity)
+    assert terms.dtype == np.float64
+    assert not terms.flags.writeable
+    assert np.array_equal(terms, _real_form(-1j * structural_terms(kind, parity)))
 
 
 def test_stage_times_equal_linspace():
