@@ -8,7 +8,7 @@ and identical configurations produce byte-identical files.
 Modes and their outputs:
 
 * ``fast_forward``     trajectory.csv, regularization.csv, eigenvalues.csv, gap.csv
-* ``no_driving``       same files, driving disabled (w columns zero)
+* ``no_driving``       same files, from a coefficient table of zeros (w columns zero)
 * ``spectrum_only``    eigenvalues.csv, gap.csv
 * ``regularization_only``  regularization.csv
 
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .fastforward import FastForwardProfile, integrate, r_of_t
 from .model import MODEL_KINDS, TWO_SPIN, ModelSpec, h0
-from .regularization import coefficient_table
+from .regularization import CoefficientTable, coefficient_table
 from .spectrum import (branch_vector_at, default_r_grid, eigensolve,
                        nearest_level_gap, track_branch)
 
@@ -157,18 +157,15 @@ def _eigenvalues_and_gap_csv(spec, branch, times, rs) -> tuple[str, str]:
     return _csv(header, [times, rs, levels]), _csv(["t", "R", "gap"], [times, rs, gaps])
 
 
-def _regularization_csv(spec, table, times, rs, zero_driving: bool) -> str:
+def _regularization_csv(spec, table, times, rs) -> str:
     coeffs = table(rs)
-    w1 = np.zeros_like(rs) if zero_driving else coeffs.w1
-    w2 = np.zeros_like(rs) if zero_driving else coeffs.w2
     return _csv(["t", "R", "w1", "w2"],
-                [times, rs, w1, None if spec.kind == TWO_SPIN else w2])
+                [times, rs, coeffs.w1, None if spec.kind == TWO_SPIN else coeffs.w2])
 
 
 def _trajectory_csv(config: ScenarioConfig, spec, profile, branch, table) -> str:
     run = integrate(spec, profile, steps=config.integrator_steps,
-                    output_stride=config.output_stride, branch=branch, table=table,
-                    drive=(config.mode != "no_driving"))
+                    output_stride=config.output_stride, branch=branch, table=table)
     header = (["t", "R", "v", "w1", "w2", "norm", "fidelity"]
               + [f"prob_{i + 1}" for i in range(spec.dim)])
     w2 = None if spec.kind == TWO_SPIN else run.coeffs.w2
@@ -189,7 +186,10 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
         return 2
     spec, profile, branch = _track(config)
     table = None
-    if config.mode != "spectrum_only":
+    if config.mode == "no_driving":  # the undriven control: H_FF = H0
+        zeros = np.zeros_like(branch.r_grid)
+        table = CoefficientTable(branch.r_grid, zeros, zeros, zeros, zeros)
+    elif config.mode != "spectrum_only":
         table = coefficient_table(spec, branch)
     # the output time grid of the regularization and spectrum CSVs
     times = np.linspace(0.0, config.t_ff, config.grid_points)
@@ -198,8 +198,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
     if config.mode in ("fast_forward", "no_driving"):
         files[TRAJECTORY_CSV] = _trajectory_csv(config, spec, profile, branch, table)
     if config.mode != "spectrum_only":
-        files[REGULARIZATION_CSV] = _regularization_csv(
-            spec, table, times, rs, zero_driving=(config.mode == "no_driving"))
+        files[REGULARIZATION_CSV] = _regularization_csv(spec, table, times, rs)
     if config.mode != "regularization_only":
         files[EIGENVALUES_CSV], files[GAP_CSV] = _eigenvalues_and_gap_csv(
             spec, branch, times, rs)

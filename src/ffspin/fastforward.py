@@ -13,18 +13,20 @@ Soc. A 466, 1135 (2010)) is
 
 written once, in :func:`h_ff`, on the full space or on one parity block.
 
-Every term commutes with the parity P = z1 z2 ... zn, so :func:`integrate`
-propagates only the parity blocks the initial state occupies (P = +1 for the
-default start), each in its real form: a complex matrix a = ar + i ai becomes
-[[ar, -ai], [ai, ar]] and psi becomes [Re psi; Im psi], so the stage matrices
--iH are one real matmul of the H_FF coefficients with cached real forms of -iT
-for the six structural terms T.  RK4 is linear in psi, so each fixed step is a
-matrix; these are built as batched matmuls a chunk of steps at a time,
-multiplied pairwise within each record interval (Blelloch, "Prefix sums and
-their applications", 1990) and joined by an inclusive prefix scan over the
-chunk's intervals (Hillis & Steele, CACM 29, 1170 (1986)), so each record is
-one product with psi.  There is no per-step renormalization; the norm is
-recorded so that drift stays visible as a diagnostic instead of being hidden.
+Every term commutes with the parity P = z1 z2 ... zn, and the run starts on
+the branch vector C(R0), which lies in P = +1, so :func:`integrate`
+propagates only that block, in its real form: a complex matrix a = ar + i ai
+becomes [[ar, -ai], [ai, ar]] and psi becomes [Re psi; Im psi], so the stage
+matrices -iH are one real matmul of the H_FF coefficients with cached real
+forms of -iT for the six structural terms T.  The undriven control is the
+same Hamiltonian with a coefficient table of zeros.  RK4 is linear in psi, so
+each fixed step is a matrix; these are built as batched matmuls a chunk of
+steps at a time, multiplied pairwise within each record interval (Blelloch,
+"Prefix sums and their applications", 1990) and joined by an inclusive prefix
+scan over the chunk's intervals (Hillis & Steele, CACM 29, 1170 (1986)), so
+each record is one product with psi.  There is no per-step renormalization;
+the norm is recorded so that drift stays visible as a diagnostic instead of
+being hidden.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ CHUNK_STEPS = 512
 
 @dataclass(frozen=True)
 class FastForwardProfile:
-    """Velocity scale and positive duration of the fast-forwarded schedule."""
+    """Velocity scale and finite positive duration of the fast-forwarded schedule."""
 
     v_bar: float
     t_ff: float
@@ -56,8 +58,8 @@ class FastForwardProfile:
     def __post_init__(self):
         if not 0 <= self.v_bar < np.inf:  # NaN fails too
             raise ValueError("v_bar must be finite and non-negative")
-        if not self.t_ff > 0:
-            raise ValueError("t_ff must be positive")
+        if not 0 < self.t_ff < np.inf:
+            raise ValueError("t_ff must be finite and positive")
 
     def r_end(self, r0: float) -> float:
         return r0 + self.v_bar * self.t_ff
@@ -132,11 +134,10 @@ def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
 
 
 @lru_cache(maxsize=None)
-def _real_stage_terms(kind: str, parity: int) -> np.ndarray:
+def _real_stage_terms(kind: str) -> np.ndarray:
     """Real forms [[Re a, -Im a], [Im a, Re a]] of a = -i T for the six
-    structural terms T of the P = ``parity`` block, as a read-only
-    (6, 2k, 2k) stack."""
-    a = -1j * structural_terms(kind, parity)
+    structural terms T of the P = +1 block, as a read-only (6, 2k, 2k) stack."""
+    a = -1j * structural_terms(kind, 1)
     terms = np.block([[a.real, -a.imag], [a.imag, a.real]])
     terms.flags.writeable = False
     return terms
@@ -208,78 +209,56 @@ def _prefix_products(d: np.ndarray) -> np.ndarray:
 
 
 def integrate(spec: ModelSpec, profile: FastForwardProfile,
-              initial_state: np.ndarray | None = None,
               steps: int = DEFAULT_STEPS, *,
               branch: AdiabaticBranch, table: CoefficientTable,
-              output_stride: int = DEFAULT_STRIDE,
-              drive: bool = True) -> Trajectory:
-    """Integrate the fast-forward TDSE and sample a trajectory every
-    ``output_stride`` steps.
+              output_stride: int = DEFAULT_STRIDE) -> Trajectory:
+    """Integrate the fast-forward TDSE from the branch vector at R0 and sample
+    a trajectory every ``output_stride`` steps.
 
     Parameters
     ----------
     spec, profile
         Model and schedule.
-    initial_state
-        Starting state; defaults to the resolved branch vector at R0.
     steps
         Number of fixed RK4 steps; must be a positive multiple of
         ``output_stride``.
     branch, table
-        The tracked branch and its coefficient table.
-    drive
-        With False the driving term is dropped and the recorded driving
-        coefficients are zero (negative-control mode).
+        The tracked branch and its coefficient table.  A table of zeros on
+        the branch grid gives the undriven control run (H_FF = H0), with zero
+        recorded coefficients.
 
     The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
     built a chunk at a time, so the last step ends exactly at t_ff.  Only the
-    parity blocks that the initial state occupies are propagated; the
-    components of an unoccupied block stay exactly 0.0.  Norm drift beyond
-    ``NORM_DRIFT_LIMIT`` raises, with the advice to raise ``steps``.
+    P = +1 block, where the start vector lies, is propagated; the P = -1
+    components stay exactly 0.0.  Norm drift beyond ``NORM_DRIFT_LIMIT``
+    raises, with the advice to raise ``steps``.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     if output_stride < 1 or steps % output_stride != 0:
         raise ValueError("steps must be a positive multiple of output_stride")
 
-    if initial_state is None:
-        initial_state = branch.vectors[0]
-    psi0 = np.ascontiguousarray(initial_state, dtype=np.complex128)
-    if psi0.shape != (spec.dim,):
-        raise ValueError(
-            f"initial_state must have shape ({spec.dim},), got {psi0.shape}")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-9:
-        raise ValueError("initial_state must be unit norm")
-
     dt = profile.t_ff / steps
-    psis = np.zeros((steps // output_stride + 1, spec.dim), dtype=np.complex128)
-    for parity in (1, -1):
-        ix = parity_indices(spec.dim, parity)
-        if not np.any(psi0[ix]):
-            continue
-        terms = _real_stage_terms(spec.kind, parity)
-        rows = np.empty((len(psis), 2 * len(ix)))  # [Re psi, Im psi] per record
-        rows[0] = psi = np.concatenate([psi0[ix].real, psi0[ix].imag])
-        for first, last in _chunks(steps, output_stride):
-            block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
-            if drive:
-                a = combine(_h_ff_coefficients(spec, profile, table, block_t), terms)
-            else:
-                r = r_of_t(profile, spec.r0, block_t)
-                a = combine(np.stack(schedules(spec, r), axis=-1), terms[:3])
-            d = _step_increments(a, dt)
-            groups = _ordered_product(
-                d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]))
-            states = psi + _prefix_products(groups) @ psi
-            psi = states[-1]
-            if last % output_stride == 0:  # else the interval goes on
-                end = last // output_stride + 1
-                rows[end - len(states):end] = states
-        psis[:, ix] = rows[:, :len(ix)] + 1j * rows[:, len(ix):]
+    ix = parity_indices(spec.dim)
+    terms = _real_stage_terms(spec.kind)
+    rows = np.empty((steps // output_stride + 1, 2 * len(ix)))  # [Re psi, Im psi]
+    rows[0] = psi = np.concatenate([branch.vectors[0, ix], np.zeros(len(ix))])
+    for first, last in _chunks(steps, output_stride):
+        block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
+        a = combine(_h_ff_coefficients(spec, profile, table, block_t), terms)
+        d = _step_increments(a, dt)
+        groups = _ordered_product(
+            d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]))
+        states = psi + _prefix_products(groups) @ psi
+        psi = states[-1]
+        if last % output_stride == 0:  # else the interval goes on
+            end = last // output_stride + 1
+            rows[end - len(states):end] = states
+    psis = np.zeros((len(rows), spec.dim), dtype=np.complex128)
+    psis[:, ix] = rows[:, :len(ix)] + 1j * rows[:, len(ix):]
 
     rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
     rec_r = r_of_t(profile, spec.r0, rec_t)
-    coeffs = table(rec_r) if drive else DrivingCoefficients(*np.zeros((3, len(rec_t))))
     norms = np.linalg.norm(psis, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= NORM_DRIFT_LIMIT:  # a NaN drift (RK4 overflow) fails too
@@ -288,5 +267,5 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
             "increase the step count")
     vecs, _ = branch_vector_at(spec, branch, rec_r)
     fids = np.abs(np.einsum("ij,ij->i", vecs, psis / norms[:, None])) ** 2
-    return Trajectory(t=rec_t, r=rec_r, v=v_of_t(profile, rec_t), coeffs=coeffs,
+    return Trajectory(t=rec_t, r=rec_r, v=v_of_t(profile, rec_t), coeffs=table(rec_r),
                       psi=psis, norm=norms, fidelity=fids)

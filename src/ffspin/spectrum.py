@@ -100,10 +100,6 @@ class AdiabaticBranch:
     vectors: np.ndarray      # shape (n_samples, dim), real
     d_vectors: np.ndarray    # shape (n_samples, dim), real
 
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
 
 def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
     """Follow level 0 of the P = +1 block along a monotone ``r_grid``.
