@@ -186,9 +186,8 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
         return 2
     spec, profile, branch = _track(config)
     table = None
-    if config.mode == "no_driving":  # the undriven control: H_FF = H0
-        zeros = np.zeros_like(branch.r_grid)
-        table = CoefficientTable(branch.r_grid, zeros, zeros, zeros, zeros)
+    if config.mode == "no_driving":
+        table = CoefficientTable.zeros(branch.r_grid)
     elif config.mode != "spectrum_only":
         table = coefficient_table(spec, branch)
     # the output time grid of the regularization and spectrum CSVs

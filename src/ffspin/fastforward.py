@@ -18,7 +18,7 @@ the branch vector C(R0), which lies in P = +1, so :func:`integrate`
 propagates only that block, in its real form: a complex matrix a = ar + i ai
 becomes [[ar, -ai], [ai, ar]] and psi becomes [Re psi; Im psi], so the stage
 matrices -iH are one real matmul of the H_FF coefficients with cached real
-forms of -iT for the six structural terms T.  The undriven control is the
+forms of -iT for the five structural terms T.  The undriven control is the
 same Hamiltonian with a coefficient table of zeros.  RK4 is linear in psi, so
 each fixed step is a matrix; these are built as batched matmuls a chunk of
 steps at a time, multiplied pairwise within each record interval (Blelloch,
@@ -106,7 +106,7 @@ class Trajectory:
 
 def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
                        table: CoefficientTable, t: float | np.ndarray) -> np.ndarray:
-    """(..., 6) coefficients of H_FF on the structural terms at times t."""
+    """(..., 5) coefficients of H_FF on the structural terms at times t."""
     r = r_of_t(profile, spec.r0, t)
     pad = 1e-9 * max(1.0, abs(table.r_max - table.r_min))
     outside = ~((table.r_min - pad <= r) & (r <= table.r_max + pad))
@@ -116,8 +116,7 @@ def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
             f"range [{table.r_min}, {table.r_max}]")
     v = v_of_t(profile, t)
     w = table(r)
-    return np.stack([*schedules(spec, r), v * w.w1, v * w.w2, v * w.bz_tilde],
-                    axis=-1)
+    return np.stack([*schedules(spec, r), v * w.w1, v * w.w2], axis=-1)
 
 
 def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
@@ -135,8 +134,8 @@ def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
 
 @lru_cache(maxsize=None)
 def _real_stage_terms(kind: str) -> np.ndarray:
-    """Real forms [[Re a, -Im a], [Im a, Re a]] of a = -i T for the six
-    structural terms T of the P = +1 block, as a read-only (6, 2k, 2k) stack."""
+    """Real forms [[Re a, -Im a], [Im a, Re a]] of a = -i T for the five
+    structural terms T of the P = +1 block, as a read-only (5, 2k, 2k) stack."""
     a = -1j * structural_terms(kind, 1)
     terms = np.block([[a.real, -a.imag], [a.imag, a.real]])
     terms.flags.writeable = False

@@ -11,18 +11,22 @@ All couplings follow the same linear ramps of a single control parameter R:
 
     J1 = J0 - R,   J2 = R,   Bz = B0 - R.
 
-The driving (counterdiabatic) candidate is a symmetric xy exchange plus a
-z field.  Its coefficient normalization differs between the two models on
-purpose, matching the closed-form solutions each model admits:
+The driving (counterdiabatic) term is a symmetric xy exchange.  Its
+coefficient normalization differs between the two models on purpose,
+matching the closed-form solutions each model admits:
 
 * two_spin: generator (x1y2 + y1x2) / 2, so w1 equals the full magnitude of
   the single off-diagonal driving matrix element (entries -i*w1 / +i*w1);
 * three_spin_kagome: generators (x1y2 + y1x2) + (x2y3 + y2x3) for w1 and
   (x3y1 + y3x1) for w2, giving matrix elements of magnitude 2*w1 and 2*w2.
 
-``h0``, ``h_candidate`` and H_FF are each one matmul of coefficients with a
-read-only stack of six structural terms; the terms commute with the parity
-P = z1 z2 ... zn, and ``parity=+1/-1`` evaluates on that block.
+The paper's driving ansatz also has a z field.  Its coefficient is exactly
+zero on every branch (``h0`` is real, see ``regularization``), so no field
+generator is kept.
+
+``h0`` and H_FF are each one matmul of coefficients with a read-only stack of
+five structural terms; the terms commute with the parity P = z1 z2 ... zn,
+and ``parity=+1/-1`` evaluates on that block.
 """
 from __future__ import annotations
 
@@ -65,7 +69,7 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class DrivingCoefficients:
-    """Driving-term coefficients: w1 (and w2 for three spins) plus a z field.
+    """Exchange driving coefficients: w1, and w2 for three spins.
 
     Each field is a float, or an array of one common shape when a
     :class:`~ffspin.regularization.CoefficientTable` is evaluated on an array.
@@ -73,7 +77,6 @@ class DrivingCoefficients:
 
     w1: float
     w2: float = 0.0
-    bz_tilde: float = 0.0
 
 
 def schedules(spec: ModelSpec, r: float) -> tuple[float, float, float]:
@@ -92,8 +95,10 @@ def parity_indices(dim: int, parity: int = 1) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def structural_terms(kind: str, parity: int | None = None) -> np.ndarray:
-    """(M_j1, M_j2, M_bz, G_w1, G_w2, G_bz) as one read-only (6, d, d) stack,
-    sliced once to the P = ``parity`` block unless ``parity`` is None."""
+    """(M_j1, M_j2, M_bz, G_w1, G_w2) as one read-only (5, d, d) stack, sliced
+    once to the P = ``parity`` block unless ``parity`` is None.  The M's are
+    real and the exchange generators G purely imaginary; two spins have no
+    w2 bond, so their G_w2 is zero."""
     if parity is not None:
         full = structural_terms(kind, None)
         ix = parity_indices(full.shape[-1], parity)
@@ -111,10 +116,10 @@ def structural_terms(kind: str, parity: int | None = None) -> np.ndarray:
     z = 0.5 * sum(pauli_on_site("z", site, n) for site in range(1, n + 1))
     if kind == TWO_SPIN:
         terms = [bonds("x", "x", (1, 2)), bonds("y", "y", (1, 2)), z,
-                 0.5 * xy((1, 2)), np.zeros_like(z), z]
+                 0.5 * xy((1, 2)), np.zeros_like(z)]
     else:
         terms = [bonds("x", "x", (1, 2), (2, 3)), bonds("y", "y", (3, 1)), z,
-                 xy((1, 2), (2, 3)), xy((3, 1)), z]
+                 xy((1, 2), (2, 3)), xy((3, 1))]
     terms = np.stack(terms)
     terms.flags.writeable = False
     return terms
@@ -145,12 +150,3 @@ def h0(spec: ModelSpec, r: float | np.ndarray,
 def d_h0_dr(spec: ModelSpec, parity: int | None = None) -> np.ndarray:
     """Exact derivative of h0 with respect to r (r-independent: linear ramps)."""
     return combine(SCHEDULE_RATES, structural_terms(spec.kind, parity)[:3].real)
-
-
-def h_candidate(spec: ModelSpec, coeffs: DrivingCoefficients) -> np.ndarray:
-    """Driving operator w1*G1 + w2*G2 + bz_tilde*G3 (Hermitian).
-
-    Coefficients holding arrays give the stack of operators.
-    """
-    w = np.broadcast_arrays(coeffs.w1, coeffs.w2, coeffs.bz_tilde)
-    return combine(np.stack(w, axis=-1), structural_terms(spec.kind)[3:])

@@ -1,23 +1,26 @@
 """Counterdiabatic driving coefficients along the tracked branch.
 
-The authoritative solver is a real least-squares fit of the core linear
+The paper's driving ansatz is the core linear system
+
+    (w1 G1 + w2 G2 + bz Sz) C(R) = i dC/dR
+
+in real unknowns, with the model's exchange generators G1, G2 and the z
+field Sz.  ``h0`` is real, so C and dC/dR are real; each G is i times a real
+matrix, and Sz is real.  Split into real and imaginary parts the system
+decouples: bz meets only the real part, whose target Re(i dC/dR) is zero, so
+bz = 0 exactly (time reversal), and the exchange couplings solve the real
 system
 
-    (w1 G1 + w2 G2 + bz G3) C(R) = i dC/dR,
+    Im(G1) C w1 + Im(G2) C w2 = dC/dR.
 
-where the G's are the model's driving generators.  For these two clusters
-the ansatz spans the right-hand side exactly, so the residual sits at
+``solve_core`` solves it on the P = +1 rows, where the branch lives (2 x 1
+for two spins, 4 x 2 for three), for a whole stack of samples with one QR
+vectorized over the stack, so ``coefficient_table`` is one call.  For these
+two clusters the couplings span dC/dR exactly, so the residual sits at
 numerical noise; a residual above tolerance signals a modeling bug, not an
-approximation to be accepted.  ``solve_core`` accepts a stack of samples and
-solves them all with one batched SVD, so ``coefficient_table`` is
-a single call.
-
-Two printed closed forms act as independent cross-checks:
-
-* two_spin:   w1 = [Bz (dJ1 - dJ2) + dBz (J2 - J1)] / [2 (Bz^2 + (J1-J2)^2)]
-  with d/dR rates of the linear ramps;
-* three_spin: component formulas in (C1, C4, C6) and their derivatives,
-  valid away from |C1| = 1/2 where their shared denominator vanishes.
+approximation to be accepted.  The paper's closed forms, and the
+three-unknown ansatz that shows bz = 0, are the test oracles in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (SCHEDULE_RATES, DrivingCoefficients, ModelSpec, TWO_SPIN, schedules,
+from .model import (DrivingCoefficients, ModelSpec, TWO_SPIN, parity_indices,
                     structural_terms)
 from .spectrum import AdiabaticBranch
 
@@ -36,7 +39,6 @@ from .spectrum import AdiabaticBranch
 ANSATZ_RESIDUAL_LIMIT = 1e-6
 #: expected noise ceiling for the residual when everything is healthy
 RESIDUAL_NOISE_ATOL = 1e-8
-IMAG_RESIDUE_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,87 +50,72 @@ class CoreSolution:
     residual: float | np.ndarray
 
 
+def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lstsq's minimum-norm solution x and rank of the least-squares systems
+    sum_j x[j] a[j] = b of a stack, from k <= 2 columns a[j] and b of shape
+    (..., m); x has shape (k, ...).
+
+    A modified Gram-Schmidt QR of [a | b], vectorized over the stack: it is
+    backward stable for least squares without forming a^T a (Bjorck, BIT 7,
+    1 (1967)).  R has a's singular values; for k = 2 they follow from
+    s1 s2 = |det R| and s1^2 + s2^2 = |R|_F^2.  A singular value counts when
+    it exceeds lstsq's cutoff max(m, k) eps s1.  A full-rank R is solved by
+    back substitution; a rank-1 R = s u v^T has the pseudo-inverse
+    R^T / s^2 = R^T / |R|_F^2, and R = 0 gives x = 0.
+    """
+    k = len(a)
+    q = a.copy()
+    r = np.zeros((k, k) + b.shape[:-1])
+    c = np.zeros((k,) + b.shape[:-1])
+    for j in range(k):
+        for i in range(j):
+            r[i, j] = np.sum(q[i] * q[j], axis=-1)
+            q[j] -= r[i, j][..., None] * q[i]
+        r[j, j] = np.sqrt(np.sum(q[j] * q[j], axis=-1))
+        q[j] /= np.where(r[j, j] > 0.0, r[j, j], 1.0)[..., None]
+        c[j] = np.sum(q[j] * b, axis=-1)
+        b = b - c[j][..., None] * q[j]
+    f2 = np.sum(r * r, axis=(0, 1))
+    rank = (f2 > 0.0).astype(int)
+    x = np.sum(r * c[:, None], axis=0) / np.where(f2 > 0.0, f2, 1.0)
+    if k == 2:
+        det = np.abs(r[0, 0] * r[1, 1])
+        s1_sq = 0.5 * (f2 + np.sqrt(np.maximum((f2 - 2.0 * det) * (f2 + 2.0 * det), 0.0)))
+        full = det > max(b.shape[-1], k) * np.finfo(float).eps * s1_sq  # s2 > cutoff
+        rank += full
+        x2 = c[1] / np.where(full, r[1, 1], 1.0)
+        x1 = (c[0] - r[0, 1] * x2) / np.where(full, r[0, 0], 1.0)
+        x = np.where(full, np.stack([x1, x2]), x)
+    return x, rank
+
+
 def solve_core(spec: ModelSpec, vector: np.ndarray,
                d_vector: np.ndarray) -> CoreSolution:
     """Solve the core system for a branch sample (C, dC/dR).
 
     (..., dim) stacks of samples give coefficient and residual arrays of
-    shape (...).  The unknowns are real; the complex system is solved by
-    stacking real and imaginary parts.  Raises RuntimeError when a residual
-    exceeds ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient sample falls back to
-    the minimum-norm solution, with one warning per call.
+    shape (...).  The couplings are fitted on the P = +1 rows; the residual
+    is that of all rows, so a P = -1 part of the input that they cannot
+    reach counts.  Raises RuntimeError when a residual exceeds
+    ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient sample falls back to the
+    minimum-norm solution, with one warning per call.
     """
-    used = [3, 5] if spec.kind == TWO_SPIN else [3, 4, 5]  # generators; two spins: no w2
-    a = np.einsum("kij,...j->...ik", structural_terms(spec.kind)[used], vector)
-    target = 1j * d_vector
-    a_real = np.concatenate([a.real, a.imag], axis=-2)
-    b_real = np.concatenate([target.real, target.imag], axis=-1)
-    # one SVD gives numpy's pinv and matrix_rank, with lstsq's cutoff for both
-    u, s, vt = np.linalg.svd(a_real, full_matrices=False)
-    rcond = max(a_real.shape[-2:]) * np.finfo(float).eps
-    kept = s > rcond * np.max(s, axis=-1, keepdims=True)
-    rank = np.count_nonzero(kept, axis=-1)
-    s_inv = np.divide(1.0, s, where=kept, out=np.zeros_like(s))
-    pinv = np.swapaxes(vt, -1, -2) @ (s_inv[..., None] * np.swapaxes(u, -1, -2))
-    x = (pinv @ b_real[..., None])[..., 0]
-    if np.any(rank < len(used)):
+    generators = structural_terms(spec.kind)[3:4 if spec.kind == TWO_SPIN else 5]
+    # columns Im(G_k) C of the system, shape (k, ..., dim)
+    a = np.moveaxis(np.tensordot(generators.imag, vector, axes=(2, -1)), 1, -1)
+    ix = parity_indices(spec.dim)
+    x, rank = _min_norm_lstsq(a[..., ix], d_vector[..., ix])
+    if np.any(rank < len(a)):
         warnings.warn(
-            f"core system rank {np.min(rank)} < {len(used)}; returning the "
+            f"core system rank {np.min(rank)} < {len(a)}; returning the "
             "minimum-norm solution", RuntimeWarning, stacklevel=2)
-    residual = np.linalg.norm((a_real @ x[..., None])[..., 0] - b_real, axis=-1)
+    residual = np.linalg.norm(np.sum(x[..., None] * a, axis=0) - d_vector, axis=-1)
     if np.any(residual > ANSATZ_RESIDUAL_LIMIT):
         raise RuntimeError(
             f"driving ansatz insufficient: core residual {np.max(residual):.3e}")
-    if len(used) == 2:
-        x = np.insert(x, 1, 0.0, axis=-1)
-    return CoreSolution(coeffs=DrivingCoefficients(*np.moveaxis(x, -1, 0)),
-                        residual=residual)
-
-
-def closed_form_w(bz: float, j1: float, j2: float,
-                  dbz: float, dj1: float, dj2: float) -> float:
-    """Two-spin closed-form coefficient for arbitrary schedule rates."""
-    denom = 2.0 * (bz * bz + (j1 - j2) ** 2)
-    if denom < 1e-12:
-        raise ValueError("closed form is singular: Bz^2 + (J1-J2)^2 vanishes")
-    return (bz * (dj1 - dj2) + dbz * (j2 - j1)) / denom
-
-
-def closed_form_two_spin(spec: ModelSpec, r: float) -> DrivingCoefficients:
-    """Closed-form driving coefficient of the two-spin model at parameter r."""
-    if spec.kind != TWO_SPIN:
-        raise ValueError("closed form applies to the two-spin model only")
-    j1, j2, bz = schedules(spec, r)
-    dj1, dj2, dbz = SCHEDULE_RATES
-    return DrivingCoefficients(w1=closed_form_w(bz, j1, j2, dbz, dj1, dj2))
-
-
-def component_form_three_spin(vector: np.ndarray,
-                              d_vector: np.ndarray) -> DrivingCoefficients:
-    """Three-spin component formulas in (C1, C4, C6) and their derivatives.
-
-    Precondition: |C1| > 1e-10 and |3 C1^2 - 2 C4^2 - C6^2| > 1e-10 (by the
-    branch normalization the latter equals |4 C1^2 - 1|, so the formulas
-    break down where |C1| crosses 1/2).  Outside that region use
-    :func:`solve_core`, which stays well posed.
-    """
-    c1, c4, c6 = float(vector[0]), float(vector[3]), float(vector[5])
-    a = 1j * d_vector[0]
-    b = 1j * d_vector[3]
-    c = 1j * d_vector[5]
-    weight = 3.0 * c1 * c1 - 2.0 * c4 * c4 - c6 * c6
-    if abs(c1) < 1e-10 or abs(weight) < 1e-10:
-        raise ValueError(
-            "component formulas are singular here (|C1| at or near 1/2); "
-            "use solve_core instead")
-    denom = 2.0 * c1 * weight
-    w1 = -1j * (a * c4 * c1 + 3.0 * b * c1 * c1 - b * c6 * c6 + c * c4 * c6) / denom
-    w2 = -1j * (a * c6 * c1 + 2.0 * b * c4 * c6 + 3.0 * c * c1 * c1
-                - 2.0 * c * c4 * c4) / denom
-    residue = max(abs(w1.imag), abs(w2.imag))
-    if residue > IMAG_RESIDUE_ATOL:
-        raise RuntimeError(f"component coefficients not real: residue {residue:.3e}")
-    return DrivingCoefficients(w1=float(w1.real), w2=float(w2.real))
+    if len(x) == 1:  # two spins: no w2 bond
+        x = np.concatenate([x, np.zeros_like(x)])
+    return CoreSolution(coeffs=DrivingCoefficients(*x), residual=residual)
 
 
 @dataclass
@@ -138,16 +125,22 @@ class CoefficientTable:
     r_grid: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
-    bz_tilde: np.ndarray
     residuals: np.ndarray
+
+    @classmethod
+    def zeros(cls, r_grid: np.ndarray) -> CoefficientTable:
+        """The undriven control's table: zero couplings (H_FF = H0) and zero
+        residuals on ``r_grid``."""
+        zeros = np.zeros_like(r_grid)
+        return cls(r_grid, zeros, zeros, zeros)
 
     @cached_property
     def _columns(self) -> np.ndarray:
-        return np.column_stack([self.w1, self.w2, self.bz_tilde])
+        return np.column_stack([self.w1, self.w2])
 
     @cached_property
     def _spline(self):
-        """One cubic spline over the (w1, w2, bz) columns; None for a
+        """One cubic spline over the (w1, w2) columns; None for a
         single-point grid, where the coefficients are constant."""
         if len(self.r_grid) < 2 or self.r_grid[-1] == self.r_grid[0]:
             return None
@@ -166,7 +159,7 @@ class CoefficientTable:
     def __call__(self, r: float | np.ndarray) -> DrivingCoefficients:
         """Interpolated coefficients at r; an array of r gives array fields."""
         if self._spline is None:
-            values = np.broadcast_to(self._columns[0], np.shape(r) + (3,))
+            values = np.broadcast_to(self._columns[0], np.shape(r) + (2,))
         else:
             values = self._spline(r)
         return DrivingCoefficients(*np.moveaxis(values, -1, 0))
@@ -176,5 +169,4 @@ def coefficient_table(spec: ModelSpec, branch: AdiabaticBranch) -> CoefficientTa
     """Solve the core system at every branch sample and tabulate the results."""
     sol = solve_core(spec, branch.vectors, branch.d_vectors)
     return CoefficientTable(r_grid=branch.r_grid, w1=sol.coeffs.w1,
-                            w2=sol.coeffs.w2, bz_tilde=sol.coeffs.bz_tilde,
-                            residuals=sol.residual)
+                            w2=sol.coeffs.w2, residuals=sol.residual)

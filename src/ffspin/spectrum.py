@@ -173,9 +173,3 @@ def nearest_level_gap(levels: np.ndarray, energy: float | np.ndarray):
     dist = np.abs(np.asarray(levels) - np.asarray(energy)[..., None])
     np.put_along_axis(dist, np.argmin(dist, axis=-1)[..., None], np.inf, axis=-1)
     return np.min(dist, axis=-1)
-
-
-def gap_report(branch: AdiabaticBranch, spec: ModelSpec) -> np.ndarray:
-    """Per-sample distance from the branch energy to the nearest other level
-    of the full spectrum."""
-    return nearest_level_gap(eigensolve(h0(spec, branch.r_grid))[0], branch.energies)

@@ -48,12 +48,6 @@ def three_table(three_spec, three_branch):
     return coefficient_table(three_spec, three_branch)
 
 
-def zero_table(branch) -> CoefficientTable:
-    """The undriven control's coefficient table: zeros on the branch grid."""
-    zeros = np.zeros_like(branch.r_grid)
-    return CoefficientTable(branch.r_grid, zeros, zeros, zeros, zeros)
-
-
 @pytest.fixture(scope="session")
 def two_run(two_spec, profile, two_branch, two_table):
     return integrate(two_spec, profile, branch=two_branch, table=two_table)
@@ -67,7 +61,7 @@ def three_run(three_spec, profile, three_branch, three_table):
 @pytest.fixture(scope="session")
 def three_run_no_driving(three_spec, profile, three_branch, three_table):
     return integrate(three_spec, profile, branch=three_branch,
-                     table=zero_table(three_branch))
+                     table=CoefficientTable.zeros(three_branch.r_grid))
 
 
 @pytest.fixture(scope="session")
@@ -75,8 +69,9 @@ def three_fast_runs(three_spec, three_branch, three_table):
     """(driven, undriven) three-spin trajectories at vbar=100, T=0.1: the
     reference ramp, R from 0 to 10, run ten times faster."""
     profile = FastForwardProfile(v_bar=100.0, t_ff=0.1)
+    undriven = CoefficientTable.zeros(three_branch.r_grid)
     return tuple(integrate(three_spec, profile, branch=three_branch, table=table)
-                 for table in (three_table, zero_table(three_branch)))
+                 for table in (three_table, undriven))
 
 
 def probabilities(psi: np.ndarray) -> np.ndarray:

@@ -1,0 +1,101 @@
+"""Independent references that the tests compare the pipeline against.
+
+None of these is called by the pipeline:
+
+* the paper's printed closed forms for the driving coefficients (two-spin
+  formula, three-spin component formulas);
+* the paper's full driving ansatz (w1 G1 + w2 G2 + bz Sz) C = i dC/dR in all
+  its real unknowns, field included, solved per sample by ``lstsq``.  It
+  shows that the field coefficient vanishes, which is what lets
+  ``solve_core`` fit the exchange couplings alone;
+* the driving candidate operator with a field term, and the distance from
+  the branch energy to the nearest level of the full spectrum.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from ffspin.model import (SCHEDULE_RATES, TWO_SPIN, DrivingCoefficients, ModelSpec,
+                          combine, h0, schedules, structural_terms)
+from ffspin.spectrum import AdiabaticBranch, eigensolve, nearest_level_gap
+
+IMAG_RESIDUE_ATOL = 1e-10
+#: positions in ``structural_terms`` of G_w1, G_w2 and the field Sz = M_bz
+CANDIDATE_TERMS = [3, 4, 2]
+
+
+def closed_form_w(bz: float, j1: float, j2: float,
+                  dbz: float, dj1: float, dj2: float) -> float:
+    """Two-spin closed-form coefficient for arbitrary schedule rates."""
+    denom = 2.0 * (bz * bz + (j1 - j2) ** 2)
+    if denom < 1e-12:
+        raise ValueError("closed form is singular: Bz^2 + (J1-J2)^2 vanishes")
+    return (bz * (dj1 - dj2) + dbz * (j2 - j1)) / denom
+
+
+def closed_form_two_spin(spec: ModelSpec, r: float) -> DrivingCoefficients:
+    """Closed-form driving coefficient of the two-spin model at parameter r."""
+    if spec.kind != TWO_SPIN:
+        raise ValueError("closed form applies to the two-spin model only")
+    j1, j2, bz = schedules(spec, r)
+    dj1, dj2, dbz = SCHEDULE_RATES
+    return DrivingCoefficients(w1=closed_form_w(bz, j1, j2, dbz, dj1, dj2))
+
+
+def component_form_three_spin(vector: np.ndarray,
+                              d_vector: np.ndarray) -> DrivingCoefficients:
+    """Three-spin component formulas in (C1, C4, C6) and their derivatives.
+
+    Precondition: |C1| > 1e-10 and |3 C1^2 - 2 C4^2 - C6^2| > 1e-10 (by the
+    branch normalization the latter equals |4 C1^2 - 1|, so the formulas
+    break down where |C1| crosses 1/2).  Outside that region use
+    ``solve_core``, which stays well posed.
+    """
+    c1, c4, c6 = float(vector[0]), float(vector[3]), float(vector[5])
+    a = 1j * d_vector[0]
+    b = 1j * d_vector[3]
+    c = 1j * d_vector[5]
+    weight = 3.0 * c1 * c1 - 2.0 * c4 * c4 - c6 * c6
+    if abs(c1) < 1e-10 or abs(weight) < 1e-10:
+        raise ValueError(
+            "component formulas are singular here (|C1| at or near 1/2); "
+            "use solve_core instead")
+    denom = 2.0 * c1 * weight
+    w1 = -1j * (a * c4 * c1 + 3.0 * b * c1 * c1 - b * c6 * c6 + c * c4 * c6) / denom
+    w2 = -1j * (a * c6 * c1 + 2.0 * b * c4 * c6 + 3.0 * c * c1 * c1
+                - 2.0 * c * c4 * c4) / denom
+    residue = max(abs(w1.imag), abs(w2.imag))
+    if residue > IMAG_RESIDUE_ATOL:
+        raise RuntimeError(f"component coefficients not real: residue {residue:.3e}")
+    return DrivingCoefficients(w1=float(w1.real), w2=float(w2.real))
+
+
+def full_ansatz_solve(spec: ModelSpec, vector: np.ndarray,
+                      d_vector: np.ndarray) -> tuple[float, float, float, float]:
+    """(w1, w2, bz, residual) of the paper's complex ansatz at one sample.
+
+    All real unknowns are fitted together (w1 and bz for two spins, which
+    have no w2 bond), by ``lstsq`` on the stacked real and imaginary parts.
+    """
+    used = CANDIDATE_TERMS[::2] if spec.kind == TWO_SPIN else CANDIDATE_TERMS
+    a = structural_terms(spec.kind)[used] @ vector
+    target = 1j * d_vector
+    a_real = np.concatenate([a.real, a.imag], axis=-1).T
+    b_real = np.concatenate([target.real, target.imag])
+    x = np.linalg.lstsq(a_real, b_real, rcond=None)[0]
+    residual = float(np.linalg.norm(a_real @ x - b_real))
+    w2 = 0.0 if spec.kind == TWO_SPIN else x[1]
+    return float(x[0]), float(w2), float(x[-1]), residual
+
+
+def h_candidate(spec: ModelSpec, w1=0.0, w2=0.0, bz=0.0) -> np.ndarray:
+    """The paper's driving candidate w1 G1 + w2 G2 + bz Sz (Hermitian);
+    array coefficients give the stack of operators."""
+    w = np.stack(np.broadcast_arrays(w1, w2, bz), axis=-1)
+    return combine(w, structural_terms(spec.kind)[CANDIDATE_TERMS])
+
+
+def gap_report(branch: AdiabaticBranch, spec: ModelSpec) -> np.ndarray:
+    """Per-sample distance from the branch energy to the nearest other level
+    of the full spectrum."""
+    return nearest_level_gap(eigensolve(h0(spec, branch.r_grid))[0], branch.energies)

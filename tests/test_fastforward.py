@@ -6,10 +6,8 @@ import pytest
 from ffspin.fastforward import (FastForwardProfile, h_ff, integrate, r_of_t,
                                 v_of_t)
 from ffspin.model import h0, parity_indices
-from ffspin.regularization import coefficient_table
+from ffspin.regularization import CoefficientTable, coefficient_table
 from ffspin.spectrum import default_r_grid, track_branch
-
-from conftest import zero_table
 
 RNG = np.random.RandomState(7)
 
@@ -141,7 +139,7 @@ def test_no_driving_controls(two_spec, three_spec, ramp_profile, two_branch,
                              two_table, three_branch, three_table,
                              three_run_no_driving):
     recs2 = integrate(two_spec, ramp_profile, branch=two_branch,
-                      table=zero_table(two_branch))
+                      table=CoefficientTable.zeros(two_branch.r_grid))
     fid2 = recs2.fidelity[-1]
     assert fid2 == pytest.approx(NO_DRIVING_FINAL_FIDELITY["two_spin"], abs=1e-4)
     assert fid2 < 0.9  # the two-spin ramp alone is far from adiabatic

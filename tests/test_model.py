@@ -3,10 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, DrivingCoefficients,
-                          ModelSpec, d_h0_dr, h0, h_candidate, schedules,
-                          structural_terms)
+from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0,
+                          schedules, structural_terms)
 from ffspin.spin_algebra import is_hermitian, pair_coupling, pauli_on_site
+
+from oracles import h_candidate
 
 
 def reference_two_spin_matrix(j1: float, j2: float, bz: float) -> np.ndarray:
@@ -85,28 +86,28 @@ def test_two_spin_r0_eigenvalues(two):
 
 
 def test_three_spin_candidate_matches_pattern(three):
-    m = h_candidate(three, DrivingCoefficients(w1=1.0, w2=0.0, bz_tilde=0.0))
+    m = h_candidate(three, w1=1.0)
     expected = np.zeros((8, 8), dtype=complex)
     for a, b in [(0, 3), (0, 6), (1, 7), (4, 7)]:
         expected[a, b] = -2.0j
         expected[b, a] = 2.0j
     assert np.allclose(m, expected, atol=1e-14)
-    m2 = h_candidate(three, DrivingCoefficients(w1=0.0, w2=1.0, bz_tilde=0.0))
+    m2 = h_candidate(three, w2=1.0)
     assert m2[0, 5] == pytest.approx(-2.0j)
     assert m2[2, 7] == pytest.approx(-2.0j)
-    mz = h_candidate(three, DrivingCoefficients(w1=0.0, w2=0.0, bz_tilde=2.0))
+    mz = h_candidate(three, bz=2.0)
     assert np.allclose(np.diag(mz), [3, 1, 1, -1, 1, -1, -1, -3], atol=1e-14)
 
 
 def test_candidate_zero_coefficients_gives_zero(three):
-    m = h_candidate(three, DrivingCoefficients(0.0, 0.0, 0.0))
+    m = h_candidate(three, 0.0, 0.0, 0.0)
     assert np.array_equal(m, np.zeros((8, 8), dtype=complex))
 
 
 def test_two_spin_candidate_coefficient_convention(two):
     # w1 is normalized to the full off-diagonal magnitude: entries -i w1 / +i w1.
     # The generator is therefore half of (x1 y2 + y1 x2).
-    m = h_candidate(two, DrivingCoefficients(w1=1.0))
+    m = h_candidate(two, w1=1.0)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 3] = -1.0j
     expected[3, 0] = 1.0j
@@ -143,6 +144,15 @@ def test_bare_hamiltonian_is_real(kind, parity):
     assert d_h0_dr(spec, parity).dtype == np.float64
 
 
+@pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
+@pytest.mark.parametrize("parity", [None, 1, -1])
+def test_driving_generators_are_purely_imaginary(kind, parity):
+    # the exchange-only core solve rests on this: with h0 real, a real part of
+    # a generator would make the dropped field coefficient nonzero
+    assert structural_terms(kind, parity).shape[0] == 5
+    assert not np.any(structural_terms(kind, parity)[3:].real)
+
+
 def test_three_spin_dh_hermitian_traceless(three):
     m = d_h0_dr(three)
     assert is_hermitian(m)
@@ -152,13 +162,13 @@ def test_three_spin_dh_hermitian_traceless(three):
 @pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
 def test_candidate_offdiagonals_purely_imaginary_without_field(kind):
     spec = ModelSpec(kind=kind)
-    m = h_candidate(spec, DrivingCoefficients(w1=0.7, w2=0.3, bz_tilde=0.0))
+    m = h_candidate(spec, w1=0.7, w2=0.3)
     assert is_hermitian(m)
     assert np.max(np.abs(m.real)) < 1e-14
     assert np.max(np.abs(np.diag(m))) < 1e-14
 
 
 def test_three_spin_candidate_support_from_first_state(three):
-    m = h_candidate(three, DrivingCoefficients(w1=0.7, w2=0.3, bz_tilde=0.0))
+    m = h_candidate(three, w1=0.7, w2=0.3)
     coupled = {k for k in range(8) if abs(m[0, k]) > 1e-14}
     assert coupled == {3, 5, 6}  # 1-based positions 4, 6, 7

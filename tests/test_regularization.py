@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, DrivingCoefficients, ModelSpec
-from ffspin.regularization import (RESIDUAL_NOISE_ATOL, closed_form_two_spin,
-                                   closed_form_w,
-                                   coefficient_table, component_form_three_spin,
-                                   solve_core)
+from ffspin.regularization import (RESIDUAL_NOISE_ATOL, CoefficientTable,
+                                   _min_norm_lstsq, coefficient_table, solve_core)
+
+from oracles import (closed_form_two_spin, closed_form_w, component_form_three_spin,
+                     full_ansatz_solve)
 
 
 def test_solve_core_two_spin_at_start(two_spec, two_branch):
     sol = solve_core(two_spec, two_branch.vectors[0], two_branch.d_vectors[0])
     assert sol.coeffs.w1 == pytest.approx(0.05, abs=1e-9)
     assert sol.coeffs.w2 == 0.0
-    assert abs(sol.coeffs.bz_tilde) < 1e-10
     assert sol.residual < 1e-10
 
 
@@ -25,7 +25,6 @@ def test_solve_core_flat_branch_gives_zero(three_spec, three_branch):
     sol = solve_core(three_spec, c, np.zeros_like(c))
     assert sol.coeffs.w1 == pytest.approx(0.0, abs=1e-14)
     assert sol.coeffs.w2 == pytest.approx(0.0, abs=1e-14)
-    assert sol.coeffs.bz_tilde == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("fixture,spec_kind", [("two_branch", TWO_SPIN),
@@ -34,8 +33,26 @@ def test_field_coefficient_vanishes_along_branch(fixture, spec_kind, request):
     branch = request.getfixturevalue(fixture)
     spec = ModelSpec(kind=spec_kind)
     for k in range(0, len(branch.r_grid), 100):
-        sol = solve_core(spec, branch.vectors[k], branch.d_vectors[k])
-        assert abs(sol.coeffs.bz_tilde) < 1e-10
+        _, _, bz, _ = full_ansatz_solve(spec, branch.vectors[k], branch.d_vectors[k])
+        assert abs(bz) < 1e-10
+
+
+@pytest.mark.parametrize("fixture,spec_kind", [("two_branch", TWO_SPIN),
+                                               ("three_branch", THREE_SPIN_KAGOME)])
+def test_full_ansatz_oracle_has_no_field_and_matches_exchange_solve(
+        fixture, spec_kind, request):
+    # the paper's ansatz with the field as a third unknown, at every sample:
+    # time reversal makes bz vanish, and the exchange couplings and residual
+    # are then those of the field-free solve
+    branch = request.getfixturevalue(fixture)
+    spec = ModelSpec(kind=spec_kind)
+    sol = solve_core(spec, branch.vectors, branch.d_vectors)
+    oracle = np.array([full_ansatz_solve(spec, c, d)
+                       for c, d in zip(branch.vectors, branch.d_vectors)])
+    assert np.max(np.abs(oracle[:, 2])) < 1e-15
+    assert np.max(np.abs(oracle[:, 0] - sol.coeffs.w1)) < 1e-14
+    assert np.max(np.abs(oracle[:, 1] - sol.coeffs.w2)) < 1e-14
+    assert np.max(np.abs(oracle[:, 3] - sol.residual)) < 1e-14
 
 
 @pytest.mark.parametrize("fixture,spec_kind", [("two_branch", TWO_SPIN),
@@ -49,7 +66,7 @@ def test_solve_core_stack_matches_per_sample_calls(fixture, spec_kind, request):
     for i, k in enumerate(ks):
         single = solve_core(spec, branch.vectors[k], branch.d_vectors[k])
         assert single.coeffs == DrivingCoefficients(
-            stacked.coeffs.w1[i], stacked.coeffs.w2[i], stacked.coeffs.bz_tilde[i])
+            stacked.coeffs.w1[i], stacked.coeffs.w2[i])
         assert single.residual == stacked.residual[i]
 
 
@@ -63,7 +80,7 @@ def test_rank_deficient_sample_warns_once_per_call(two_spec, two_branch):
         warnings.simplefilter("always")
         sol = solve_core(two_spec, vectors, d_vectors)
     assert [str(w.message) for w in caught] == [
-        "core system rank 0 < 2; returning the minimum-norm solution"]
+        "core system rank 0 < 1; returning the minimum-norm solution"]
     assert sol.coeffs.w1[1] == 0.0 and sol.coeffs.w1[3] == 0.0
     assert sol.coeffs.w1[0] == pytest.approx(0.05, abs=1e-9)
 
@@ -161,10 +178,10 @@ def test_grid_doubling_stability(three_spec, three_table, profile):
 
 
 def test_spline_data_matches_table(two_table):
-    # one spline over the (w1, w2, bz) columns: evaluate its segment
+    # one spline over the (w1, w2) columns: evaluate its segment
     # polynomial by hand at a probe point
     spline = two_table._spline
-    assert spline.c.shape == (4, len(two_table.r_grid) - 1, 3)
+    assert spline.c.shape == (4, len(two_table.r_grid) - 1, 2)
     r = 4.321
     j = int(np.searchsorted(spline.x, r)) - 1
     u = r - spline.x[j]
@@ -175,5 +192,48 @@ def test_spline_data_matches_table(two_table):
     probes = np.linspace(0.0, 10.0, 37)
     stacked = two_table(probes)
     for i, r in enumerate(probes):
-        assert two_table(float(r)) == DrivingCoefficients(
-            stacked.w1[i], stacked.w2[i], stacked.bz_tilde[i])
+        assert two_table(float(r)) == DrivingCoefficients(stacked.w1[i], stacked.w2[i])
+
+
+def test_zero_table_is_the_undriven_control(three_branch):
+    table = CoefficientTable.zeros(three_branch.r_grid)
+    assert table.r_grid is three_branch.r_grid
+    for column in (table.w1, table.w2, table.residuals):
+        assert column.shape == three_branch.r_grid.shape and not np.any(column)
+    coeffs = table(np.linspace(0.0, 10.0, 7))
+    assert not np.any(coeffs.w1) and not np.any(coeffs.w2)
+
+
+def test_min_norm_lstsq_matches_lstsq_on_rank_deficient_stacks():
+    # full-rank, parallel and zero columns: the stacked QR must give lstsq's
+    # rank and minimum-norm solution, with one column or two
+    rng = np.random.default_rng(1)
+    cases = []
+    for a in rng.normal(size=(50, 4, 2)):
+        parallel, first_zero, second_zero = (a.copy() for _ in range(3))
+        parallel[:, 1] = 3.0 * a[:, 0]
+        first_zero[:, 0] = 0.0
+        second_zero[:, 1] = 0.0
+        cases += [a, parallel, first_zero, second_zero]
+    a = np.array(cases + [np.zeros((4, 2))])
+    b = rng.normal(size=a.shape[:-1])
+    for k in (1, 2):
+        x, rank = _min_norm_lstsq(np.moveaxis(a[..., :k], -1, 0), b)
+        for i in range(len(a)):
+            expected, _, expected_rank, _ = np.linalg.lstsq(a[i, :, :k], b[i], rcond=None)
+            assert rank[i] == expected_rank
+            assert np.max(np.abs(x[:, i] - expected)) <= 1e-12 * max(
+                1.0, np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("angle", [1e-6, 1e-9, 1e-12, 1e-18])
+def test_min_norm_lstsq_rank_cutoff_matches_lstsq(angle):
+    # nearly parallel columns: full rank down to lstsq's cutoff, rank 1 below
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(20, 4, 2))
+    a[..., 1] = a[..., 0] + angle * a[..., 1]
+    _, rank = _min_norm_lstsq(np.moveaxis(a, -1, 0), rng.normal(size=(20, 4)))
+    expected = [np.linalg.matrix_rank(m, tol=4 * np.finfo(float).eps
+                                      * np.linalg.norm(m, 2)) for m in a]
+    assert rank.tolist() == expected
+    assert set(expected) == ({1} if angle < 1e-15 else {2})
