@@ -79,13 +79,12 @@ def make_config(raw: dict[str, str]) -> ScenarioConfig:
     for key, value in raw.items():
         if key not in _FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        target = _FIELD_TYPES[key]
-        if target in ("float", float):
-            kwargs[key] = float(value)
-        elif target in ("int", int):
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = value
+        kind = _FIELD_TYPES[key]  # a string: annotations are not evaluated
+        try:
+            kwargs[key] = {"float": float, "int": int}.get(kind, str)(value)
+        except ValueError:
+            article = "an" if kind == "int" else "a"
+            raise ValueError(f"{key} must be {article} {kind}, got {value!r}") from None
     return ScenarioConfig(**kwargs)
 
 
@@ -158,9 +157,9 @@ def _eigenvalues_and_gap_csv(spec, branch, times, rs) -> tuple[str, str]:
 
 
 def _regularization_csv(spec, table, times, rs) -> str:
-    coeffs = table(rs)
+    w = table(rs)
     return _csv(["t", "R", "w1", "w2"],
-                [times, rs, coeffs.w1, None if spec.kind == TWO_SPIN else coeffs.w2])
+                [times, rs, w[:, 0], None if spec.kind == TWO_SPIN else w[:, 1]])
 
 
 def _trajectory_csv(config: ScenarioConfig, spec, profile, branch, table) -> str:
@@ -168,8 +167,8 @@ def _trajectory_csv(config: ScenarioConfig, spec, profile, branch, table) -> str
                     output_stride=config.output_stride, branch=branch, table=table)
     header = (["t", "R", "v", "w1", "w2", "norm", "fidelity"]
               + [f"prob_{i + 1}" for i in range(spec.dim)])
-    w2 = None if spec.kind == TWO_SPIN else run.coeffs.w2
-    return _csv(header, [run.t, run.r, run.v, run.coeffs.w1, w2, run.norm,
+    w2 = None if spec.kind == TWO_SPIN else run.w[:, 1]
+    return _csv(header, [run.t, run.r, run.v, run.w[:, 0], w2, run.norm,
                          run.fidelity, np.abs(run.psi) ** 2])
 
 

@@ -11,7 +11,7 @@ Soc. A 466, 1135 (2010)) is
 
     H_FF(t) = H0(R(t)) + v(t) sum_k w_k(R(t)) G_k,
 
-written once, in :func:`h_ff`, on the full space or on one parity block.
+written once, in :func:`h_ff`.
 
 Every term commutes with the parity P = z1 z2 ... zn, and the run starts on
 the branch vector C(R0), which lies in P = +1, so :func:`integrate`
@@ -35,8 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import (DrivingCoefficients, ModelSpec, combine, parity_indices,
-                    schedules, structural_terms)
+from .model import ModelSpec, combine, parity_indices, schedules, structural_terms
 from .regularization import CoefficientTable
 from .spectrum import AdiabaticBranch, branch_vector_at
 
@@ -90,12 +89,12 @@ def v_of_t(profile: FastForwardProfile, t: float | np.ndarray):
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Records of a fast-forward run, one array row per sampled step: (n,)
-    arrays, ``coeffs`` of (n,) arrays (zero when undriven), ``psi`` (n, dim)."""
+    arrays, the couplings ``w`` (n, 2) (zero when undriven), ``psi`` (n, dim)."""
 
     t: np.ndarray
     r: np.ndarray
     v: np.ndarray
-    coeffs: DrivingCoefficients
+    w: np.ndarray
     psi: np.ndarray
     norm: np.ndarray
     fidelity: np.ndarray
@@ -115,21 +114,20 @@ def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
             f"r={np.asarray(r)[outside][0]} outside the tabulated coefficient "
             f"range [{table.r_min}, {table.r_max}]")
     v = v_of_t(profile, t)
-    w = table(r)
-    return np.stack([*schedules(spec, r), v * w.w1, v * w.w2], axis=-1)
+    return np.concatenate([np.stack(schedules(spec, r), axis=-1),
+                           v[..., None] * table(r)], axis=-1)
 
 
 def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
-         t: float | np.ndarray, parity: int | None = None) -> np.ndarray:
+         t: float | np.ndarray) -> np.ndarray:
     """Fast-forward Hamiltonian H0(R(t)) + v(t) * driving(R(t)).
 
-    An array of times gives the stack of matrices; with ``parity`` they are
-    that parity block.  At the endpoints v vanishes identically and the zero
-    driving coefficients leave the bare Hamiltonian unchanged, so the pinning
-    is exact rather than approximate.
+    An array of times gives the stack of matrices.  At the endpoints v
+    vanishes identically and the zero driving coefficients leave the bare
+    Hamiltonian unchanged, so the pinning is exact rather than approximate.
     """
     return combine(_h_ff_coefficients(spec, profile, table, t),
-                   structural_terms(spec.kind, parity))
+                   structural_terms(spec.kind))
 
 
 @lru_cache(maxsize=None)
@@ -224,13 +222,13 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     branch, table
         The tracked branch and its coefficient table.  A table of zeros on
         the branch grid gives the undriven control run (H_FF = H0), with zero
-        recorded coefficients.
+        recorded couplings ``w``.
 
     The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
     built a chunk at a time, so the last step ends exactly at t_ff.  Only the
     P = +1 block, where the start vector lies, is propagated; the P = -1
-    components stay exactly 0.0.  Norm drift beyond ``NORM_DRIFT_LIMIT``
-    raises, with the advice to raise ``steps``.
+    components of the recorded ``psi`` are exactly 0.0.  Norm drift beyond
+    ``NORM_DRIFT_LIMIT`` raises, with the advice to raise ``steps``.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -241,7 +239,7 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     ix = parity_indices(spec.dim)
     terms = _real_stage_terms(spec.kind)
     rows = np.empty((steps // output_stride + 1, 2 * len(ix)))  # [Re psi, Im psi]
-    rows[0] = psi = np.concatenate([branch.vectors[0, ix], np.zeros(len(ix))])
+    rows[0] = psi = np.concatenate([branch.vectors[0], np.zeros(len(ix))])
     for first, last in _chunks(steps, output_stride):
         block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
         a = combine(_h_ff_coefficients(spec, profile, table, block_t), terms)
@@ -265,6 +263,6 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             "increase the step count")
     vecs, _ = branch_vector_at(spec, branch, rec_r)
-    fids = np.abs(np.einsum("ij,ij->i", vecs, psis / norms[:, None])) ** 2
-    return Trajectory(t=rec_t, r=rec_r, v=v_of_t(profile, rec_t), coeffs=table(rec_r),
+    fids = np.abs(np.einsum("ij,ij->i", vecs, psis[:, ix] / norms[:, None])) ** 2
+    return Trajectory(t=rec_t, r=rec_r, v=v_of_t(profile, rec_t), w=table(rec_r),
                       psi=psis, norm=norms, fidelity=fids)

@@ -26,7 +26,7 @@ generator is kept.
 
 ``h0`` and H_FF are each one matmul of coefficients with a read-only stack of
 five structural terms; the terms commute with the parity P = z1 z2 ... zn,
-and ``parity=+1/-1`` evaluates on that block.
+and ``h0``'s ``parity=+1/-1`` evaluates on that block.
 """
 from __future__ import annotations
 
@@ -65,18 +65,6 @@ class ModelSpec:
     @property
     def dim(self) -> int:
         return 2 ** self.n_spins
-
-
-@dataclass(frozen=True)
-class DrivingCoefficients:
-    """Exchange driving coefficients: w1, and w2 for three spins.
-
-    Each field is a float, or an array of one common shape when a
-    :class:`~ffspin.regularization.CoefficientTable` is evaluated on an array.
-    """
-
-    w1: float
-    w2: float = 0.0
 
 
 def schedules(spec: ModelSpec, r: float) -> tuple[float, float, float]:

@@ -13,9 +13,11 @@ system
 
     Im(G1) C w1 + Im(G2) C w2 = dC/dR.
 
-``solve_core`` solves it on the P = +1 rows, where the branch lives (2 x 1
+``solve_core`` solves it on the P = +1 block, where the branch lives (2 x 1
 for two spins, 4 x 2 for three), for a whole stack of samples with one QR
-vectorized over the stack, so ``coefficient_table`` is one call.  For these
+vectorized over the stack, so ``coefficient_table`` is one call.  It returns
+the couplings as one array w of shape (..., 2), in the order (w1, w2) of the
+exchange generators; the two-spin w2 is 0.  For these
 two clusters the couplings span dC/dR exactly, so the residual sits at
 numerical noise; a residual above tolerance signals a modeling bug, not an
 approximation to be accepted.  The paper's closed forms, and the
@@ -30,8 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (DrivingCoefficients, ModelSpec, TWO_SPIN, parity_indices,
-                    structural_terms)
+from .model import ModelSpec, TWO_SPIN, structural_terms
 from .spectrum import AdiabaticBranch
 
 #: least-squares residual above this value means the ansatz cannot represent
@@ -39,15 +40,6 @@ from .spectrum import AdiabaticBranch
 ANSATZ_RESIDUAL_LIMIT = 1e-6
 #: expected noise ceiling for the residual when everything is healthy
 RESIDUAL_NOISE_ATOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CoreSolution:
-    """Least-squares driving coefficients plus the fit residual norm; arrays
-    of one shape for a stack of samples."""
-
-    coeffs: DrivingCoefficients
-    residual: float | np.ndarray
 
 
 def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,21 +82,19 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def solve_core(spec: ModelSpec, vector: np.ndarray,
-               d_vector: np.ndarray) -> CoreSolution:
-    """Solve the core system for a branch sample (C, dC/dR).
+               d_vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the core system for a branch sample (C, dC/dR), given as P = +1
+    block components.
 
-    (..., dim) stacks of samples give coefficient and residual arrays of
-    shape (...).  The couplings are fitted on the P = +1 rows; the residual
-    is that of all rows, so a P = -1 part of the input that they cannot
-    reach counts.  Raises RuntimeError when a residual exceeds
-    ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient sample falls back to the
-    minimum-norm solution, with one warning per call.
+    (..., dim // 2) stacks of samples give couplings w of shape (..., 2) and
+    residual norms of shape (...).  Raises RuntimeError when a residual
+    exceeds ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient sample falls back to
+    the minimum-norm solution, with one warning per call.
     """
-    generators = structural_terms(spec.kind)[3:4 if spec.kind == TWO_SPIN else 5]
-    # columns Im(G_k) C of the system, shape (k, ..., dim)
+    generators = structural_terms(spec.kind, 1)[3:4 if spec.kind == TWO_SPIN else 5]
+    # columns Im(G_k) C of the system, shape (k, ..., dim // 2)
     a = np.moveaxis(np.tensordot(generators.imag, vector, axes=(2, -1)), 1, -1)
-    ix = parity_indices(spec.dim)
-    x, rank = _min_norm_lstsq(a[..., ix], d_vector[..., ix])
+    x, rank = _min_norm_lstsq(a, d_vector)
     if np.any(rank < len(a)):
         warnings.warn(
             f"core system rank {np.min(rank)} < {len(a)}; returning the "
@@ -115,38 +105,33 @@ def solve_core(spec: ModelSpec, vector: np.ndarray,
             f"driving ansatz insufficient: core residual {np.max(residual):.3e}")
     if len(x) == 1:  # two spins: no w2 bond
         x = np.concatenate([x, np.zeros_like(x)])
-    return CoreSolution(coeffs=DrivingCoefficients(*x), residual=residual)
+    return np.moveaxis(x, 0, -1), residual
 
 
 @dataclass
 class CoefficientTable:
-    """Driving coefficients sampled on the branch grid, with cubic interpolation."""
+    """Driving couplings w, shape (n, 2), sampled on the branch grid, with
+    cubic interpolation."""
 
     r_grid: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
+    w: np.ndarray
     residuals: np.ndarray
 
     @classmethod
     def zeros(cls, r_grid: np.ndarray) -> CoefficientTable:
         """The undriven control's table: zero couplings (H_FF = H0) and zero
         residuals on ``r_grid``."""
-        zeros = np.zeros_like(r_grid)
-        return cls(r_grid, zeros, zeros, zeros)
-
-    @cached_property
-    def _columns(self) -> np.ndarray:
-        return np.column_stack([self.w1, self.w2])
+        return cls(r_grid, np.zeros(np.shape(r_grid) + (2,)), np.zeros_like(r_grid))
 
     @cached_property
     def _spline(self):
         """One cubic spline over the (w1, w2) columns; None for a
-        single-point grid, where the coefficients are constant."""
+        single-point grid, where the couplings are constant."""
         if len(self.r_grid) < 2 or self.r_grid[-1] == self.r_grid[0]:
             return None
         # imported here: scipy.interpolate is most of `import ffspin.cli`'s time
         from scipy.interpolate import CubicSpline
-        return CubicSpline(self.r_grid, self._columns)
+        return CubicSpline(self.r_grid, self.w)
 
     @property
     def r_min(self) -> float:
@@ -156,17 +141,14 @@ class CoefficientTable:
     def r_max(self) -> float:
         return float(self.r_grid[-1])
 
-    def __call__(self, r: float | np.ndarray) -> DrivingCoefficients:
-        """Interpolated coefficients at r; an array of r gives array fields."""
+    def __call__(self, r: float | np.ndarray) -> np.ndarray:
+        """Interpolated couplings (w1, w2) at r, shape ``np.shape(r) + (2,)``."""
         if self._spline is None:
-            values = np.broadcast_to(self._columns[0], np.shape(r) + (2,))
-        else:
-            values = self._spline(r)
-        return DrivingCoefficients(*np.moveaxis(values, -1, 0))
+            return np.broadcast_to(self.w[0], np.shape(r) + (2,))
+        return self._spline(r)
 
 
 def coefficient_table(spec: ModelSpec, branch: AdiabaticBranch) -> CoefficientTable:
     """Solve the core system at every branch sample and tabulate the results."""
-    sol = solve_core(spec, branch.vectors, branch.d_vectors)
-    return CoefficientTable(r_grid=branch.r_grid, w1=sol.coeffs.w1,
-                            w2=sol.coeffs.w2, residuals=sol.residual)
+    w, residuals = solve_core(spec, branch.vectors, branch.d_vectors)
+    return CoefficientTable(branch.r_grid, w, residuals)

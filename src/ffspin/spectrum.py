@@ -9,8 +9,8 @@ index, not by overlap.  The degeneracies of the full spectrum (at the ramp
 start, and the crossing with a flat odd-parity level near R = 8 for two
 spins) all lie between the two sectors and never enter the solve.  The block
 of the real symmetric h0 has real eigenvectors, so the gauge is a sign.
-Vectors and dC/dR are returned embedded in the full space, with the
-odd-parity components exactly zero.
+Vectors and dC/dR are returned as their P = +1 block components, in
+``parity_indices(dim)`` order.
 
 dC/dR is the first-order resolvent sum over the other levels of the block.
 An in-sector near-degeneracy of the tracked level makes that sum singular
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .model import ModelSpec, d_h0_dr, h0, parity_indices
+from .model import ModelSpec, d_h0_dr, h0
 from .spin_algebra import require_hermitian
 
 EIG_RESIDUAL_ATOL = 1e-10
@@ -68,13 +68,6 @@ def fix_gauge(vector: np.ndarray, reference: np.ndarray | None = None) -> np.nda
     return np.where(np.sum(v * reference, axis=-1, keepdims=True) < 0.0, -v, v)
 
 
-def _embed(block_vectors: np.ndarray, dim: int) -> np.ndarray:
-    """Place P = +1 block components into the full space, zeros elsewhere."""
-    full = np.zeros(block_vectors.shape[:-1] + (dim,))
-    full[..., parity_indices(dim)] = block_vectors
-    return full
-
-
 def _even_block(spec: ModelSpec, r: float | np.ndarray,
                 reference: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,8 +90,8 @@ class AdiabaticBranch:
 
     r_grid: np.ndarray
     energies: np.ndarray
-    vectors: np.ndarray      # shape (n_samples, dim), real
-    d_vectors: np.ndarray    # shape (n_samples, dim), real
+    vectors: np.ndarray      # shape (n_samples, dim // 2), P = +1 block, real
+    d_vectors: np.ndarray    # shape (n_samples, dim // 2), P = +1 block, real
 
 
 def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
@@ -136,9 +129,7 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
     couplings = np.einsum("nji,jk,nk->ni", v[:, :, 1:], d_h0_dr(spec, parity=1),
                           vectors)
     d = np.einsum("nij,nj->ni", v[:, :, 1:], couplings / (w[:, :1] - w[:, 1:]))
-    return AdiabaticBranch(r_grid=r_grid, energies=w[:, 0],
-                           vectors=_embed(vectors, spec.dim),
-                           d_vectors=_embed(d, spec.dim))
+    return AdiabaticBranch(r_grid, energies=w[:, 0], vectors=vectors, d_vectors=d)
 
 
 def default_r_grid(spec: ModelSpec, r_end: float,
@@ -149,13 +140,13 @@ def default_r_grid(spec: ModelSpec, r_end: float,
 
 def branch_vector_at(spec: ModelSpec, branch: AdiabaticBranch,
                      r: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact branch eigenvector and the P = +1 block levels at an arbitrary r
-    inside the grid.
+    """Exact branch eigenvector (its P = +1 block components) and the block
+    levels at an arbitrary r inside the grid.
 
     A fresh solve of the block at r; the sign follows the nearest tracked
     sample, the lower one on a tie.  The levels ascend, so ``levels[..., 0]``
-    is the branch energy.  An array of r gives (..., dim) vectors and
-    (..., dim // 2) levels.
+    is the branch energy.  An array of r gives (..., dim // 2) vectors and
+    levels.
     """
     grid = branch.r_grid
     r = np.asarray(r, dtype=float)
@@ -163,9 +154,8 @@ def branch_vector_at(spec: ModelSpec, branch: AdiabaticBranch,
     upper = np.minimum(np.searchsorted(grid, r), len(grid) - 1)
     lower = np.searchsorted(grid, grid[np.maximum(upper - 1, 0)])
     nearest = np.where(np.abs(grid[lower] - r) <= np.abs(grid[upper] - r), lower, upper)
-    reference = branch.vectors[nearest][..., parity_indices(spec.dim)]
-    w, _, vec = _even_block(spec, r, reference)
-    return _embed(vec, spec.dim), w
+    w, _, vec = _even_block(spec, r, branch.vectors[nearest])
+    return vec, w
 
 
 def nearest_level_gap(levels: np.ndarray, energy: float | np.ndarray):

@@ -10,18 +10,29 @@ None of these is called by the pipeline:
   ``solve_core`` fit the exchange couplings alone;
 * the driving candidate operator with a field term, and the distance from
   the branch energy to the nearest level of the full spectrum.
+
+Branch samples are P = +1 block components, as the pipeline returns them;
+the full-space oracles place them in the full space with :func:`embed`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ffspin.model import (SCHEDULE_RATES, TWO_SPIN, DrivingCoefficients, ModelSpec,
-                          combine, h0, schedules, structural_terms)
+from ffspin.model import (SCHEDULE_RATES, TWO_SPIN, ModelSpec, combine, h0,
+                          parity_indices, schedules, structural_terms)
 from ffspin.spectrum import AdiabaticBranch, eigensolve, nearest_level_gap
 
 IMAG_RESIDUE_ATOL = 1e-10
 #: positions in ``structural_terms`` of G_w1, G_w2 and the field Sz = M_bz
 CANDIDATE_TERMS = [3, 4, 2]
+
+
+def embed(block_vectors: np.ndarray, dim: int) -> np.ndarray:
+    """(..., dim) full-space vectors with the given P = +1 block components
+    and zeros elsewhere."""
+    full = np.zeros(np.shape(block_vectors)[:-1] + (dim,))
+    full[..., parity_indices(dim)] = block_vectors
+    return full
 
 
 def closed_form_w(bz: float, j1: float, j2: float,
@@ -33,28 +44,26 @@ def closed_form_w(bz: float, j1: float, j2: float,
     return (bz * (dj1 - dj2) + dbz * (j2 - j1)) / denom
 
 
-def closed_form_two_spin(spec: ModelSpec, r: float) -> DrivingCoefficients:
-    """Closed-form driving coefficient of the two-spin model at parameter r."""
+def closed_form_two_spin(spec: ModelSpec, r: float) -> float:
+    """Closed-form driving coefficient w1 of the two-spin model at parameter r."""
     if spec.kind != TWO_SPIN:
         raise ValueError("closed form applies to the two-spin model only")
     j1, j2, bz = schedules(spec, r)
     dj1, dj2, dbz = SCHEDULE_RATES
-    return DrivingCoefficients(w1=closed_form_w(bz, j1, j2, dbz, dj1, dj2))
+    return closed_form_w(bz, j1, j2, dbz, dj1, dj2)
 
 
-def component_form_three_spin(vector: np.ndarray,
-                              d_vector: np.ndarray) -> DrivingCoefficients:
-    """Three-spin component formulas in (C1, C4, C6) and their derivatives.
+def component_form_three_spin(vector: np.ndarray, d_vector: np.ndarray) -> np.ndarray:
+    """(w1, w2) from the three-spin component formulas in (C1, C4, C6) and
+    their derivatives, which are the P = +1 block positions 0, 1 and 2.
 
     Precondition: |C1| > 1e-10 and |3 C1^2 - 2 C4^2 - C6^2| > 1e-10 (by the
     branch normalization the latter equals |4 C1^2 - 1|, so the formulas
     break down where |C1| crosses 1/2).  Outside that region use
     ``solve_core``, which stays well posed.
     """
-    c1, c4, c6 = float(vector[0]), float(vector[3]), float(vector[5])
-    a = 1j * d_vector[0]
-    b = 1j * d_vector[3]
-    c = 1j * d_vector[5]
+    c1, c4, c6 = (float(x) for x in vector[:3])
+    a, b, c = 1j * d_vector[:3]
     weight = 3.0 * c1 * c1 - 2.0 * c4 * c4 - c6 * c6
     if abs(c1) < 1e-10 or abs(weight) < 1e-10:
         raise ValueError(
@@ -67,19 +76,20 @@ def component_form_three_spin(vector: np.ndarray,
     residue = max(abs(w1.imag), abs(w2.imag))
     if residue > IMAG_RESIDUE_ATOL:
         raise RuntimeError(f"component coefficients not real: residue {residue:.3e}")
-    return DrivingCoefficients(w1=float(w1.real), w2=float(w2.real))
+    return np.array([w1.real, w2.real])
 
 
 def full_ansatz_solve(spec: ModelSpec, vector: np.ndarray,
                       d_vector: np.ndarray) -> tuple[float, float, float, float]:
-    """(w1, w2, bz, residual) of the paper's complex ansatz at one sample.
+    """(w1, w2, bz, residual) of the paper's complex ansatz at one sample,
+    solved in the full space.
 
     All real unknowns are fitted together (w1 and bz for two spins, which
     have no w2 bond), by ``lstsq`` on the stacked real and imaginary parts.
     """
     used = CANDIDATE_TERMS[::2] if spec.kind == TWO_SPIN else CANDIDATE_TERMS
-    a = structural_terms(spec.kind)[used] @ vector
-    target = 1j * d_vector
+    a = structural_terms(spec.kind)[used] @ embed(vector, spec.dim)
+    target = 1j * embed(d_vector, spec.dim)
     a_real = np.concatenate([a.real, a.imag], axis=-1).T
     b_real = np.concatenate([target.real, target.imag])
     x = np.linalg.lstsq(a_real, b_real, rcond=None)[0]

@@ -23,7 +23,7 @@ import pytest
 
 from ffspin.cli import make_config, run
 from ffspin.fastforward import h_ff, integrate, r_of_t, v_of_t
-from ffspin.model import TWO_SPIN, h0, schedules
+from ffspin.model import TWO_SPIN, h0, parity_indices, schedules
 from ffspin.regularization import (RESIDUAL_NOISE_ATOL, coefficient_table,
                                    solve_core)
 from ffspin.spectrum import (branch_vector_at, default_r_grid, eigensolve,
@@ -119,7 +119,8 @@ def test_criterion_3_tdse_matches_eigenvector(fixture, spec_fixture,
     spec = request.getfixturevalue(spec_fixture)
     branch = request.getfixturevalue(branch_fixture)
     vecs, _ = branch_vector_at(spec, branch, trajectory.r)
-    worst = float(np.max(np.abs(probabilities(trajectory.psi) - vecs ** 2)))
+    psi = trajectory.psi[:, parity_indices(spec.dim)]
+    worst = float(np.max(np.abs(probabilities(psi) - vecs ** 2)))
     ok = worst < 1e-3
     _report("3", ok, f"{spec.kind}: max ||C_i|^2(TDSE) - |C_i|^2(branch)| "
                      f"= {worst:.2e} < 1e-3")
@@ -135,24 +136,24 @@ def test_criterion_4_driving_coefficient_oracles(two_spec, two_branch,
     worst_resid = 0.0
     worst_bz = 0.0
     for k in range(0, 2001, 20):
-        sol = solve_core(two_spec, two_branch.vectors[k], two_branch.d_vectors[k])
+        w, residual = solve_core(two_spec, two_branch.vectors[k],
+                                 two_branch.d_vectors[k])
         cf = closed_form_two_spin(two_spec, float(two_branch.r_grid[k]))
-        worst_closed = max(worst_closed, abs(sol.coeffs.w1 - cf.w1))
-        worst_resid = max(worst_resid, sol.residual)
+        worst_closed = max(worst_closed, abs(w[0] - cf))
+        worst_resid = max(worst_resid, residual)
         worst_bz = max(worst_bz, abs(full_ansatz_solve(
             two_spec, two_branch.vectors[k], two_branch.d_vectors[k])[2]))
     worst_comp = 0.0
     for k in range(0, 2001, 20):
         c = three_branch.vectors[k]
-        sol = solve_core(three_spec, c, three_branch.d_vectors[k])
-        worst_resid = max(worst_resid, sol.residual)
+        w, residual = solve_core(three_spec, c, three_branch.d_vectors[k])
+        worst_resid = max(worst_resid, residual)
         worst_bz = max(worst_bz, abs(full_ansatz_solve(
             three_spec, c, three_branch.d_vectors[k])[2]))
-        weight = 3 * c[0] ** 2 - 2 * c[3] ** 2 - c[5] ** 2
+        weight = 3 * c[0] ** 2 - 2 * c[1] ** 2 - c[2] ** 2
         if abs(c[0]) > 1e-10 and abs(weight) > 1e-10:
             comp = component_form_three_spin(c, three_branch.d_vectors[k])
-            worst_comp = max(worst_comp, abs(comp.w1 - sol.coeffs.w1),
-                             abs(comp.w2 - sol.coeffs.w2))
+            worst_comp = max(worst_comp, *np.abs(comp - w))
     ok = (worst_closed < 1e-8 and worst_comp < 1e-6
           and worst_resid < RESIDUAL_NOISE_ATOL and worst_bz < 1e-10)
     _report("4", ok,
@@ -168,7 +169,7 @@ def test_criterion_4_driving_coefficient_oracles(two_spec, two_branch,
 
 def test_criterion_5_start_value_and_endpoint_pinning(two_spec, two_table,
                                                       profile):
-    w0 = closed_form_two_spin(two_spec, 0.0).w1
+    w0 = closed_form_two_spin(two_spec, 0.0)
     pin_start = np.array_equal(h_ff(two_spec, profile, two_table, 0.0),
                                h0(two_spec, 0.0))
     r_end = r_of_t(profile, two_spec.r0, profile.t_ff)
@@ -177,7 +178,7 @@ def test_criterion_5_start_value_and_endpoint_pinning(two_spec, two_table,
     v_ends = (v_of_t(profile, 0.0), v_of_t(profile, profile.t_ff))
     # smoothness of the interpolated coefficient over the run
     ts = np.linspace(0.0, profile.t_ff, 2001)
-    w1 = np.array([two_table(r_of_t(profile, 0.0, float(t))).w1 for t in ts])
+    w1 = np.array([two_table(r_of_t(profile, 0.0, float(t)))[0] for t in ts])
     second_diff = float(np.max(np.abs(np.diff(w1, 2))))
     smooth = second_diff < 1e-2 * float(np.max(np.abs(w1)))
     ok = (abs(w0 - 0.05) < 1e-12 and pin_start and pin_end
@@ -215,8 +216,9 @@ def test_criterion_7_spectrum_properties(two_spec, two_branch, three_spec,
     double = (w[1] - w[0] < 1e-9) and (w[2] - w[0] > 1e-9)
     gaps3 = gap_report(three_branch, three_spec)
     no_crossing = bool(np.all(gaps3[1:] > 0.0))
-    support = (np.max(np.abs(two_branch.vectors[:, 1])) < 1e-10
-               and np.max(np.abs(two_branch.vectors[:, 2])) < 1e-10)
+    # the branch is solved in the P = +1 block: h0 never couples it to P = -1
+    even, odd = parity_indices(4), parity_indices(4, -1)
+    support = not np.any(h0(two_spec, two_branch.r_grid)[:, even[:, None], odd])
     idx_lo = int(np.searchsorted(two_branch.r_grid, 7.99))
     idx_hi = int(np.searchsorted(two_branch.r_grid, 8.01))
     crossing = (two_branch.energies[idx_lo] + 10.0 > 0.0
@@ -251,8 +253,8 @@ def test_criterion_8_numerical_hygiene(three_spec, profile, three_branch,
     dense = coefficient_table(three_spec, track_branch(three_spec, dense_grid))
     coeff_shift = 0.0
     for r in np.linspace(0.05, 9.95, 101):
-        a, b = three_table(float(r)), dense(float(r))
-        coeff_shift = max(coeff_shift, abs(a.w1 - b.w1), abs(a.w2 - b.w2))
+        shift = np.abs(three_table(float(r)) - dense(float(r)))
+        coeff_shift = max(coeff_shift, *shift)
 
     config = make_config({"model": "three_spin_kagome", "grid_points": "301",
                           "integrator_steps": "2000", "output_stride": "200"})

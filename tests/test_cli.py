@@ -52,6 +52,15 @@ def test_unknown_key_rejected():
         make_config({"velocity": "10"})
 
 
+@pytest.mark.parametrize("key,value,kind", [("integrator_steps", "1e4", "an int"),
+                                            ("v_bar", "abc", "a float")])
+def test_unparsable_value_names_the_key(key, value, kind, capsys):
+    with pytest.raises(ValueError, match=f"^{key} must be {kind}, got '{value}'$"):
+        make_config({key: value})
+    assert main(["validate", f"--{key}", value]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be {kind}, got '{value}'\n"
+
+
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model = two_spin\n# comment\nv_bar = 100\n\nt_ff = 0.1\n")

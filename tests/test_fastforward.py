@@ -91,10 +91,6 @@ def test_h_ff_array_matches_scalar_calls(three_spec, three_table, ramp_profile):
         stack, [h_ff(three_spec, ramp_profile, three_table, t) for t in ts])
     assert np.array_equal(stack[0], h0(three_spec, 0.0))
     assert np.array_equal(stack[-1], h0(three_spec, r_of_t(ramp_profile, 0.0, 1.0)))
-    for parity in (1, -1):  # a parity block equals the slice of the full matrices
-        ix = parity_indices(three_spec.dim, parity)
-        assert np.array_equal(h_ff(three_spec, ramp_profile, three_table, ts, parity),
-                              stack[:, ix[:, None], ix])
 
 
 def test_driven_run_keeps_fidelity(two_run):
@@ -105,7 +101,8 @@ def test_driven_run_keeps_fidelity(two_run):
 def test_driven_run_matches_branch_populations(three_run, three_spec, three_branch):
     from ffspin.spectrum import branch_vector_at
     vecs, _ = branch_vector_at(three_spec, three_branch, three_run.r[::10])
-    assert np.max(np.abs(np.abs(three_run.psi[::10]) ** 2 - vecs ** 2)) < 1e-9
+    psi = three_run.psi[::10, parity_indices(three_spec.dim)]
+    assert np.max(np.abs(np.abs(psi) ** 2 - vecs ** 2)) < 1e-9
 
 
 def test_mirror_symmetry_of_three_spin_run(three_run):
@@ -150,7 +147,7 @@ def test_no_driving_controls(two_spec, three_spec, ramp_profile, two_branch,
     # driving still buys nine orders of magnitude in the fidelity deficit
     assert 1e-4 < 1.0 - fid3 < 1e-2
     # driving coefficients recorded as zero in control mode
-    assert np.all(three_run_no_driving.coeffs.w1 == 0.0)
+    assert np.all(three_run_no_driving.w == 0.0)
 
 
 def test_fast_profile_keeps_fidelity(three_fast_runs):

@@ -13,6 +13,8 @@ from ffspin import CoefficientTable, fastforward
 from ffspin.fastforward import FastForwardProfile, h_ff, integrate, r_of_t
 from ffspin.model import MODEL_KINDS, h0, parity_indices, structural_terms
 
+from oracles import embed
+
 
 def _run(spec, profile, table, branch, steps=400, stride=100):
     # steps passed by position: it is the third positional parameter
@@ -23,10 +25,8 @@ def _run(spec, profile, table, branch, steps=400, stride=100):
 def test_numpy_kernel_reproducible(two_spec, profile, two_table, two_branch):
     first = _run(two_spec, profile, two_table, two_branch)
     second = _run(two_spec, profile, two_table, two_branch)
-    for name in ("t", "r", "v", "psi", "norm", "fidelity"):
+    for name in ("t", "r", "v", "w", "psi", "norm", "fidelity"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
-    for name in ("w1", "w2"):
-        assert np.array_equal(getattr(first.coeffs, name), getattr(second.coeffs, name))
 
 
 def test_record_layout(two_spec, profile, two_table, two_branch):
@@ -35,8 +35,8 @@ def test_record_layout(two_spec, profile, two_table, two_branch):
     assert run.psi.shape == (5, 4)
     for name in ("t", "r", "v", "norm", "fidelity"):
         assert getattr(run, name).shape == (5,)
-    for name in ("w1", "w2"):
-        assert getattr(run.coeffs, name).shape == (5,)
+    assert run.w.shape == (5, 2)
+    assert np.array_equal(run.w, two_table(run.r))
     assert run.t[0] == 0.0
     assert run.t[-1] == 1.0  # the last stage time is exactly t_ff
     assert run.r[0] == 0.0
@@ -50,7 +50,7 @@ def test_drive_flag_changes_the_evolution(two_spec, profile, two_table, two_bran
     driven = _run(two_spec, profile, two_table, two_branch)
     bare = _run(two_spec, profile, CoefficientTable.zeros(two_branch.r_grid), two_branch)
     assert not np.allclose(driven.psi[-1], bare.psi[-1])
-    assert np.all(bare.coeffs.w1 == 0.0)
+    assert np.all(bare.w == 0.0)
 
 
 def test_active_kernel_callable(two_spec, profile, two_table, two_branch):
@@ -98,8 +98,9 @@ def test_records_match_per_step_loop(model, start, drive, stride, profile, reque
                            for name in ("spec", "branch", "table"))
     run = integrate(spec, profile, steps=2000, output_stride=stride, branch=branch,
                     table=table if drive else CoefficientTable.zeros(branch.r_grid))
-    expected = rk4_loop_reference(spec, profile, table, branch.vectors[0], 2000,
-                                  stride, drive)
+    expected = rk4_loop_reference(spec, profile, table,
+                                  embed(branch.vectors[0], spec.dim), 2000, stride,
+                                  drive)
     assert np.max(np.abs(run.psi - expected)) <= 1e-13
 
 

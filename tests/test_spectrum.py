@@ -3,12 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0,
-                          parity_indices)
+from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0
 from ffspin.spectrum import (branch_vector_at, eigensolve, fix_gauge,
                              nearest_level_gap, track_branch)
 
-from oracles import gap_report
+from oracles import embed, gap_report
 
 RNG = np.random.RandomState(42)
 
@@ -78,20 +77,27 @@ def test_fix_gauge_reference_sign():
     assert fix_gauge(v, reference=ref)[0] < 0
 
 
+# branch vectors are P = +1 block components: two spins (uu, dd), three
+# spins (uuu, udd, dud, ddu), the paper's (C1, C4, C6, C7)
+
+@pytest.mark.parametrize("fixture,dim", [("two_branch", 4), ("three_branch", 8)])
+def test_branch_vectors_are_block_components(fixture, dim, request):
+    branch = request.getfixturevalue(fixture)
+    n = len(branch.r_grid)
+    assert branch.vectors.shape == branch.d_vectors.shape == (n, dim // 2)
+
+
 def test_resolve_two_spin_initial_state(two_branch):
     c = two_branch.vectors[0]
-    assert c[1] == 0.0 and c[2] == 0.0
     assert c[0] ** 2 == pytest.approx(0.5, abs=1e-10)
-    assert c[3] ** 2 == pytest.approx(0.5, abs=1e-10)
+    assert c[1] ** 2 == pytest.approx(0.5, abs=1e-10)
     # the two nonzero amplitudes carry opposite signs
-    assert c[0] * c[3] < 0
+    assert c[0] * c[1] < 0
 
 
 def test_resolve_three_spin_initial_state(three_branch):
     c = three_branch.vectors[0]
-    for k in (1, 2, 4, 7):
-        assert c[k] == 0.0
-    assert c[3] == pytest.approx(c[6], abs=1e-9)
+    assert c[1] == pytest.approx(c[3], abs=1e-9)
     assert abs(c[0]) == pytest.approx(0.5, abs=1e-8)
 
 
@@ -99,15 +105,9 @@ def test_two_spin_branch_endpoints(two_branch):
     start = two_branch.vectors[0]
     end = two_branch.vectors[-1]
     assert start[0] ** 2 == pytest.approx(0.5, abs=1e-9)
-    assert start[3] ** 2 == pytest.approx(0.5, abs=1e-9)
+    assert start[1] ** 2 == pytest.approx(0.5, abs=1e-9)
     assert end[0] ** 2 == pytest.approx(END_POPULATION, abs=1e-9)
-    assert end[3] ** 2 == pytest.approx(1.0 - END_POPULATION, abs=1e-9)
-
-
-def test_two_spin_branch_stays_in_parity_block(two_branch):
-    for k in (1, 2):
-        assert np.all(two_branch.vectors[:, k] == 0.0)
-        assert np.all(two_branch.d_vectors[:, k] == 0.0)
+    assert end[1] ** 2 == pytest.approx(1.0 - END_POPULATION, abs=1e-9)
 
 
 def test_two_spin_sector_crossing_near_eight(two_branch):
@@ -120,11 +120,9 @@ def test_two_spin_sector_crossing_near_eight(two_branch):
 
 
 def test_three_spin_branch_support(three_branch):
+    # |C4| = |C7|: the mirror symmetry of the triangle's bonds
     vecs = three_branch.vectors
-    for k in (1, 2, 4, 7):
-        assert np.all(vecs[:, k] == 0.0)
-        assert np.all(three_branch.d_vectors[:, k] == 0.0)
-    assert np.max(np.abs(vecs[:, 3] - vecs[:, 6])) < 1e-9
+    assert np.max(np.abs(vecs[:, 1] - vecs[:, 3])) < 1e-9
 
 
 @pytest.mark.parametrize("fixture", ["two_branch", "three_branch"])
@@ -143,9 +141,8 @@ def test_branch_eigen_residual(kind, request):
     spec = ModelSpec(kind=kind)
     for k in range(0, len(branch.r_grid), 200):
         h = h0(spec, float(branch.r_grid[k]))
-        res = np.linalg.norm(h @ branch.vectors[k]
-                             - branch.energies[k] * branch.vectors[k])
-        assert res < 1e-10
+        c = embed(branch.vectors[k], spec.dim)
+        assert np.linalg.norm(h @ c - branch.energies[k] * c) < 1e-10
 
 
 def test_branch_energy_continuity(three_branch, three_spec):
@@ -214,17 +211,14 @@ def fd_branch_derivative(spec: ModelSpec, r: float, vector: np.ndarray,
     resolvent derivative that shares only ``h0`` and ``eigensolve`` with it.
     Probe points may fall slightly outside the tracked R interval, which is
     fine because the Hamiltonian is defined for every R."""
-    ix = parity_indices(spec.dim)
 
     def probed(rr: float) -> np.ndarray:
         return fix_gauge(eigensolve(h0(spec, rr, parity=1))[1][:, 0],
-                         reference=vector[ix])
+                         reference=vector)
 
     coarse = (probed(r + step) - probed(r - step)) / (2.0 * step)
     fine = (probed(r + step / 2.0) - probed(r - step / 2.0)) / step
-    full = np.zeros(spec.dim)
-    full[ix] = (4.0 * fine - coarse) / 3.0
-    return full
+    return (4.0 * fine - coarse) / 3.0
 
 
 @pytest.mark.parametrize("kind,indices", [(TWO_SPIN, (0, 700, 1600)),
@@ -242,8 +236,8 @@ def test_branch_vector_at_between_samples(two_branch, two_spec):
     r = 3.141
     vec, levels = branch_vector_at(two_spec, two_branch, r)
     energy = levels[..., 0]
-    h = h0(two_spec, r)
-    assert np.linalg.norm(h @ vec - energy * vec) < 1e-10
+    c = embed(vec, two_spec.dim)
+    assert np.linalg.norm(h0(two_spec, r) @ c - energy * c) < 1e-10
     j1, j2, bz = 10.0 - r, r, -r
     assert energy == pytest.approx(-np.sqrt(bz ** 2 + (j1 - j2) ** 2), abs=1e-10)
 
@@ -257,7 +251,7 @@ def test_branch_vector_at_array_matches_scalar_calls(two_spec):
     mid = 0.5 * (grid[40] + grid[41])
     rs = np.array([grid[0], grid[-1], mid, np.nextafter(mid, 11.0), 3.141])
     vecs, levels = branch_vector_at(two_spec, branch, rs)
-    assert vecs.shape == (5, 4) and levels.shape == (5, 2)
+    assert vecs.shape == (5, 2) and levels.shape == (5, 2)
     for k, r in enumerate(rs):
         vec, level = branch_vector_at(two_spec, branch, float(r))
         assert np.array_equal(vecs[k], vec) and np.array_equal(levels[k], level)
