@@ -1,0 +1,114 @@
+"""The bytes of ``"%.16e" % x`` for a whole float64 array, written by numpy.
+
+For |x| in [1e-280, 1e280], with k = floor(log10 |x|), the 17 significant
+digits are N = round(|x| * 10**(16 - k)).  The product is Dekker's exact
+double-double product (Numer. Math. 18, 224, 1971) of |x| with 10**(16 - k)
+held as hi + lo, on Veltkamp-split halves because numpy has no fused
+multiply-add; its fraction is good to about 1e-14.  N's digits are copied from
+a table of 4-digit groups into a NUL-padded byte grid.  A cell this cannot
+prove exact is formatted by Python: NaN, ±inf, |x| outside that range (±0
+excepted) and a product within 1e-6 of a rounding tie, a margin far above the
+product's error.
+"""
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+#: |x| range of the vectorized path; its split products stay normal doubles
+FAST_MIN, FAST_MAX = 1e-280, 1e280
+#: bytes per cell: the widest "%.16e" text, "-d.<16 digits>e-ddd", and a separator
+SLOT = 25
+
+
+@functools.cache
+def _pow10(p: int) -> tuple[float, float]:
+    """10**p as hi + lo: hi the double nearest to it, lo the double nearest to
+    the rest, both from exact integer arithmetic."""
+    if p >= 0:
+        hi = float(10**p)
+        return hi, float(10**p - int(hi))
+    hi = 1 / 10**-p
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * 10**-p) / (den * 10**-p)
+
+
+@functools.cache
+def _four_digits() -> np.ndarray:
+    """The ASCII bytes of "0000" .. "9999", each viewed as one uint32."""
+    ascii_digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+    return np.ascontiguousarray(ascii_digits).view(np.uint32).ravel()
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split x = hi + lo into 26-bit halves, whose products are exact."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N = round(a * 10**(16 - k)) as int64, and the product minus N.
+
+    The product must stay below 1e18; its fraction is good to 1e-14."""
+    p = 16 - k
+    base = int(p.min())
+    his, los = np.array([_pow10(q) for q in range(base, int(p.max()) + 1)]).T
+    ten_hi, ten_lo = his[p - base], los[p - base]
+    hi = a * ten_hi
+    a1, a2 = _split(a)
+    t1, t2 = _split(ten_hi)
+    lo = (((a1 * t1 - hi) + a1 * t2 + a2 * t1) + a2 * t2) + a * ten_lo
+    rounded = np.rint(lo)
+    return hi.astype(np.int64) + rounded.astype(np.int64), lo - rounded
+
+
+def fallback(x: float) -> str:
+    """Python's formatting, for the cells the vectorized path cannot prove."""
+    return "%.16e" % x
+
+
+def cells(x: np.ndarray) -> np.ndarray:
+    """The "%.16e" bytes of each value of x, NUL-padded to SLOT - 1 bytes, in
+    a uint8 array of shape x.shape + (SLOT,) whose last byte is left 0."""
+    flat = x.ravel()
+    a = np.abs(flat)
+    zero = a == 0
+    fast = zero | ((a >= FAST_MIN) & (a <= FAST_MAX))  # False for NaN and inf
+    safe = np.where(fast & ~zero, a, 1.0)
+    k = np.floor(np.log10(safe)).astype(np.int64)
+    n, frac = _scaled(safe, k)
+    # log10 can miss floor(log10 a) by one next to a power of ten: move k
+    # until 1e16 <= a * 10**(16 - k), and below 1e17 unless it rounds up to it
+    below = (n < 10**16) | ((n == 10**16) & (frac < 0))
+    step = (n > 10**17).astype(np.int64) - below
+    moved = np.flatnonzero(step)
+    if moved.size:
+        k[moved] += step[moved]
+        n[moved], frac[moved] = _scaled(safe[moved], k[moved])
+    carry = n == 10**17  # 9.99...95e(k) rounds to 1.0e(k + 1)
+    n[carry] = 10**16
+    k += carry
+    fast &= (n >= 10**16) & (n < 10**17) & (np.abs(np.abs(frac) - 0.5) > 1e-6)
+    n[zero] = 0
+    k[zero] = 0
+
+    digits = _four_digits()
+    head, tail = np.divmod(n, 10**8)
+    lead, head = np.divmod(head, 10**8)
+    grid = np.zeros((flat.size, SLOT), np.uint8)
+    grid[:, 0] = np.where(np.signbit(flat), ord("-"), 0)
+    grid[:, 1] = lead + ord("0")
+    grid[:, 2] = ord(".")
+    groups = np.stack(np.divmod(head, 10**4) + np.divmod(tail, 10**4), axis=1)
+    grid[:, 3:19] = digits[groups].view(np.uint8)
+    grid[:, 19] = ord("e")
+    grid[:, 20:24] = digits[np.abs(k)].view(np.uint8).reshape(-1, 4)
+    grid[:, 20] = np.where(k < 0, ord("-"), ord("+"))
+    grid[:, 21] *= np.abs(k) >= 100  # two exponent digits below 100
+    for i in np.flatnonzero(~fast):
+        text = fallback(float(flat[i])).encode()
+        grid[i, :-1] = 0
+        grid[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return grid.reshape(x.shape + (SLOT,))

@@ -14,6 +14,12 @@ Modes and their outputs:
 
 ``ffspin validate`` also tracks the branch on the configured grid, so a grid
 too coarse to follow it or an in-sector crossing is reported before a run.
+Configs above ``MAX_POINTS`` grid points or records are rejected.
+
+A CSV cell is the text of ``"%.16e" % x``.  ``_csvcells`` writes a block of
+cells at once with numpy, and leaves to Python's ``%`` only the cells whose
+rounding it cannot prove: NaN, ±inf, |x| outside [1e-280, 1e280] except ±0,
+and values within 1e-6 of a rounding tie.
 """
 from __future__ import annotations
 
@@ -38,6 +44,11 @@ EIGENVALUES_CSV = "eigenvalues.csv"
 REGULARIZATION_CSV = "regularization.csv"
 GAP_CSV = "gap.csv"
 MANIFEST = "run_manifest.txt"
+#: cap on grid_points and on the record count; branch tracking holds about
+#: 0.56 KB per grid point, so a config at the cap asks for about 560 MB
+MAX_POINTS = 1_000_000
+#: CSV cells formatted at once, which bounds the formatter's temporaries
+_BLOCK_VALUES = 2048
 
 
 @dataclass
@@ -106,30 +117,45 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append("v_bar must be positive")
     if config.grid_points < 3:
         problems.append("grid_points must be at least 3 (continuity tracking)")
+    elif config.grid_points > MAX_POINTS:
+        problems.append(f"grid_points must be at most {MAX_POINTS}")
     if config.integrator_steps < 1:
         problems.append("integrator_steps must be positive")
     if config.output_stride < 1:
         problems.append("output_stride must be positive")
     elif config.integrator_steps % config.output_stride != 0:
         problems.append("integrator_steps must be a multiple of output_stride")
+    elif config.integrator_steps // config.output_stride + 1 > MAX_POINTS:
+        problems.append(f"integrator_steps // output_stride + 1 (the record count) "
+                        f"must be at most {MAX_POINTS}")
     return problems
 
 
 def _csv(header: list[str], columns: list[np.ndarray | None]) -> str:
-    """CSV of (n,) or (n, k) float columns, one row format applied once; cells
-    are ``"%.16e"`` (the bytes of ``format(x, ".16e")``, which round-trips
-    float64), and a None column is an empty cell."""
-    cells, arrays = [], []
+    """CSV of (n,) or (n, k) float columns; cells are the bytes of
+    ``"%.16e" % x`` (which round-trips float64), and a None column is an
+    empty cell."""
+    # imported here: compiling it at `import ffspin.cli` adds to every start-up
+    from ._csvcells import cells
+
+    rows = next(len(column) for column in columns if column is not None)
+    arrays, empty = [], []
     for column in columns:
         if column is None:
-            cells.append("")
-        else:
-            array = np.asarray(column, dtype=float).reshape(len(column), -1)
-            cells += ["%.16e"] * array.shape[1]
-            arrays.append(array)
-    row = ",".join(cells) + "\n"
-    values = tuple(np.hstack(arrays).ravel().tolist())
-    return ",".join(header) + "\n" + (row * len(arrays[0])) % values
+            empty.append(sum(a.shape[1] for a in arrays))
+            column = np.zeros(rows)
+        arrays.append(np.asarray(column, dtype=float).reshape(rows, -1))
+    width = sum(a.shape[1] for a in arrays)
+    separators = np.full(width, ord(","), np.uint8)
+    separators[-1] = ord("\n")
+    text = [",".join(header) + "\n"]
+    block = max(1, _BLOCK_VALUES // width)
+    for start in range(0, rows, block):
+        grid = cells(np.hstack([a[start:start + block] for a in arrays]))
+        grid[:, empty] = 0  # NUL bytes vanish, leaving the separator
+        grid[..., -1] = separators
+        text.append(grid.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)
 
 
 def _track(config: ScenarioConfig):

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ffspin
-from ffspin import cli, fastforward, spectrum
+from ffspin import _csvcells, cli, fastforward, spectrum
 from ffspin.cli import (ScenarioConfig, main, make_config, parse_config_file,
                         run, validate)
 
@@ -45,6 +49,28 @@ def test_tiny_grid_flagged():
 def test_stride_must_divide_steps():
     problems = validate(ScenarioConfig(integrator_steps=1000, output_stride=300))
     assert any("multiple" in p for p in problems)
+
+
+@pytest.mark.parametrize("overrides,problem", [
+    ({"grid_points": "1000001"}, "grid_points must be at most 1000000"),
+    ({"integrator_steps": "2000000", "output_stride": "2"},
+     "integrator_steps // output_stride + 1 (the record count) must be at most 1000000"),
+])
+def test_sizes_above_the_cap_are_rejected(overrides, problem, tmp_path, capsys):
+    # memory grows with both: tracking holds about 0.56 KB per grid point
+    assert validate(make_config(overrides)) == [problem]
+    args = [f"--{k}={v}" for k, v in overrides.items()]
+    assert main(["validate", *args]) == 2
+    assert capsys.readouterr().out == problem + "\n"
+    assert main(["run", *args, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"invalid config: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sizes_at_the_cap_are_valid():
+    assert validate(ScenarioConfig(grid_points=cli.MAX_POINTS)) == []
+    assert validate(ScenarioConfig(integrator_steps=cli.MAX_POINTS - 1,
+                                   output_stride=1)) == []
 
 
 def test_unknown_key_rejected():
@@ -255,6 +281,80 @@ def test_csv_matches_per_cell_format():
     assert cli._csv(list("abcd"), [column, None, matrix]) == expected
     expected = "a,b\n" + "".join(f"{format(x, '.16e')},\n" for x in column.tolist())
     assert cli._csv(["a", "b"], [column, None]) == expected
+
+
+def _per_cell_csv(header, columns):
+    """The CSV that ``_csv`` must write, one ``format(x, ".16e")`` at a time."""
+    rows = next(len(column) for column in columns if column is not None)
+    lines = [",".join(header)]
+    for i in range(rows):
+        cells = []
+        for column in columns:
+            cells += [""] if column is None else [
+                format(x, ".16e") for x in np.ravel(column[i]).tolist()]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    def counted(x, _fallback=_csvcells.fallback):
+        calls.append(x)
+        return _fallback(x)
+    monkeypatch.setattr(_csvcells, "fallback", counted)
+    return calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_csv_matches_format_on_any_floats(data):
+    rows = data.draw(st.integers(1, 12))
+    widths = data.draw(st.lists(st.sampled_from([None, 0, 1, 3]), min_size=1,
+                                max_size=5).filter(lambda w: set(w) != {None}))
+    columns = [None if width is None else data.draw(hnp.arrays(
+        np.float64, (rows, width) if width else (rows,), elements=st.floats()))
+        for width in widths]
+    header = [f"c{i}" for i in range(len(columns))]
+    assert cli._csv(header, columns) == _per_cell_csv(header, columns)
+
+
+def test_csv_matches_format_on_random_bit_patterns():
+    bits = np.random.default_rng(20231).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = bits.view(np.float64).reshape(-1, 4)
+    columns = [values[:, 0], None, values[:, 1:]]
+    assert cli._csv(["a", "b", "c"], columns) == _per_cell_csv(["a", "b", "c"], columns)
+
+
+def test_csv_edge_values_take_the_fast_path(monkeypatch):
+    # powers of ten and their neighbours, and values whose 17th digit carries
+    # into a new leading digit; only non-finite cells, cells outside
+    # [1e-280, 1e280] and exact rounding ties may reach Python's formatting
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    carries = np.array([float(f"9.99999999999999999e{k}") for k in range(-300, 301)])
+    edge = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                           carries, np.nextafter(carries, 0),
+                           [5e-324, np.finfo(float).max, 0.0, np.inf, np.nan]])
+    values = np.concatenate([edge, -edge])
+    calls = _count_fallbacks(monkeypatch)
+    assert cli._csv(["x"], [values]) == _per_cell_csv(["x"], [values])
+    magnitude = np.abs(values)
+    slow = ~((magnitude == 0) | ((magnitude >= 1e-280) & (magnitude <= 1e280)))
+    in_range = [x for x in calls if 1e-280 <= abs(x) <= 1e280]
+    assert len(calls) - len(in_range) == np.count_nonzero(slow)
+    def digits(x):  # the significant digits of the exact value of x
+        return "".join(map(str, Decimal(x).as_tuple().digits)).rstrip("0")
+    assert all(re.fullmatch(r"[1-9]\d{16}5", digits(x)) for x in in_range)
+
+
+@pytest.mark.parametrize("model", ["two_spin", "three_spin_kagome"])
+def test_default_run_formats_no_cell_in_python(model, tmp_path, monkeypatch):
+    # the exact-zero P = -1 prob columns included: each fallback cell costs
+    # a Python call, so a default run must not need one
+    calls = _count_fallbacks(monkeypatch)
+    assert run(make_config({"model": model}), tmp_path) == 0
+    assert calls == []
+    assert cli._csv(["x"], [np.array([np.nan])]) == "x\nnan\n"
+    assert len(calls) == 1
 
 
 def test_import_does_not_load_scipy():
