@@ -308,6 +308,7 @@ def _count_fallbacks(monkeypatch):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_csv_matches_format_on_any_floats(data):
+    # a width of 0 draws an (n,) column, None an empty one
     rows = data.draw(st.integers(1, 12))
     widths = data.draw(st.lists(st.sampled_from([None, 0, 1, 3]), min_size=1,
                                 max_size=5).filter(lambda w: set(w) != {None}))
@@ -344,6 +345,7 @@ def test_csv_edge_values_take_the_fast_path(monkeypatch):
     def digits(x):  # the significant digits of the exact value of x
         return "".join(map(str, Decimal(x).as_tuple().digits)).rstrip("0")
     assert all(re.fullmatch(r"[1-9]\d{16}5", digits(x)) for x in in_range)
+    assert np.nextafter(1e15, 0) in in_range  # 999999999999999.875, a tie
 
 
 @pytest.mark.parametrize("model", ["two_spin", "three_spin_kagome"])
