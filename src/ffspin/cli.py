@@ -131,8 +131,8 @@ def validate(config: ScenarioConfig) -> list[str]:
     return problems
 
 
-def _csv(header: list[str], columns: list[np.ndarray | None]) -> str:
-    """CSV of (n,) or (n, k) float columns; cells are the bytes of
+def _csv(header: list[str], columns: list[np.ndarray | None]) -> bytes:
+    """ASCII CSV of (n,) or (n, k) float columns; cells are the bytes of
     ``"%.16e" % x`` (which round-trips float64), and a None column is an
     empty cell."""
     # imported here: compiling it at `import ffspin.cli` adds to every start-up
@@ -148,14 +148,14 @@ def _csv(header: list[str], columns: list[np.ndarray | None]) -> str:
     width = sum(a.shape[1] for a in arrays)
     separators = np.full(width, ord(","), np.uint8)
     separators[-1] = ord("\n")
-    text = [",".join(header) + "\n"]
+    parts = [",".join(header).encode("ascii") + b"\n"]
     block = max(1, _BLOCK_VALUES // width)
     for start in range(0, rows, block):
         grid = cells(np.hstack([a[start:start + block] for a in arrays]))
         grid[:, empty] = 0  # NUL bytes vanish, leaving the separator
         grid[..., -1] = separators
-        text.append(grid.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(text)
+        parts.append(grid.tobytes().translate(None, b"\0"))
+    return b"".join(parts)
 
 
 def _track(config: ScenarioConfig):
@@ -166,13 +166,13 @@ def _track(config: ScenarioConfig):
     return spec, profile, track_branch(spec, grid)
 
 
-def _manifest(config: ScenarioConfig) -> str:
+def _manifest(config: ScenarioConfig) -> bytes:
     lines = [f"{key}={value}" for key, value in sorted(asdict(config).items())]
     lines.append(f"ffspin_version={__version__}")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
-def _eigenvalues_and_gap_csv(spec, branch, times, rs) -> tuple[str, str]:
+def _eigenvalues_and_gap_csv(spec, branch, times, rs) -> tuple[bytes, bytes]:
     """The P = +1 levels of the branch solve and the solved P = -1 block, merged."""
     even = branch_vector_at(spec, branch, rs)[1]
     odd, _ = eigensolve(h0(spec, rs, -1))
@@ -182,13 +182,13 @@ def _eigenvalues_and_gap_csv(spec, branch, times, rs) -> tuple[str, str]:
     return _csv(header, [times, rs, levels]), _csv(["t", "R", "gap"], [times, rs, gaps])
 
 
-def _regularization_csv(spec, table, times, rs) -> str:
+def _regularization_csv(spec, table, times, rs) -> bytes:
     w = table(rs)
     return _csv(["t", "R", "w1", "w2"],
                 [times, rs, w[:, 0], None if spec.kind == TWO_SPIN else w[:, 1]])
 
 
-def _trajectory_csv(config: ScenarioConfig, spec, profile, branch, table) -> str:
+def _trajectory_csv(config: ScenarioConfig, spec, profile, branch, table) -> bytes:
     run = integrate(spec, profile, steps=config.integrator_steps,
                     output_stride=config.output_stride, branch=branch, table=table)
     header = (["t", "R", "v", "w1", "w2", "norm", "fidelity"]
@@ -229,8 +229,8 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
     files[MANIFEST] = _manifest(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text)
+    for name, data in files.items():
+        (out / name).write_bytes(data)
     return 0
 
 

@@ -23,6 +23,12 @@ numerical noise; a residual above tolerance signals a modeling bug, not an
 approximation to be accepted.  The paper's closed forms, and the
 three-unknown ansatz that shows bz = 0, are the test oracles in
 ``tests/oracles.py``.
+
+``CoefficientTable`` interpolates w between the samples with the not-a-knot
+cubic spline: the one cubic spline through the samples whose third
+derivative is also continuous at the second and the second-to-last sample.
+It is built with numpy and reproduces ``scipy.interpolate.CubicSpline``'s
+coefficients and values to the bit on uniform grids, so no run loads scipy.
 """
 from __future__ import annotations
 
@@ -108,6 +114,55 @@ def solve_core(spec: ModelSpec, vector: np.ndarray,
     return np.moveaxis(x, 0, -1), residual
 
 
+def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """Knot slopes, shape (n, 2), of the not-a-knot cubic spline through
+    points with abscissae x, spacings dx and secant slopes ``slope``, shape
+    (n - 1, 2).
+
+    Not-a-knot: the third derivative is continuous at the second and the
+    second-to-last knot, so the first two and the last two pieces are one
+    cubic each.  The slopes solve scipy's tridiagonal system, with its end
+    rows and right-hand side, by LAPACK gtsv's elimination, both columns in
+    one sweep over Python floats; gtsv does not pivot on these rows for
+    uniform grids, so the slopes are scipy's to the bit.  Two points give
+    the line, three the parabola, as in scipy.
+    """
+    n = len(x)
+    if n == 2:
+        return slope[[0, 0]]
+    if n == 3:
+        c = (slope[1] - slope[0]) / (x[2] - x[0])
+        return np.stack([slope[0] - c * dx[0], slope[0] + c * dx[0], slope[1] + c * dx[1]])
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b = np.empty((n, 2))
+    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / d0
+    b[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    b[-1] = (dx[-1] * dx[-1] * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    # rows i: lower[i - 1] s[i - 1] + diag[i] s[i] + upper[i] s[i + 1] = b[i]
+    lower = dx[1:].tolist() + [float(d1)]
+    diag = [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])]
+    upper = [float(d0)] + dx[:-1].tolist()
+    bu, bv = b.T.tolist()
+    p, u, v = diag[0], bu[0], bv[0]
+    pivots, us, vs = [p], [u], [v]
+    for low, dg, up, cu, cv in zip(lower, diag[1:], upper, bu[1:], bv[1:]):
+        f = low / p
+        p = dg - f * up
+        u = cu - f * u
+        v = cv - f * v
+        pivots.append(p)
+        us.append(u)
+        vs.append(v)
+    u, v = u / p, v / p
+    su, sv = [u], [v]
+    for p, up, cu, cv in zip(pivots[-2::-1], upper[::-1], us[-2::-1], vs[-2::-1]):
+        u = (cu - up * u) / p
+        v = (cv - up * v) / p
+        su.append(u)
+        sv.append(v)
+    return np.array([su[::-1], sv[::-1]]).T
+
+
 @dataclass
 class CoefficientTable:
     """Driving couplings w, shape (n, 2), sampled on the branch grid, with
@@ -124,14 +179,28 @@ class CoefficientTable:
         return cls(r_grid, np.zeros(np.shape(r_grid) + (2,)), np.zeros_like(r_grid))
 
     @cached_property
-    def _spline(self):
-        """One cubic spline over the (w1, w2) columns; None for a
-        single-point grid, where the couplings are constant."""
-        if len(self.r_grid) < 2 or self.r_grid[-1] == self.r_grid[0]:
+    def _spline(self) -> np.ndarray | None:
+        """The not-a-knot cubic spline of the (w1, w2) columns as power-basis
+        coefficients c, shape (4, 2, n - 1): on [r_i, r_i+1] the couplings
+        are sum_k c[k, :, i] (r - r_i)^(3 - k).  None for a single-point
+        grid, where the couplings are constant."""
+        x, y = self.r_grid, self.w
+        if len(x) < 2 or x[-1] == x[0]:
             return None
-        # imported here: scipy.interpolate is most of `import ffspin.cli`'s time
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(self.r_grid, self.w)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("r_grid must contain only finite values")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("w must contain only finite values")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("r_grid must be strictly increasing")
+        dx_col = dx[:, None]
+        slope = np.diff(y, axis=0) / dx_col
+        s = _not_a_knot_slopes(x, dx, slope)
+        # scipy's CubicHermiteSpline coefficients, in its operation order
+        t = (s[:-1] + s[1:] - 2 * slope) / dx_col
+        c = np.stack([t / dx_col, (slope - s[:-1]) / dx_col - t, s[:-1], y[:-1]])
+        return np.ascontiguousarray(c.transpose(0, 2, 1))
 
     @property
     def r_min(self) -> float:
@@ -142,10 +211,17 @@ class CoefficientTable:
         return float(self.r_grid[-1])
 
     def __call__(self, r: float | np.ndarray) -> np.ndarray:
-        """Interpolated couplings (w1, w2) at r, shape ``np.shape(r) + (2,)``."""
-        if self._spline is None:
+        """Interpolated couplings (w1, w2) at r, shape ``np.shape(r) + (2,)``;
+        the end pieces extrapolate."""
+        c = self._spline
+        if c is None:
             return np.broadcast_to(self.w[0], np.shape(r) + (2,))
-        return self._spline(r)
+        i = np.searchsorted(self.r_grid[1:-1], r, side="right")
+        s = r - self.r_grid[i]
+        c = c.take(i, axis=-1)
+        # the sum in scipy's PPoly order, with the powers of s accumulated
+        z = s * s
+        return np.moveaxis(0.0 + c[3] + c[2] * s + c[1] * z + c[0] * (z * s), 0, -1)
 
 
 def coefficient_table(spec: ModelSpec, branch: AdiabaticBranch) -> CoefficientTable:

@@ -275,11 +275,11 @@ def test_fast_forward_run_enters_every_traced_layer(tmp_path, monkeypatch):
 def test_csv_matches_per_cell_format():
     special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 0.1, -2.5])
     column, matrix = special[:4], special.reshape(4, 2)
-    expected = "a,b,c,d\n" + "".join(
+    expected = ("a,b,c,d\n" + "".join(
         f"{format(x, '.16e')},,{format(y, '.16e')},{format(z, '.16e')}\n"
-        for x, (y, z) in zip(column.tolist(), matrix.tolist()))
+        for x, (y, z) in zip(column.tolist(), matrix.tolist()))).encode()
     assert cli._csv(list("abcd"), [column, None, matrix]) == expected
-    expected = "a,b\n" + "".join(f"{format(x, '.16e')},\n" for x in column.tolist())
+    expected = ("a,b\n" + "".join(f"{format(x, '.16e')},\n" for x in column.tolist())).encode()
     assert cli._csv(["a", "b"], [column, None]) == expected
 
 
@@ -293,7 +293,7 @@ def _per_cell_csv(header, columns):
             cells += [""] if column is None else [
                 format(x, ".16e") for x in np.ravel(column[i]).tolist()]
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _count_fallbacks(monkeypatch):
@@ -355,17 +355,27 @@ def test_default_run_formats_no_cell_in_python(model, tmp_path, monkeypatch):
     calls = _count_fallbacks(monkeypatch)
     assert run(make_config({"model": model}), tmp_path) == 0
     assert calls == []
-    assert cli._csv(["x"], [np.array([np.nan])]) == "x\nnan\n"
+    assert cli._csv(["x"], [np.array([np.nan])]) == b"x\nnan\n"
     assert len(calls) == 1
 
 
-def test_import_does_not_load_scipy():
+def _run_python(code: str) -> None:
     src = str(Path(ffspin.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ffspin.cli; assert 'scipy' not in sys.modules"],
-        check=True, env={**os.environ, "PYTHONPATH": path})
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
+def test_import_does_not_load_scipy():
+    _run_python("import sys, ffspin.cli; assert 'scipy' not in sys.modules")
+
+
+def test_run_does_not_load_scipy(tmp_path):
+    args = ["run", "--out", str(tmp_path)] + [
+        arg for key, value in FAST_KEYS.items() for arg in (f"--{key}", value)]
+    _run_python(f"import sys, ffspin.cli; assert ffspin.cli.main({args!r}) == 0; "
+                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    assert (tmp_path / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

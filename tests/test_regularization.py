@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec
 from ffspin.regularization import (RESIDUAL_NOISE_ATOL, CoefficientTable,
@@ -182,19 +183,111 @@ def test_grid_doubling_stability(three_spec, three_table, profile):
 def test_spline_data_matches_table(two_table):
     # one spline over the (w1, w2) columns: evaluate its segment
     # polynomial by hand at a probe point
-    spline = two_table._spline
-    assert spline.c.shape == (4, len(two_table.r_grid) - 1, 2)
+    c = two_table._spline
+    assert c.shape == (4, 2, len(two_table.r_grid) - 1) and c.flags.c_contiguous
     r = 4.321
-    j = int(np.searchsorted(spline.x, r)) - 1
-    u = r - spline.x[j]
-    w1 = ((spline.c[0, j, 0] * u + spline.c[1, j, 0]) * u + spline.c[2, j, 0]) * u \
-        + spline.c[3, j, 0]
+    j = int(np.searchsorted(two_table.r_grid, r)) - 1
+    u = r - two_table.r_grid[j]
+    w1 = ((c[0, 0, j] * u + c[1, 0, j]) * u + c[2, 0, j]) * u + c[3, 0, j]
     assert w1 == pytest.approx(two_table(r)[0], abs=1e-12)
     # an array of r gives the per-point values
     probes = np.linspace(0.0, 10.0, 37)
     stacked = two_table(probes)
     for i, r in enumerate(probes):
         assert np.array_equal(two_table(float(r)), stacked[i])
+
+
+def _spline_probes(r_grid: np.ndarray, seed: int) -> np.ndarray:
+    """Knots, midpoints, random interior points and the ends padded by the
+    1e-9 that ``_h_ff_coefficients`` allows."""
+    pad = 1e-9 * max(1.0, r_grid[-1] - r_grid[0])
+    interior = np.random.default_rng(seed).uniform(r_grid[0], r_grid[-1], 2000)
+    return np.concatenate([r_grid, 0.5 * (r_grid[1:] + r_grid[:-1]), interior,
+                           [r_grid[0] - pad, r_grid[-1] + pad]])
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and float64 bit patterns: unlike ``np.array_equal``, -0.0
+    differs from 0.0."""
+    a, b = (np.ascontiguousarray(x, dtype=np.float64) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _assert_matches_scipy_bitwise(table: CoefficientTable, seed: int) -> None:
+    spline = CubicSpline(table.r_grid, table.w)
+    assert _same_bits(table._spline, spline.c.transpose(0, 2, 1))
+    probes = _spline_probes(table.r_grid, seed)
+    assert _same_bits(table(probes), spline(probes))
+    for r in probes[::97].tolist():
+        assert _same_bits(table(r), spline(r))
+
+
+@pytest.mark.parametrize("fixture", ["two_table", "three_table"])
+def test_spline_reproduces_scipy_on_the_fixture_tables(fixture, request):
+    _assert_matches_scipy_bitwise(request.getfixturevalue(fixture), seed=5)
+
+
+@pytest.mark.parametrize("n_points", [201, 401, 801, 2001])
+@pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
+def test_spline_reproduces_scipy_on_uniform_grids(kind, n_points, profile):
+    spec = ModelSpec(kind=kind)
+    grid = default_r_grid(spec, profile.r_end(spec.r0), n_points)
+    _assert_matches_scipy_bitwise(coefficient_table(spec, track_branch(spec, grid)),
+                                  seed=n_points)
+
+
+def test_spline_keeps_scipys_signed_zeros():
+    # w = -(r^3 + r^2 + r) is -0.0 at r = 0 and the spline reproduces the
+    # cubic, so every term at that knot is -0.0; scipy's sum starts from +0.0
+    r_grid = np.linspace(0.0, 1.0, 9)
+    w = -(r_grid ** 3 + r_grid ** 2 + r_grid)
+    table = CoefficientTable(r_grid, np.stack([w, np.full(9, -0.0)], axis=-1), np.zeros(9))
+    assert np.signbit(table.w[0]).all() and not np.signbit(table(0.0)).any()
+    _assert_matches_scipy_bitwise(table, seed=9)
+
+
+def test_spline_matches_scipy_on_jittered_grids():
+    # away from uniform spacing gtsv may pivot where the sweep does not, so
+    # the two agree to rounding rather than to the bit
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        n = int(rng.integers(4, 120))
+        r_grid = np.cumsum(rng.uniform(0.7, 1.3, n))
+        w = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0)
+        table = CoefficientTable(r_grid, w, np.zeros(n))
+        probes = _spline_probes(r_grid, n)
+        error = np.max(np.abs(table(probes) - CubicSpline(r_grid, w)(probes)))
+        assert error <= 1e-13 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("n_points", [2, 3])
+def test_spline_of_two_and_three_points_is_the_interpolating_polynomial(n_points):
+    r_grid = np.array([0.5, 1.25, 3.0])[:n_points]
+    w = np.array([[1.0, -2.0], [0.25, 4.0], [-3.0, 0.5]])[:n_points]
+    table = CoefficientTable(r_grid, w, np.zeros(n_points))
+    probes = np.linspace(0.0, 3.5, 41)
+    expected = np.stack([np.polyval(np.polyfit(r_grid, w[:, k], n_points - 1), probes)
+                         for k in range(2)], axis=-1)
+    assert np.allclose(table(probes), expected, rtol=0.0, atol=1e-13)
+    assert np.allclose(table(probes), CubicSpline(r_grid, w)(probes), rtol=0.0, atol=1e-13)
+    assert np.array_equal(table(r_grid[:-1]), w[:-1])  # each piece starts at its knot
+
+
+@pytest.mark.parametrize("r_grid, w, message", [
+    ([0.0, 1.0, 1.0, 2.0], None, "strictly increasing"),
+    ([0.0, 2.0, 1.0, 3.0], None, "strictly increasing"),
+    ([0.0, np.nan, 2.0, 3.0], None, "r_grid must contain only finite"),
+    ([0.0, 1.0, 2.0, np.inf], None, "r_grid must contain only finite"),
+    ([0.0, 1.0, 2.0, 3.0], np.nan, "w must contain only finite"),
+    ([0.0, 1.0, 2.0, 3.0], -np.inf, "w must contain only finite"),
+])
+def test_spline_rejects_bad_tables(r_grid, w, message):
+    values = np.ones((4, 2))
+    if w is not None:
+        values[2, 1] = w
+    table = CoefficientTable(np.array(r_grid), values, np.zeros(4))
+    with pytest.raises(ValueError, match=message):
+        table(1.5)
 
 
 def test_zero_table_is_the_undriven_control(three_branch):
