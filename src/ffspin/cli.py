@@ -16,10 +16,7 @@ Modes and their outputs:
 too coarse to follow it or an in-sector crossing is reported before a run.
 Configs above ``MAX_POINTS`` grid points or records are rejected.
 
-A CSV cell is the text of ``"%.16e" % x``.  ``_csvcells`` writes a block of
-cells at once with numpy, and leaves to Python's ``%`` only the cells whose
-rounding it cannot prove: NaN, ±inf, |x| outside [1e-280, 1e280] except ±0,
-and values within 1e-6 of a rounding tie.
+A CSV cell is the text of ``"%.16e" % x``.
 """
 from __future__ import annotations
 
@@ -31,11 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fastforward import FastForwardProfile, integrate, r_of_t
+from .fastforward import (DEFAULT_STEPS, DEFAULT_STRIDE, FastForwardProfile,
+                          integrate, r_of_t)
 from .model import MODEL_KINDS, TWO_SPIN, ModelSpec, h0
 from .regularization import CoefficientTable, coefficient_table
-from .spectrum import (branch_vector_at, default_r_grid, eigensolve,
-                       nearest_level_gap, track_branch)
+from .spectrum import (DEFAULT_GRID_POINTS, branch_vector_at, default_r_grid,
+                       eigensolve, nearest_level_gap, track_branch)
 
 MODES = ("fast_forward", "no_driving", "spectrum_only", "regularization_only")
 
@@ -61,9 +59,9 @@ class ScenarioConfig:
     r0: float = 0.0
     v_bar: float = 10.0
     t_ff: float = 1.0
-    grid_points: int = 2001
-    integrator_steps: int = 10000
-    output_stride: int = 100
+    grid_points: int = DEFAULT_GRID_POINTS
+    integrator_steps: int = DEFAULT_STEPS
+    output_stride: int = DEFAULT_STRIDE
     mode: str = "fast_forward"
 
 
@@ -109,6 +107,9 @@ def validate(config: ScenarioConfig) -> list[str]:
     for key in ("j0", "b0", "r0", "v_bar", "t_ff"):
         if not np.isfinite(getattr(config, key)):
             problems.append(f"{key} must be finite")
+    r0, v_bar, t_ff = config.r0, config.v_bar, config.t_ff
+    if np.all(np.isfinite([r0, v_bar, t_ff])) and not np.isfinite(r0 + v_bar * t_ff):
+        problems.append("the ramp end r0 + v_bar * t_ff must be finite")
     if config.j0 <= 0:
         problems.append("j0 must be positive")
     if config.t_ff <= 0:

@@ -7,6 +7,10 @@ Two clusters are supported:
   (2,3) of strength J1, a next-nearest bond (3,1) of strength J2, and a
   uniform z field, H0 = J1 (x1x2 + x2x3) + J2 y3y1 + (Bz/2)(z1 + z2 + z3).
 
+Kets are ordered by binary counting with site 1 as the most significant bit
+and spin-up mapped to 0: uu, ud, du, dd for two spins and uuu, uud, udu,
+udd, duu, dud, ddu, ddd for three.
+
 All couplings follow the same linear ramps of a single control parameter R:
 
     J1 = J0 - R,   J2 = R,   Bz = B0 - R.
@@ -25,17 +29,16 @@ zero on every branch (``h0`` is real, see ``regularization``), so no field
 generator is kept.
 
 ``h0`` and H_FF are each one matmul of coefficients with a read-only stack of
-five structural terms; the terms commute with the parity P = z1 z2 ... zn,
-and ``h0``'s ``parity=+1/-1`` evaluates on that block.
+five structural terms, each a scaled sum of the Pauli words in
+``TERM_WORDS``; the terms commute with the parity P = z1 z2 ... zn, and
+``h0``'s ``parity=+1/-1`` evaluates on that block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
-
-from .spin_algebra import pair_coupling, pauli_on_site
 
 TWO_SPIN = "two_spin"
 THREE_SPIN_KAGOME = "three_spin_kagome"
@@ -43,6 +46,20 @@ MODEL_KINDS = (TWO_SPIN, THREE_SPIN_KAGOME)
 
 # d/dR of (J1, J2, Bz) for the fixed linear ramps
 SCHEDULE_RATES = (-1.0, 1.0, -1.0)
+
+PAULI = {
+    "1": np.eye(2, dtype=complex),
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+#: (scale, Pauli words) of M_j1, M_j2, M_bz, G_w1 and G_w2; letter i of a
+#: word acts on site i and "1" is the identity
+TERM_WORDS = {
+    TWO_SPIN: ((1, "xx"), (1, "yy"), (0.5, "z1 1z"), (0.5, "xy yx"), (0, "11")),
+    THREE_SPIN_KAGOME: ((1, "xx1 1xx"), (1, "y1y"), (0.5, "z11 1z1 11z"),
+                        (1, "xy1 yx1 1xy 1yx"), (1, "x1y y1x")),
+}
 
 
 @dataclass(frozen=True)
@@ -81,6 +98,11 @@ def parity_indices(dim: int, parity: int = 1) -> np.ndarray:
     return ix
 
 
+def pauli_word(word: str) -> np.ndarray:
+    """Kronecker product of the Pauli matrices named by ``word``, site 1 first."""
+    return reduce(np.kron, (PAULI[letter] for letter in word))
+
+
 @lru_cache(maxsize=None)
 def structural_terms(kind: str, parity: int | None = None) -> np.ndarray:
     """(M_j1, M_j2, M_bz, G_w1, G_w2) as one read-only (5, d, d) stack, sliced
@@ -93,22 +115,8 @@ def structural_terms(kind: str, parity: int | None = None) -> np.ndarray:
         terms = np.ascontiguousarray(full[:, ix[:, None], ix])
         terms.flags.writeable = False
         return terms
-    n = 2 if kind == TWO_SPIN else 3
-
-    def bonds(a: str, b: str, *pairs: tuple[int, int]) -> np.ndarray:
-        return sum(pair_coupling(a, b, i, j, n) for i, j in pairs)
-
-    def xy(*pairs: tuple[int, int]) -> np.ndarray:
-        return bonds("x", "y", *pairs) + bonds("y", "x", *pairs)
-
-    z = 0.5 * sum(pauli_on_site("z", site, n) for site in range(1, n + 1))
-    if kind == TWO_SPIN:
-        terms = [bonds("x", "x", (1, 2)), bonds("y", "y", (1, 2)), z,
-                 0.5 * xy((1, 2)), np.zeros_like(z)]
-    else:
-        terms = [bonds("x", "x", (1, 2), (2, 3)), bonds("y", "y", (3, 1)), z,
-                 xy((1, 2), (2, 3)), xy((3, 1))]
-    terms = np.stack(terms)
+    terms = np.stack([scale * sum(map(pauli_word, words.split()))
+                      for scale, words in TERM_WORDS[kind]])
     terms.flags.writeable = False
     return terms
 

@@ -9,12 +9,17 @@ None of these is called by the pipeline:
   shows that the field coefficient vanishes, which is what lets
   ``solve_core`` fit the exchange couplings alone;
 * the driving candidate operator with a field term, and the distance from
-  the branch energy to the nearest level of the full spectrum.
+  the branch energy to the nearest level of the full spectrum;
+* Pauli operators built by acting on ket labels, and from them the five
+  structural terms summed over the bonds that the model docstring names.
 
 Branch samples are P = +1 block components, as the pipeline returns them;
 the full-space oracles place them in the full space with :func:`embed`.
 """
 from __future__ import annotations
+
+from functools import reduce
+from itertools import product
 
 import numpy as np
 
@@ -109,3 +114,59 @@ def gap_report(branch: AdiabaticBranch, spec: ModelSpec) -> np.ndarray:
     """Per-sample distance from the branch energy to the nearest other level
     of the full spectrum."""
     return nearest_level_gap(eigensolve(h0(spec, branch.r_grid))[0], branch.energies)
+
+
+def binary_labels(n_spins: int) -> list[str]:
+    """Ket labels in binary counting order: site 1 most significant, u before d."""
+    return ["".join(spins) for spins in product("ud", repeat=n_spins)]
+
+
+def slow_pauli(axis: str, site: int, labels: list[str]) -> np.ndarray:
+    """Independent oracle: build the operator by acting on ket labels."""
+    action = {
+        "x": {"u": ("d", 1.0), "d": ("u", 1.0)},
+        "y": {"u": ("d", 1.0j), "d": ("u", -1.0j)},
+        "z": {"u": ("u", 1.0), "d": ("d", -1.0)},
+    }[axis]
+    dim = len(labels)
+    m = np.zeros((dim, dim), dtype=complex)
+    for col, ket in enumerate(labels):
+        new_spin, factor = action[ket[site - 1]]
+        out = ket[:site - 1] + new_spin + ket[site:]
+        m[labels.index(out), col] = factor
+    return m
+
+
+def is_hermitian(m: np.ndarray) -> bool:
+    """True if the matrix equals its conjugate transpose exactly."""
+    return np.array_equal(m, m.conj().T)
+
+
+def slow_word(word: str) -> np.ndarray:
+    """A Pauli word ("1" the identity, letter i on site i) as the product of
+    its single-site label-action operators."""
+    labels = binary_labels(len(word))
+    factors = [slow_pauli(axis, site, labels)
+               for site, axis in enumerate(word, start=1) if axis != "1"]
+    return reduce(np.matmul, factors, np.eye(len(labels), dtype=complex))
+
+
+def bond_terms(kind: str) -> list[np.ndarray]:
+    """(M_j1, M_j2, M_bz, G_w1, G_w2) summed over the model's bonds from
+    label-action operators: xx on the J1 bonds, yy on the J2 bond, z/2 on
+    every site, and xy + yx on the w1 and w2 bonds (halved for two spins)."""
+    n = 2 if kind == TWO_SPIN else 3
+    labels = binary_labels(n)
+
+    def pair(a: str, b: str, i: int, j: int) -> np.ndarray:
+        return slow_pauli(a, i, labels) @ slow_pauli(b, j, labels)
+
+    def xy(i: int, j: int) -> np.ndarray:
+        return pair("x", "y", i, j) + pair("y", "x", i, j)
+
+    z = 0.5 * sum(slow_pauli("z", site, labels) for site in range(1, n + 1))
+    if kind == TWO_SPIN:
+        return [pair("x", "x", 1, 2), pair("y", "y", 1, 2), z, 0.5 * xy(1, 2),
+                np.zeros((4, 4))]
+    return [pair("x", "x", 1, 2) + pair("x", "x", 2, 3), pair("y", "y", 3, 1), z,
+            xy(1, 2) + xy(2, 3), xy(3, 1)]

@@ -388,6 +388,17 @@ def test_non_finite_float_names_the_key(key, value, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_overflowing_ramp_end_names_the_keys(tmp_path, capsys):
+    # every field is finite, but r0 + v_bar * t_ff overflows to inf
+    overflow = ["--v_bar", "1e300", "--t_ff", "1e10"]
+    problem = "the ramp end r0 + v_bar * t_ff must be finite"
+    assert main(["validate"] + overflow) == 2
+    assert problem in capsys.readouterr().out
+    assert main(["run"] + overflow + ["--out", str(tmp_path / "out")]) == 2
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
     # at j0 = 1e5 the RK4 steps overflow and the norms are NaN, which a plain
     # `drift > limit` comparison would let through

@@ -22,7 +22,7 @@ def _run(spec, profile, table, branch, steps=400, stride=100):
                      branch=branch, table=table)
 
 
-def test_numpy_kernel_reproducible(two_spec, profile, two_table, two_branch):
+def test_rerun_is_bitwise_identical(two_spec, profile, two_table, two_branch):
     first = _run(two_spec, profile, two_table, two_branch)
     second = _run(two_spec, profile, two_table, two_branch)
     for name in ("t", "r", "v", "w", "psi", "norm", "fidelity"):
@@ -46,14 +46,15 @@ def test_record_layout(two_spec, profile, two_table, two_branch):
     assert run.v[-1] == 0.0
 
 
-def test_drive_flag_changes_the_evolution(two_spec, profile, two_table, two_branch):
+def test_zero_table_changes_the_evolution(two_spec, profile, two_table, two_branch):
     driven = _run(two_spec, profile, two_table, two_branch)
     bare = _run(two_spec, profile, CoefficientTable.zeros(two_branch.r_grid), two_branch)
     assert not np.allclose(driven.psi[-1], bare.psi[-1])
     assert np.all(bare.w == 0.0)
 
 
-def test_active_kernel_callable(two_spec, profile, two_table, two_branch):
+def test_single_record_interval_gives_two_records(two_spec, profile, two_table,
+                                                  two_branch):
     # a single record interval; 200 steps, since at 100 the RK4 norm drift
     # (1.5e-6) fails integrate's drift check
     run = _run(two_spec, profile, two_table, two_branch, steps=200, stride=200)
@@ -86,14 +87,15 @@ def rk4_loop_reference(spec, profile, table, psi0, steps, stride, drive=True):
 
 # stride 1 scans 512 record intervals per chunk; 1000 spans two chunks.  The
 # stride-100 cases keep their ids without a stride suffix.  The run always
-# starts on the branch vector ("default"); the undriven runs (drive False)
-# pass a zero table, and the reference builds them from h0 alone.
-@pytest.mark.parametrize("model, start, drive, stride", [
-    pytest.param(model, start, drive, stride, id="-".join(
-        [str(drive), start, model] + ([f"stride{stride}"] if stride != 100 else [])))
+# starts on the branch vector, which the "default" in every id names; the
+# undriven runs (drive False) pass a zero table, and the reference builds
+# them from h0 alone.
+@pytest.mark.parametrize("model, drive, stride", [
+    pytest.param(model, drive, stride, id="-".join(
+        [str(drive), "default", model] + ([f"stride{stride}"] if stride != 100 else [])))
     for stride in (100, 1, 1000) for drive in (True, False)
-    for start in ("default",) for model in ("two", "three")])
-def test_records_match_per_step_loop(model, start, drive, stride, profile, request):
+    for model in ("two", "three")])
+def test_records_match_per_step_loop(model, drive, stride, profile, request):
     spec, branch, table = (request.getfixturevalue(f"{model}_{name}")
                            for name in ("spec", "branch", "table"))
     run = integrate(spec, profile, steps=2000, output_stride=stride, branch=branch,

@@ -3,11 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0,
-                          schedules, structural_terms)
-from ffspin.spin_algebra import is_hermitian, pair_coupling, pauli_on_site
+from ffspin.model import (MODEL_KINDS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec,
+                          d_h0_dr, h0, schedules, structural_terms)
 
-from oracles import h_candidate
+from oracles import bond_terms, h_candidate, is_hermitian, slow_word
 
 
 def reference_two_spin_matrix(j1: float, j2: float, bz: float) -> np.ndarray:
@@ -112,15 +111,24 @@ def test_two_spin_candidate_coefficient_convention(two):
     expected[0, 3] = -1.0j
     expected[3, 0] = 1.0j
     assert np.allclose(m, expected, atol=1e-14)
-    pair = pair_coupling("x", "y", 1, 2, 2) + pair_coupling("y", "x", 1, 2, 2)
+    pair = slow_word("xy") + slow_word("yx")
     assert np.allclose(structural_terms(two.kind)[3], 0.5 * pair, atol=1e-14)
 
 
 def test_two_spin_d_h0_dr_explicit(two):
-    expected = (-pair_coupling("x", "x", 1, 2, 2)
-                + pair_coupling("y", "y", 1, 2, 2)
-                - 0.5 * (pauli_on_site("z", 1, 2) + pauli_on_site("z", 2, 2)))
+    expected = (-slow_word("xx") + slow_word("yy")
+                - 0.5 * (slow_word("z1") + slow_word("1z")))
     assert np.allclose(d_h0_dr(two), expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_structural_terms_equal_the_bond_sums(kind):
+    terms = structural_terms(kind)
+    assert terms.dtype == np.complex128 and not terms.flags.writeable
+    expected = bond_terms(kind)
+    assert len(terms) == len(expected) == 5
+    for term, oracle in zip(terms, expected):
+        assert np.array_equal(term, oracle)
 
 
 @pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
