@@ -30,10 +30,9 @@ import numpy as np
 from . import __version__
 from .fastforward import (DEFAULT_STEPS, DEFAULT_STRIDE, FastForwardProfile,
                           integrate, r_of_t)
-from .model import MODEL_KINDS, TWO_SPIN, ModelSpec, h0
+from .model import MODEL_KINDS, ModelSpec, h0
 from .regularization import CoefficientTable, coefficient_table
-from .spectrum import (DEFAULT_GRID_POINTS, branch_vector_at, default_r_grid,
-                       eigensolve, nearest_level_gap, track_branch)
+from .spectrum import branch_vector_at, eigensolve, nearest_level_gap, track_branch
 
 MODES = ("fast_forward", "no_driving", "spectrum_only", "regularization_only")
 
@@ -42,6 +41,8 @@ EIGENVALUES_CSV = "eigenvalues.csv"
 REGULARIZATION_CSV = "regularization.csv"
 GAP_CSV = "gap.csv"
 MANIFEST = "run_manifest.txt"
+#: the CSVs' coupling columns; a model with fewer generators leaves the rest empty
+W_HEADER = ["w1", "w2"]
 #: cap on grid_points and on the record count; branch tracking holds about
 #: 0.56 KB per grid point, so a config at the cap asks for about 560 MB
 MAX_POINTS = 1_000_000
@@ -59,7 +60,7 @@ class ScenarioConfig:
     r0: float = 0.0
     v_bar: float = 10.0
     t_ff: float = 1.0
-    grid_points: int = DEFAULT_GRID_POINTS
+    grid_points: int = 2001
     integrator_steps: int = DEFAULT_STEPS
     output_stride: int = DEFAULT_STRIDE
     mode: str = "fast_forward"
@@ -129,6 +130,10 @@ def validate(config: ScenarioConfig) -> list[str]:
     elif config.integrator_steps // config.output_stride + 1 > MAX_POINTS:
         problems.append(f"integrator_steps // output_stride + 1 (the record count) "
                         f"must be at most {MAX_POINTS}")
+    if not problems and np.any(np.diff(_r_grid(config)) <= 0):
+        problems.append("the R grid linspace(r0, r0 + v_bar * t_ff, grid_points) must "
+                        "be strictly increasing; raise v_bar * t_ff against |r0| or "
+                        "lower grid_points")
     return problems
 
 
@@ -159,12 +164,17 @@ def _csv(header: list[str], columns: list[np.ndarray | None]) -> bytes:
     return b"".join(parts)
 
 
+def _r_grid(config: ScenarioConfig) -> np.ndarray:
+    """The uniform R grid from the ramp start to its end, for tracking."""
+    return np.linspace(config.r0, config.r0 + config.v_bar * config.t_ff,
+                       config.grid_points)
+
+
 def _track(config: ScenarioConfig):
     """Model, schedule and the branch tracked on the configured grid."""
     spec = ModelSpec(kind=config.model, j0=config.j0, b0=config.b0, r0=config.r0)
     profile = FastForwardProfile(v_bar=config.v_bar, t_ff=config.t_ff)
-    grid = default_r_grid(spec, profile.r_end(spec.r0), config.grid_points)
-    return spec, profile, track_branch(spec, grid)
+    return spec, profile, track_branch(spec, _r_grid(config))
 
 
 def _manifest(config: ScenarioConfig) -> bytes:
@@ -183,19 +193,17 @@ def _eigenvalues_and_gap_csv(spec, branch, times, rs) -> tuple[bytes, bytes]:
     return _csv(header, [times, rs, levels]), _csv(["t", "R", "gap"], [times, rs, gaps])
 
 
-def _regularization_csv(spec, table, times, rs) -> bytes:
-    w = table(rs)
-    return _csv(["t", "R", "w1", "w2"],
-                [times, rs, w[:, 0], None if spec.kind == TWO_SPIN else w[:, 1]])
+def _w_columns(w: np.ndarray) -> list[np.ndarray | None]:
+    """Couplings w as the ``W_HEADER`` columns: empty for a missing generator."""
+    return [w] + [None] * (len(W_HEADER) - w.shape[1])
 
 
 def _trajectory_csv(config: ScenarioConfig, spec, profile, branch, table) -> bytes:
     run = integrate(spec, profile, steps=config.integrator_steps,
                     output_stride=config.output_stride, branch=branch, table=table)
-    header = (["t", "R", "v", "w1", "w2", "norm", "fidelity"]
+    header = (["t", "R", "v", *W_HEADER, "norm", "fidelity"]
               + [f"prob_{i + 1}" for i in range(spec.dim)])
-    w2 = None if spec.kind == TWO_SPIN else run.w[:, 1]
-    return _csv(header, [run.t, run.r, run.v, run.w[:, 0], w2, run.norm,
+    return _csv(header, [run.t, run.r, run.v, *_w_columns(run.w), run.norm,
                          run.fidelity, np.abs(run.psi) ** 2])
 
 
@@ -213,7 +221,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
     spec, profile, branch = _track(config)
     table = None
     if config.mode == "no_driving":
-        table = CoefficientTable.zeros(branch.r_grid)
+        table = CoefficientTable.zeros(spec, branch.r_grid)
     elif config.mode != "spectrum_only":
         table = coefficient_table(spec, branch)
     # the output time grid of the regularization and spectrum CSVs
@@ -223,7 +231,8 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
     if config.mode in ("fast_forward", "no_driving"):
         files[TRAJECTORY_CSV] = _trajectory_csv(config, spec, profile, branch, table)
     if config.mode != "spectrum_only":
-        files[REGULARIZATION_CSV] = _regularization_csv(spec, table, times, rs)
+        files[REGULARIZATION_CSV] = _csv(["t", "R", *W_HEADER],
+                                         [times, rs, *_w_columns(table(rs))])
     if config.mode != "regularization_only":
         files[EIGENVALUES_CSV], files[GAP_CSV] = _eigenvalues_and_gap_csv(
             spec, branch, times, rs)

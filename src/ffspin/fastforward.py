@@ -11,14 +11,14 @@ Soc. A 466, 1135 (2010)) is
 
     H_FF(t) = H0(R(t)) + v(t) sum_k w_k(R(t)) G_k,
 
-written once, in :func:`h_ff`.
+with one coupling w_k per generator G_k of the model's word table.
 
 Every term commutes with the parity P = z1 z2 ... zn, and the run starts on
 the branch vector C(R0), which lies in P = +1, so :func:`integrate`
 propagates only that block, in its real form: a complex matrix a = ar + i ai
 becomes [[ar, -ai], [ai, ar]] and psi becomes [Re psi; Im psi], so the stage
 matrices -iH are one real matmul of the H_FF coefficients with cached real
-forms of -iT for the five structural terms T.  The undriven control is the
+forms of -iT for the model's structural terms T.  The undriven control is the
 same Hamiltonian with a coefficient table of zeros.  RK4 is linear in psi, so
 each fixed step is a matrix; these are built as batched matmuls a chunk of
 steps at a time, multiplied pairwise within each record interval (Blelloch,
@@ -89,7 +89,7 @@ def v_of_t(profile: FastForwardProfile, t: float | np.ndarray):
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Records of a fast-forward run, one array row per sampled step: (n,)
-    arrays, the couplings ``w`` (n, 2) (zero when undriven), ``psi`` (n, dim)."""
+    arrays, ``w`` (n, n_generators) (zero when undriven) and ``psi`` (n, dim)."""
 
     t: np.ndarray
     r: np.ndarray
@@ -105,35 +105,24 @@ class Trajectory:
 
 def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
                        table: CoefficientTable, t: float | np.ndarray) -> np.ndarray:
-    """(..., 5) coefficients of H_FF on the structural terms at times t."""
+    """H_FF's coefficients (J1, J2, Bz, v w1, ...) on the structural terms at t."""
     r = r_of_t(profile, spec.r0, t)
-    pad = 1e-9 * max(1.0, abs(table.r_max - table.r_min))
-    outside = ~((table.r_min - pad <= r) & (r <= table.r_max + pad))
+    lo, hi = float(table.r_grid[0]), float(table.r_grid[-1])
+    pad = 1e-9 * max(1.0, abs(hi - lo))
+    outside = ~((lo - pad <= r) & (r <= hi + pad))
     if np.any(outside):
         raise ValueError(
             f"r={np.asarray(r)[outside][0]} outside the tabulated coefficient "
-            f"range [{table.r_min}, {table.r_max}]")
+            f"range [{lo}, {hi}]")
     v = v_of_t(profile, t)
     return np.concatenate([np.stack(schedules(spec, r), axis=-1),
                            v[..., None] * table(r)], axis=-1)
 
 
-def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
-         t: float | np.ndarray) -> np.ndarray:
-    """Fast-forward Hamiltonian H0(R(t)) + v(t) * driving(R(t)).
-
-    An array of times gives the stack of matrices.  At the endpoints v
-    vanishes identically and the zero driving coefficients leave the bare
-    Hamiltonian unchanged, so the pinning is exact rather than approximate.
-    """
-    return combine(_h_ff_coefficients(spec, profile, table, t),
-                   structural_terms(spec.kind))
-
-
 @lru_cache(maxsize=None)
 def _real_stage_terms(kind: str) -> np.ndarray:
-    """Real forms [[Re a, -Im a], [Im a, Re a]] of a = -i T for the five
-    structural terms T of the P = +1 block, as a read-only (5, 2k, 2k) stack."""
+    """Real forms [[Re a, -Im a], [Im a, Re a]] of a = -i T for the structural
+    terms T of the P = +1 block, as a read-only (k, 2m, 2m) stack."""
     a = -1j * structural_terms(kind, 1)
     terms = np.block([[a.real, -a.imag], [a.imag, a.real]])
     terms.flags.writeable = False
@@ -220,9 +209,9 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
         Number of fixed RK4 steps; must be a positive multiple of
         ``output_stride``.
     branch, table
-        The tracked branch and its coefficient table.  A table of zeros on
-        the branch grid gives the undriven control run (H_FF = H0), with zero
-        recorded couplings ``w``.
+        The tracked branch and its coefficient table, one column per
+        generator.  A table of zeros on the branch grid gives the undriven
+        control run (H_FF = H0), with zero recorded couplings ``w``.
 
     The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
     built a chunk at a time, so the last step ends exactly at t_ff.  Only the
@@ -234,6 +223,9 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
         raise ValueError("steps must be positive")
     if output_stride < 1 or steps % output_stride != 0:
         raise ValueError("steps must be a positive multiple of output_stride")
+    if table.w.shape[-1] != spec.n_generators:
+        raise ValueError(f"table has {table.w.shape[-1]} coupling columns; the "
+                         f"{spec.kind} model needs {spec.n_generators}")
 
     dt = profile.t_ff / steps
     ix = parity_indices(spec.dim)

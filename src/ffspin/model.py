@@ -28,10 +28,11 @@ The paper's driving ansatz also has a z field.  Its coefficient is exactly
 zero on every branch (``h0`` is real, see ``regularization``), so no field
 generator is kept.
 
+``TERM_WORDS`` is the model: its three H0 terms, then its own generators,
+each a scaled sum of Pauli words whose length is the number of sites.
 ``h0`` and H_FF are each one matmul of coefficients with a read-only stack of
-five structural terms, each a scaled sum of the Pauli words in
-``TERM_WORDS``; the terms commute with the parity P = z1 z2 ... zn, and
-``h0``'s ``parity=+1/-1`` evaluates on that block.
+these structural terms; the terms commute with the parity P = z1 z2 ... zn,
+and ``h0``'s ``parity=+1/-1`` evaluates on that block.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ import numpy as np
 
 TWO_SPIN = "two_spin"
 THREE_SPIN_KAGOME = "three_spin_kagome"
-MODEL_KINDS = (TWO_SPIN, THREE_SPIN_KAGOME)
 
 # d/dR of (J1, J2, Bz) for the fixed linear ramps
 SCHEDULE_RATES = (-1.0, 1.0, -1.0)
@@ -53,13 +53,14 @@ PAULI = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
-#: (scale, Pauli words) of M_j1, M_j2, M_bz, G_w1 and G_w2; letter i of a
-#: word acts on site i and "1" is the identity
+#: (scale, Pauli words) of M_j1, M_j2, M_bz, then of the model's generators
+#: G_w1, ...; letter i of a word acts on site i and "1" is the identity
 TERM_WORDS = {
-    TWO_SPIN: ((1, "xx"), (1, "yy"), (0.5, "z1 1z"), (0.5, "xy yx"), (0, "11")),
+    TWO_SPIN: ((1, "xx"), (1, "yy"), (0.5, "z1 1z"), (0.5, "xy yx")),
     THREE_SPIN_KAGOME: ((1, "xx1 1xx"), (1, "y1y"), (0.5, "z11 1z1 11z"),
                         (1, "xy1 yx1 1xy 1yx"), (1, "x1y y1x")),
 }
+MODEL_KINDS = tuple(TERM_WORDS)
 
 
 @dataclass(frozen=True)
@@ -77,11 +78,16 @@ class ModelSpec:
 
     @property
     def n_spins(self) -> int:
-        return 2 if self.kind == TWO_SPIN else 3
+        return len(TERM_WORDS[self.kind][0][1].split()[0])  # the word length
 
     @property
     def dim(self) -> int:
         return 2 ** self.n_spins
+
+    @property
+    def n_generators(self) -> int:
+        """Driving generators, the terms after the three of H0: the length of w."""
+        return len(TERM_WORDS[self.kind]) - 3
 
 
 def schedules(spec: ModelSpec, r: float) -> tuple[float, float, float]:
@@ -105,10 +111,10 @@ def pauli_word(word: str) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def structural_terms(kind: str, parity: int | None = None) -> np.ndarray:
-    """(M_j1, M_j2, M_bz, G_w1, G_w2) as one read-only (5, d, d) stack, sliced
-    once to the P = ``parity`` block unless ``parity`` is None.  The M's are
-    real and the exchange generators G purely imaginary; two spins have no
-    w2 bond, so their G_w2 is zero."""
+    """The terms of ``TERM_WORDS[kind]`` (M_j1, M_j2, M_bz, G_w1, ...) as one
+    read-only (k, d, d) stack, sliced once to the P = ``parity`` block unless
+    ``parity`` is None.  The M's are real and the exchange generators G
+    purely imaginary."""
     if parity is not None:
         full = structural_terms(kind, None)
         ix = parity_indices(full.shape[-1], parity)

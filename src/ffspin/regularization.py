@@ -4,25 +4,24 @@ The paper's driving ansatz is the core linear system
 
     (w1 G1 + w2 G2 + bz Sz) C(R) = i dC/dR
 
-in real unknowns, with the model's exchange generators G1, G2 and the z
-field Sz.  ``h0`` is real, so C and dC/dR are real; each G is i times a real
-matrix, and Sz is real.  Split into real and imaginary parts the system
-decouples: bz meets only the real part, whose target Re(i dC/dR) is zero, so
-bz = 0 exactly (time reversal), and the exchange couplings solve the real
-system
+in real unknowns, with the model's exchange generators G_k (G1 and G2 for
+three spins, G1 alone for two) and the z field Sz.  ``h0`` is real, so C and
+dC/dR are real; each G is i times a real matrix, and Sz is real.  Split into
+real and imaginary parts the system decouples: bz meets only the real part,
+whose target Re(i dC/dR) is zero, so bz = 0 exactly (time reversal), and the
+exchange couplings solve the real system
 
-    Im(G1) C w1 + Im(G2) C w2 = dC/dR.
+    sum_k Im(G_k) C w_k = dC/dR.
 
 ``solve_core`` solves it on the P = +1 block, where the branch lives (2 x 1
 for two spins, 4 x 2 for three), for a whole stack of samples with one QR
 vectorized over the stack, so ``coefficient_table`` is one call.  It returns
-the couplings as one array w of shape (..., 2), in the order (w1, w2) of the
-exchange generators; the two-spin w2 is 0.  For these
-two clusters the couplings span dC/dR exactly, so the residual sits at
-numerical noise; a residual above tolerance signals a modeling bug, not an
-approximation to be accepted.  The paper's closed forms, and the
-three-unknown ansatz that shows bz = 0, are the test oracles in
-``tests/oracles.py``.
+the couplings as one array w with one entry per generator, shape (..., 1)
+for two spins and (..., 2) for three.  For these two clusters the couplings
+span dC/dR exactly, so the residual sits at numerical noise; a residual
+above tolerance signals a modeling bug, not an approximation to be accepted.
+The paper's closed forms, and the three-unknown ansatz that shows bz = 0,
+are the test oracles in ``tests/oracles.py``.
 
 ``CoefficientTable`` interpolates w between the samples with the not-a-knot
 cubic spline: the one cubic spline through the samples whose third
@@ -38,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import ModelSpec, TWO_SPIN, structural_terms
+from .model import ModelSpec, structural_terms
 from .spectrum import AdiabaticBranch
 
 #: least-squares residual above this value means the ansatz cannot represent
@@ -92,12 +91,12 @@ def solve_core(spec: ModelSpec, vector: np.ndarray,
     """Solve the core system for a branch sample (C, dC/dR), given as P = +1
     block components.
 
-    (..., dim // 2) stacks of samples give couplings w of shape (..., 2) and
-    residual norms of shape (...).  Raises RuntimeError when a residual
-    exceeds ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient sample falls back to
-    the minimum-norm solution, with one warning per call.
+    (..., dim // 2) stacks of samples give couplings w, shape (...,
+    n_generators), and residual norms, shape (...).  Raises RuntimeError
+    when a residual exceeds ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient
+    sample falls back to the minimum-norm solution, with one warning per call.
     """
-    generators = structural_terms(spec.kind, 1)[3:4 if spec.kind == TWO_SPIN else 5]
+    generators = structural_terms(spec.kind, 1)[3:]
     # columns Im(G_k) C of the system, shape (k, ..., dim // 2)
     a = np.moveaxis(np.tensordot(generators.imag, vector, axes=(2, -1)), 1, -1)
     x, rank = _min_norm_lstsq(a, d_vector)
@@ -109,23 +108,21 @@ def solve_core(spec: ModelSpec, vector: np.ndarray,
     if np.any(residual > ANSATZ_RESIDUAL_LIMIT):
         raise RuntimeError(
             f"driving ansatz insufficient: core residual {np.max(residual):.3e}")
-    if len(x) == 1:  # two spins: no w2 bond
-        x = np.concatenate([x, np.zeros_like(x)])
     return np.moveaxis(x, 0, -1), residual
 
 
 def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """Knot slopes, shape (n, 2), of the not-a-knot cubic spline through
+    """Knot slopes, shape (n, k), of the not-a-knot cubic spline through
     points with abscissae x, spacings dx and secant slopes ``slope``, shape
-    (n - 1, 2).
+    (n - 1, k).
 
     Not-a-knot: the third derivative is continuous at the second and the
     second-to-last knot, so the first two and the last two pieces are one
     cubic each.  The slopes solve scipy's tridiagonal system, with its end
-    rows and right-hand side, by LAPACK gtsv's elimination, both columns in
-    one sweep over Python floats; gtsv does not pivot on these rows for
-    uniform grids, so the slopes are scipy's to the bit.  Two points give
-    the line, three the parabola, as in scipy.
+    rows and right-hand side, by LAPACK gtsv's elimination over Python
+    floats, the pivots once for all columns; gtsv does not pivot on these
+    rows for uniform grids, so the slopes are scipy's to the bit.  Two
+    points give the line, three the parabola, as in scipy.
     """
     n = len(x)
     if n == 2:
@@ -134,7 +131,7 @@ def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.n
         c = (slope[1] - slope[0]) / (x[2] - x[0])
         return np.stack([slope[0] - c * dx[0], slope[0] + c * dx[0], slope[1] + c * dx[1]])
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    b = np.empty((n, 2))
+    b = np.empty((n, slope.shape[1]))
     b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / d0
     b[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
     b[-1] = (dx[-1] * dx[-1] * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
@@ -142,48 +139,51 @@ def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.n
     lower = dx[1:].tolist() + [float(d1)]
     diag = [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])]
     upper = [float(d0)] + dx[:-1].tolist()
-    bu, bv = b.T.tolist()
-    p, u, v = diag[0], bu[0], bv[0]
-    pivots, us, vs = [p], [u], [v]
-    for low, dg, up, cu, cv in zip(lower, diag[1:], upper, bu[1:], bv[1:]):
+    p = diag[0]
+    pivots, factors = [p], []
+    for low, dg, up in zip(lower, diag[1:], upper):
         f = low / p
         p = dg - f * up
-        u = cu - f * u
-        v = cv - f * v
         pivots.append(p)
-        us.append(u)
-        vs.append(v)
-    u, v = u / p, v / p
-    su, sv = [u], [v]
-    for p, up, cu, cv in zip(pivots[-2::-1], upper[::-1], us[-2::-1], vs[-2::-1]):
-        u = (cu - up * u) / p
-        v = (cv - up * v) / p
-        su.append(u)
-        sv.append(v)
-    return np.array([su[::-1], sv[::-1]]).T
+        factors.append(f)
+    slopes = []
+    for column in b.T.tolist():
+        u = column[0]
+        us = [u]
+        for f, c in zip(factors, column[1:]):
+            u = c - f * u
+            us.append(u)
+        u = u / p
+        s = [u]
+        for q, up, c in zip(pivots[-2::-1], upper[::-1], us[-2::-1]):
+            u = (c - up * u) / q
+            s.append(u)
+        slopes.append(s[::-1])
+    return np.array(slopes).T
 
 
 @dataclass
 class CoefficientTable:
-    """Driving couplings w, shape (n, 2), sampled on the branch grid, with
-    cubic interpolation."""
+    """Driving couplings w, shape (n, n_generators), sampled on the branch
+    grid, with cubic interpolation."""
 
     r_grid: np.ndarray
     w: np.ndarray
     residuals: np.ndarray
 
     @classmethod
-    def zeros(cls, r_grid: np.ndarray) -> CoefficientTable:
-        """The undriven control's table: zero couplings (H_FF = H0) and zero
-        residuals on ``r_grid``."""
-        return cls(r_grid, np.zeros(np.shape(r_grid) + (2,)), np.zeros_like(r_grid))
+    def zeros(cls, spec: ModelSpec, r_grid: np.ndarray) -> CoefficientTable:
+        """The undriven control's table: zero couplings (H_FF = H0), one per
+        generator of the model, and zero residuals on ``r_grid``."""
+        return cls(r_grid, np.zeros(np.shape(r_grid) + (spec.n_generators,)),
+                   np.zeros_like(r_grid))
 
     @cached_property
     def _spline(self) -> np.ndarray | None:
-        """The not-a-knot cubic spline of the (w1, w2) columns as power-basis
-        coefficients c, shape (4, 2, n - 1): on [r_i, r_i+1] the couplings
-        are sum_k c[k, :, i] (r - r_i)^(3 - k).  None for a single-point
-        grid, where the couplings are constant."""
+        """The not-a-knot cubic spline of the columns of w as power-basis
+        coefficients c, shape (4, n_generators, n - 1): on [r_i, r_i+1] the
+        couplings are sum_k c[k, :, i] (r - r_i)^(3 - k).  None for a
+        single-point grid, where the couplings are constant."""
         x, y = self.r_grid, self.w
         if len(x) < 2 or x[-1] == x[0]:
             return None
@@ -202,20 +202,12 @@ class CoefficientTable:
         c = np.stack([t / dx_col, (slope - s[:-1]) / dx_col - t, s[:-1], y[:-1]])
         return np.ascontiguousarray(c.transpose(0, 2, 1))
 
-    @property
-    def r_min(self) -> float:
-        return float(self.r_grid[0])
-
-    @property
-    def r_max(self) -> float:
-        return float(self.r_grid[-1])
-
     def __call__(self, r: float | np.ndarray) -> np.ndarray:
-        """Interpolated couplings (w1, w2) at r, shape ``np.shape(r) + (2,)``;
+        """Interpolated couplings at r, shape ``np.shape(r) + (n_generators,)``;
         the end pieces extrapolate."""
         c = self._spline
         if c is None:
-            return np.broadcast_to(self.w[0], np.shape(r) + (2,))
+            return np.broadcast_to(self.w[0], np.shape(r) + self.w.shape[1:])
         i = np.searchsorted(self.r_grid[1:-1], r, side="right")
         s = r - self.r_grid[i]
         c = c.take(i, axis=-1)

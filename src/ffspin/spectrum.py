@@ -31,7 +31,6 @@ EIG_RESIDUAL_ATOL = 1e-10
 #: an in-sector gap below this fraction of the block's spectral scale counts
 #: as a crossing of the tracked level
 SECTOR_GAP_RTOL = 1e-3
-DEFAULT_GRID_POINTS = 2001
 MIN_CONTINUITY_OVERLAP = 0.99
 
 
@@ -132,12 +131,6 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
                           vectors)
     d = np.einsum("nij,nj->ni", v[:, :, 1:], couplings / (w[:, :1] - w[:, 1:]))
     return AdiabaticBranch(r_grid, energies=w[:, 0], vectors=vectors, d_vectors=d)
-
-
-def default_r_grid(spec: ModelSpec, r_end: float,
-                   n_points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Uniform R grid from the schedule start to ``r_end``."""
-    return np.linspace(spec.r0, r_end, n_points)
 
 
 def branch_vector_at(spec: ModelSpec, branch: AdiabaticBranch,

@@ -4,11 +4,18 @@ import numpy as np
 import pytest
 
 from ffspin import (CoefficientTable, FastForwardProfile, ModelSpec,
-                    THREE_SPIN_KAGOME, TWO_SPIN, coefficient_table, default_r_grid,
-                    integrate, track_branch)
+                    THREE_SPIN_KAGOME, TWO_SPIN, coefficient_table, integrate,
+                    track_branch)
 
 REFERENCE_V_BAR = 10.0
 REFERENCE_T_FF = 1.0
+REFERENCE_GRID_POINTS = 2001
+
+
+def ramp_grid(spec: ModelSpec, profile: FastForwardProfile,
+              n_points: int = REFERENCE_GRID_POINTS) -> np.ndarray:
+    """The uniform R grid of the run from the ramp start to its end."""
+    return np.linspace(spec.r0, profile.r_end(spec.r0), n_points)
 
 
 @pytest.fixture(scope="session")
@@ -28,14 +35,12 @@ def profile() -> FastForwardProfile:
 
 @pytest.fixture(scope="session")
 def two_branch(two_spec, profile):
-    grid = default_r_grid(two_spec, profile.r_end(two_spec.r0))
-    return track_branch(two_spec, grid)
+    return track_branch(two_spec, ramp_grid(two_spec, profile))
 
 
 @pytest.fixture(scope="session")
 def three_branch(three_spec, profile):
-    grid = default_r_grid(three_spec, profile.r_end(three_spec.r0))
-    return track_branch(three_spec, grid)
+    return track_branch(three_spec, ramp_grid(three_spec, profile))
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +66,7 @@ def three_run(three_spec, profile, three_branch, three_table):
 @pytest.fixture(scope="session")
 def three_run_no_driving(three_spec, profile, three_branch, three_table):
     return integrate(three_spec, profile, branch=three_branch,
-                     table=CoefficientTable.zeros(three_branch.r_grid))
+                     table=CoefficientTable.zeros(three_spec, three_branch.r_grid))
 
 
 @pytest.fixture(scope="session")
@@ -69,7 +74,7 @@ def three_fast_runs(three_spec, three_branch, three_table):
     """(driven, undriven) three-spin trajectories at vbar=100, T=0.1: the
     reference ramp, R from 0 to 10, run ten times faster."""
     profile = FastForwardProfile(v_bar=100.0, t_ff=0.1)
-    undriven = CoefficientTable.zeros(three_branch.r_grid)
+    undriven = CoefficientTable.zeros(three_spec, three_branch.r_grid)
     return tuple(integrate(three_spec, profile, branch=three_branch, table=table)
                  for table in (three_table, undriven))
 

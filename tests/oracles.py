@@ -8,9 +8,11 @@ None of these is called by the pipeline:
   its real unknowns, field included, solved per sample by ``lstsq``.  It
   shows that the field coefficient vanishes, which is what lets
   ``solve_core`` fit the exchange couplings alone;
+* the fast-forward Hamiltonian H0(R(t)) + v(t) sum_k w_k(R(t)) G_k, written
+  from its definition;
 * the driving candidate operator with a field term, and the distance from
   the branch energy to the nearest level of the full spectrum;
-* Pauli operators built by acting on ket labels, and from them the five
+* Pauli operators built by acting on ket labels, and from them the
   structural terms summed over the bonds that the model docstring names.
 
 Branch samples are P = +1 block components, as the pipeline returns them;
@@ -23,13 +25,16 @@ from itertools import product
 
 import numpy as np
 
+from ffspin.fastforward import FastForwardProfile, r_of_t, v_of_t
 from ffspin.model import (SCHEDULE_RATES, TWO_SPIN, ModelSpec, combine, h0,
                           parity_indices, schedules, structural_terms)
+from ffspin.regularization import CoefficientTable
 from ffspin.spectrum import AdiabaticBranch, eigensolve, nearest_level_gap
 
 IMAG_RESIDUE_ATOL = 1e-10
-#: positions in ``structural_terms`` of G_w1, G_w2 and the field Sz = M_bz
-CANDIDATE_TERMS = [3, 4, 2]
+#: position in ``structural_terms`` of the field Sz = M_bz; the exchange
+#: generators follow it
+FIELD_TERM = 2
 
 
 def embed(block_vectors: np.ndarray, dim: int) -> np.ndarray:
@@ -85,29 +90,40 @@ def component_form_three_spin(vector: np.ndarray, d_vector: np.ndarray) -> np.nd
 
 
 def full_ansatz_solve(spec: ModelSpec, vector: np.ndarray,
-                      d_vector: np.ndarray) -> tuple[float, float, float, float]:
-    """(w1, w2, bz, residual) of the paper's complex ansatz at one sample,
-    solved in the full space.
+                      d_vector: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(w, bz, residual) of the paper's complex ansatz at one sample, solved
+    in the full space: the couplings w of the model's exchange generators
+    (w1 alone for two spins, which have no w2 bond), the field coefficient
+    and the residual norm.
 
-    All real unknowns are fitted together (w1 and bz for two spins, which
-    have no w2 bond), by ``lstsq`` on the stacked real and imaginary parts.
+    All real unknowns are fitted together, by ``lstsq`` on the stacked real
+    and imaginary parts.
     """
-    used = CANDIDATE_TERMS[::2] if spec.kind == TWO_SPIN else CANDIDATE_TERMS
-    a = structural_terms(spec.kind)[used] @ embed(vector, spec.dim)
+    a = structural_terms(spec.kind)[FIELD_TERM:] @ embed(vector, spec.dim)
     target = 1j * embed(d_vector, spec.dim)
     a_real = np.concatenate([a.real, a.imag], axis=-1).T
     b_real = np.concatenate([target.real, target.imag])
     x = np.linalg.lstsq(a_real, b_real, rcond=None)[0]
     residual = float(np.linalg.norm(a_real @ x - b_real))
-    w2 = 0.0 if spec.kind == TWO_SPIN else x[1]
-    return float(x[0]), float(w2), float(x[-1]), residual
+    return x[1:], float(x[0]), residual
 
 
 def h_candidate(spec: ModelSpec, w1=0.0, w2=0.0, bz=0.0) -> np.ndarray:
-    """The paper's driving candidate w1 G1 + w2 G2 + bz Sz (Hermitian);
-    array coefficients give the stack of operators."""
-    w = np.stack(np.broadcast_arrays(w1, w2, bz), axis=-1)
-    return combine(w, structural_terms(spec.kind)[CANDIDATE_TERMS])
+    """The paper's driving candidate w1 G1 + w2 G2 + bz Sz (Hermitian), with
+    the generators the model has (w2 is ignored for two spins); array
+    coefficients give the stack of operators."""
+    terms = structural_terms(spec.kind)[FIELD_TERM:]
+    w = np.stack(np.broadcast_arrays(bz, w1, w2)[:len(terms)], axis=-1)
+    return combine(w, terms)
+
+
+def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
+         t: float | np.ndarray) -> np.ndarray:
+    """The fast-forward Hamiltonian H0(R(t)) + v(t) sum_k w_k(R(t)) G_k, with
+    the couplings of ``table``; an array of times gives the stack."""
+    r = r_of_t(profile, spec.r0, t)
+    v = np.asarray(v_of_t(profile, t))[..., None, None]
+    return h0(spec, r) + v * combine(table(r), structural_terms(spec.kind)[3:])
 
 
 def gap_report(branch: AdiabaticBranch, spec: ModelSpec) -> np.ndarray:
@@ -152,9 +168,10 @@ def slow_word(word: str) -> np.ndarray:
 
 
 def bond_terms(kind: str) -> list[np.ndarray]:
-    """(M_j1, M_j2, M_bz, G_w1, G_w2) summed over the model's bonds from
+    """(M_j1, M_j2, M_bz, G_w1, ...) summed over the model's bonds from
     label-action operators: xx on the J1 bonds, yy on the J2 bond, z/2 on
-    every site, and xy + yx on the w1 and w2 bonds (halved for two spins)."""
+    every site, and xy + yx on the w1 bond (halved for two spins) and on the
+    three-spin w2 bond."""
     n = 2 if kind == TWO_SPIN else 3
     labels = binary_labels(n)
 
@@ -166,7 +183,6 @@ def bond_terms(kind: str) -> list[np.ndarray]:
 
     z = 0.5 * sum(slow_pauli("z", site, labels) for site in range(1, n + 1))
     if kind == TWO_SPIN:
-        return [pair("x", "x", 1, 2), pair("y", "y", 1, 2), z, 0.5 * xy(1, 2),
-                np.zeros((4, 4))]
+        return [pair("x", "x", 1, 2), pair("y", "y", 1, 2), z, 0.5 * xy(1, 2)]
     return [pair("x", "x", 1, 2) + pair("x", "x", 2, 3), pair("y", "y", 3, 1), z,
             xy(1, 2) + xy(2, 3), xy(3, 1)]

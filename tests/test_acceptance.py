@@ -22,16 +22,15 @@ import numpy as np
 import pytest
 
 from ffspin.cli import make_config, run
-from ffspin.fastforward import h_ff, integrate, r_of_t, v_of_t
+from ffspin.fastforward import integrate, r_of_t, v_of_t
 from ffspin.model import TWO_SPIN, h0, parity_indices, schedules
 from ffspin.regularization import (RESIDUAL_NOISE_ATOL, coefficient_table,
                                    solve_core)
-from ffspin.spectrum import (branch_vector_at, default_r_grid, eigensolve,
-                             track_branch)
+from ffspin.spectrum import branch_vector_at, eigensolve, track_branch
 
-from conftest import probabilities
+from conftest import probabilities, ramp_grid
 from oracles import (closed_form_two_spin, component_form_three_spin,
-                     full_ansatz_solve, gap_report)
+                     full_ansatz_solve, gap_report, h_ff)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -142,14 +141,14 @@ def test_criterion_4_driving_coefficient_oracles(two_spec, two_branch,
         worst_closed = max(worst_closed, abs(w[0] - cf))
         worst_resid = max(worst_resid, residual)
         worst_bz = max(worst_bz, abs(full_ansatz_solve(
-            two_spec, two_branch.vectors[k], two_branch.d_vectors[k])[2]))
+            two_spec, two_branch.vectors[k], two_branch.d_vectors[k])[1]))
     worst_comp = 0.0
     for k in range(0, 2001, 20):
         c = three_branch.vectors[k]
         w, residual = solve_core(three_spec, c, three_branch.d_vectors[k])
         worst_resid = max(worst_resid, residual)
         worst_bz = max(worst_bz, abs(full_ansatz_solve(
-            three_spec, c, three_branch.d_vectors[k])[2]))
+            three_spec, c, three_branch.d_vectors[k])[1]))
         weight = 3 * c[0] ** 2 - 2 * c[1] ** 2 - c[2] ** 2
         if abs(c[0]) > 1e-10 and abs(weight) > 1e-10:
             comp = component_form_three_spin(c, three_branch.d_vectors[k])
@@ -249,7 +248,7 @@ def test_criterion_8_numerical_hygiene(three_spec, profile, three_branch,
     d2 = float(np.linalg.norm(finals[1] - finals[2]))
     halving_ratio = d1 / d2
 
-    dense_grid = default_r_grid(three_spec, profile.r_end(three_spec.r0), 4001)
+    dense_grid = ramp_grid(three_spec, profile, 4001)
     dense = coefficient_table(three_spec, track_branch(three_spec, dense_grid))
     coeff_shift = 0.0
     for r in np.linspace(0.05, 9.95, 101):

@@ -399,6 +399,22 @@ def test_overflowing_ramp_end_names_the_keys(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_r_grid_that_does_not_increase_names_the_keys(tmp_path, capsys):
+    # at r0 = 1e16 neighbouring float64 values are 2 apart, so 401 points over
+    # a ramp of length 4 repeat values; the spline would stop the run late
+    keys = ["--r0", "1e16", "--v_bar", "4", "--grid_points", "401",
+            "--integrator_steps", "2000"]
+    problem = ("the R grid linspace(r0, r0 + v_bar * t_ff, grid_points) must be "
+               "strictly increasing; raise v_bar * t_ff against |r0| or lower "
+               "grid_points")
+    assert main(["validate"] + keys) == 2
+    assert capsys.readouterr().out == problem + "\n"
+    assert main(["run"] + keys + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"invalid config: {problem}\n"
+    assert not (tmp_path / "out").exists()
+    assert validate(make_config({"r0": "1e16", "v_bar": "1e6"})) == []
+
+
 def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
     # at j0 = 1e5 the RK4 steps overflow and the norms are NaN, which a plain
     # `drift > limit` comparison would let through

@@ -3,11 +3,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.fastforward import (FastForwardProfile, h_ff, integrate, r_of_t,
-                                v_of_t)
-from ffspin.model import h0, parity_indices
+from ffspin import fastforward
+from ffspin.fastforward import FastForwardProfile, integrate, r_of_t, v_of_t
+from ffspin.model import THREE_SPIN_KAGOME, ModelSpec, h0, parity_indices
 from ffspin.regularization import CoefficientTable, coefficient_table
-from ffspin.spectrum import default_r_grid, track_branch
+from ffspin.spectrum import track_branch
+
+from conftest import ramp_grid
+from oracles import h_ff
 
 RNG = np.random.RandomState(7)
 
@@ -80,7 +83,7 @@ def test_h_ff_hermitian_at_random_times(three_spec, three_table, ramp_profile):
 def test_h_ff_out_of_range_interpolation(two_spec, two_table):
     profile = FastForwardProfile(v_bar=20.0, t_ff=1.0)  # reaches R=20 > table
     with pytest.raises(ValueError, match="outside the tabulated"):
-        h_ff(two_spec, profile, two_table, 0.8)
+        fastforward._h_ff_coefficients(two_spec, profile, two_table, 0.8)
 
 
 def test_h_ff_array_matches_scalar_calls(three_spec, three_table, ramp_profile):
@@ -136,7 +139,7 @@ def test_no_driving_controls(two_spec, three_spec, ramp_profile, two_branch,
                              two_table, three_branch, three_table,
                              three_run_no_driving):
     recs2 = integrate(two_spec, ramp_profile, branch=two_branch,
-                      table=CoefficientTable.zeros(two_branch.r_grid))
+                      table=CoefficientTable.zeros(two_spec, two_branch.r_grid))
     fid2 = recs2.fidelity[-1]
     assert fid2 == pytest.approx(NO_DRIVING_FINAL_FIDELITY["two_spin"], abs=1e-4)
     assert fid2 < 0.9  # the two-spin ramp alone is far from adiabatic
@@ -161,7 +164,7 @@ def test_fast_profile_keeps_fidelity(three_fast_runs):
 def test_zero_velocity_constant_hamiltonian(two_spec):
     # vbar = 0 keeps R pinned at the start; the eigenstate just gains phase
     profile = FastForwardProfile(v_bar=0.0, t_ff=1.0)
-    branch = track_branch(two_spec, default_r_grid(two_spec, profile.r_end(0.0), 5))
+    branch = track_branch(two_spec, ramp_grid(two_spec, profile, 5))
     run = integrate(two_spec, profile, steps=2000, output_stride=500, branch=branch,
                     table=coefficient_table(two_spec, branch))
     assert run.fidelity.min() > 1.0 - 1e-9
@@ -176,3 +179,9 @@ def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,
                   branch=two_branch, table=two_table)
     with pytest.raises(ValueError, match="steps must be positive"):
         integrate(two_spec, ramp_profile, 0, branch=two_branch, table=two_table)
+    # a table of the other model: two coupling columns where two spins have one
+    three_spin_table = CoefficientTable.zeros(ModelSpec(kind=THREE_SPIN_KAGOME),
+                                              two_branch.r_grid)
+    with pytest.raises(ValueError, match="^table has 2 coupling columns; the two_spin "
+                                         "model needs 1$"):
+        integrate(two_spec, ramp_profile, branch=two_branch, table=three_spin_table)

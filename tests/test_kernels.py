@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from ffspin import CoefficientTable, fastforward
-from ffspin.fastforward import FastForwardProfile, h_ff, integrate, r_of_t
+from ffspin.fastforward import FastForwardProfile, integrate, r_of_t
 from ffspin.model import MODEL_KINDS, h0, parity_indices, structural_terms
 
-from oracles import embed
+from oracles import embed, h_ff
 
 
 def _run(spec, profile, table, branch, steps=400, stride=100):
@@ -35,7 +35,7 @@ def test_record_layout(two_spec, profile, two_table, two_branch):
     assert run.psi.shape == (5, 4)
     for name in ("t", "r", "v", "norm", "fidelity"):
         assert getattr(run, name).shape == (5,)
-    assert run.w.shape == (5, 2)
+    assert run.w.shape == (5, 1)  # w1 alone: two spins have one generator
     assert np.array_equal(run.w, two_table(run.r))
     assert run.t[0] == 0.0
     assert run.t[-1] == 1.0  # the last stage time is exactly t_ff
@@ -48,7 +48,8 @@ def test_record_layout(two_spec, profile, two_table, two_branch):
 
 def test_zero_table_changes_the_evolution(two_spec, profile, two_table, two_branch):
     driven = _run(two_spec, profile, two_table, two_branch)
-    bare = _run(two_spec, profile, CoefficientTable.zeros(two_branch.r_grid), two_branch)
+    bare = _run(two_spec, profile, CoefficientTable.zeros(two_spec, two_branch.r_grid),
+                two_branch)
     assert not np.allclose(driven.psi[-1], bare.psi[-1])
     assert np.all(bare.w == 0.0)
 
@@ -99,7 +100,7 @@ def test_records_match_per_step_loop(model, drive, stride, profile, request):
     spec, branch, table = (request.getfixturevalue(f"{model}_{name}")
                            for name in ("spec", "branch", "table"))
     run = integrate(spec, profile, steps=2000, output_stride=stride, branch=branch,
-                    table=table if drive else CoefficientTable.zeros(branch.r_grid))
+                    table=table if drive else CoefficientTable.zeros(spec, branch.r_grid))
     expected = rk4_loop_reference(spec, profile, table,
                                   embed(branch.vectors[0], spec.dim), 2000, stride,
                                   drive)

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.model import (MODEL_KINDS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec,
-                          d_h0_dr, h0, schedules, structural_terms)
+from ffspin.model import (MODEL_KINDS, TERM_WORDS, THREE_SPIN_KAGOME, TWO_SPIN,
+                          ModelSpec, d_h0_dr, h0, schedules, structural_terms)
 
 from oracles import bond_terms, h_candidate, is_hermitian, slow_word
 
@@ -45,6 +45,20 @@ def three() -> ModelSpec:
 def test_invalid_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         ModelSpec(kind="four_spin")
+
+
+@pytest.mark.parametrize("kind,n_spins,n_generators", [(TWO_SPIN, 2, 1),
+                                                     (THREE_SPIN_KAGOME, 3, 2)])
+def test_sizes_come_from_the_word_table(kind, n_spins, n_generators):
+    # the table lists the three H0 terms, then only the model's own generators
+    spec = ModelSpec(kind=kind)
+    assert (spec.n_spins, spec.dim, spec.n_generators) == (n_spins, 2 ** n_spins,
+                                                           n_generators)
+    assert len(TERM_WORDS[kind]) == 3 + n_generators
+    assert structural_terms(kind).shape == (3 + n_generators, spec.dim, spec.dim)
+    assert not any(set(word) == {"1"} for _, words in TERM_WORDS[kind]
+                   for word in words.split())  # no identity-only dummy term
+    assert MODEL_KINDS == tuple(TERM_WORDS)
 
 
 def test_schedules_linear(two):
@@ -126,7 +140,7 @@ def test_structural_terms_equal_the_bond_sums(kind):
     terms = structural_terms(kind)
     assert terms.dtype == np.complex128 and not terms.flags.writeable
     expected = bond_terms(kind)
-    assert len(terms) == len(expected) == 5
+    assert len(terms) == len(expected)
     for term, oracle in zip(terms, expected):
         assert np.array_equal(term, oracle)
 
@@ -157,7 +171,8 @@ def test_bare_hamiltonian_is_real(kind, parity):
 def test_driving_generators_are_purely_imaginary(kind, parity):
     # the exchange-only core solve rests on this: with h0 real, a real part of
     # a generator would make the dropped field coefficient nonzero
-    assert structural_terms(kind, parity).shape[0] == 5
+    n_terms = 3 + ModelSpec(kind=kind).n_generators
+    assert structural_terms(kind, parity).shape[0] == n_terms
     assert not np.any(structural_terms(kind, parity)[3:].real)
 
 

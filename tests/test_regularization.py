@@ -6,20 +6,21 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec
+from ffspin.fastforward import integrate
+from ffspin.model import TERM_WORDS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec
 from ffspin.regularization import (RESIDUAL_NOISE_ATOL, CoefficientTable,
                                    _min_norm_lstsq, coefficient_table, solve_core)
-from ffspin.spectrum import default_r_grid, track_branch
+from ffspin.spectrum import track_branch
 
+from conftest import ramp_grid
 from oracles import (closed_form_two_spin, closed_form_w, component_form_three_spin,
                      full_ansatz_solve)
 
 
 def test_solve_core_two_spin_at_start(two_spec, two_branch):
     w, residual = solve_core(two_spec, two_branch.vectors[0], two_branch.d_vectors[0])
-    assert w.shape == (2,)
+    assert w.shape == (1,)
     assert w[0] == pytest.approx(0.05, abs=1e-9)
-    assert w[1] == 0.0
     assert residual < 1e-10
 
 
@@ -35,7 +36,7 @@ def test_field_coefficient_vanishes_along_branch(fixture, spec_kind, request):
     branch = request.getfixturevalue(fixture)
     spec = ModelSpec(kind=spec_kind)
     for k in range(0, len(branch.r_grid), 100):
-        _, _, bz, _ = full_ansatz_solve(spec, branch.vectors[k], branch.d_vectors[k])
+        _, bz, _ = full_ansatz_solve(spec, branch.vectors[k], branch.d_vectors[k])
         assert abs(bz) < 1e-10
 
 
@@ -49,11 +50,13 @@ def test_full_ansatz_oracle_has_no_field_and_matches_exchange_solve(
     branch = request.getfixturevalue(fixture)
     spec = ModelSpec(kind=spec_kind)
     w, residual = solve_core(spec, branch.vectors, branch.d_vectors)
-    oracle = np.array([full_ansatz_solve(spec, c, d)
-                       for c, d in zip(branch.vectors, branch.d_vectors)])
-    assert np.max(np.abs(oracle[:, 2])) < 1e-15
-    assert np.max(np.abs(oracle[:, :2] - w)) < 1e-14
-    assert np.max(np.abs(oracle[:, 3] - residual)) < 1e-14
+    solves = [full_ansatz_solve(spec, c, d)
+              for c, d in zip(branch.vectors, branch.d_vectors)]
+    oracle_w, oracle_bz, oracle_residual = (np.array(x) for x in zip(*solves))
+    assert oracle_w.shape == w.shape
+    assert np.max(np.abs(oracle_bz)) < 1e-15
+    assert np.max(np.abs(oracle_w - w)) < 1e-14
+    assert np.max(np.abs(oracle_residual - residual)) < 1e-14
 
 
 @pytest.mark.parametrize("fixture,spec_kind", [("two_branch", TWO_SPIN),
@@ -63,7 +66,7 @@ def test_solve_core_stack_matches_per_sample_calls(fixture, spec_kind, request):
     spec = ModelSpec(kind=spec_kind)
     ks = np.arange(0, len(branch.r_grid), 125)
     w, residual = solve_core(spec, branch.vectors[ks], branch.d_vectors[ks])
-    assert w.shape == ks.shape + (2,) and residual.shape == ks.shape
+    assert w.shape == ks.shape + (spec.n_generators,) and residual.shape == ks.shape
     for i, k in enumerate(ks):
         single_w, single_residual = solve_core(spec, branch.vectors[k],
                                                branch.d_vectors[k])
@@ -165,15 +168,15 @@ def test_table_residuals_and_interpolation(three_spec, three_table):
                                np.full((2, 3), 5.0)])
 def test_table_call_shape(r, two_spec, two_table):
     # a spline table, and a single-point one (v_bar = 0: no spline)
-    fixed = default_r_grid(two_spec, two_spec.r0, 5)
+    fixed = np.full(5, two_spec.r0)
     flat = coefficient_table(two_spec, track_branch(two_spec, fixed))
     assert flat._spline is None and two_table._spline is not None
     for table in (two_table, flat):
-        assert table(r).shape == np.shape(r) + (2,)
+        assert table(r).shape == np.shape(r) + (1,)
 
 
 def test_grid_doubling_stability(three_spec, three_table, profile):
-    grid = default_r_grid(three_spec, profile.r_end(three_spec.r0), 4001)
+    grid = ramp_grid(three_spec, profile, 4001)
     dense = coefficient_table(three_spec, track_branch(three_spec, grid))
     probes = np.linspace(0.05, 9.95, 101)
     for r in probes:
@@ -181,10 +184,10 @@ def test_grid_doubling_stability(three_spec, three_table, profile):
 
 
 def test_spline_data_matches_table(two_table):
-    # one spline over the (w1, w2) columns: evaluate its segment
-    # polynomial by hand at a probe point
+    # one spline over the columns of w (w1 alone for two spins): evaluate its
+    # segment polynomial by hand at a probe point
     c = two_table._spline
-    assert c.shape == (4, 2, len(two_table.r_grid) - 1) and c.flags.c_contiguous
+    assert c.shape == (4, 1, len(two_table.r_grid) - 1) and c.flags.c_contiguous
     r = 4.321
     j = int(np.searchsorted(two_table.r_grid, r)) - 1
     u = r - two_table.r_grid[j]
@@ -231,7 +234,7 @@ def test_spline_reproduces_scipy_on_the_fixture_tables(fixture, request):
 @pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
 def test_spline_reproduces_scipy_on_uniform_grids(kind, n_points, profile):
     spec = ModelSpec(kind=kind)
-    grid = default_r_grid(spec, profile.r_end(spec.r0), n_points)
+    grid = ramp_grid(spec, profile, n_points)
     _assert_matches_scipy_bitwise(coefficient_table(spec, track_branch(spec, grid)),
                                   seed=n_points)
 
@@ -253,7 +256,7 @@ def test_spline_matches_scipy_on_jittered_grids():
     for _ in range(300):
         n = int(rng.integers(4, 120))
         r_grid = np.cumsum(rng.uniform(0.7, 1.3, n))
-        w = rng.normal(size=(n, 2)) * rng.uniform(0.1, 10.0)
+        w = rng.normal(size=(n, int(rng.integers(1, 4)))) * rng.uniform(0.1, 10.0)
         table = CoefficientTable(r_grid, w, np.zeros(n))
         probes = _spline_probes(r_grid, n)
         error = np.max(np.abs(table(probes) - CubicSpline(r_grid, w)(probes)))
@@ -290,13 +293,28 @@ def test_spline_rejects_bad_tables(r_grid, w, message):
         table(1.5)
 
 
-def test_zero_table_is_the_undriven_control(three_branch):
-    table = CoefficientTable.zeros(three_branch.r_grid)
+def test_zero_table_is_the_undriven_control(three_spec, three_branch):
+    table = CoefficientTable.zeros(three_spec, three_branch.r_grid)
     assert table.r_grid is three_branch.r_grid
     assert table.w.shape == three_branch.r_grid.shape + (2,) and not np.any(table.w)
     assert table.residuals.shape == three_branch.r_grid.shape
     assert not np.any(table.residuals)
     assert not np.any(table(np.linspace(0.0, 10.0, 7)))
+
+
+@pytest.mark.parametrize("model", ["two", "three"])
+def test_couplings_have_one_column_per_generator(model, profile, request):
+    # w1 alone for two spins, (w1, w2) for three: the table's generators
+    spec, branch, table = (request.getfixturevalue(f"{model}_{name}")
+                           for name in ("spec", "branch", "table"))
+    n, k = len(branch.r_grid), len(TERM_WORDS[spec.kind]) - 3
+    zeros = CoefficientTable.zeros(spec, branch.r_grid)
+    assert solve_core(spec, branch.vectors, branch.d_vectors)[0].shape == (n, k)
+    assert table.w.shape == zeros.w.shape == (n, k)
+    assert table(np.linspace(0.0, 10.0, 7)).shape == (7, k)
+    for driving in (table, zeros):
+        run = integrate(spec, profile, 400, branch=branch, table=driving)
+        assert run.w.shape == (len(run), k)
 
 
 def test_min_norm_lstsq_matches_lstsq_on_rank_deficient_stacks():

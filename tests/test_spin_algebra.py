@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.model import MODEL_KINDS, TERM_WORDS, TWO_SPIN, pauli_word, structural_terms
+from ffspin.model import (MODEL_KINDS, TERM_WORDS, TWO_SPIN, ModelSpec, pauli_word,
+                          structural_terms)
 
 from oracles import binary_labels, is_hermitian, slow_pauli, slow_word
 
@@ -85,7 +86,7 @@ def test_permutation_consistency(n_spins):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_every_table_word_matches_the_label_oracle(kind):
-    n_spins = 2 if kind == TWO_SPIN else 3
+    n_spins = ModelSpec(kind=kind).n_spins
     words = [word for _, text in TERM_WORDS[kind] for word in text.split()]
     assert all(len(word) == n_spins for word in words)
     for word in words:
