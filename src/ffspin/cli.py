@@ -183,9 +183,9 @@ def _manifest(config: ScenarioConfig) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _eigenvalues_and_gap_csv(spec, branch, times, rs) -> tuple[bytes, bytes]:
+def _eigenvalues_and_gap_csv(spec, times, rs) -> tuple[bytes, bytes]:
     """The P = +1 levels of the branch solve and the solved P = -1 block, merged."""
-    even = branch_vector_at(spec, branch, rs)[1]
+    even = branch_vector_at(spec, rs)[1]
     odd, _ = eigensolve(h0(spec, rs, -1))
     levels = np.sort(np.concatenate([even, odd], axis=-1), axis=-1)
     gaps = nearest_level_gap(levels, even[:, 0])
@@ -198,9 +198,9 @@ def _w_columns(w: np.ndarray) -> list[np.ndarray | None]:
     return [w] + [None] * (len(W_HEADER) - w.shape[1])
 
 
-def _trajectory_csv(config: ScenarioConfig, spec, profile, branch, table) -> bytes:
+def _trajectory_csv(config: ScenarioConfig, spec, profile, table) -> bytes:
     run = integrate(spec, profile, steps=config.integrator_steps,
-                    output_stride=config.output_stride, branch=branch, table=table)
+                    output_stride=config.output_stride, table=table)
     header = (["t", "R", "v", *W_HEADER, "norm", "fidelity"]
               + [f"prob_{i + 1}" for i in range(spec.dim)])
     return _csv(header, [run.t, run.r, run.v, *_w_columns(run.w), run.norm,
@@ -229,13 +229,12 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
     rs = r_of_t(profile, spec.r0, times)
     files = {}
     if config.mode in ("fast_forward", "no_driving"):
-        files[TRAJECTORY_CSV] = _trajectory_csv(config, spec, profile, branch, table)
+        files[TRAJECTORY_CSV] = _trajectory_csv(config, spec, profile, table)
     if config.mode != "spectrum_only":
         files[REGULARIZATION_CSV] = _csv(["t", "R", *W_HEADER],
                                          [times, rs, *_w_columns(table(rs))])
     if config.mode != "regularization_only":
-        files[EIGENVALUES_CSV], files[GAP_CSV] = _eigenvalues_and_gap_csv(
-            spec, branch, times, rs)
+        files[EIGENVALUES_CSV], files[GAP_CSV] = _eigenvalues_and_gap_csv(spec, times, rs)
     files[MANIFEST] = _manifest(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .model import ModelSpec, combine, parity_indices, schedules, structural_terms
 from .regularization import CoefficientTable
-from .spectrum import AdiabaticBranch, branch_vector_at
+from .spectrum import branch_vector_at
 
 DEFAULT_STEPS = 10_000
 DEFAULT_STRIDE = 100
@@ -195,10 +195,9 @@ def _prefix_products(d: np.ndarray) -> np.ndarray:
 
 
 def integrate(spec: ModelSpec, profile: FastForwardProfile,
-              steps: int = DEFAULT_STEPS, *,
-              branch: AdiabaticBranch, table: CoefficientTable,
+              steps: int = DEFAULT_STEPS, *, table: CoefficientTable,
               output_stride: int = DEFAULT_STRIDE) -> Trajectory:
-    """Integrate the fast-forward TDSE from the branch vector at R0 and sample
+    """Integrate the fast-forward TDSE from the branch vector C(R0) and sample
     a trajectory every ``output_stride`` steps.
 
     Parameters
@@ -208,16 +207,18 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     steps
         Number of fixed RK4 steps; must be a positive multiple of
         ``output_stride``.
-    branch, table
-        The tracked branch and its coefficient table, one column per
-        generator.  A table of zeros on the branch grid gives the undriven
-        control run (H_FF = H0), with zero recorded couplings ``w``.
+    table
+        The driving coefficients along the ramp, one column per generator.
+        ``CoefficientTable.zeros`` gives the undriven control run (H_FF = H0),
+        with zero recorded couplings ``w``.
 
     The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
-    built a chunk at a time, so the last step ends exactly at t_ff.  Only the
-    P = +1 block, where the start vector lies, is propagated; the P = -1
-    components of the recorded ``psi`` are exactly 0.0.  Norm drift beyond
-    ``NORM_DRIFT_LIMIT`` raises, with the advice to raise ``steps``.
+    built a chunk at a time, so the last step ends exactly at t_ff.  The
+    branch vectors C(R(t)) of the records come from one ``branch_vector_at``
+    solve; the first, C(R0), is the start vector.  Only the P = +1 block,
+    where it lies, is propagated; the P = -1 components of the recorded
+    ``psi`` are exactly 0.0.  Norm drift beyond ``NORM_DRIFT_LIMIT`` raises,
+    with the advice to raise ``steps``.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -230,8 +231,11 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     dt = profile.t_ff / steps
     ix = parity_indices(spec.dim)
     terms = _real_stage_terms(spec.kind)
-    rows = np.empty((steps // output_stride + 1, 2 * len(ix)))  # [Re psi, Im psi]
-    rows[0] = psi = np.concatenate([branch.vectors[0], np.zeros(len(ix))])
+    rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
+    rec_r = r_of_t(profile, spec.r0, rec_t)
+    vecs, _ = branch_vector_at(spec, rec_r)
+    rows = np.empty((len(rec_t), 2 * len(ix)))  # [Re psi, Im psi]
+    rows[0] = psi = np.concatenate([vecs[0], np.zeros(len(ix))])
     for first, last in _chunks(steps, output_stride):
         block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
         a = combine(_h_ff_coefficients(spec, profile, table, block_t), terms)
@@ -246,15 +250,12 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     psis = np.zeros((len(rows), spec.dim), dtype=np.complex128)
     psis[:, ix] = rows[:, :len(ix)] + 1j * rows[:, len(ix):]
 
-    rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
-    rec_r = r_of_t(profile, spec.r0, rec_t)
     norms = np.linalg.norm(psis, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
     if not drift <= NORM_DRIFT_LIMIT:  # a NaN drift (RK4 overflow) fails too
         raise RuntimeError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             "increase the step count")
-    vecs, _ = branch_vector_at(spec, branch, rec_r)
     fids = np.abs(np.einsum("ij,ij->i", vecs, psis[:, ix] / norms[:, None])) ** 2
     return Trajectory(t=rec_t, r=rec_r, v=v_of_t(profile, rec_t), w=table(rec_r),
                       psi=psis, norm=norms, fidelity=fids)

@@ -61,6 +61,9 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     R^T / s^2 = R^T / |R|_F^2, and R = 0 gives x = 0.
     """
     k = len(a)
+    if k > 2:  # the rank test and the back substitution are written for k <= 2
+        raise ValueError(f"_min_norm_lstsq solves at most 2 columns (the "
+                         f"models' 2 generators), got {k}")
     q = a.copy()
     r = np.zeros((k, k) + b.shape[:-1])
     c = np.zeros((k,) + b.shape[:-1])

@@ -8,7 +8,10 @@ block the level is nondegenerate along the paper's ramps, so it is chosen by
 index, not by overlap.  The degeneracies of the full spectrum (at the ramp
 start, and the crossing with a flat odd-parity level near R = 8 for two
 spins) all lie between the two sectors and never enter the solve.  The block
-of the real symmetric h0 has real eigenvectors, so the gauge is a sign.
+of the real symmetric h0 has real eigenvectors, so the gauge is a sign:
+``fix_gauge`` makes the largest component positive, and ``track_branch``
+then signs each sample like its predecessor.  ``branch_vector_at`` keeps
+the ``fix_gauge`` sign: its vectors feed only sign-blind outputs.
 Vectors and dC/dR are returned as their P = +1 block components, in
 ``parity_indices(dim)`` order.
 
@@ -56,27 +59,12 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def fix_gauge(vector: np.ndarray, reference: np.ndarray | None = None) -> np.ndarray:
-    """Fix the sign of a real eigenvector.
-
-    With no ``reference`` the largest-magnitude component is made positive;
-    otherwise the sign is chosen for positive overlap with ``reference``.  An
-    (..., d) stack is fixed row by row, against an (..., d) ``reference``.
-    """
+def fix_gauge(vector: np.ndarray) -> np.ndarray:
+    """Sign a real eigenvector so that its largest-magnitude component is
+    positive; an (..., d) stack is signed row by row."""
     v = np.asarray(vector, dtype=float)
-    if reference is None:  # the unit vector on the largest-magnitude component
-        reference = np.eye(v.shape[-1])[np.argmax(np.abs(v), axis=-1)]
-    return np.where(np.sum(v * reference, axis=-1, keepdims=True) < 0.0, -v, v)
-
-
-def _even_block(spec: ModelSpec, r: float | np.ndarray,
-                reference: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigensystem (w, v) of the P = +1 block of h0 at r (a float or an
-    array) and its gauge-fixed level 0, signed against the block vectors
-    ``reference`` when given."""
-    w, v = eigensolve(h0(spec, r, parity=1))
-    return w, v, fix_gauge(v[..., 0], reference=reference)
+    largest = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    return np.where(largest < 0.0, -v, v)
 
 
 def _in_sector_crossing(where: str) -> RuntimeError:
@@ -107,9 +95,12 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.ndim != 1 or len(r_grid) < 1:
         raise ValueError("r_grid must be a non-empty 1-d array")
+    if not np.all(np.isfinite(r_grid)):
+        raise ValueError("r_grid must contain only finite values")
     if np.any(np.diff(r_grid) < 0):
         raise ValueError("r_grid must be monotone non-decreasing")
-    w, v, raw = _even_block(spec, r_grid)
+    w, v = eigensolve(h0(spec, r_grid, parity=1))
+    raw = fix_gauge(v[:, :, 0])
     gap = w[:, 1] - w[:, 0]
     crossing = gap < SECTOR_GAP_RTOL * np.maximum(1.0, np.max(np.abs(w), axis=1))
     overlap = np.sum(raw[1:] * raw[:-1], axis=1)
@@ -133,24 +124,14 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
     return AdiabaticBranch(r_grid, energies=w[:, 0], vectors=vectors, d_vectors=d)
 
 
-def branch_vector_at(spec: ModelSpec, branch: AdiabaticBranch,
-                     r: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact branch eigenvector (its P = +1 block components) and the block
-    levels at an arbitrary r inside the grid.
-
-    A fresh solve of the block at r; the sign follows the nearest tracked
-    sample, the lower one on a tie.  The levels ascend, so ``levels[..., 0]``
-    is the branch energy.  An array of r gives (..., dim // 2) vectors and
-    levels.
-    """
-    grid = branch.r_grid
-    r = np.asarray(r, dtype=float)
-    # argmin(|grid - r|) picks the first sample of the run below r or at/above it
-    upper = np.minimum(np.searchsorted(grid, r), len(grid) - 1)
-    lower = np.searchsorted(grid, grid[np.maximum(upper - 1, 0)])
-    nearest = np.where(np.abs(grid[lower] - r) <= np.abs(grid[upper] - r), lower, upper)
-    w, _, vec = _even_block(spec, r, branch.vectors[nearest])
-    return vec, w
+def branch_vector_at(spec: ModelSpec, r: float | np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Branch eigenvector (its P = +1 block components, signed by
+    ``fix_gauge``) and the ascending block levels at r, from a fresh solve of
+    the block; ``levels[..., 0]`` is the branch energy.  An array of r gives
+    (..., dim // 2) vectors and levels."""
+    w, v = eigensolve(h0(spec, r, parity=1))
+    return fix_gauge(v[..., 0]), w
 
 
 def nearest_level_gap(levels: np.ndarray, energy: float | np.ndarray):

@@ -116,8 +116,7 @@ def test_criterion_3_tdse_matches_eigenvector(fixture, spec_fixture,
                                               branch_fixture, request):
     trajectory = request.getfixturevalue(fixture)
     spec = request.getfixturevalue(spec_fixture)
-    branch = request.getfixturevalue(branch_fixture)
-    vecs, _ = branch_vector_at(spec, branch, trajectory.r)
+    vecs, _ = branch_vector_at(spec, trajectory.r)
     psi = trajectory.psi[:, parity_indices(spec.dim)]
     worst = float(np.max(np.abs(probabilities(psi) - vecs ** 2)))
     ok = worst < 1e-3
@@ -242,7 +241,7 @@ def test_criterion_8_numerical_hygiene(three_spec, profile, three_branch,
     finals = []
     for steps in (2000, 4000, 8000):
         final = integrate(three_spec, profile, steps=steps, output_stride=steps,
-                          branch=three_branch, table=three_table)
+                          table=three_table)
         finals.append(final.psi[-1])
     d1 = float(np.linalg.norm(finals[0] - finals[1]))
     d2 = float(np.linalg.norm(finals[1] - finals[2]))

@@ -5,9 +5,9 @@ import pytest
 
 from ffspin import fastforward
 from ffspin.fastforward import FastForwardProfile, integrate, r_of_t, v_of_t
-from ffspin.model import THREE_SPIN_KAGOME, ModelSpec, h0, parity_indices
+from ffspin.model import MODEL_KINDS, THREE_SPIN_KAGOME, ModelSpec, h0, parity_indices
 from ffspin.regularization import CoefficientTable, coefficient_table
-from ffspin.spectrum import track_branch
+from ffspin.spectrum import branch_vector_at, track_branch
 
 from conftest import ramp_grid
 from oracles import h_ff
@@ -101,9 +101,8 @@ def test_driven_run_keeps_fidelity(two_run):
     assert np.max(np.abs(two_run.norm - 1.0)) < 1e-9
 
 
-def test_driven_run_matches_branch_populations(three_run, three_spec, three_branch):
-    from ffspin.spectrum import branch_vector_at
-    vecs, _ = branch_vector_at(three_spec, three_branch, three_run.r[::10])
+def test_driven_run_matches_branch_populations(three_run, three_spec):
+    vecs, _ = branch_vector_at(three_spec, three_run.r[::10])
     psi = three_run.psi[::10, parity_indices(three_spec.dim)]
     assert np.max(np.abs(np.abs(psi) ** 2 - vecs ** 2)) < 1e-9
 
@@ -124,11 +123,11 @@ def test_records_cover_run(three_run):
     assert three_run.v[-1] == 0.0
 
 
-def test_step_halving_fourth_order(two_spec, ramp_profile, two_branch, two_table):
+def test_step_halving_fourth_order(two_spec, ramp_profile, two_table):
     outs = []
     for steps in (2000, 4000, 8000):
         run = integrate(two_spec, ramp_profile, steps=steps, output_stride=steps,
-                        branch=two_branch, table=two_table)
+                        table=two_table)
         outs.append(run.psi[-1])
     d1 = np.linalg.norm(outs[0] - outs[1])
     d2 = np.linalg.norm(outs[1] - outs[2])
@@ -138,7 +137,7 @@ def test_step_halving_fourth_order(two_spec, ramp_profile, two_branch, two_table
 def test_no_driving_controls(two_spec, three_spec, ramp_profile, two_branch,
                              two_table, three_branch, three_table,
                              three_run_no_driving):
-    recs2 = integrate(two_spec, ramp_profile, branch=two_branch,
+    recs2 = integrate(two_spec, ramp_profile,
                       table=CoefficientTable.zeros(two_spec, two_branch.r_grid))
     fid2 = recs2.fidelity[-1]
     assert fid2 == pytest.approx(NO_DRIVING_FINAL_FIDELITY["two_spin"], abs=1e-4)
@@ -165,7 +164,7 @@ def test_zero_velocity_constant_hamiltonian(two_spec):
     # vbar = 0 keeps R pinned at the start; the eigenstate just gains phase
     profile = FastForwardProfile(v_bar=0.0, t_ff=1.0)
     branch = track_branch(two_spec, ramp_grid(two_spec, profile, 5))
-    run = integrate(two_spec, profile, steps=2000, output_stride=500, branch=branch,
+    run = integrate(two_spec, profile, steps=2000, output_stride=500,
                     table=coefficient_table(two_spec, branch))
     assert run.fidelity.min() > 1.0 - 1e-9
     assert np.all(run.r == 0.0)
@@ -175,13 +174,31 @@ def test_zero_velocity_constant_hamiltonian(two_spec):
 def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,
                                        two_table):
     with pytest.raises(ValueError, match="multiple"):
-        integrate(two_spec, ramp_profile, steps=1001, output_stride=100,
-                  branch=two_branch, table=two_table)
+        integrate(two_spec, ramp_profile, steps=1001, output_stride=100, table=two_table)
     with pytest.raises(ValueError, match="steps must be positive"):
-        integrate(two_spec, ramp_profile, 0, branch=two_branch, table=two_table)
+        integrate(two_spec, ramp_profile, 0, table=two_table)
     # a table of the other model: two coupling columns where two spins have one
     three_spin_table = CoefficientTable.zeros(ModelSpec(kind=THREE_SPIN_KAGOME),
                                               two_branch.r_grid)
     with pytest.raises(ValueError, match="^table has 2 coupling columns; the two_spin "
                                          "model needs 1$"):
-        integrate(two_spec, ramp_profile, branch=two_branch, table=three_spin_table)
+        integrate(two_spec, ramp_profile, table=three_spin_table)
+
+
+@pytest.mark.parametrize("r0", [0.0, 2.5])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_run_starts_on_the_tracked_sample_zero(kind, r0, ramp_profile):
+    # on the grid a run tracks, linspace(r0, r_end, n), the start vector
+    # C(R(0) = r0) is tracked sample 0 bit for bit, and every fresh solve is a
+    # tracked sample up to its sign, with its largest component positive
+    spec = ModelSpec(kind=kind, r0=r0)
+    grid = ramp_grid(spec, ramp_profile, 401)
+    branch = track_branch(spec, grid)
+    run = integrate(spec, ramp_profile, 400, output_stride=100,
+                    table=coefficient_table(spec, branch))
+    start = run.psi[0, parity_indices(spec.dim)]
+    assert np.array_equal(start.real, branch.vectors[0]) and not np.any(start.imag)
+    vecs, _ = branch_vector_at(spec, grid)
+    signs = np.sign(np.sum(vecs * branch.vectors, axis=1))
+    assert np.array_equal(vecs, signs[:, None] * branch.vectors)
+    assert np.all(vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)] > 0.0)

@@ -16,21 +16,20 @@ from ffspin.model import MODEL_KINDS, h0, parity_indices, structural_terms
 from oracles import embed, h_ff
 
 
-def _run(spec, profile, table, branch, steps=400, stride=100):
+def _run(spec, profile, table, steps=400, stride=100):
     # steps passed by position: it is the third positional parameter
-    return integrate(spec, profile, steps, output_stride=stride,
-                     branch=branch, table=table)
+    return integrate(spec, profile, steps, output_stride=stride, table=table)
 
 
-def test_rerun_is_bitwise_identical(two_spec, profile, two_table, two_branch):
-    first = _run(two_spec, profile, two_table, two_branch)
-    second = _run(two_spec, profile, two_table, two_branch)
+def test_rerun_is_bitwise_identical(two_spec, profile, two_table):
+    first = _run(two_spec, profile, two_table)
+    second = _run(two_spec, profile, two_table)
     for name in ("t", "r", "v", "w", "psi", "norm", "fidelity"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
 
 
-def test_record_layout(two_spec, profile, two_table, two_branch):
-    run = _run(two_spec, profile, two_table, two_branch)
+def test_record_layout(two_spec, profile, two_table):
+    run = _run(two_spec, profile, two_table)
     assert len(run) == 5
     assert run.psi.shape == (5, 4)
     for name in ("t", "r", "v", "norm", "fidelity"):
@@ -47,18 +46,16 @@ def test_record_layout(two_spec, profile, two_table, two_branch):
 
 
 def test_zero_table_changes_the_evolution(two_spec, profile, two_table, two_branch):
-    driven = _run(two_spec, profile, two_table, two_branch)
-    bare = _run(two_spec, profile, CoefficientTable.zeros(two_spec, two_branch.r_grid),
-                two_branch)
+    driven = _run(two_spec, profile, two_table)
+    bare = _run(two_spec, profile, CoefficientTable.zeros(two_spec, two_branch.r_grid))
     assert not np.allclose(driven.psi[-1], bare.psi[-1])
     assert np.all(bare.w == 0.0)
 
 
-def test_single_record_interval_gives_two_records(two_spec, profile, two_table,
-                                                  two_branch):
+def test_single_record_interval_gives_two_records(two_spec, profile, two_table):
     # a single record interval; 200 steps, since at 100 the RK4 norm drift
     # (1.5e-6) fails integrate's drift check
-    run = _run(two_spec, profile, two_table, two_branch, steps=200, stride=200)
+    run = _run(two_spec, profile, two_table, steps=200, stride=200)
     assert len(run) == 2
 
 
@@ -99,7 +96,7 @@ def rk4_loop_reference(spec, profile, table, psi0, steps, stride, drive=True):
 def test_records_match_per_step_loop(model, drive, stride, profile, request):
     spec, branch, table = (request.getfixturevalue(f"{model}_{name}")
                            for name in ("spec", "branch", "table"))
-    run = integrate(spec, profile, steps=2000, output_stride=stride, branch=branch,
+    run = integrate(spec, profile, steps=2000, output_stride=stride,
                     table=table if drive else CoefficientTable.zeros(spec, branch.r_grid))
     expected = rk4_loop_reference(spec, profile, table,
                                   embed(branch.vectors[0], spec.dim), 2000, stride,
@@ -116,10 +113,10 @@ def test_default_start_leaves_odd_block_exactly_zero(two_spec, three_spec,
 
 
 def test_small_chunks_match_default_chunks(monkeypatch, three_spec, profile,
-                                           three_branch, three_table):
+                                           three_table):
     def run():
         return integrate(three_spec, profile, steps=2000, output_stride=100,
-                         branch=three_branch, table=three_table)
+                         table=three_table)
 
     reference = run()
     sizes = []
@@ -167,12 +164,12 @@ def test_stage_times_equal_linspace():
 
 
 def test_stage_time_memory_does_not_grow_with_steps(three_spec, profile,
-                                                   three_branch, three_table):
+                                                   three_table):
     def peak(steps):
         tracemalloc.start()
         try:
             integrate(three_spec, profile, steps=steps, output_stride=steps,
-                      branch=three_branch, table=three_table)
+                      table=three_table)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

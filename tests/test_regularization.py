@@ -313,7 +313,7 @@ def test_couplings_have_one_column_per_generator(model, profile, request):
     assert table.w.shape == zeros.w.shape == (n, k)
     assert table(np.linspace(0.0, 10.0, 7)).shape == (7, k)
     for driving in (table, zeros):
-        run = integrate(spec, profile, 400, branch=branch, table=driving)
+        run = integrate(spec, profile, 400, table=driving)
         assert run.w.shape == (len(run), k)
 
 
@@ -350,3 +350,11 @@ def test_min_norm_lstsq_rank_cutoff_matches_lstsq(angle):
                                       * np.linalg.norm(m, 2)) for m in a]
     assert rank.tolist() == expected
     assert set(expected) == ({1} if angle < 1e-15 else {2})
+
+
+def test_min_norm_lstsq_rejects_more_than_two_columns():
+    # its rank test and back substitution cover the models' 1 or 2 generators;
+    # a full-rank 4 x 3 system would come back as rank 1 with a wrong x
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="at most 2 columns.*2 generators.*got 3"):
+        _min_norm_lstsq(rng.normal(size=(3, 4)), rng.normal(size=4))
