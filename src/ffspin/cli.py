@@ -13,8 +13,15 @@ Modes and their outputs:
 * ``regularization_only``  regularization.csv
 
 ``ffspin validate`` also tracks the branch on the configured grid, so a grid
-too coarse to follow it or an in-sector crossing is reported before a run.
-Configs above ``MAX_POINTS`` grid points or records are rejected.
+too coarse to follow it or an in-sector crossing is reported before a run;
+``spectrum_only`` reads nothing from the branch, so it neither tracks nor
+checks it.  Configs above ``MAX_POINTS`` grid points or records are rejected.
+
+``eigenvalues.csv`` and ``gap.csv`` list all dim levels of h0, merged from
+the three invariant blocks of ``model.SECTORS``: the branch sector's levels
+come with the branch solve, the rest of the P = +1 block is empty or 1 x 1
+for these models (its level is its entry), and the P = -1 block is solved
+whole.
 
 A CSV cell is the text of ``"%.16e" % x``.
 """
@@ -170,11 +177,13 @@ def _r_grid(config: ScenarioConfig) -> np.ndarray:
                        config.grid_points)
 
 
+def _spec(config: ScenarioConfig) -> ModelSpec:
+    return ModelSpec(kind=config.model, j0=config.j0, b0=config.b0, r0=config.r0)
+
+
 def _track(config: ScenarioConfig):
-    """Model, schedule and the branch tracked on the configured grid."""
-    spec = ModelSpec(kind=config.model, j0=config.j0, b0=config.b0, r0=config.r0)
-    profile = FastForwardProfile(v_bar=config.v_bar, t_ff=config.t_ff)
-    return spec, profile, track_branch(spec, _r_grid(config))
+    """The branch tracked on the configured grid."""
+    return track_branch(_spec(config), _r_grid(config))
 
 
 def _manifest(config: ScenarioConfig) -> bytes:
@@ -184,11 +193,15 @@ def _manifest(config: ScenarioConfig) -> bytes:
 
 
 def _eigenvalues_and_gap_csv(spec, times, rs) -> tuple[bytes, bytes]:
-    """The P = +1 levels of the branch solve and the solved P = -1 block, merged."""
-    even = branch_vector_at(spec, rs)[1]
-    odd, _ = eigensolve(h0(spec, rs, -1))
-    levels = np.sort(np.concatenate([even, odd], axis=-1), axis=-1)
-    gaps = nearest_level_gap(levels, even[:, 0])
+    """The levels of the branch solve, of the rest of P = +1 and of the solved
+    P = -1 block, merged."""
+    branch = branch_vector_at(spec, rs)[1]
+    rest = h0(spec, rs, "rest")
+    # a 1 x 1 block is its own level and needs no solve
+    rest = eigensolve(rest)[0] if rest.shape[-1] > 1 else np.diagonal(rest, 0, -2, -1)
+    odd, _ = eigensolve(h0(spec, rs, "odd"))
+    levels = np.sort(np.concatenate([branch, rest, odd], axis=-1), axis=-1)
+    gaps = nearest_level_gap(levels, branch[:, 0])
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]
     return _csv(header, [times, rs, levels]), _csv(["t", "R", "gap"], [times, rs, gaps])
 
@@ -218,12 +231,13 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
         for p in problems:
             print(f"invalid config: {p}", file=sys.stderr)
         return 2
-    spec, profile, branch = _track(config)
+    spec = _spec(config)
+    profile = FastForwardProfile(v_bar=config.v_bar, t_ff=config.t_ff)
     table = None
     if config.mode == "no_driving":
-        table = CoefficientTable.zeros(spec, branch.r_grid)
+        table = CoefficientTable.zeros(spec, _track(config).r_grid)
     elif config.mode != "spectrum_only":
-        table = coefficient_table(spec, branch)
+        table = coefficient_table(spec, _track(config))
     # the output time grid of the regularization and spectrum CSVs
     times = np.linspace(0.0, config.t_ff, config.grid_points)
     rs = r_of_t(profile, spec.r0, times)
@@ -286,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate":
         # tracked here, not in validate(): run() calls validate() and then tracks
         problems = validate(config)
-        if not problems:
+        if not problems and config.mode != "spectrum_only":
             try:
                 _track(config)
             except RuntimeError as exc:

@@ -13,18 +13,19 @@ Soc. A 466, 1135 (2010)) is
 
 with one coupling w_k per generator G_k of the model's word table.
 
-Every term commutes with the parity P = z1 z2 ... zn, and the run starts on
-the branch vector C(R0), which lies in P = +1, so :func:`integrate`
-propagates only that block, in its real form: a complex matrix a = ar + i ai
-becomes [[ar, -ai], [ai, ar]] and psi becomes [Re psi; Im psi], so the stage
-matrices -iH are one real matmul of the H_FF coefficients with cached real
-forms of -iT for the model's structural terms T.  The undriven control is the
-same Hamiltonian with a coefficient table of zeros.  RK4 is linear in psi, so
-each fixed step is a matrix; these are built as batched matmuls a chunk of
-steps at a time, multiplied pairwise within each record interval (Blelloch,
-"Prefix sums and their applications", 1990) and joined by an inclusive prefix
-scan over the chunk's intervals (Hillis & Steele, CACM 29, 1170 (1986)), so
-each record is one product with psi.  There is no per-step renormalization;
+Every term leaves the branch sector invariant (``model``), and the run starts
+on the branch vector C(R0), which lies in it, so :func:`integrate` propagates
+only the k sector components (k = 2 for two spins, 3 for three), in their
+real form: a complex matrix a = ar + i ai becomes [[ar, -ai], [ai, ar]] and
+psi becomes [Re psi; Im psi], so the stage matrices -iH (2k x 2k: 4 x 4 and
+6 x 6) are one real matmul of the H_FF coefficients with cached real forms
+of -iT for the model's structural terms T on the sector.  The undriven
+control is the same Hamiltonian with a coefficient table of zeros.  RK4 is
+linear in psi, so each fixed step is a matrix; these are built as batched
+matmuls a chunk of steps at a time, multiplied pairwise within each record
+interval (Blelloch, "Prefix sums and their applications", 1990) and joined by
+an inclusive prefix scan over the chunk's intervals (Hillis & Steele, CACM
+29, 1170 (1986)), so each record is one product with psi.  There is no per-step renormalization;
 the norm is recorded so that drift stays visible as a diagnostic instead of
 being hidden.
 """
@@ -35,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelSpec, combine, parity_indices, schedules, structural_terms
+from .model import ModelSpec, combine, embed_branch, schedules, structural_terms
 from .regularization import CoefficientTable
 from .spectrum import branch_vector_at
 
@@ -122,8 +123,8 @@ def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
 @lru_cache(maxsize=None)
 def _real_stage_terms(kind: str) -> np.ndarray:
     """Real forms [[Re a, -Im a], [Im a, Re a]] of a = -i T for the structural
-    terms T of the P = +1 block, as a read-only (k, 2m, 2m) stack."""
-    a = -1j * structural_terms(kind, 1)
+    terms T on the branch sector, as a read-only (n_terms, 2k, 2k) stack."""
+    a = -1j * structural_terms(kind, "branch")
     terms = np.block([[a.real, -a.imag], [a.imag, a.real]])
     terms.flags.writeable = False
     return terms
@@ -215,10 +216,10 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
     built a chunk at a time, so the last step ends exactly at t_ff.  The
     branch vectors C(R(t)) of the records come from one ``branch_vector_at``
-    solve; the first, C(R0), is the start vector.  Only the P = +1 block,
-    where it lies, is propagated; the P = -1 components of the recorded
-    ``psi`` are exactly 0.0.  Norm drift beyond ``NORM_DRIFT_LIMIT`` raises,
-    with the advice to raise ``steps``.
+    solve; the first, C(R0), is the start vector.  Only the branch sector,
+    where it lies, is propagated; the recorded ``psi`` is U psi, whose
+    components outside the sector are exactly 0.0.  Norm drift beyond
+    ``NORM_DRIFT_LIMIT`` raises, with the advice to raise ``steps``.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -229,13 +230,13 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
                          f"{spec.kind} model needs {spec.n_generators}")
 
     dt = profile.t_ff / steps
-    ix = parity_indices(spec.dim)
     terms = _real_stage_terms(spec.kind)
     rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
     rec_r = r_of_t(profile, spec.r0, rec_t)
     vecs, _ = branch_vector_at(spec, rec_r)
-    rows = np.empty((len(rec_t), 2 * len(ix)))  # [Re psi, Im psi]
-    rows[0] = psi = np.concatenate([vecs[0], np.zeros(len(ix))])
+    k = vecs.shape[-1]
+    rows = np.empty((len(rec_t), 2 * k))  # [Re psi, Im psi] on the sector
+    rows[0] = psi = np.concatenate([vecs[0], np.zeros(k)])
     for first, last in _chunks(steps, output_stride):
         block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
         a = combine(_h_ff_coefficients(spec, profile, table, block_t), terms)
@@ -247,8 +248,8 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
         if last % output_stride == 0:  # else the interval goes on
             end = last // output_stride + 1
             rows[end - len(states):end] = states
-    psis = np.zeros((len(rows), spec.dim), dtype=np.complex128)
-    psis[:, ix] = rows[:, :len(ix)] + 1j * rows[:, len(ix):]
+    sector_psis = rows[:, :k] + 1j * rows[:, k:]
+    psis = embed_branch(spec.kind, sector_psis)
 
     norms = np.linalg.norm(psis, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
@@ -256,6 +257,6 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
         raise RuntimeError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             "increase the step count")
-    fids = np.abs(np.einsum("ij,ij->i", vecs, psis[:, ix] / norms[:, None])) ** 2
+    fids = np.abs(np.einsum("ij,ij->i", vecs, sector_psis / norms[:, None])) ** 2
     return Trajectory(t=rec_t, r=rec_r, v=v_of_t(profile, rec_t), w=table(rec_r),
                       psi=psis, norm=norms, fidelity=fids)

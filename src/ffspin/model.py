@@ -31,13 +31,33 @@ generator is kept.
 ``TERM_WORDS`` is the model: its three H0 terms, then its own generators,
 each a scaled sum of Pauli words whose length is the number of sites.
 ``h0`` and H_FF are each one matmul of coefficients with a read-only stack of
-these structural terms; the terms commute with the parity P = z1 z2 ... zn,
-and ``h0``'s ``parity=+1/-1`` evaluates on that block.
+these structural terms.
+
+The symmetries come from the same table.  Every term commutes with the
+parity P = z1 z2 ... zn, and with each site permutation that maps every
+term's word set onto itself (``site_symmetries``): the swap for two spins,
+the site 1 <-> 3 reflection for the Kagome triangle.  Under those
+permutations the P = +1 kets fall into orbits, which split the space into
+three blocks that every term leaves invariant (``SECTORS``):
+
+* ``"branch"``: the normalized orbit sums, the P = +1 states symmetric under
+  every site permutation, where the tracked branch lives.  Two spins: uu and
+  dd, the whole P = +1 block.  Three spins: uuu, (udd + ddu)/sqrt(2) and dud,
+  the paper's C1, C4 and C6 with C1^2 + 2 C4^2 + C6^2 = 1;
+* ``"rest"``: the rest of the P = +1 block, contrasts within each orbit.
+  Empty for two spins; (udd - ddu)/sqrt(2) for three;
+* ``"odd"``: the P = -1 block.
+
+``sector_basis`` gives each as a real isometry U (dim x k), and
+``structural_terms``, ``h0`` and ``d_h0_dr`` evaluate on a block as
+U^T T U.  A U whose columns are columns of the identity (every block of two
+spins, the odd block of three) is applied as a slice, not a matmul.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import permutations
 
 import numpy as np
 
@@ -61,6 +81,13 @@ TERM_WORDS = {
                         (1, "xy1 yx1 1xy 1yx"), (1, "x1y y1x")),
 }
 MODEL_KINDS = tuple(TERM_WORDS)
+#: the invariant blocks, as the ``sector`` of ``sector_basis`` and the
+#: structural terms: the branch sector, the rest of P = +1, and P = -1
+SECTORS = ("branch", "rest", "odd")
+
+
+def _n_spins(kind: str) -> int:
+    return len(TERM_WORDS[kind][0][1].split()[0])  # the word length
 
 
 @dataclass(frozen=True)
@@ -78,7 +105,7 @@ class ModelSpec:
 
     @property
     def n_spins(self) -> int:
-        return len(TERM_WORDS[self.kind][0][1].split()[0])  # the word length
+        return _n_spins(self.kind)
 
     @property
     def dim(self) -> int:
@@ -109,16 +136,88 @@ def pauli_word(word: str) -> np.ndarray:
     return reduce(np.kron, (PAULI[letter] for letter in word))
 
 
+def _permuted(word: str, p: tuple[int, ...]) -> str:
+    """The word, or the ket's bit string, whose letter i is ``word[p[i]]``."""
+    return "".join(word[j] for j in p)
+
+
 @lru_cache(maxsize=None)
-def structural_terms(kind: str, parity: int | None = None) -> np.ndarray:
+def site_symmetries(kind: str) -> tuple[tuple[int, ...], ...]:
+    """The site permutations p, identity first, that map the word set of every
+    term of ``TERM_WORDS[kind]`` onto itself, letter i of the image being
+    letter p[i] of the word.  They commute with every term, exactly."""
+    terms = [set(words.split()) for _, words in TERM_WORDS[kind]]
+    return tuple(p for p in permutations(range(_n_spins(kind)))
+                 if all({_permuted(w, p) for w in words} == words for words in terms))
+
+
+@lru_cache(maxsize=None)
+def sector_basis(kind: str, sector: str) -> np.ndarray:
+    """Real isometry U, a read-only (dim, k) array, whose orthonormal columns
+    span ``sector``, one of ``SECTORS``.
+
+    Each orbit of P = +1 kets under ``site_symmetries`` (taken in the order
+    of its first ket) gives one branch column, its normalized sum, and m - 1
+    rest columns, the Helmert contrasts (sum_{l<j} e_l - j e_j) /
+    sqrt(j (j + 1)) of its m kets; the odd columns are the P = -1 kets.
+    """
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
+    n = _n_spins(kind)
+    eye = np.eye(2 ** n)
+    if sector == "odd":
+        u = eye[:, parity_indices(2 ** n, -1)]
+    else:
+        columns, seen = [], set()
+        for ket in parity_indices(2 ** n, 1):
+            if ket in seen:
+                continue
+            bits = format(ket, f"0{n}b")
+            orbit = sorted({int(_permuted(bits, p), 2) for p in site_symmetries(kind)})
+            seen.update(orbit)
+            kets = eye[orbit]
+            if sector == "branch":
+                columns.append(kets.sum(axis=0) * (1.0 / np.sqrt(len(orbit))))
+                continue
+            for j in range(1, len(orbit)):
+                norm = 1.0 / np.sqrt(j * (j + 1))
+                columns.append(kets[:j].sum(axis=0) * norm - kets[j] * (j * norm))
+        u = np.array(columns).reshape(-1, 2 ** n).T
+    u.flags.writeable = False
+    return u
+
+
+def _picked_kets(u: np.ndarray) -> np.ndarray | None:
+    """The ket each column of U picks, when U's columns are columns of the
+    identity; None otherwise."""
+    ix = np.argmax(u, axis=0)
+    return ix if np.array_equal(u, np.eye(len(u))[:, ix]) else None
+
+
+def embed_branch(kind: str, components: np.ndarray) -> np.ndarray:
+    """U c: the (..., dim) full-space vectors of (..., k) branch sector
+    components; a scatter when U's columns are kets."""
+    u = sector_basis(kind, "branch")
+    ix = _picked_kets(u)
+    if ix is None:
+        return components @ u.T
+    full = np.zeros(components.shape[:-1] + (len(u),), components.dtype)
+    full[..., ix] = components
+    return full
+
+
+@lru_cache(maxsize=None)
+def structural_terms(kind: str, sector: str | None = None) -> np.ndarray:
     """The terms of ``TERM_WORDS[kind]`` (M_j1, M_j2, M_bz, G_w1, ...) as one
-    read-only (k, d, d) stack, sliced once to the P = ``parity`` block unless
-    ``parity`` is None.  The M's are real and the exchange generators G
-    purely imaginary."""
-    if parity is not None:
+    read-only (k, d, d) stack, on ``sector`` as U^T T U (a slice when U's
+    columns are kets) unless ``sector`` is None.  The M's are real and the
+    exchange generators G purely imaginary."""
+    if sector is not None:
         full = structural_terms(kind, None)
-        ix = parity_indices(full.shape[-1], parity)
-        terms = np.ascontiguousarray(full[:, ix[:, None], ix])
+        u = sector_basis(kind, sector)
+        ix = _picked_kets(u)
+        terms = full[:, ix[:, None], ix] if ix is not None else u.T @ full @ u
+        terms = np.ascontiguousarray(terms)
         terms.flags.writeable = False
         return terms
     terms = np.stack([scale * sum(map(pauli_word, words.split()))
@@ -137,18 +236,18 @@ def combine(coefficients, terms: np.ndarray) -> np.ndarray:
 
 
 def h0(spec: ModelSpec, r: float | np.ndarray,
-       parity: int | None = None) -> np.ndarray:
+       sector: str | None = None) -> np.ndarray:
     """Bare Hamiltonian at control parameter r, real symmetric float64 (xx, yy
     and z are real in the z basis; only the driving generators are not).
 
     An array of r gives the stack of matrices, shape ``r.shape + (d, d)``;
-    with ``parity`` the matrices are that parity block.
+    with ``sector`` the matrices are that block, U^T h0 U.
     """
     j1, j2, bz = schedules(spec, np.asarray(r, dtype=float))
     return combine(np.stack([j1, j2, bz], axis=-1),
-                   structural_terms(spec.kind, parity)[:3].real)
+                   structural_terms(spec.kind, sector)[:3].real)
 
 
-def d_h0_dr(spec: ModelSpec, parity: int | None = None) -> np.ndarray:
+def d_h0_dr(spec: ModelSpec, sector: str | None = None) -> np.ndarray:
     """Exact derivative of h0 with respect to r (r-independent: linear ramps)."""
-    return combine(SCHEDULE_RATES, structural_terms(spec.kind, parity)[:3].real)
+    return combine(SCHEDULE_RATES, structural_terms(spec.kind, sector)[:3].real)

@@ -13,13 +13,15 @@ exchange couplings solve the real system
 
     sum_k Im(G_k) C w_k = dC/dR.
 
-``solve_core`` solves it on the P = +1 block, where the branch lives (2 x 1
-for two spins, 4 x 2 for three), for a whole stack of samples with one QR
+``solve_core`` solves it on the branch sector, where the branch lives (2 x 1
+for two spins, 3 x 2 for three), for a whole stack of samples with one QR
 vectorized over the stack, so ``coefficient_table`` is one call.  It returns
 the couplings as one array w with one entry per generator, shape (..., 1)
-for two spins and (..., 2) for three.  For these two clusters the couplings
-span dC/dR exactly, so the residual sits at numerical noise; a residual
-above tolerance signals a modeling bug, not an approximation to be accepted.
+for two spins and (..., 2) for three.  Each Im(G_k) is real antisymmetric, so
+Im(G_k) C and dC/dR are orthogonal to C: in a k-dim sector the system lives
+on the (k - 1)-dim tangent space at C, which the models' k - 1 couplings
+span.  The residual therefore sits at numerical noise; a residual above
+tolerance signals a modeling bug, not an approximation to be accepted.
 The paper's closed forms, and the three-unknown ansatz that shows bz = 0,
 are the test oracles in ``tests/oracles.py``.
 
@@ -91,16 +93,16 @@ def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def solve_core(spec: ModelSpec, vector: np.ndarray,
                d_vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the core system for a branch sample (C, dC/dR), given as P = +1
-    block components.
+    """Solve the core system for a branch sample (C, dC/dR), given as branch
+    sector components.
 
-    (..., dim // 2) stacks of samples give couplings w, shape (...,
+    (..., k) stacks of samples give couplings w, shape (...,
     n_generators), and residual norms, shape (...).  Raises RuntimeError
     when a residual exceeds ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient
     sample falls back to the minimum-norm solution, with one warning per call.
     """
-    generators = structural_terms(spec.kind, 1)[3:]
-    # columns Im(G_k) C of the system, shape (k, ..., dim // 2)
+    generators = structural_terms(spec.kind, "branch")[3:]
+    # columns Im(G_k) C of the system, shape (n_generators, ..., k)
     a = np.moveaxis(np.tensordot(generators.imag, vector, axes=(2, -1)), 1, -1)
     x, rank = _min_norm_lstsq(a, d_vector)
     if np.any(rank < len(a)):

@@ -1,21 +1,25 @@
-"""Exact diagonalization and adiabatic-branch tracking in the parity-even block.
+"""Exact diagonalization and adiabatic-branch tracking in the branch sector.
 
 The bare Hamiltonian and every driving generator commute with the parity
-P = z1 z2 ... zn, which is diagonal in the z basis.  The tracked branch is
-the lowest level of the P = +1 block: the kets with an even number of down
-spins, indices (0, 3) for two spins and (0, 3, 5, 6) for three.  Inside that
-block the level is nondegenerate along the paper's ramps, so it is chosen by
-index, not by overlap.  The degeneracies of the full spectrum (at the ramp
-start, and the crossing with a flat odd-parity level near R = 8 for two
-spins) all lie between the two sectors and never enter the solve.  The block
-of the real symmetric h0 has real eigenvectors, so the gauge is a sign:
+P = z1 z2 ... zn and with the model's site symmetries (``model``), so they
+leave the branch sector invariant: the P = +1 states symmetric under every
+site symmetry, spanned by the columns of ``sector_basis(kind, "branch")``.
+It is the whole P = +1 block for two spins, uu and dd, and uuu,
+(udd + ddu)/sqrt(2) and dud for three.  The tracked branch is the lowest
+level of that sector.  Inside it the level is nondegenerate along the
+paper's ramps, so it is chosen by index, not by overlap.  The degeneracies of
+the full spectrum (at the ramp start, the crossing with a flat odd-parity
+level near R = 8 for two spins, and for three spins the crossings with the
+reflection-odd level (udd - ddu)/sqrt(2)) all lie between sectors and never
+enter the solve: nothing in H_FF couples the sectors.  The sector block of
+the real symmetric h0 has real eigenvectors, so the gauge is a sign:
 ``fix_gauge`` makes the largest component positive, and ``track_branch``
 then signs each sample like its predecessor.  ``branch_vector_at`` keeps
 the ``fix_gauge`` sign: its vectors feed only sign-blind outputs.
-Vectors and dC/dR are returned as their P = +1 block components, in
-``parity_indices(dim)`` order.
+Vectors and dC/dR are returned as their k sector components, in the column
+order of ``sector_basis``; U c gives the full-space vector.
 
-dC/dR is the first-order resolvent sum over the other levels of the block.
+dC/dR is the first-order resolvent sum over the other levels of the sector.
 An in-sector near-degeneracy of the tracked level makes that sum singular
 and raises, naming the R where it happens.
 
@@ -79,16 +83,16 @@ class AdiabaticBranch:
 
     r_grid: np.ndarray
     energies: np.ndarray
-    vectors: np.ndarray      # shape (n_samples, dim // 2), P = +1 block, real
-    d_vectors: np.ndarray    # shape (n_samples, dim // 2), P = +1 block, real
+    vectors: np.ndarray      # shape (n_samples, k), branch sector components, real
+    d_vectors: np.ndarray    # shape (n_samples, k), branch sector components, real
 
 
 def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
-    """Follow level 0 of the P = +1 block along a monotone ``r_grid``.
+    """Follow level 0 of the branch sector along a monotone ``r_grid``.
 
     The whole grid is diagonalized in one stacked solve.  The sign of each
     sample follows the previous one.  Raises RuntimeError at the first sample
-    where the tracked level meets another level of the block, or where
+    where the tracked level meets another level of the sector, or where
     consecutive samples overlap by less than ``MIN_CONTINUITY_OVERLAP``
     (the grid is too coarse); the crossing is reported first.
     """
@@ -99,7 +103,7 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
         raise ValueError("r_grid must contain only finite values")
     if np.any(np.diff(r_grid) < 0):
         raise ValueError("r_grid must be monotone non-decreasing")
-    w, v = eigensolve(h0(spec, r_grid, parity=1))
+    w, v = eigensolve(h0(spec, r_grid, "branch"))
     raw = fix_gauge(v[:, :, 0])
     gap = w[:, 1] - w[:, 0]
     crossing = gap < SECTOR_GAP_RTOL * np.maximum(1.0, np.max(np.abs(w), axis=1))
@@ -118,7 +122,7 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
             f"{MIN_CONTINUITY_OVERLAP} at r={r} (sample {k})")
     # sign each sample like its predecessor: a running product of overlap signs
     vectors = raw * np.cumprod(np.sign(np.concatenate([[1.0], overlap])))[:, None]
-    couplings = np.einsum("nji,jk,nk->ni", v[:, :, 1:], d_h0_dr(spec, parity=1),
+    couplings = np.einsum("nji,jk,nk->ni", v[:, :, 1:], d_h0_dr(spec, "branch"),
                           vectors)
     d = np.einsum("nij,nj->ni", v[:, :, 1:], couplings / (w[:, :1] - w[:, 1:]))
     return AdiabaticBranch(r_grid, energies=w[:, 0], vectors=vectors, d_vectors=d)
@@ -126,11 +130,11 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
 
 def branch_vector_at(spec: ModelSpec, r: float | np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Branch eigenvector (its P = +1 block components, signed by
-    ``fix_gauge``) and the ascending block levels at r, from a fresh solve of
-    the block; ``levels[..., 0]`` is the branch energy.  An array of r gives
-    (..., dim // 2) vectors and levels."""
-    w, v = eigensolve(h0(spec, r, parity=1))
+    """Branch eigenvector (its branch sector components, signed by
+    ``fix_gauge``) and the ascending sector levels at r, from a fresh solve of
+    the sector; ``levels[..., 0]`` is the branch energy.  An array of r gives
+    (..., k) vectors and levels."""
+    w, v = eigensolve(h0(spec, r, "branch"))
     return fix_gauge(v[..., 0]), w
 
 

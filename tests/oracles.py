@@ -13,9 +13,11 @@ None of these is called by the pipeline:
 * the driving candidate operator with a field term, and the distance from
   the branch energy to the nearest level of the full spectrum;
 * Pauli operators built by acting on ket labels, and from them the
-  structural terms summed over the bonds that the model docstring names.
+  structural terms summed over the bonds that the model docstring names;
+* the site reversal (site i <-> site n + 1 - i) as a matrix that acts on ket
+  labels, the symmetry the model table should yield for both clusters.
 
-Branch samples are P = +1 block components, as the pipeline returns them;
+Branch samples are branch sector components, as the pipeline returns them;
 the full-space oracles place them in the full space with :func:`embed`.
 """
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from ffspin.fastforward import FastForwardProfile, r_of_t, v_of_t
 from ffspin.model import (SCHEDULE_RATES, TWO_SPIN, ModelSpec, combine, h0,
-                          parity_indices, schedules, structural_terms)
+                          schedules, sector_basis, structural_terms)
 from ffspin.regularization import CoefficientTable
 from ffspin.spectrum import AdiabaticBranch, eigensolve, nearest_level_gap
 
@@ -37,12 +39,9 @@ IMAG_RESIDUE_ATOL = 1e-10
 FIELD_TERM = 2
 
 
-def embed(block_vectors: np.ndarray, dim: int) -> np.ndarray:
-    """(..., dim) full-space vectors with the given P = +1 block components
-    and zeros elsewhere."""
-    full = np.zeros(np.shape(block_vectors)[:-1] + (dim,))
-    full[..., parity_indices(dim)] = block_vectors
-    return full
+def embed(sector_vectors: np.ndarray, kind: str) -> np.ndarray:
+    """U c: the (..., dim) full-space vectors of branch sector components."""
+    return np.asarray(sector_vectors) @ sector_basis(kind, "branch").T
 
 
 def closed_form_w(bz: float, j1: float, j2: float,
@@ -65,15 +64,16 @@ def closed_form_two_spin(spec: ModelSpec, r: float) -> float:
 
 def component_form_three_spin(vector: np.ndarray, d_vector: np.ndarray) -> np.ndarray:
     """(w1, w2) from the three-spin component formulas in (C1, C4, C6) and
-    their derivatives, which are the P = +1 block positions 0, 1 and 2.
+    their derivatives, the full-space kets uuu, udd and dud (positions 0, 3
+    and 5 of :func:`embed`'s vectors; C7 = C4 is not read).
 
     Precondition: |C1| > 1e-10 and |3 C1^2 - 2 C4^2 - C6^2| > 1e-10 (by the
     branch normalization the latter equals |4 C1^2 - 1|, so the formulas
     break down where |C1| crosses 1/2).  Outside that region use
     ``solve_core``, which stays well posed.
     """
-    c1, c4, c6 = (float(x) for x in vector[:3])
-    a, b, c = 1j * d_vector[:3]
+    c1, c4, c6 = (float(x) for x in vector[[0, 3, 5]])
+    a, b, c = 1j * d_vector[[0, 3, 5]]
     weight = 3.0 * c1 * c1 - 2.0 * c4 * c4 - c6 * c6
     if abs(c1) < 1e-10 or abs(weight) < 1e-10:
         raise ValueError(
@@ -99,8 +99,8 @@ def full_ansatz_solve(spec: ModelSpec, vector: np.ndarray,
     All real unknowns are fitted together, by ``lstsq`` on the stacked real
     and imaginary parts.
     """
-    a = structural_terms(spec.kind)[FIELD_TERM:] @ embed(vector, spec.dim)
-    target = 1j * embed(d_vector, spec.dim)
+    a = structural_terms(spec.kind)[FIELD_TERM:] @ embed(vector, spec.kind)
+    target = 1j * embed(d_vector, spec.kind)
     a_real = np.concatenate([a.real, a.imag], axis=-1).T
     b_real = np.concatenate([target.real, target.imag])
     x = np.linalg.lstsq(a_real, b_real, rcond=None)[0]
@@ -150,6 +150,16 @@ def slow_pauli(axis: str, site: int, labels: list[str]) -> np.ndarray:
         new_spin, factor = action[ket[site - 1]]
         out = ket[:site - 1] + new_spin + ket[site:]
         m[labels.index(out), col] = factor
+    return m
+
+
+def site_reversal(n_spins: int) -> np.ndarray:
+    """Independent oracle: the permutation matrix that maps each ket to the
+    ket with its spins in reverse site order, built on ket labels."""
+    labels = binary_labels(n_spins)
+    m = np.zeros((len(labels), len(labels)))
+    for col, ket in enumerate(labels):
+        m[labels.index(ket[::-1]), col] = 1.0
     return m
 
 

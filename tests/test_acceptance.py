@@ -11,7 +11,7 @@ Targets come from the model itself, not from the pipeline's own output:
   (|uu>, |dd>), built here from the schedules, so |C1(T)|^2 must equal
   (2 + sqrt(2))/4 = 0.8536 for both clusters;
 * criterion 6 negative control: the three-spin ramp runs ten times faster,
-  at vbar=100, T=0.1.  At vbar=10, T=1 the in-sector gap (>= 10.9) keeps
+  at vbar=100, T=0.1.  At vbar=10, T=1 the in-sector gap (>= 16.4) keeps
   the undriven ramp 99.6% adiabatic, so no control fails there; at the
   fast profile an independent adaptive integrator gives an undriven final
   fidelity of 0.5126, while the driven run must keep the branch.
@@ -29,7 +29,7 @@ from ffspin.regularization import (RESIDUAL_NOISE_ATOL, coefficient_table,
 from ffspin.spectrum import branch_vector_at, eigensolve, track_branch
 
 from conftest import probabilities, ramp_grid
-from oracles import (closed_form_two_spin, component_form_three_spin,
+from oracles import (closed_form_two_spin, component_form_three_spin, embed,
                      full_ansatz_solve, gap_report, h_ff)
 
 
@@ -108,17 +108,16 @@ def test_criterion_2_three_spin_final_population(three_spec, profile,
 
 # -------------------------------------------------------------- criterion 3
 
-@pytest.mark.parametrize("fixture,spec_fixture,branch_fixture", [
-    ("two_run", "two_spec", "two_branch"),
-    ("three_run", "three_spec", "three_branch"),
+@pytest.mark.parametrize("fixture,spec_fixture", [
+    ("two_run", "two_spec"),
+    ("three_run", "three_spec"),
 ])
-def test_criterion_3_tdse_matches_eigenvector(fixture, spec_fixture,
-                                              branch_fixture, request):
+def test_criterion_3_tdse_matches_eigenvector(fixture, spec_fixture, request):
     trajectory = request.getfixturevalue(fixture)
     spec = request.getfixturevalue(spec_fixture)
     vecs, _ = branch_vector_at(spec, trajectory.r)
-    psi = trajectory.psi[:, parity_indices(spec.dim)]
-    worst = float(np.max(np.abs(probabilities(psi) - vecs ** 2)))
+    full = embed(vecs, spec.kind)
+    worst = float(np.max(np.abs(probabilities(trajectory.psi) - full ** 2)))
     ok = worst < 1e-3
     _report("3", ok, f"{spec.kind}: max ||C_i|^2(TDSE) - |C_i|^2(branch)| "
                      f"= {worst:.2e} < 1e-3")
@@ -148,9 +147,11 @@ def test_criterion_4_driving_coefficient_oracles(two_spec, two_branch,
         worst_resid = max(worst_resid, residual)
         worst_bz = max(worst_bz, abs(full_ansatz_solve(
             three_spec, c, three_branch.d_vectors[k])[1]))
-        weight = 3 * c[0] ** 2 - 2 * c[1] ** 2 - c[2] ** 2
-        if abs(c[0]) > 1e-10 and abs(weight) > 1e-10:
-            comp = component_form_three_spin(c, three_branch.d_vectors[k])
+        full = embed(c, three_spec.kind)  # (C1, C4, C6) at kets 0, 3, 5
+        weight = 3 * full[0] ** 2 - 2 * full[3] ** 2 - full[5] ** 2
+        if abs(full[0]) > 1e-10 and abs(weight) > 1e-10:
+            comp = component_form_three_spin(
+                full, embed(three_branch.d_vectors[k], three_spec.kind))
             worst_comp = max(worst_comp, *np.abs(comp - w))
     ok = (worst_closed < 1e-8 and worst_comp < 1e-6
           and worst_resid < RESIDUAL_NOISE_ATOL and worst_bz < 1e-10)
@@ -234,8 +235,8 @@ def test_criterion_7_spectrum_properties(two_spec, two_branch, three_spec,
 
 # -------------------------------------------------------------- criterion 8
 
-def test_criterion_8_numerical_hygiene(three_spec, profile, three_branch,
-                                       three_table, three_run, tmp_path):
+def test_criterion_8_numerical_hygiene(three_spec, profile, three_table,
+                                       three_run, tmp_path):
     drift = float(np.max(np.abs(three_run.norm - 1.0)))
 
     finals = []

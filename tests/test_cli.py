@@ -18,6 +18,7 @@ import ffspin
 from ffspin import _csvcells, cli, spectrum
 from ffspin.cli import (ScenarioConfig, main, make_config, parse_config_file,
                         run, validate)
+from ffspin.model import ModelSpec, h0
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 _TRACER_SPEC = importlib.util.spec_from_file_location("tracer", _TRACER_PATH)
@@ -201,6 +202,63 @@ def test_in_sector_crossing_fails_before_integration(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_spectrum_only_does_not_track_the_branch(tmp_path, capsys):
+    # the b0 = 5 crossing breaks the tracked branch, not the spectrum, which
+    # is all that spectrum_only writes
+    args = ["--model", "two_spin", "--b0", "5", "--mode", "spectrum_only"]
+    assert main(["validate", *args]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+    assert main(["run", *args, "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "eigenvalues.csv")
+    assert len(rows) == 2001
+    levels = np.array([[float(x) for x in row[1:]] for row in rows])
+    spec = ModelSpec(kind="two_spin", b0=5.0)
+    exact = np.linalg.eigvalsh(h0(spec, levels[:, 0]))
+    assert np.max(np.abs(levels[:, 1:] - exact)) < 1e-12
+    _, gaps = _read_csv(tmp_path / "gap.csv")
+    assert len(gaps) == 2001
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "eigenvalues.csv", "gap.csv", "run_manifest.txt"]
+
+
+#: j0 = 1, b0 = 3, r0 = 0: the reflection-odd level (udd - ddu)/sqrt(2)
+#: crosses the branch energy near R = 0.545, between sectors
+REFLECTION_CROSSING = ["--model", "three_spin_kagome", "--j0", "1", "--b0", "3",
+                       "--r0", "0", "--grid_points", "401",
+                       "--integrator_steps", "2000", "--output_stride", "100"]
+
+
+@pytest.mark.parametrize("v_bar,t_ff", [("10", "1"), ("10", "0.1"), ("100", "0.1")])
+def test_crossing_outside_the_branch_sector_runs_clean(v_bar, t_ff, tmp_path, capsys):
+    # tracked in the 4-dim P = +1 block these configs failed as an in-sector
+    # crossing or a too coarse grid; in the branch sector they run inside the
+    # invariants, and gap.csv still shows the full-spectrum crossing
+    args = REFLECTION_CROSSING + ["--v_bar", v_bar, "--t_ff", t_ff]
+    assert main(["validate", *args]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+    assert main(["run", *args, "--out", str(tmp_path)]) == 0
+    header, rows = _read_csv(tmp_path / "trajectory.csv")
+    columns = dict(zip(header, np.array(rows, dtype=float).T))
+    assert 1.0 - columns["fidelity"].min() < 1e-10
+    assert np.max(np.abs(columns["norm"] - 1.0)) < 1e-9
+    _, rows = _read_csv(tmp_path / "gap.csv")
+    r, gap = np.array(rows, dtype=float)[:, 1:].T
+    near = (0.5 < r) & (r < 0.6)
+    assert np.min(gap[near]) < 0.02 < np.min(gap[(0.3 < r) & (r < 0.45)])
+    spec = ModelSpec(kind="three_spin_kagome", j0=1.0, b0=3.0)
+    levels = spectrum.branch_vector_at(spec, r)[1]
+    assert np.min(levels[:, 1] - levels[:, 0]) > 1.1  # the branch sector's gap
+    _, rows = _read_csv(tmp_path / "eigenvalues.csv")
+    exact = np.linalg.eigvalsh(h0(spec, r))
+    assert np.max(np.abs(np.array(rows, dtype=float)[:, 2:] - exact)) < 1e-12
+
+
+def test_fast_reflection_crossing_ramp_is_too_coarse(capsys):
+    # at v_bar = 100, t_ff = 1 the R step is 0.25: a true "grid too coarse"
+    assert main(["validate", *REFLECTION_CROSSING, "--v_bar", "100"]) == 2
+    assert "grid too coarse" in capsys.readouterr().out
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     config = make_config({"model": "three_spin_kagome", **FAST_KEYS})
     dir_a = tmp_path / "a"
@@ -246,18 +304,21 @@ def test_eigensolve_calls_do_not_grow_with_grid_or_records(tmp_path, monkeypatch
 
 
 def test_fast_forward_run_solves_the_even_block_once_per_r(tmp_path, monkeypatch):
-    # tracking and the spectrum CSVs each solve the P = +1 block once per grid
-    # point, the records once each, and the P = -1 block once per grid point
+    # tracking and the spectrum CSVs each solve the 3 x 3 branch sector once
+    # per grid point, the records once each, and the 4 x 4 P = -1 block once
+    # per grid point; the 1 x 1 rest of P = +1 needs no solve
     solved = []
     for module in (spectrum, cli):
         def counted(h, _eigensolve=module.eigensolve):
-            solved.append(int(np.prod(np.shape(h)[:-2])))
+            solved.append((int(np.prod(np.shape(h)[:-2])), np.shape(h)[-1]))
             return _eigensolve(h)
         monkeypatch.setattr(module, "eigensolve", counted)
     config = make_config(FAST_KEYS)
     assert run(config, tmp_path) == 0
     records = config.integrator_steps // config.output_stride + 1
-    assert sum(solved) == 3 * config.grid_points + records, solved
+    assert sum(n for n, _ in solved) == 3 * config.grid_points + records, solved
+    assert {d for _, d in solved} == {3, 4}
+    assert sum(n for n, d in solved if d == 4) == config.grid_points
 
 
 def test_fast_forward_run_enters_every_traced_layer(tmp_path):
@@ -365,6 +426,13 @@ def _run_python(code: str) -> None:
 
 def test_import_does_not_load_scipy():
     _run_python("import sys, ffspin.cli; assert 'scipy' not in sys.modules")
+
+
+def test_import_derives_no_sector():
+    # the sectors are derived on first use, so start-up does none of it
+    _run_python("import ffspin.cli; from ffspin import model; "
+                "assert model.sector_basis.cache_info().currsize == 0; "
+                "assert model.structural_terms.cache_info().currsize == 0")
 
 
 def test_run_does_not_load_scipy(tmp_path):

@@ -5,12 +5,12 @@ import pytest
 
 from ffspin import fastforward
 from ffspin.fastforward import FastForwardProfile, integrate, r_of_t, v_of_t
-from ffspin.model import MODEL_KINDS, THREE_SPIN_KAGOME, ModelSpec, h0, parity_indices
+from ffspin.model import MODEL_KINDS, THREE_SPIN_KAGOME, ModelSpec, h0
 from ffspin.regularization import CoefficientTable, coefficient_table
 from ffspin.spectrum import branch_vector_at, track_branch
 
 from conftest import ramp_grid
-from oracles import h_ff
+from oracles import embed, h_ff
 
 RNG = np.random.RandomState(7)
 
@@ -103,8 +103,8 @@ def test_driven_run_keeps_fidelity(two_run):
 
 def test_driven_run_matches_branch_populations(three_run, three_spec):
     vecs, _ = branch_vector_at(three_spec, three_run.r[::10])
-    psi = three_run.psi[::10, parity_indices(three_spec.dim)]
-    assert np.max(np.abs(np.abs(psi) ** 2 - vecs ** 2)) < 1e-9
+    full = embed(vecs, three_spec.kind)
+    assert np.max(np.abs(np.abs(three_run.psi[::10]) ** 2 - full ** 2)) < 1e-9
 
 
 def test_mirror_symmetry_of_three_spin_run(three_run):
@@ -134,8 +134,7 @@ def test_step_halving_fourth_order(two_spec, ramp_profile, two_table):
     assert d1 / d2 > 12.0
 
 
-def test_no_driving_controls(two_spec, three_spec, ramp_profile, two_branch,
-                             two_table, three_branch, three_table,
+def test_no_driving_controls(two_spec, ramp_profile, two_branch,
                              three_run_no_driving):
     recs2 = integrate(two_spec, ramp_profile,
                       table=CoefficientTable.zeros(two_spec, two_branch.r_grid))
@@ -188,16 +187,17 @@ def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,
 @pytest.mark.parametrize("r0", [0.0, 2.5])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_run_starts_on_the_tracked_sample_zero(kind, r0, ramp_profile):
-    # on the grid a run tracks, linspace(r0, r_end, n), the start vector
-    # C(R(0) = r0) is tracked sample 0 bit for bit, and every fresh solve is a
-    # tracked sample up to its sign, with its largest component positive
+    # on the grid a run tracks, linspace(r0, r_end, n), the start vector is
+    # U C(R(0) = r0) for tracked sample 0, bit for bit, and every fresh solve
+    # is a tracked sample up to its sign, with its largest component positive
     spec = ModelSpec(kind=kind, r0=r0)
     grid = ramp_grid(spec, ramp_profile, 401)
     branch = track_branch(spec, grid)
     run = integrate(spec, ramp_profile, 400, output_stride=100,
                     table=coefficient_table(spec, branch))
-    start = run.psi[0, parity_indices(spec.dim)]
-    assert np.array_equal(start.real, branch.vectors[0]) and not np.any(start.imag)
+    start = run.psi[0]
+    assert np.array_equal(start.real, embed(branch.vectors[0], kind))
+    assert not np.any(start.imag)
     vecs, _ = branch_vector_at(spec, grid)
     signs = np.sign(np.sum(vecs * branch.vectors, axis=1))
     assert np.array_equal(vecs, signs[:, None] * branch.vectors)

@@ -1,7 +1,7 @@
 """The RK4 propagator inside `integrate`: record layout, reproducibility, the
-undriven control on a zero table, agreement with a plain per-step RK4 loop,
-the parity block it leaves untouched, its chunking and its real-form stage
-terms."""
+undriven control on a zero table, agreement with a plain per-step RK4 loop
+in the full space, the blocks outside the branch sector that it leaves
+untouched, its chunking and its real-form stage terms."""
 from __future__ import annotations
 
 import tracemalloc
@@ -11,7 +11,8 @@ import pytest
 
 from ffspin import CoefficientTable, fastforward
 from ffspin.fastforward import FastForwardProfile, integrate, r_of_t
-from ffspin.model import MODEL_KINDS, h0, parity_indices, structural_terms
+from ffspin.model import (MODEL_KINDS, h0, parity_indices, sector_basis,
+                          structural_terms)
 
 from oracles import embed, h_ff
 
@@ -99,7 +100,7 @@ def test_records_match_per_step_loop(model, drive, stride, profile, request):
     run = integrate(spec, profile, steps=2000, output_stride=stride,
                     table=table if drive else CoefficientTable.zeros(spec, branch.r_grid))
     expected = rk4_loop_reference(spec, profile, table,
-                                  embed(branch.vectors[0], spec.dim), 2000, stride,
+                                  embed(branch.vectors[0], spec.kind), 2000, stride,
                                   drive)
     assert np.max(np.abs(run.psi - expected)) <= 1e-13
 
@@ -110,6 +111,8 @@ def test_default_start_leaves_odd_block_exactly_zero(two_spec, three_spec,
         odd = parity_indices(spec.dim, -1)
         assert np.all(run.psi[:, odd] == 0.0)
         assert np.any(run.psi[-1, parity_indices(spec.dim, 1)] != 0.0)
+        # the rest of P = +1 too: psi is U psi_sector, so udd = ddu exactly
+        assert np.all(run.psi @ sector_basis(spec.kind, "rest") == 0.0)
 
 
 def test_small_chunks_match_default_chunks(monkeypatch, three_spec, profile,
@@ -145,10 +148,14 @@ def _real_form(a):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("parity", [1])
 def test_real_stage_terms_are_real_forms_of_minus_i_terms(kind, parity):
+    # the stage terms are those of the branch sector, which lies in P = parity
     terms = fastforward._real_stage_terms(kind)
     assert terms.dtype == np.float64
     assert not terms.flags.writeable
-    assert np.array_equal(terms, _real_form(-1j * structural_terms(kind, parity)))
+    assert np.array_equal(terms, _real_form(-1j * structural_terms(kind, "branch")))
+    u = sector_basis(kind, "branch")
+    outside = np.setdiff1d(np.arange(len(u)), parity_indices(len(u), parity))
+    assert not np.any(u[outside])
 
 
 def test_stage_times_equal_linspace():

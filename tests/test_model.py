@@ -3,10 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ffspin.model import (MODEL_KINDS, TERM_WORDS, THREE_SPIN_KAGOME, TWO_SPIN,
-                          ModelSpec, d_h0_dr, h0, schedules, structural_terms)
+from ffspin.model import (MODEL_KINDS, SECTORS, TERM_WORDS, THREE_SPIN_KAGOME,
+                          TWO_SPIN, ModelSpec, d_h0_dr, embed_branch, h0,
+                          parity_indices, schedules, sector_basis, site_symmetries,
+                          structural_terms)
 
-from oracles import bond_terms, h_candidate, is_hermitian, slow_word
+from oracles import (bond_terms, h_candidate, is_hermitian, site_reversal,
+                     slow_word)
 
 
 def reference_two_spin_matrix(j1: float, j2: float, bz: float) -> np.ndarray:
@@ -155,15 +158,20 @@ def test_h0_affine_in_r(kind, delta):
     assert np.allclose(h0(spec, 4.2), h0(spec, 0) + 4.2 * d_h0_dr(spec), atol=1e-12)
 
 
+#: the sectors that make up the full space (None) and each parity block
+SECTORS_OF_PARITY = {None: (None,), 1: ("branch", "rest"), -1: ("odd",)}
+
+
 @pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
 @pytest.mark.parametrize("parity", [None, 1, -1])
 def test_bare_hamiltonian_is_real(kind, parity):
     # xx, yy and z are real in the z basis; only the xy + yx generators are not
     spec = ModelSpec(kind=kind)
-    assert not np.any(structural_terms(kind, parity)[:3].imag)
-    assert h0(spec, 3.7, parity).dtype == np.float64
-    assert h0(spec, np.linspace(0.0, 10.0, 3), parity).dtype == np.float64
-    assert d_h0_dr(spec, parity).dtype == np.float64
+    for sector in SECTORS_OF_PARITY[parity]:
+        assert not np.any(structural_terms(kind, sector)[:3].imag)
+        assert h0(spec, 3.7, sector).dtype == np.float64
+        assert h0(spec, np.linspace(0.0, 10.0, 3), sector).dtype == np.float64
+        assert d_h0_dr(spec, sector).dtype == np.float64
 
 
 @pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
@@ -172,8 +180,9 @@ def test_driving_generators_are_purely_imaginary(kind, parity):
     # the exchange-only core solve rests on this: with h0 real, a real part of
     # a generator would make the dropped field coefficient nonzero
     n_terms = 3 + ModelSpec(kind=kind).n_generators
-    assert structural_terms(kind, parity).shape[0] == n_terms
-    assert not np.any(structural_terms(kind, parity)[3:].real)
+    for sector in SECTORS_OF_PARITY[parity]:
+        assert structural_terms(kind, sector).shape[0] == n_terms
+        assert not np.any(structural_terms(kind, sector)[3:].real)
 
 
 def test_three_spin_dh_hermitian_traceless(three):
@@ -195,3 +204,86 @@ def test_three_spin_candidate_support_from_first_state(three):
     m = h_candidate(three, w1=0.7, w2=0.3)
     coupled = {k for k in range(8) if abs(m[0, k]) > 1e-14}
     assert coupled == {3, 5, 6}  # 1-based positions 4, 6, 7
+
+
+# ------------------------------------------------------------------ sectors
+
+@pytest.mark.parametrize("kind,dims", [(TWO_SPIN, (2, 0, 2)),
+                                       (THREE_SPIN_KAGOME, (3, 1, 4))])
+def test_sector_bases_are_orthonormal_and_split_the_space(kind, dims):
+    bases = [sector_basis(kind, sector) for sector in SECTORS]
+    assert tuple(u.shape[1] for u in bases) == dims
+    for u in bases:
+        assert not u.flags.writeable
+        assert np.max(np.abs(u.T @ u - np.eye(u.shape[1])), initial=0.0) < 1e-15
+    whole = np.hstack(bases)
+    assert np.max(np.abs(whole.T @ whole - np.eye(len(whole)))) < 1e-15
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_table_symmetry_is_the_site_reversal(kind):
+    # the word table yields the identity and the reversal of the sites (the
+    # swap for two spins, site 1 <-> 3 for the triangle), and nothing else
+    n = ModelSpec(kind=kind).n_spins
+    assert site_symmetries(kind) == (tuple(range(n)), tuple(range(n))[::-1])
+    reversal = site_reversal(n)
+    parity = np.diag([(-1.0) ** bin(i).count("1") for i in range(2 ** n)])
+    for symmetry in (reversal, parity):
+        for term in structural_terms(kind):
+            assert np.array_equal(symmetry @ term, term @ symmetry)
+    # the sectors are its eigenspaces: the branch and the rest of P = +1 are
+    # reversal-even and -odd, exactly
+    branch, rest = sector_basis(kind, "branch"), sector_basis(kind, "rest")
+    assert np.array_equal(reversal @ branch, branch)
+    assert np.array_equal(parity @ branch, branch)
+    assert np.array_equal(reversal @ rest, -rest)
+    assert np.array_equal(parity @ rest, rest)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("sector", SECTORS)
+def test_every_term_leaves_each_sector_invariant(kind, sector):
+    # T U = U (U^T T U): no term couples a sector to the others, so the
+    # sector terms are the whole action of the terms there
+    u = sector_basis(kind, sector)
+    full = structural_terms(kind)
+    assert np.max(np.abs(full @ u - u @ structural_terms(kind, sector)),
+                  initial=0.0) < 1e-15
+    for other in SECTORS:
+        if other != sector:
+            v = sector_basis(kind, other)
+            assert np.max(np.abs(v.T @ full @ u), initial=0.0) < 1e-15
+
+
+def test_two_spin_sectors_are_slices_of_the_full_terms():
+    # the swap leaves the P = +1 block whole: U is identity columns 0 and 3,
+    # applied as a slice, so the block terms keep every bit, signed zeros too
+    full = structural_terms(TWO_SPIN)
+    for sector, parity in (("branch", 1), ("odd", -1)):
+        ix = parity_indices(4, parity)
+        assert np.array_equal(sector_basis(TWO_SPIN, sector), np.eye(4)[:, ix])
+        sliced = full[:, ix[:, None], ix]
+        terms = structural_terms(TWO_SPIN, sector)
+        assert np.array_equal(terms, sliced)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(terms, part)),
+                                  np.signbit(getattr(sliced, part)))
+    assert structural_terms(TWO_SPIN, "rest").shape == (4, 0, 0)
+    psi = np.array([[0.6 - 0.0j, -0.8j]])
+    assert np.array_equal(embed_branch(TWO_SPIN, psi),
+                          [[0.6, 0.0, 0.0, -0.8j]])
+
+
+def test_three_spin_sector_terms_match_the_hand_written_matrix(three):
+    # U^T h0 U on (uuu, (udd + ddu)/sqrt(2), dud) from the dense fixture
+    j1, j2, bz = schedules(three, 2.7)
+    u = sector_basis(THREE_SPIN_KAGOME, "branch")
+    expected = u.T @ reference_three_spin_matrix(j1, j2, bz).real @ u
+    assert np.allclose(h0(three, 2.7, "branch"), expected, atol=1e-14)
+    assert np.allclose(u[[0, 3, 5, 6]], [[1, 0, 0], [0, 0.5 ** 0.5, 0],
+                                         [0, 0, 1], [0, 0.5 ** 0.5, 0]], atol=0.0)
+
+
+def test_unknown_sector_rejected():
+    with pytest.raises(ValueError, match="sector must be one of"):
+        sector_basis(TWO_SPIN, "even")

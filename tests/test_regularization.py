@@ -14,7 +14,7 @@ from ffspin.spectrum import track_branch
 
 from conftest import ramp_grid
 from oracles import (closed_form_two_spin, closed_form_w, component_form_three_spin,
-                     full_ansatz_solve)
+                     embed, full_ansatz_solve)
 
 
 def test_solve_core_two_spin_at_start(two_spec, two_branch):
@@ -119,23 +119,27 @@ def test_component_form_agrees_with_solver(three_spec, three_branch):
     checked = 0
     for k in range(0, len(three_branch.r_grid), 20):
         c = three_branch.vectors[k]
-        weight = 3 * c[0] ** 2 - 2 * c[1] ** 2 - c[2] ** 2
-        if abs(c[0]) < 1e-10 or abs(weight) < 1e-10:
+        full = embed(c, three_spec.kind)  # (C1, C4, C6) at kets 0, 3, 5
+        weight = 3 * full[0] ** 2 - 2 * full[3] ** 2 - full[5] ** 2
+        if abs(full[0]) < 1e-10 or abs(weight) < 1e-10:
             continue
-        comp = component_form_three_spin(c, three_branch.d_vectors[k])
+        comp = component_form_three_spin(
+            full, embed(three_branch.d_vectors[k], three_spec.kind))
         w, _ = solve_core(three_spec, c, three_branch.d_vectors[k])
         assert np.max(np.abs(comp - w)) < 1e-6
         checked += 1
     assert checked > 90
 
 
-def test_component_form_flat_branch_zero(three_branch):
-    c = three_branch.vectors[500]
+def test_component_form_flat_branch_zero(three_spec, three_branch):
+    c = embed(three_branch.vectors[500], three_spec.kind)
     assert not np.any(component_form_three_spin(c, np.zeros_like(c)))
 
 
 def test_component_form_singular_at_half_amplitude():
-    c = np.array([0.5, -0.5, 0.5, -0.5])
+    # uuu, udd, dud, ddu = 1/2, -1/2, 1/2, -1/2
+    c = np.zeros(8)
+    c[[0, 3, 5, 6]] = [0.5, -0.5, 0.5, -0.5]
     with pytest.raises(ValueError, match="solve_core"):
         component_form_three_spin(c, np.zeros_like(c))
 

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ffspin.model import THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0
+from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0,
+                          parity_indices)
 from ffspin.spectrum import (branch_vector_at, eigensolve, fix_gauge,
                              nearest_level_gap, track_branch)
 
@@ -73,14 +74,15 @@ def test_fix_gauge_keeps_real_input_up_to_sign():
     assert out[np.argmax(np.abs(out))] > 0
 
 
-# branch vectors are P = +1 block components: two spins (uu, dd), three
-# spins (uuu, udd, dud, ddu), the paper's (C1, C4, C6, C7)
+# branch vectors are branch sector components: two spins (uu, dd), three
+# spins (uuu, (udd + ddu)/sqrt(2), dud), the paper's (C1, sqrt(2) C4, C6)
 
 @pytest.mark.parametrize("fixture,dim", [("two_branch", 4), ("three_branch", 8)])
 def test_branch_vectors_are_block_components(fixture, dim, request):
     branch = request.getfixturevalue(fixture)
     n = len(branch.r_grid)
-    assert branch.vectors.shape == branch.d_vectors.shape == (n, dim // 2)
+    k = {4: 2, 8: 3}[dim]
+    assert branch.vectors.shape == branch.d_vectors.shape == (n, k)
 
 
 def test_resolve_two_spin_initial_state(two_branch):
@@ -92,8 +94,8 @@ def test_resolve_two_spin_initial_state(two_branch):
 
 
 def test_resolve_three_spin_initial_state(three_branch):
-    c = three_branch.vectors[0]
-    assert c[1] == pytest.approx(c[3], abs=1e-9)
+    c = embed(three_branch.vectors[0], THREE_SPIN_KAGOME)
+    assert c[3] == pytest.approx(c[6], abs=1e-9)
     assert abs(c[0]) == pytest.approx(0.5, abs=1e-8)
 
 
@@ -115,10 +117,18 @@ def test_two_spin_sector_crossing_near_eight(two_branch):
     assert g_lo > 0 > g_hi
 
 
-def test_three_spin_branch_support(three_branch):
-    # |C4| = |C7|: the mirror symmetry of the triangle's bonds
-    vecs = three_branch.vectors
-    assert np.max(np.abs(vecs[:, 1] - vecs[:, 3])) < 1e-9
+def test_three_spin_branch_support(three_spec, three_branch):
+    # C4 = C7: the mirror symmetry of the triangle's bonds.  Mapped by U, the
+    # sector branch is level 0 of the whole P = +1 block on this ramp, from a
+    # solve of that 4 x 4 block (uuu, udd, dud, ddu) of the full h0
+    vecs = embed(three_branch.vectors, three_spec.kind)
+    assert np.max(np.abs(vecs[:, 3] - vecs[:, 6])) < 1e-9
+    even = parity_indices(8)
+    block = h0(three_spec, three_branch.r_grid)[:, even[:, None], even]
+    levels, block_vecs = eigensolve(block)
+    assert np.max(np.abs(levels[:, 0] - three_branch.energies)) < 1e-12
+    overlap = np.abs(np.sum(block_vecs[:, :, 0] * vecs[:, even], axis=1))
+    assert np.max(np.abs(overlap - 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("fixture", ["two_branch", "three_branch"])
@@ -137,7 +147,7 @@ def test_branch_eigen_residual(kind, request):
     spec = ModelSpec(kind=kind)
     for k in range(0, len(branch.r_grid), 200):
         h = h0(spec, float(branch.r_grid[k]))
-        c = embed(branch.vectors[k], spec.dim)
+        c = embed(branch.vectors[k], spec.kind)
         assert np.linalg.norm(h @ c - branch.energies[k] * c) < 1e-10
 
 
@@ -202,14 +212,14 @@ def test_two_spin_gap_at_end(two_branch, two_spec):
 
 def fd_branch_derivative(spec: ModelSpec, r: float, vector: np.ndarray,
                          step: float = 1e-4) -> np.ndarray:
-    """Central finite-difference dC/dR of level 0 of the P = +1 block, signed
+    """Central finite-difference dC/dR of level 0 of the branch sector, signed
     like ``vector``, with one Richardson extrapolation: an oracle for the
     resolvent derivative that shares only ``h0`` and ``eigensolve`` with it.
     Probe points may fall slightly outside the tracked R interval, which is
     fine because the Hamiltonian is defined for every R."""
 
     def probed(rr: float) -> np.ndarray:
-        probe = eigensolve(h0(spec, rr, parity=1))[1][:, 0]
+        probe = eigensolve(h0(spec, rr, "branch"))[1][:, 0]
         return probe if probe @ vector >= 0.0 else -probe
 
     coarse = (probed(r + step) - probed(r - step)) / (2.0 * step)
@@ -232,7 +242,7 @@ def test_branch_vector_at_between_samples(two_spec):
     r = 3.141
     vec, levels = branch_vector_at(two_spec, r)
     energy = levels[..., 0]
-    c = embed(vec, two_spec.dim)
+    c = embed(vec, two_spec.kind)
     assert np.linalg.norm(h0(two_spec, r) @ c - energy * c) < 1e-10
     j1, j2, bz = 10.0 - r, r, -r
     assert energy == pytest.approx(-np.sqrt(bz ** 2 + (j1 - j2) ** 2), abs=1e-10)

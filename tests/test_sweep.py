@@ -15,7 +15,7 @@ def test_sweep_counts_and_lists_the_failed_runs(capsys):
     assert len(list(sweep.configs())) == 96
     assert sweep.main() == 0
     head, *failed = capsys.readouterr().out.splitlines()
-    assert head == "runs clean 69 / validate rejects 8 / validate ok but run fails 19"
+    assert head == "runs clean 72 / validate rejects 5 / validate ok but run fails 19"
     assert len(failed) == 19
     # each is the fast ramp at 2000 steps, stopped by the norm-drift check
     assert all("--v_bar=100 --t_ff=1:" in line and "norm drift" in line
