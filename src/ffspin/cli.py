@@ -19,9 +19,8 @@ checks it.  Configs above ``MAX_POINTS`` grid points or records are rejected.
 
 ``eigenvalues.csv`` and ``gap.csv`` list all dim levels of h0, merged from
 the three invariant blocks of ``model.SECTORS``: the branch sector's levels
-come with the branch solve, the rest of the P = +1 block is empty or 1 x 1
-for these models (its level is its entry), and the P = -1 block is solved
-whole.
+come with the branch solve, and the rest of the P = +1 block (empty or 1 x 1
+for these models) and the P = -1 block are each solved whole.
 
 A CSV cell is the text of ``"%.16e" % x``.
 """
@@ -42,6 +41,8 @@ from .regularization import CoefficientTable, coefficient_table
 from .spectrum import branch_vector_at, eigensolve, nearest_level_gap, track_branch
 
 MODES = ("fast_forward", "no_driving", "spectrum_only", "regularization_only")
+#: the modes that propagate with RK4 and write trajectory.csv
+INTEGRATING_MODES = ("fast_forward", "no_driving")
 
 TRAJECTORY_CSV = "trajectory.csv"
 EIGENVALUES_CSV = "eigenvalues.csv"
@@ -141,7 +142,30 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append("the R grid linspace(r0, r0 + v_bar * t_ff, grid_points) must "
                         "be strictly increasing; raise v_bar * t_ff against |r0| or "
                         "lower grid_points")
+    if not problems and config.mode in INTEGRATING_MODES and _stage_overflows(config):
+        scales = {"j0": abs(config.j0), "b0": abs(config.b0), "r0": abs(config.r0),
+                  "v_bar": config.v_bar * config.t_ff}
+        knob = max(scales, key=scales.get)
+        problems.append(f"the couplings are too large: the RK4 stage matrices "
+                        f"overflow float64; lower {knob}")
     return problems
+
+
+def _stage_overflows(config: ScenarioConfig) -> bool:
+    """Whether the RK4 stages of the bare part of H_FF can overflow float64.
+
+    With s the largest row sum of |h0| on the branch sector along the ramp
+    (at a ramp end, since h0 is affine in R) and x = s dt, the stage
+    K4 = A1 (I + dt A (I + dt/2 A (I + dt/2 A))) has row sums up to
+    s (1 + x (1 + x/2 (1 + x/2))), and so has every partial sum of its
+    matmuls.  That bound is evaluated in Python floats, which overflow to inf.
+    """
+    with np.errstate(over="ignore"):
+        ends = h0(_spec(config), [config.r0, config.r0 + config.v_bar * config.t_ff],
+                  "branch")
+        s = float(np.max(np.sum(np.abs(ends), axis=-1)))
+    x = s * config.t_ff / config.integrator_steps
+    return not np.isfinite(s * (1.0 + x * (1.0 + 0.5 * x * (1.0 + 0.5 * x))))
 
 
 def _csv(header: list[str], columns: list[np.ndarray | None]) -> bytes:
@@ -196,10 +220,7 @@ def _eigenvalues_and_gap_csv(spec, times, rs) -> tuple[bytes, bytes]:
     """The levels of the branch solve, of the rest of P = +1 and of the solved
     P = -1 block, merged."""
     branch = branch_vector_at(spec, rs)[1]
-    rest = h0(spec, rs, "rest")
-    # a 1 x 1 block is its own level and needs no solve
-    rest = eigensolve(rest)[0] if rest.shape[-1] > 1 else np.diagonal(rest, 0, -2, -1)
-    odd, _ = eigensolve(h0(spec, rs, "odd"))
+    rest, odd = (eigensolve(h0(spec, rs, sector))[0] for sector in ("rest", "odd"))
     levels = np.sort(np.concatenate([branch, rest, odd], axis=-1), axis=-1)
     gaps = nearest_level_gap(levels, branch[:, 0])
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]
@@ -242,7 +263,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
     times = np.linspace(0.0, config.t_ff, config.grid_points)
     rs = r_of_t(profile, spec.r0, times)
     files = {}
-    if config.mode in ("fast_forward", "no_driving"):
+    if config.mode in INTEGRATING_MODES:
         files[TRAJECTORY_CSV] = _trajectory_csv(config, spec, profile, table)
     if config.mode != "spectrum_only":
         files[REGULARIZATION_CSV] = _csv(["t", "R", *W_HEADER],

@@ -219,7 +219,8 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     solve; the first, C(R0), is the start vector.  Only the branch sector,
     where it lies, is propagated; the recorded ``psi`` is U psi, whose
     components outside the sector are exactly 0.0.  Norm drift beyond
-    ``NORM_DRIFT_LIMIT`` raises, with the advice to raise ``steps``.
+    ``NORM_DRIFT_LIMIT`` raises, with the advice to raise ``steps``; a
+    non-finite drift (the propagation overflowed) names the couplings.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -253,7 +254,10 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
 
     norms = np.linalg.norm(psis, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))
-    if not drift <= NORM_DRIFT_LIMIT:  # a NaN drift (RK4 overflow) fails too
+    if not np.isfinite(drift):
+        raise RuntimeError(f"norm drift {drift:.3e}: the RK4 propagation overflowed; "
+                           "lower j0, b0 or v_bar")
+    if drift > NORM_DRIFT_LIMIT:
         raise RuntimeError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             "increase the step count")

@@ -51,7 +51,9 @@ three blocks that every term leaves invariant (``SECTORS``):
 ``sector_basis`` gives each as a real isometry U (dim x k), and
 ``structural_terms``, ``h0`` and ``d_h0_dr`` evaluate on a block as
 U^T T U.  A U whose columns are columns of the identity (every block of two
-spins, the odd block of three) is applied as a slice, not a matmul.
+spins, the odd block of three) is applied as a slice, not a matmul; any
+other is summed with its integer orbit weights and scaled once, so that the
+three-spin sector terms are exact or correctly rounded.
 """
 from __future__ import annotations
 
@@ -152,21 +154,21 @@ def site_symmetries(kind: str) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def sector_basis(kind: str, sector: str) -> np.ndarray:
-    """Real isometry U, a read-only (dim, k) array, whose orthonormal columns
-    span ``sector``, one of ``SECTORS``.
+def _sector_weights(kind: str, sector: str) -> np.ndarray:
+    """Integer (dim, k) columns spanning ``sector``, one of ``SECTORS``: the
+    columns of ``sector_basis`` before normalization, as a read-only array.
 
     Each orbit of P = +1 kets under ``site_symmetries`` (taken in the order
-    of its first ket) gives one branch column, its normalized sum, and m - 1
-    rest columns, the Helmert contrasts (sum_{l<j} e_l - j e_j) /
-    sqrt(j (j + 1)) of its m kets; the odd columns are the P = -1 kets.
+    of its first ket) gives one branch column, its sum, and m - 1 rest
+    columns, the Helmert contrasts sum_{l<j} e_l - j e_j of its m kets; the
+    odd columns are the P = -1 kets.
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
     n = _n_spins(kind)
     eye = np.eye(2 ** n)
     if sector == "odd":
-        u = eye[:, parity_indices(2 ** n, -1)]
+        weights = eye[:, parity_indices(2 ** n, -1)]
     else:
         columns, seen = [], set()
         for ket in parity_indices(2 ** n, 1):
@@ -177,12 +179,22 @@ def sector_basis(kind: str, sector: str) -> np.ndarray:
             seen.update(orbit)
             kets = eye[orbit]
             if sector == "branch":
-                columns.append(kets.sum(axis=0) * (1.0 / np.sqrt(len(orbit))))
-                continue
-            for j in range(1, len(orbit)):
-                norm = 1.0 / np.sqrt(j * (j + 1))
-                columns.append(kets[:j].sum(axis=0) * norm - kets[j] * (j * norm))
-        u = np.array(columns).reshape(-1, 2 ** n).T
+                columns.append(kets.sum(axis=0))
+            else:
+                columns += [kets[:j].sum(axis=0) - j * kets[j] for j in range(1, len(orbit))]
+        weights = np.array(columns).reshape(-1, 2 ** n).T
+    weights.flags.writeable = False
+    return weights
+
+
+@lru_cache(maxsize=None)
+def sector_basis(kind: str, sector: str) -> np.ndarray:
+    """Real isometry U, a read-only (dim, k) array, whose orthonormal columns
+    span ``sector``, one of ``SECTORS``: the normalized orbit sums (branch),
+    the normalized Helmert contrasts within each orbit (rest) or the P = -1
+    kets (odd)."""
+    weights = _sector_weights(kind, sector)
+    u = weights * np.sqrt(1.0 / np.sum(weights ** 2, axis=0))
     u.flags.writeable = False
     return u
 
@@ -214,10 +226,16 @@ def structural_terms(kind: str, sector: str | None = None) -> np.ndarray:
     exchange generators G purely imaginary."""
     if sector is not None:
         full = structural_terms(kind, None)
-        u = sector_basis(kind, sector)
-        ix = _picked_kets(u)
-        terms = full[:, ix[:, None], ix] if ix is not None else u.T @ full @ u
-        terms = np.ascontiguousarray(terms)
+        weights = _sector_weights(kind, sector)
+        ix = _picked_kets(weights)
+        if ix is not None:
+            terms = np.ascontiguousarray(full[:, ix[:, None], ix])
+        else:
+            # S^T T S sums integers exactly, and one scaling by sqrt(1 / (q_a
+            # q_b)), q the columns' squared norms, rounds each entry once:
+            # correctly, when q_a q_b is a power of two
+            q = np.sum(weights ** 2, axis=0)
+            terms = (weights.T @ full @ weights) * np.sqrt(1.0 / np.outer(q, q))
         terms.flags.writeable = False
         return terms
     terms = np.stack([scale * sum(map(pauli_word, words.split()))

@@ -23,8 +23,10 @@ dC/dR is the first-order resolvent sum over the other levels of the sector.
 An in-sector near-degeneracy of the tracked level makes that sum singular
 and raises, naming the R where it happens.
 
-Every function accepts stacks (``eigensolve`` an (..., d, d) array, one
-``eigh`` call; the others arrays of R), so a run calls each once, not per R.
+Every function accepts stacks (``eigensolve`` an (..., d, d) array; the
+others arrays of R), so a run calls each once, not per R.  ``eigensolve``
+solves a real stack with d <= 2, every two-spin block, in vectorized closed
+form, and anything larger or complex in one batched LAPACK ``eigh`` call.
 """
 from __future__ import annotations
 
@@ -45,21 +47,64 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
     An (..., d, d) stack gives (..., d) eigenvalues and (..., d, d) vectors.
-    Raises ValueError if a matrix is not Hermitian and RuntimeError if a
-    decomposition fails its own residual check, scaled per matrix.
+    A real stack with d <= 2 is solved in closed form (``_eigh_2x2``; a 1 x 1
+    matrix is its own level, and a 0 x 0 one has none); complex input and
+    d >= 3 go to one batched ``np.linalg.eigh`` call.  Raises ValueError if a
+    matrix is not Hermitian and RuntimeError if a decomposition fails its own
+    residual check, scaled per matrix.
     """
-    deviation = float(np.max(np.abs(h - h.conj().swapaxes(-1, -2))))
+    complex_input = np.iscomplexobj(h)
+    ht = h.swapaxes(-1, -2)
+    deviation = float(np.max(np.abs(h - (ht.conj() if complex_input else ht)),
+                             initial=0.0))
     if not deviation < HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
-    w, v = np.linalg.eigh(h)
-    scale = np.maximum(1.0, np.max(np.abs(w), axis=-1))
-    residual = np.max(np.abs(h @ v - v * w[..., None, :]), axis=(-2, -1))
-    if np.any(residual > EIG_RESIDUAL_ATOL * scale):
+    d = h.shape[-1]
+    if complex_input or d > 2:
+        w, v = np.linalg.eigh(h)
+    elif d == 2:
+        w, v = _eigh_2x2(h)
+    else:
+        w, v = np.diagonal(h, 0, -2, -1).astype(float), np.ones(h.shape)
+    scale = np.max(np.abs(w), axis=-1, initial=1.0)
+    residual = np.abs(h @ v - v * w[..., None, :])
+    residual = residual.reshape(h.shape[:-2] + (d * d,)).max(-1, initial=0.0)
+    if not np.all(residual <= EIG_RESIDUAL_ATOL * scale):  # NaN fails too
         raise RuntimeError(
             f"eigensolve residual {np.max(residual):.3e} exceeds tolerance")
-    ortho = float(np.max(np.abs(v.conj().swapaxes(-1, -2) @ v - np.eye(h.shape[-1]))))
-    if ortho > EIG_RESIDUAL_ATOL:
+    # a contiguous transpose keeps the stacked matmul off numpy's strided path
+    vh = v.swapaxes(-1, -2)
+    vh = vh.conj() if complex_input else np.ascontiguousarray(vh)
+    ortho = float(np.max(np.abs(vh @ v - np.eye(d)), initial=0.0))
+    if not ortho <= EIG_RESIDUAL_ATOL:
         raise RuntimeError(f"eigenvectors not orthonormal to {ortho:.3e}")
+    return w, v
+
+
+def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ``eigh`` of a real symmetric (..., 2, 2) stack [[a, b], [b, d]].
+
+    The levels are m -/+ r, with m = (a + d)/2, e = (a - d)/2 and
+    r = hypot(e, b).  The lower vector is orthogonal to a row of
+    (h - (m - r)) / r, the one whose sum involves no cancellation:
+    (1 + e/r, b/r) when e > 0, else (b/r, 1 - e/r), where the sum is in
+    [1, 2], so nothing overflows either.  The upper vector is its rotation
+    by 90 degrees.  An exact degeneracy (e = b = 0) gives e0 and e1.
+    (Kopp, Int. J. Mod. Phys. C 19, 523 (2008), compares such closed forms
+    with LAPACK.)
+    """
+    a, b, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
+    mean, half = 0.5 * a + 0.5 * d, 0.5 * a - 0.5 * d  # halved first: no overflow
+    r = np.hypot(half, b)
+    unit = np.where(r > 0.0, r, 1.0)
+    e, f = half / unit, b / unit
+    row_one = e > 0.0
+    x = np.where(row_one, -f, 1.0 - e)
+    y = np.where(row_one, 1.0 + e, -f)
+    norm = np.hypot(x, y)
+    c, s = x / norm, y / norm
+    w = np.stack([mean - r, mean + r], axis=-1)
+    v = np.stack([c, -s, s, c], axis=-1).reshape(h.shape)
     return w, v
 
 

@@ -305,8 +305,8 @@ def test_eigensolve_calls_do_not_grow_with_grid_or_records(tmp_path, monkeypatch
 
 def test_fast_forward_run_solves_the_even_block_once_per_r(tmp_path, monkeypatch):
     # tracking and the spectrum CSVs each solve the 3 x 3 branch sector once
-    # per grid point, the records once each, and the 4 x 4 P = -1 block once
-    # per grid point; the 1 x 1 rest of P = +1 needs no solve
+    # per grid point, the records once each, and the 1 x 1 rest of P = +1 and
+    # the 4 x 4 P = -1 block once per grid point
     solved = []
     for module in (spectrum, cli):
         def counted(h, _eigensolve=module.eigensolve):
@@ -316,9 +316,33 @@ def test_fast_forward_run_solves_the_even_block_once_per_r(tmp_path, monkeypatch
     config = make_config(FAST_KEYS)
     assert run(config, tmp_path) == 0
     records = config.integrator_steps // config.output_stride + 1
-    assert sum(n for n, _ in solved) == 3 * config.grid_points + records, solved
-    assert {d for _, d in solved} == {3, 4}
+    assert sum(n for n, _ in solved) == 4 * config.grid_points + records, solved
+    assert {d for _, d in solved} == {1, 3, 4}
+    assert sum(n for n, d in solved if d == 3) == 2 * config.grid_points + records
     assert sum(n for n, d in solved if d == 4) == config.grid_points
+
+
+@pytest.mark.parametrize("model,lapack_calls", [("two_spin", 0),
+                                                ("three_spin_kagome", 4)])
+def test_only_three_by_three_and_larger_blocks_reach_lapack(
+        model, lapack_calls, tmp_path, monkeypatch):
+    # every two-spin block is a real 2 x 2 (or 0 x 0) matrix, solved in
+    # closed form; three spins send the 3 x 3 branch sector (tracking and the
+    # two branch_vector_at calls) and the 4 x 4 P = -1 block to LAPACK.  The
+    # five eigensolve calls: tracking, branch_vector_at twice, rest and odd
+    lapack, solves = [], []
+    def counted_eigh(h, _eigh=np.linalg.eigh):
+        lapack.append(np.shape(h))
+        return _eigh(h)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    for module in (spectrum, cli):
+        def counted(h, _eigensolve=module.eigensolve):
+            solves.append(np.shape(h))
+            return _eigensolve(h)
+        monkeypatch.setattr(module, "eigensolve", counted)
+    assert run(make_config({"model": model, **FAST_KEYS}), tmp_path) == 0
+    assert len(lapack) == lapack_calls, lapack
+    assert len(solves) == 5, solves
 
 
 def test_fast_forward_run_enters_every_traced_layer(tmp_path):
@@ -488,8 +512,27 @@ def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
         code = main(["run", "--model", "two_spin", "--j0", "1e5", "--out", str(out)]
                     + [f"--{key}={value}" for key, value in FAST_KEYS.items()])
     assert code == 1
-    assert "norm drift" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "norm drift nan" in err and "lower j0, b0 or v_bar" in err
+    assert "step count" not in err  # more steps is not the knob here
     assert not out.exists()
+
+
+@pytest.mark.parametrize("keys,knob", [(["--j0", "1e300"], "j0"),
+                                       (["--b0=-1e300"], "b0"),
+                                       (["--v_bar", "1e300"], "v_bar"),
+                                       (["--model", "two_spin", "--j0", "1e100"], "j0")])
+def test_overflowing_rk4_stage_names_the_coupling(keys, knob, tmp_path, capsys):
+    # validate said "ok" to j0 = 1e300, and run overflowed in the RK4 stage
+    problem = ("the couplings are too large: the RK4 stage matrices overflow "
+               f"float64; lower {knob}")
+    assert main(["validate"] + keys) == 2
+    assert capsys.readouterr().out == problem + "\n"
+    assert main(["run"] + keys + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"invalid config: {problem}\n"
+    assert not (tmp_path / "out").exists()
+    # the spectrum alone runs no RK4 and stays valid
+    assert main(["validate", "--mode", "spectrum_only"] + keys) == 0
 
 
 def test_main_validate_reports_problems(capsys):

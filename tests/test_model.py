@@ -284,6 +284,27 @@ def test_three_spin_sector_terms_match_the_hand_written_matrix(three):
                                          [0, 0, 1], [0, 0.5 ** 0.5, 0]], atol=0.0)
 
 
+def test_three_spin_sector_terms_are_exact_or_correctly_rounded():
+    # integer orbit sums scaled once: each entry is the double nearest the
+    # exact restriction U^T T U, so M_j2[1, 1] is 1 (not 0.9999999999999998)
+    # and the sqrt(2) entries are sqrt(2) rounded once (not 1.414213562373095)
+    root2 = np.sqrt(2.0)  # IEEE sqrt is correctly rounded: 1.4142135623730951
+    expected = [
+        [[0, root2, 0], [root2, 0, root2], [0, root2, 0]],      # M_j1
+        [[0, 0, -1], [0, 1, 0], [-1, 0, 0]],                    # M_j2
+        [[1.5, 0, 0], [0, -0.5, 0], [0, 0, -0.5]],              # M_bz
+        [[0, -2j * root2, 0], [2j * root2, 0, 0], [0, 0, 0]],   # G_w1
+        [[0, 0, -2j], [0, 0, 0], [2j, 0, 0]],                   # G_w2
+    ]
+    terms = structural_terms(THREE_SPIN_KAGOME, "branch")
+    assert np.array_equal(terms, expected)
+    assert terms[1, 1, 1] == 1.0 and terms[0, 0, 1] == 1.4142135623730951
+    rest = structural_terms(THREE_SPIN_KAGOME, "rest")
+    assert np.array_equal(rest[:, 0, 0], [0, -1, -0.5, 0, 0])
+    assert np.array_equal(sector_basis(THREE_SPIN_KAGOME, "branch")[[3, 6], 1],
+                          [np.sqrt(0.5)] * 2)
+
+
 def test_unknown_sector_rejected():
     with pytest.raises(ValueError, match="sector must be one of"):
         sector_basis(TWO_SPIN, "even")

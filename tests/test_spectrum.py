@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0,
                           parity_indices)
@@ -65,6 +67,85 @@ def test_eigensolve_random_hermitian_residuals():
     w, v = eigensolve(h)
     assert np.max(np.abs(h @ v - v * w)) < 1e-10 * np.max(np.abs(w))
     assert np.allclose(v.conj().T @ v, np.eye(8), atol=1e-10)
+
+
+def _lapack_agreement(h, w, v):
+    """Check (w, v) against ``np.linalg.eigh`` of a real symmetric (n, 2, 2)
+    stack: levels within 4 ulp of each matrix's largest entry, vectors within
+    1e-15 up to sign, scaled by the eigenvector condition scale / gap."""
+    w_ref, v_ref = np.linalg.eigh(h)
+    scale = np.max(np.abs(h), axis=(1, 2))
+    assert np.all(np.abs(w - w_ref) <= 4 * np.spacing(scale)[:, None])
+    half_gap = 0.5 * w_ref[:, 1] - 0.5 * w_ref[:, 0]  # the gap may overflow
+    # Davis-Kahan: any backward stable solver fixes a vector only to
+    # about eps * scale / gap; a gap of zero leaves it undetermined
+    determined = half_gap > 0
+    condition = np.maximum(1.0, 0.5 * scale[determined] / half_gap[determined])
+    signs = np.sign(np.sum(v * v_ref, axis=1))[determined]
+    error = np.max(np.abs(v[determined] * signs[:, None, :] - v_ref[determined]),
+                   axis=(1, 2), initial=0.0)
+    assert np.all(error <= 1e-15 * condition), (h[determined][error > 1e-15 * condition])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closed_form_2x2_matches_lapack(data):
+    # real symmetric 2 x 2 stacks at scales 1e-150 to 1e150, with exact
+    # degeneracies (a = d, b = 0), diagonal matrices in both orders and
+    # signed zeros among the entries
+    n = data.draw(st.integers(1, 6))
+    unit = hnp.arrays(np.float64, (n, 3), elements=st.floats(-1.0, 1.0))
+    entries = data.draw(unit) * 10.0 ** data.draw(st.integers(-150, 150))
+    shape = data.draw(st.sampled_from(["any", "a = d, b = 0", "b = 0"]))
+    if shape != "any":
+        entries[:, 1] = data.draw(st.sampled_from([0.0, -0.0]))
+    if shape == "a = d, b = 0":
+        entries[:, 2] = entries[:, 0]
+    a, b, d = entries.T
+    h = np.stack([a, b, b, d], axis=-1).reshape(n, 2, 2)
+    w, v = eigensolve(h)
+    assert np.all(w[:, 0] <= w[:, 1])
+    _lapack_agreement(h, w, v)
+    identity = (a == d) & (b == 0)
+    assert np.array_equal(np.abs(v[identity]), np.broadcast_to(np.eye(2), v[identity].shape))
+
+
+def test_closed_form_2x2_on_the_two_spin_ramp(two_spec):
+    # the branch block [[Bz, J1 - J2], [J1 - J2, -Bz]] and the P = -1 block
+    # [[0, J1 + J2], [J1 + J2, 0]] of the default ramp
+    for sector in ("branch", "odd"):
+        h = h0(two_spec, np.linspace(0.0, 10.0, 801), sector)
+        w, v = eigensolve(h)
+        _lapack_agreement(h, w, v)
+
+
+def test_closed_form_2x2_near_the_float_limit():
+    # entries near the largest double: a - d and e + r would overflow, the
+    # scaled row does not; levels beyond it fail the residual check
+    h = np.array([[[1e308, 1e308], [1e308, -1e308]], [[1e308, 0.0], [0.0, 1e308]]])
+    w, v = eigensolve(h)
+    _lapack_agreement(h, w, v)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="residual"):
+        eigensolve(np.full((2, 2), 1.7e308) * [[1, 1], [1, -1]])
+
+
+def test_complex_2x2_goes_to_lapack():
+    a = RNG.randn(5, 2, 2) + 1j * RNG.randn(5, 2, 2)
+    h = a + a.conj().swapaxes(-1, -2)
+    w, v = eigensolve(h)
+    w_ref, v_ref = np.linalg.eigh(h)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigensolve_takes_one_by_one_and_empty_stacks(dtype):
+    w, v = eigensolve(np.zeros((4, 0, 0), dtype))
+    assert w.shape == (4, 0) and v.shape == (4, 0, 0)
+    entries = np.array([-2.5, 0.0, 1e300])
+    w, v = eigensolve(entries.reshape(3, 1, 1).astype(dtype))
+    assert np.array_equal(w, entries[:, None]) and np.array_equal(v, np.ones((3, 1, 1)))
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigensolve(np.full((1, 1), 1j))
 
 
 def test_fix_gauge_keeps_real_input_up_to_sign():
