@@ -22,7 +22,9 @@ the three invariant blocks of ``model.SECTORS``: the branch sector's levels
 come with the branch solve, and the rest of the P = +1 block (empty or 1 x 1
 for these models) and the P = -1 block are each solved whole.
 
-A CSV cell is the text of ``"%.16e" % x``.
+A CSV cell is the text of ``"%.16e" % x``.  A run's CSVs are emitted in one
+pass (``_emit``): each distinct column, by its bytes, is formatted once, and
+every file gathers its rows from those cells.
 """
 from __future__ import annotations
 
@@ -168,31 +170,66 @@ def _stage_overflows(config: ScenarioConfig) -> bool:
     return not np.isfinite(s * (1.0 + x * (1.0 + 0.5 * x * (1.0 + 0.5 * x))))
 
 
-def _csv(header: list[str], columns: list[np.ndarray | None]) -> bytes:
-    """ASCII CSV of (n,) or (n, k) float columns; cells are the bytes of
-    ``"%.16e" % x`` (which round-trips float64), and a None column is an
-    empty cell."""
-    # imported here: compiling it at `import ffspin.cli` adds to every start-up
-    from ._csvcells import cells
+#: a CSV's header and its (n,) or (n, k) float columns; None is an empty column
+Table = tuple[list[str], list[np.ndarray | None]]
 
-    rows = next(len(column) for column in columns if column is not None)
-    arrays, empty = [], []
-    for column in columns:
-        if column is None:
-            empty.append(sum(a.shape[1] for a in arrays))
-            column = np.zeros(rows)
-        arrays.append(np.asarray(column, dtype=float).reshape(rows, -1))
-    width = sum(a.shape[1] for a in arrays)
-    separators = np.full(width, ord(","), np.uint8)
-    separators[-1] = ord("\n")
-    parts = [",".join(header).encode("ascii") + b"\n"]
-    block = max(1, _BLOCK_VALUES // width)
-    for start in range(0, rows, block):
-        grid = cells(np.hstack([a[start:start + block] for a in arrays]))
-        grid[:, empty] = 0  # NUL bytes vanish, leaving the separator
-        grid[..., -1] = separators
-        parts.append(grid.tobytes().translate(None, b"\0"))
-    return b"".join(parts)
+
+def _emit(tables: dict[str, Table]) -> dict[str, bytes]:
+    """Each table as ASCII CSV bytes, formatting each distinct column once.
+
+    A cell is the bytes of ``"%.16e" % x`` (which round-trips float64), and a
+    None column is an empty cell.  Every column vector is keyed by its bytes,
+    so bitwise-equal vectors share their cells across all the tables, while
+    0.0 and -0.0 stay apart.  The distinct vectors are formatted end to end in
+    blocks of ``_BLOCK_VALUES`` cells, and each file gathers its rows of cells
+    from them.  Nothing is kept between calls.
+    """
+    # imported here: compiling it at `import ffspin.cli` adds to every start-up
+    from ._csvcells import SLOT, cells
+
+    firsts: dict[bytes, int] = {}  # vector bytes -> its first row of cells
+    total = 1  # row 0 of the cells is the empty cell
+    layouts = {}
+    for name, (header, columns) in tables.items():
+        rows = next(len(column) for column in columns if column is not None)
+        starts = []  # per CSV column, its first row of cells
+        for column in columns:
+            if column is None:
+                starts.append(0)
+                continue
+            array = np.asarray(column, dtype=float).reshape(rows, -1)
+            for j in range(array.shape[1]):
+                key = array[:, j].tobytes()
+                if key not in firsts:
+                    firsts[key] = total
+                    total += rows
+                starts.append(firsts[key])
+        layouts[name] = header, rows, np.array(starts)
+    values = np.frombuffer(b"".join(firsts), dtype=float)
+    grid = np.zeros((total, SLOT), np.uint8)
+    for start in range(0, len(values), _BLOCK_VALUES):
+        chunk = values[start:start + _BLOCK_VALUES]
+        grid[1 + start:1 + start + len(chunk)] = cells(chunk)
+
+    files = {}
+    for name, (header, rows, starts) in layouts.items():
+        separators = np.full(len(starts), ord(","), np.uint8)
+        separators[-1] = ord("\n")
+        parts = [",".join(header).encode("ascii") + b"\n"]
+        block = max(1, _BLOCK_VALUES // len(starts))
+        for first in range(0, rows, block):
+            offsets = np.arange(first, min(first + block, rows))[:, None]
+            # every row of an empty column reads row 0
+            part = np.take(grid, starts + offsets * (starts > 0), axis=0)
+            part[..., -1] = separators
+            parts.append(part.tobytes().translate(None, b"\0"))  # NUL padding goes
+        files[name] = b"".join(parts)
+    return files
+
+
+def _csv(header: list[str], columns: list[np.ndarray | None]) -> bytes:
+    """The CSV bytes of one table (see ``_emit``)."""
+    return _emit({"": (header, columns)})[""]
 
 
 def _r_grid(config: ScenarioConfig) -> np.ndarray:
@@ -216,15 +253,15 @@ def _manifest(config: ScenarioConfig) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _eigenvalues_and_gap_csv(spec, times, rs) -> tuple[bytes, bytes]:
-    """The levels of the branch solve, of the rest of P = +1 and of the solved
-    P = -1 block, merged."""
+def _spectrum_tables(spec, times, rs) -> tuple[Table, Table]:
+    """The eigenvalues and gap tables: the levels of the branch solve, of the
+    rest of P = +1 and of the solved P = -1 block, merged."""
     branch = branch_vector_at(spec, rs)[1]
     rest, odd = (eigensolve(h0(spec, rs, sector))[0] for sector in ("rest", "odd"))
     levels = np.sort(np.concatenate([branch, rest, odd], axis=-1), axis=-1)
     gaps = nearest_level_gap(levels, branch[:, 0])
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]
-    return _csv(header, [times, rs, levels]), _csv(["t", "R", "gap"], [times, rs, gaps])
+    return (header, [times, rs, levels]), (["t", "R", "gap"], [times, rs, gaps])
 
 
 def _w_columns(w: np.ndarray) -> list[np.ndarray | None]:
@@ -232,13 +269,13 @@ def _w_columns(w: np.ndarray) -> list[np.ndarray | None]:
     return [w] + [None] * (len(W_HEADER) - w.shape[1])
 
 
-def _trajectory_csv(config: ScenarioConfig, spec, profile, table) -> bytes:
+def _trajectory_table(config: ScenarioConfig, spec, profile, table) -> Table:
     run = integrate(spec, profile, steps=config.integrator_steps,
                     output_stride=config.output_stride, table=table)
     header = (["t", "R", "v", *W_HEADER, "norm", "fidelity"]
               + [f"prob_{i + 1}" for i in range(spec.dim)])
-    return _csv(header, [run.t, run.r, run.v, *_w_columns(run.w), run.norm,
-                         run.fidelity, np.abs(run.psi) ** 2])
+    return header, [run.t, run.r, run.v, *_w_columns(run.w), run.norm, run.fidelity,
+                    np.abs(run.psi) ** 2]
 
 
 def run(config: ScenarioConfig, out_dir: str | Path) -> int:
@@ -262,15 +299,15 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
     # the output time grid of the regularization and spectrum CSVs
     times = np.linspace(0.0, config.t_ff, config.grid_points)
     rs = r_of_t(profile, spec.r0, times)
-    files = {}
+    tables = {}
     if config.mode in INTEGRATING_MODES:
-        files[TRAJECTORY_CSV] = _trajectory_csv(config, spec, profile, table)
+        tables[TRAJECTORY_CSV] = _trajectory_table(config, spec, profile, table)
     if config.mode != "spectrum_only":
-        files[REGULARIZATION_CSV] = _csv(["t", "R", *W_HEADER],
-                                         [times, rs, *_w_columns(table(rs))])
+        tables[REGULARIZATION_CSV] = (["t", "R", *W_HEADER],
+                                      [times, rs, *_w_columns(table(rs))])
     if config.mode != "regularization_only":
-        files[EIGENVALUES_CSV], files[GAP_CSV] = _eigenvalues_and_gap_csv(spec, times, rs)
-    files[MANIFEST] = _manifest(config)
+        tables[EIGENVALUES_CSV], tables[GAP_CSV] = _spectrum_tables(spec, times, rs)
+    files = {**_emit(tables), MANIFEST: _manifest(config)}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, data in files.items():

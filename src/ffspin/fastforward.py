@@ -241,10 +241,12 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     for first, last in _chunks(steps, output_stride):
         block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
         a = combine(_h_ff_coefficients(spec, profile, table, block_t), terms)
-        d = _step_increments(a, dt)
-        groups = _ordered_product(
-            d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]))
-        states = psi + _prefix_products(groups) @ psi
+        # an overflow shows as a non-finite norm drift, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = _step_increments(a, dt)
+            groups = _ordered_product(
+                d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]))
+            states = psi + _prefix_products(groups) @ psi
         psi = states[-1]
         if last % output_stride == 0:  # else the interval goes on
             end = last // output_stride + 1

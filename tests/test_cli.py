@@ -430,6 +430,68 @@ def test_csv_edge_values_take_the_fast_path(monkeypatch):
     assert np.nextafter(1e15, 0) in in_range  # 999999999999999.875, a tie
 
 
+def _count_cells(monkeypatch):
+    """The size of every array passed to ``_csvcells.cells``."""
+    sizes = []
+    def counted(x, _cells=_csvcells.cells):
+        sizes.append(x.size)
+        return _cells(x)
+    monkeypatch.setattr(_csvcells, "cells", counted)
+    return sizes
+
+
+#: the benchmark's dense two-spin run: its 801 records fall on the 801-point
+#: output grid, so t, R and w1 repeat across the files
+DENSE_KEYS = {"model": "two_spin", "grid_points": "801", "integrator_steps": "800",
+              "output_stride": "1"}
+
+
+def test_emit_formats_each_distinct_column_once(tmp_path, monkeypatch):
+    emitted = []
+    def spy(tables, _emit=cli._emit):
+        emitted.append(tables)
+        return _emit(tables)
+    monkeypatch.setattr(cli, "_emit", spy)
+    sizes = _count_cells(monkeypatch)
+    assert run(make_config(DENSE_KEYS), tmp_path) == 0
+    [tables] = emitted
+    assert len(tables) == 4
+    distinct, cells = set(), 0
+    for header, columns in tables.values():
+        for column in columns:
+            if column is not None:
+                vectors = np.asarray(column, dtype=float).reshape(len(column), -1).T
+                distinct.update(vector.tobytes() for vector in vectors)
+                cells += vectors.size
+    # the two P = -1 prob columns are exact zeros, and equal too
+    assert sum(sizes) == sum(len(key) // 8 for key in distinct) == 11_214 < cells
+    assert len(sizes) == -(-sum(sizes) // cli._BLOCK_VALUES)
+    for name, (header, columns) in tables.items():
+        assert (tmp_path / name).read_bytes() == _per_cell_csv(header, columns)
+
+
+def test_emit_keeps_signed_zeros_and_nan_payloads_apart(monkeypatch):
+    zeros, nans = np.zeros(3), np.full(3, np.nan)
+    payload = (nans.view(np.uint64) | np.uint64(1)).view(float)  # another NaN
+    columns = [zeros, -zeros, nans, payload, zeros.copy()]
+    header = list("abcde")
+    sizes = _count_cells(monkeypatch)
+    assert cli._csv(header, columns) == _per_cell_csv(header, columns)
+    assert sum(sizes) == 12  # only the copy of `zeros` shares its cells
+
+
+def test_consecutive_runs_share_no_cached_cells(tmp_path, monkeypatch):
+    sizes = _count_cells(monkeypatch)
+    per_run, outputs = [], []
+    for out in (tmp_path / "first", tmp_path / "second"):
+        assert run(make_config(DENSE_KEYS), out) == 0
+        per_run.append(sum(sizes))
+        sizes.clear()
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert per_run[0] == per_run[1] > 0
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("model", ["two_spin", "three_spin_kagome"])
 def test_default_run_formats_no_cell_in_python(model, tmp_path, monkeypatch):
     # the exact-zero P = -1 prob columns included: each fallback cell costs
@@ -505,17 +567,20 @@ def test_r_grid_that_does_not_increase_names_the_keys(tmp_path, capsys):
 
 
 def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
-    # at j0 = 1e5 the RK4 steps overflow and the norms are NaN, which a plain
-    # `drift > limit` comparison would let through
-    out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        code = main(["run", "--model", "two_spin", "--j0", "1e5", "--out", str(out)]
-                    + [f"--{key}={value}" for key, value in FAST_KEYS.items()])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "norm drift nan" in err and "lower j0, b0 or v_bar" in err
-    assert "step count" not in err  # more steps is not the knob here
-    assert not out.exists()
+    # at these j0 the products of the RK4 steps overflow and the norms are
+    # NaN, which a plain `drift > limit` comparison would let through; the
+    # stage bound of `validate` stays finite.  Under the suite's warnings-as-
+    # errors rule, a numpy RuntimeWarning would replace the message
+    for model, j0 in [("two_spin", "1e5"), ("three_spin_kagome", "1e6")]:
+        out = tmp_path / model
+        keys = ["--model", model, "--j0", j0] + [
+            f"--{key}={value}" for key, value in FAST_KEYS.items()]
+        assert main(["validate"] + keys) == 0
+        assert main(["run"] + keys + ["--out", str(out)]) == 1
+        # more steps is not the knob here
+        assert capsys.readouterr().err == ("error: norm drift nan: the RK4 propagation "
+                                           "overflowed; lower j0, b0 or v_bar\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("keys,knob", [(["--j0", "1e300"], "j0"),
