@@ -206,10 +206,12 @@ def _emit(tables: dict[str, Table]) -> dict[str, bytes]:
                 starts.append(firsts[key])
         layouts[name] = header, rows, np.array(starts)
     values = np.frombuffer(b"".join(firsts), dtype=float)
+    del firsts  # its keys are a second copy of the values
     grid = np.zeros((total, SLOT), np.uint8)
     for start in range(0, len(values), _BLOCK_VALUES):
-        chunk = values[start:start + _BLOCK_VALUES]
-        grid[1 + start:1 + start + len(chunk)] = cells(chunk)
+        stop = start + _BLOCK_VALUES  # both slices end at the last value
+        grid[1 + start:1 + stop] = cells(values[start:stop])
+    del values
 
     files = {}
     for name, (header, rows, starts) in layouts.items():
