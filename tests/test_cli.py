@@ -514,6 +514,10 @@ def test_import_does_not_load_scipy():
     _run_python("import sys, ffspin.cli; assert 'scipy' not in sys.modules")
 
 
+def test_import_does_not_load_the_cell_formatter():
+    _run_python("import sys, ffspin.cli; assert 'ffspin._csvcells' not in sys.modules")
+
+
 def test_import_derives_no_sector():
     # the sectors are derived on first use, so start-up does none of it
     _run_python("import ffspin.cli; from ffspin import model; "
