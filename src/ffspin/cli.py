@@ -18,9 +18,9 @@ too coarse to follow it or an in-sector crossing is reported before a run;
 checks it.  Configs above ``MAX_POINTS`` grid points or records are rejected.
 
 ``eigenvalues.csv`` and ``gap.csv`` list all dim levels of h0, merged from
-the three invariant blocks of ``model.SECTORS``: the branch sector's levels
-come with the branch solve, and the rest of the P = +1 block (empty or 1 x 1
-for these models) and the P = -1 block are each solved whole.
+the four invariant blocks of ``model.SECTORS``: the branch sector's levels
+come with the branch solve, and every other block (at most 3 x 3, so solved
+in closed form) is solved by one ``eigensolve`` call.
 
 A CSV cell is the text of ``"%.16e" % x``.  A run's CSVs are emitted in one
 pass (``_emit``): each distinct column, by its bytes, is formatted once, and
@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .fastforward import (DEFAULT_STEPS, DEFAULT_STRIDE, FastForwardProfile,
                           integrate, r_of_t)
-from .model import MODEL_KINDS, ModelSpec, h0
+from .model import MODEL_KINDS, SECTORS, ModelSpec, h0
 from .regularization import CoefficientTable, coefficient_table
 from .spectrum import branch_vector_at, eigensolve, nearest_level_gap, track_branch
 
@@ -256,11 +256,11 @@ def _manifest(config: ScenarioConfig) -> bytes:
 
 
 def _spectrum_tables(spec, times, rs) -> tuple[Table, Table]:
-    """The eigenvalues and gap tables: the levels of the branch solve, of the
-    rest of P = +1 and of the solved P = -1 block, merged."""
+    """The eigenvalues and gap tables: the levels of the branch solve and of
+    every other block, merged."""
     branch = branch_vector_at(spec, rs)[1]
-    rest, odd = (eigensolve(h0(spec, rs, sector))[0] for sector in ("rest", "odd"))
-    levels = np.sort(np.concatenate([branch, rest, odd], axis=-1), axis=-1)
+    others = [eigensolve(h0(spec, rs, sector))[0] for sector in SECTORS[1:]]
+    levels = np.sort(np.concatenate([branch, *others], axis=-1), axis=-1)
     gaps = nearest_level_gap(levels, branch[:, 0])
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]
     return (header, [times, rs, levels]), (["t", "R", "gap"], [times, rs, gaps])

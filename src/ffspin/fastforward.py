@@ -31,7 +31,7 @@ being hidden.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -60,9 +60,6 @@ class FastForwardProfile:
             raise ValueError("v_bar must be finite and non-negative")
         if not 0 < self.t_ff < np.inf:
             raise ValueError("t_ff must be finite and positive")
-
-    def r_end(self, r0: float) -> float:
-        return r0 + self.v_bar * self.t_ff
 
 
 def _check_time(profile: FastForwardProfile, t: float | np.ndarray) -> np.ndarray:
@@ -209,9 +206,10 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
         Number of fixed RK4 steps; must be a positive multiple of
         ``output_stride``.
     table
-        The driving coefficients along the ramp, one column per generator.
-        ``CoefficientTable.zeros`` gives the undriven control run (H_FF = H0),
-        with zero recorded couplings ``w``.
+        The driving coefficients along the ramp, one column per generator,
+        solved for ``spec``: a table that records another spec is rejected,
+        naming the fields that differ.  ``CoefficientTable.zeros`` gives the
+        undriven control run (H_FF = H0), with zero recorded couplings ``w``.
 
     The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
     built a chunk at a time, so the last step ends exactly at t_ff.  The
@@ -229,6 +227,12 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     if table.w.shape[-1] != spec.n_generators:
         raise ValueError(f"table has {table.w.shape[-1]} coupling columns; the "
                          f"{spec.kind} model needs {spec.n_generators}")
+    if table.spec is not None and table.spec != spec:
+        differ = [f.name for f in fields(ModelSpec)
+                  if getattr(table.spec, f.name) != getattr(spec, f.name)]
+        solved, wanted = (", ".join(f"{name}={getattr(s, name)!r}" for name in differ)
+                          for s in (table.spec, spec))
+        raise ValueError(f"table was solved for {solved}, not {wanted}")
 
     dt = profile.t_ff / steps
     terms = _real_stage_terms(spec.kind)

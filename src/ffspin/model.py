@@ -37,23 +37,27 @@ The symmetries come from the same table.  Every term commutes with the
 parity P = z1 z2 ... zn, and with each site permutation that maps every
 term's word set onto itself (``site_symmetries``): the swap for two spins,
 the site 1 <-> 3 reflection for the Kagome triangle.  Under those
-permutations the P = +1 kets fall into orbits, which split the space into
-three blocks that every term leaves invariant (``SECTORS``):
+permutations the kets of each parity fall into orbits, which split each
+parity block into the normalized orbit sums and the contrasts within each
+orbit.  Every term leaves the four blocks invariant (``SECTORS``):
 
-* ``"branch"``: the normalized orbit sums, the P = +1 states symmetric under
+* ``"branch"``: the P = +1 orbit sums, the P = +1 states symmetric under
   every site permutation, where the tracked branch lives.  Two spins: uu and
   dd, the whole P = +1 block.  Three spins: uuu, (udd + ddu)/sqrt(2) and dud,
   the paper's C1, C4 and C6 with C1^2 + 2 C4^2 + C6^2 = 1;
-* ``"rest"``: the rest of the P = +1 block, contrasts within each orbit.
-  Empty for two spins; (udd - ddu)/sqrt(2) for three;
-* ``"odd"``: the P = -1 block.
+* ``"rest"``: the P = +1 contrasts.  Empty for two spins; (udd - ddu)/sqrt(2)
+  for three;
+* ``"odd"``: the P = -1 orbit sums.  Two spins: (ud + du)/sqrt(2), level
+  J1 + J2.  Three spins: (uud + duu)/sqrt(2), udu and ddd;
+* ``"odd_rest"``: the P = -1 contrasts.  Two spins: (ud - du)/sqrt(2), level
+  -(J1 + J2).  Three spins: (uud - duu)/sqrt(2).
 
-``sector_basis`` gives each as a real isometry U (dim x k), and
-``structural_terms``, ``h0`` and ``d_h0_dr`` evaluate on a block as
-U^T T U.  A U whose columns are columns of the identity (every block of two
-spins, the odd block of three) is applied as a slice, not a matmul; any
-other is summed with its integer orbit weights and scaled once, so that the
-three-spin sector terms are exact or correctly rounded.
+So every block of both models is at most 3 x 3.  ``sector_basis`` gives
+each as a real isometry U (dim x k), and ``structural_terms``, ``h0`` and
+``d_h0_dr`` evaluate on a block as U^T T U.  A U whose columns are columns
+of the identity (the two-spin branch sector) is applied as a slice, not a
+matmul; any other is summed with its integer orbit weights and scaled once,
+so that the sector terms are exact or correctly rounded.
 """
 from __future__ import annotations
 
@@ -84,8 +88,11 @@ TERM_WORDS = {
 }
 MODEL_KINDS = tuple(TERM_WORDS)
 #: the invariant blocks, as the ``sector`` of ``sector_basis`` and the
-#: structural terms: the branch sector, the rest of P = +1, and P = -1
-SECTORS = ("branch", "rest", "odd")
+#: structural terms, each with its parity and whether it holds the orbit sums
+#: (else the contrasts within each orbit)
+_SECTOR_PARTS = {"branch": (1, True), "rest": (1, False),
+                 "odd": (-1, True), "odd_rest": (-1, False)}
+SECTORS = tuple(_SECTOR_PARTS)
 
 
 def _n_spins(kind: str) -> int:
@@ -158,31 +165,29 @@ def _sector_weights(kind: str, sector: str) -> np.ndarray:
     """Integer (dim, k) columns spanning ``sector``, one of ``SECTORS``: the
     columns of ``sector_basis`` before normalization, as a read-only array.
 
-    Each orbit of P = +1 kets under ``site_symmetries`` (taken in the order
-    of its first ket) gives one branch column, its sum, and m - 1 rest
-    columns, the Helmert contrasts sum_{l<j} e_l - j e_j of its m kets; the
-    odd columns are the P = -1 kets.
+    Each orbit of the sector's parity kets under ``site_symmetries`` (taken
+    in the order of its first ket) gives one orbit-sum column and m - 1
+    contrast columns, the Helmert contrasts sum_{l<j} e_l - j e_j of its m
+    kets.
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
+    parity, sums = _SECTOR_PARTS[sector]
     n = _n_spins(kind)
     eye = np.eye(2 ** n)
-    if sector == "odd":
-        weights = eye[:, parity_indices(2 ** n, -1)]
-    else:
-        columns, seen = [], set()
-        for ket in parity_indices(2 ** n, 1):
-            if ket in seen:
-                continue
-            bits = format(ket, f"0{n}b")
-            orbit = sorted({int(_permuted(bits, p), 2) for p in site_symmetries(kind)})
-            seen.update(orbit)
-            kets = eye[orbit]
-            if sector == "branch":
-                columns.append(kets.sum(axis=0))
-            else:
-                columns += [kets[:j].sum(axis=0) - j * kets[j] for j in range(1, len(orbit))]
-        weights = np.array(columns).reshape(-1, 2 ** n).T
+    columns, seen = [], set()
+    for ket in parity_indices(2 ** n, parity):
+        if ket in seen:
+            continue
+        bits = format(ket, f"0{n}b")
+        orbit = sorted({int(_permuted(bits, p), 2) for p in site_symmetries(kind)})
+        seen.update(orbit)
+        kets = eye[orbit]
+        if sums:
+            columns.append(kets.sum(axis=0))
+        else:
+            columns += [kets[:j].sum(axis=0) - j * kets[j] for j in range(1, len(orbit))]
+    weights = np.array(columns).reshape(-1, 2 ** n).T
     weights.flags.writeable = False
     return weights
 
@@ -190,9 +195,9 @@ def _sector_weights(kind: str, sector: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def sector_basis(kind: str, sector: str) -> np.ndarray:
     """Real isometry U, a read-only (dim, k) array, whose orthonormal columns
-    span ``sector``, one of ``SECTORS``: the normalized orbit sums (branch),
-    the normalized Helmert contrasts within each orbit (rest) or the P = -1
-    kets (odd)."""
+    span ``sector``, one of ``SECTORS``: the normalized orbit sums (branch,
+    odd) or the normalized Helmert contrasts within each orbit (rest,
+    odd_rest) of one parity."""
     weights = _sector_weights(kind, sector)
     u = weights * np.sqrt(1.0 / np.sum(weights ** 2, axis=0))
     u.flags.writeable = False
@@ -233,9 +238,14 @@ def structural_terms(kind: str, sector: str | None = None) -> np.ndarray:
         else:
             # S^T T S sums integers exactly, and one scaling by sqrt(1 / (q_a
             # q_b)), q the columns' squared norms, rounds each entry once:
-            # correctly, when q_a q_b is a power of two
+            # correctly, when q_a q_b is a power of two.  The real and
+            # imaginary parts go apart: a two-spin run then makes no complex
+            # matmul, whose first call adds 0.25 MB to the process
             q = np.sum(weights ** 2, axis=0)
-            terms = (weights.T @ full @ weights) * np.sqrt(1.0 / np.outer(q, q))
+            scale = np.sqrt(1.0 / np.outer(q, q))
+            terms = np.empty(full.shape[:1] + scale.shape, full.dtype)
+            terms.real, terms.imag = ((weights.T @ part @ weights) * scale
+                                      for part in (full.real, full.imag))
         terms.flags.writeable = False
         return terms
     terms = np.stack([scale * sum(map(pauli_word, words.split()))

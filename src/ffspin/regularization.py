@@ -170,18 +170,21 @@ def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.n
 @dataclass
 class CoefficientTable:
     """Driving couplings w, shape (n, n_generators), sampled on the branch
-    grid, with cubic interpolation."""
+    grid, with cubic interpolation.  ``spec`` is the model they were solved
+    for, which ``integrate`` requires to be its own; None for a table built
+    by hand, which ``integrate`` checks by its column count alone."""
 
     r_grid: np.ndarray
     w: np.ndarray
     residuals: np.ndarray
+    spec: ModelSpec | None = None
 
     @classmethod
     def zeros(cls, spec: ModelSpec, r_grid: np.ndarray) -> CoefficientTable:
         """The undriven control's table: zero couplings (H_FF = H0), one per
         generator of the model, and zero residuals on ``r_grid``."""
         return cls(r_grid, np.zeros(np.shape(r_grid) + (spec.n_generators,)),
-                   np.zeros_like(r_grid))
+                   np.zeros_like(r_grid), spec)
 
     @cached_property
     def _spline(self) -> np.ndarray | None:
@@ -224,4 +227,4 @@ class CoefficientTable:
 def coefficient_table(spec: ModelSpec, branch: AdiabaticBranch) -> CoefficientTable:
     """Solve the core system at every branch sample and tabulate the results."""
     w, residuals = solve_core(spec, branch.vectors, branch.d_vectors)
-    return CoefficientTable(branch.r_grid, w, residuals)
+    return CoefficientTable(branch.r_grid, w, residuals, spec)

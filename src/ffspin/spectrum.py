@@ -24,13 +24,19 @@ An in-sector near-degeneracy of the tracked level makes that sum singular
 and raises, naming the R where it happens.
 
 Every function accepts stacks (``eigensolve`` an (..., d, d) array; the
-others arrays of R), so a run calls each once, not per R.  ``eigensolve``
-solves a real stack with d <= 2, every two-spin block, in vectorized closed
-form, and anything larger or complex in one batched LAPACK ``eigh`` call.
+others arrays of R), so a run calls each once, not per R.  Every sector
+block of both models is real and at most 3 x 3, and ``eigensolve`` solves
+such a stack in vectorized closed form: 2 x 2 by a rotation, 3 x 3 by
+trigonometric levels and cross-product vectors.  A matrix whose closed form
+fails a check (a degenerate pair, say) goes to LAPACK ``eigh`` on its own,
+as do complex and larger stacks, whole; a default run of either model makes
+no LAPACK call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+
 import numpy as np
 
 from .model import ModelSpec, d_h0_dr, h0
@@ -47,11 +53,16 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
     An (..., d, d) stack gives (..., d) eigenvalues and (..., d, d) vectors.
-    A real stack with d <= 2 is solved in closed form (``_eigh_2x2``; a 1 x 1
-    matrix is its own level, and a 0 x 0 one has none); complex input and
-    d >= 3 go to one batched ``np.linalg.eigh`` call.  Raises ValueError if a
-    matrix is not Hermitian and RuntimeError if a decomposition fails its own
-    residual check, scaled per matrix.
+    A 1 x 1 matrix is its own level, exactly, and a 0 x 0 one has none.  A
+    real stack with d = 2 or 3, like every sector block of both models, is
+    solved in closed form: ``_eigh_2x2``, or ``_eigenvectors_3x3`` with the
+    Rayleigh quotients v^T h v as the levels.  A closed-form matrix that
+    fails the residual or orthonormality check, or whose levels are not
+    ascending (a NaN fails all three), is solved again on its own by
+    ``np.linalg.eigh`` and checked again.  Complex input and d >= 4 go to
+    one batched ``np.linalg.eigh`` call.  Raises ValueError if a matrix is
+    not Hermitian and RuntimeError if a decomposition fails its own residual
+    check, scaled per matrix, or its orthonormality check.
     """
     complex_input = np.iscomplexobj(h)
     ht = h.swapaxes(-1, -2)
@@ -60,25 +71,50 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not deviation < HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
     d = h.shape[-1]
-    if complex_input or d > 2:
+    if d <= 1:  # exact: the Hermiticity check has rejected NaN and inf
+        return np.diagonal(h, 0, -2, -1).real.astype(float), np.ones(h.shape)
+    stack = h.shape[:-2]
+    h = h.reshape((prod(stack), d, d))
+    closed_form = not complex_input and d <= 3
+    if not closed_form:
         w, v = np.linalg.eigh(h)
     elif d == 2:
         w, v = _eigh_2x2(h)
     else:
-        w, v = np.diagonal(h, 0, -2, -1).astype(float), np.ones(h.shape)
-    scale = np.max(np.abs(w), axis=-1, initial=1.0)
-    residual = np.abs(h @ v - v * w[..., None, :])
-    residual = residual.reshape(h.shape[:-2] + (d * d,)).max(-1, initial=0.0)
-    if not np.all(residual <= EIG_RESIDUAL_ATOL * scale):  # NaN fails too
+        w, v = None, _eigenvectors_3x3(h)
+    w, residual, bound, ortho = _errors(h, w, v)
+    if closed_form:
+        # per matrix only when some check fails: short reductions are slow
+        good = (residual <= bound) & (ortho <= EIG_RESIDUAL_ATOL)
+        ascending = w[:, 1:] >= w[:, :-1]
+        if not (np.all(good) and np.all(ascending)):
+            redo = ~(np.all(good, axis=(1, 2)) & np.all(ascending, axis=1))
+            w[redo], v[redo] = np.linalg.eigh(h[redo])
+            _, residual[redo], bound[redo], ortho[redo] = _errors(
+                h[redo], w[redo], v[redo])
+    if not np.all(residual <= bound):  # NaN fails too
         raise RuntimeError(
             f"eigensolve residual {np.max(residual):.3e} exceeds tolerance")
+    if not np.all(ortho <= EIG_RESIDUAL_ATOL):
+        raise RuntimeError(f"eigenvectors not orthonormal to {np.max(ortho):.3e}")
+    return w.reshape(stack + (d,)), v.reshape(stack + (d, d))
+
+
+def _errors(h: np.ndarray, w: np.ndarray | None, v: np.ndarray):
+    """The levels and the checks of an (n, d, d) stack's decomposition, d >= 2:
+    w, or the Rayleigh quotients v^T h v of a d = 3 stack when w is None;
+    the residual |h v - v w| with its bound ``EIG_RESIDUAL_ATOL`` max(|w|, 1)
+    per matrix (w ascending), and the orthonormality error |v^H v - I|."""
+    hv = h @ v
+    if w is None:
+        w = v[:, 0] * hv[:, 0] + v[:, 1] * hv[:, 1] + v[:, 2] * hv[:, 2]
+    residual = np.abs(hv - v * w[:, None, :])
+    scale = np.maximum(np.maximum(-w[:, 0], w[:, -1]), 1.0)
     # a contiguous transpose keeps the stacked matmul off numpy's strided path
     vh = v.swapaxes(-1, -2)
-    vh = vh.conj() if complex_input else np.ascontiguousarray(vh)
-    ortho = float(np.max(np.abs(vh @ v - np.eye(d)), initial=0.0))
-    if not ortho <= EIG_RESIDUAL_ATOL:
-        raise RuntimeError(f"eigenvectors not orthonormal to {ortho:.3e}")
-    return w, v
+    vh = vh.conj() if np.iscomplexobj(v) else np.ascontiguousarray(vh)
+    ortho = np.abs(vh @ v - np.eye(h.shape[-1]))
+    return w, residual, (EIG_RESIDUAL_ATOL * scale)[:, None, None], ortho
 
 
 def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,6 +142,56 @@ def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = np.stack([mean - r, mean + r], axis=-1)
     v = np.stack([c, -s, s, c], axis=-1).reshape(h.shape)
     return w, v
+
+
+#: the angles 2 pi / 3, 4 pi / 3 and 0 that order the trigonometric levels
+_THIRDS = np.array([[2.0], [4.0], [0.0]]) * (np.pi / 3.0)
+
+
+def _eigenvectors_3x3(h: np.ndarray) -> np.ndarray:
+    """Closed-form eigenvectors of a real symmetric (n, 3, 3) stack, in the
+    columns of an (n, 3, 3) array, ordered by ascending level.
+
+    The matrix is scaled by its largest entry, so nothing overflows, and its
+    levels are m + 2 p cos(phi + 2 pi k / 3), with m the mean of the
+    diagonal, p^2 = |h - m|_F^2 / 6 and cos(3 phi) = det(h - m) / (2 p^3)
+    (Smith, CACM 4, 168 (1961)).  Each level's vector is the cross product
+    of two rows of h - lambda, the largest of the three pairs (Kopp, Int. J.
+    Mod. Phys. C 19, 523 (2008)).  A multiple of the identity, or a
+    degenerate pair, gives zero or equal vectors: they fail
+    ``eigensolve``'s orthonormality check, which re-solves them.  Every
+    step is one operation on per-entry arrays, (n,) or (3 levels, n), so
+    the fixed cost of a call stays small.
+    """
+    s = np.abs(h).max(axis=(1, 2))
+    h = h / np.where(s > 0.0, s, 1.0)[:, None, None]
+    a, b, c = h[:, 0, 0], h[:, 1, 1], h[:, 2, 2]
+    d, e, f = h[:, 0, 1], h[:, 1, 2], h[:, 0, 2]
+    m = (a + b + c) / 3.0
+    a, b, c = a - m, b - m, c - m
+    de, df, ef, dd, ee, ff = d * e, d * f, e * f, d * d, e * e, f * f
+    p2 = (a * a + b * b + c * c + 2.0 * (dd + ee + ff)) / 6.0
+    p = np.sqrt(p2)
+    det = a * (b * c - ee) - d * (d * c - ef) + f * (de - b * f)
+    unit = 2.0 * p * p2
+    cos3 = np.minimum(np.maximum(det / np.where(unit > 0.0, unit, 1.0), -1.0), 1.0)
+    # the levels less m, and the diagonal of h - lambda, per level: (3, n)
+    mu = (2.0 * p) * np.cos(np.arccos(cos3) / 3.0 + _THIRDS)
+    a, b, c = a - mu, b - mu, c - mu
+    fb, ae, dc = f * b, a * e, d * c
+    # (component, level, n): the cross products of the rows (a, d, f),
+    # (d, b, e) and (f, e, c) of h - lambda
+    x = np.array([de - fb, df - ae, a * b - dd])      # rows 0 x 1
+    y = np.array([dc - ef, ff - a * c, ae - df])      # rows 0 x 2
+    z = np.array([b * c - ee, ef - dc, de - b * f])   # rows 1 x 2
+    size = (x * x).sum(axis=0)
+    for other in (y, z):
+        other_size = (other * other).sum(axis=0)
+        larger = other_size > size
+        x = np.where(larger, other, x)
+        size = np.where(larger, other_size, size)
+    x /= np.sqrt(np.where(size > 0.0, size, 1.0))
+    return np.ascontiguousarray(x.transpose(2, 0, 1))
 
 
 def fix_gauge(vector: np.ndarray) -> np.ndarray:

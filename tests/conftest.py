@@ -15,7 +15,7 @@ REFERENCE_GRID_POINTS = 2001
 def ramp_grid(spec: ModelSpec, profile: FastForwardProfile,
               n_points: int = REFERENCE_GRID_POINTS) -> np.ndarray:
     """The uniform R grid of the run from the ramp start to its end."""
-    return np.linspace(spec.r0, profile.r_end(spec.r0), n_points)
+    return np.linspace(spec.r0, spec.r0 + profile.v_bar * profile.t_ff, n_points)
 
 
 @pytest.fixture(scope="session")

@@ -305,8 +305,8 @@ def test_eigensolve_calls_do_not_grow_with_grid_or_records(tmp_path, monkeypatch
 
 def test_fast_forward_run_solves_the_even_block_once_per_r(tmp_path, monkeypatch):
     # tracking and the spectrum CSVs each solve the 3 x 3 branch sector once
-    # per grid point, the records once each, and the 1 x 1 rest of P = +1 and
-    # the 4 x 4 P = -1 block once per grid point
+    # per grid point, the records once each, and the 3 x 3 P = -1 orbit sums
+    # and the 1 x 1 rest and P = -1 contrast blocks once per grid point
     solved = []
     for module in (spectrum, cli):
         def counted(h, _eigensolve=module.eigensolve):
@@ -316,20 +316,18 @@ def test_fast_forward_run_solves_the_even_block_once_per_r(tmp_path, monkeypatch
     config = make_config(FAST_KEYS)
     assert run(config, tmp_path) == 0
     records = config.integrator_steps // config.output_stride + 1
-    assert sum(n for n, _ in solved) == 4 * config.grid_points + records, solved
-    assert {d for _, d in solved} == {1, 3, 4}
-    assert sum(n for n, d in solved if d == 3) == 2 * config.grid_points + records
-    assert sum(n for n, d in solved if d == 4) == config.grid_points
+    assert sum(n for n, _ in solved) == 5 * config.grid_points + records, solved
+    assert {d for _, d in solved} == {1, 3}
+    assert sum(n for n, d in solved if d == 3) == 3 * config.grid_points + records
+    assert sum(n for n, d in solved if d == 1) == 2 * config.grid_points
 
 
-@pytest.mark.parametrize("model,lapack_calls", [("two_spin", 0),
-                                                ("three_spin_kagome", 4)])
-def test_only_three_by_three_and_larger_blocks_reach_lapack(
-        model, lapack_calls, tmp_path, monkeypatch):
-    # every two-spin block is a real 2 x 2 (or 0 x 0) matrix, solved in
-    # closed form; three spins send the 3 x 3 branch sector (tracking and the
-    # two branch_vector_at calls) and the 4 x 4 P = -1 block to LAPACK.  The
-    # five eigensolve calls: tracking, branch_vector_at twice, rest and odd
+@pytest.mark.parametrize("model", ["two_spin", "three_spin_kagome"])
+def test_default_run_makes_no_lapack_call(model, tmp_path, monkeypatch):
+    # every block of both models is at most 3 x 3 and real, solved in closed
+    # form, and no matrix of a default run takes the LAPACK fallback.  The six
+    # eigensolve calls: tracking, branch_vector_at twice and the three other
+    # blocks
     lapack, solves = [], []
     def counted_eigh(h, _eigh=np.linalg.eigh):
         lapack.append(np.shape(h))
@@ -340,9 +338,10 @@ def test_only_three_by_three_and_larger_blocks_reach_lapack(
             solves.append(np.shape(h))
             return _eigensolve(h)
         monkeypatch.setattr(module, "eigensolve", counted)
-    assert run(make_config({"model": model, **FAST_KEYS}), tmp_path) == 0
-    assert len(lapack) == lapack_calls, lapack
-    assert len(solves) == 5, solves
+    assert run(make_config({"model": model}), tmp_path) == 0
+    assert lapack == []
+    assert len(solves) == 6, solves
+    assert max(shape[-1] for shape in solves) <= 3
 
 
 def test_fast_forward_run_enters_every_traced_layer(tmp_path):

@@ -184,6 +184,25 @@ def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,
         integrate(two_spec, ramp_profile, table=three_spin_table)
 
 
+def test_integrate_rejects_a_table_of_another_spec(three_spec, ramp_profile):
+    # a table solved at j0 = 7 drives a j0 = 10 run off its branch (min
+    # fidelity 0.992) unless integrate refuses it, naming the field
+    other = ModelSpec(kind=THREE_SPIN_KAGOME, j0=7.0)
+    grid = ramp_grid(other, ramp_profile, 401)
+    table = coefficient_table(other, track_branch(other, grid))
+    zeros = CoefficientTable.zeros(other, grid)
+    assert table.spec == zeros.spec == other
+    for wrong in (table, zeros):
+        with pytest.raises(ValueError, match=r"^table was solved for j0=7\.0, not j0=10\.0$"):
+            integrate(three_spec, ramp_profile, 400, output_stride=100, table=wrong)
+    shifted = ModelSpec(kind=THREE_SPIN_KAGOME, b0=1.0, r0=0.5)
+    with pytest.raises(ValueError, match=r"^table was solved for j0=7\.0, b0=0\.0, "
+                                         r"r0=0\.0, not j0=10\.0, b0=1\.0, r0=0\.5$"):
+        integrate(shifted, ramp_profile, 400, output_stride=100, table=table)
+    run = integrate(other, ramp_profile, 400, output_stride=100, table=table)
+    assert run.fidelity.min() > 1.0 - 1e-9
+
+
 @pytest.mark.parametrize("r0", [0.0, 2.5])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_run_starts_on_the_tracked_sample_zero(kind, r0, ramp_profile):

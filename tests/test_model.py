@@ -159,7 +159,7 @@ def test_h0_affine_in_r(kind, delta):
 
 
 #: the sectors that make up the full space (None) and each parity block
-SECTORS_OF_PARITY = {None: (None,), 1: ("branch", "rest"), -1: ("odd",)}
+SECTORS_OF_PARITY = {None: (None,), 1: ("branch", "rest"), -1: ("odd", "odd_rest")}
 
 
 @pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
@@ -208,8 +208,8 @@ def test_three_spin_candidate_support_from_first_state(three):
 
 # ------------------------------------------------------------------ sectors
 
-@pytest.mark.parametrize("kind,dims", [(TWO_SPIN, (2, 0, 2)),
-                                       (THREE_SPIN_KAGOME, (3, 1, 4))])
+@pytest.mark.parametrize("kind,dims", [(TWO_SPIN, (2, 0, 1, 1)),
+                                       (THREE_SPIN_KAGOME, (3, 1, 3, 1))])
 def test_sector_bases_are_orthonormal_and_split_the_space(kind, dims):
     bases = [sector_basis(kind, sector) for sector in SECTORS]
     assert tuple(u.shape[1] for u in bases) == dims
@@ -257,18 +257,24 @@ def test_every_term_leaves_each_sector_invariant(kind, sector):
 
 def test_two_spin_sectors_are_slices_of_the_full_terms():
     # the swap leaves the P = +1 block whole: U is identity columns 0 and 3,
-    # applied as a slice, so the block terms keep every bit, signed zeros too
+    # applied as a slice, so the block terms keep every bit, signed zeros too.
+    # It splits P = -1 into (ud + du)/sqrt(2) and (ud - du)/sqrt(2), where
+    # xx and yy are exactly +1 and -1
     full = structural_terms(TWO_SPIN)
-    for sector, parity in (("branch", 1), ("odd", -1)):
-        ix = parity_indices(4, parity)
-        assert np.array_equal(sector_basis(TWO_SPIN, sector), np.eye(4)[:, ix])
-        sliced = full[:, ix[:, None], ix]
-        terms = structural_terms(TWO_SPIN, sector)
-        assert np.array_equal(terms, sliced)
-        for part in ("real", "imag"):
-            assert np.array_equal(np.signbit(getattr(terms, part)),
-                                  np.signbit(getattr(sliced, part)))
+    ix = parity_indices(4)
+    assert np.array_equal(sector_basis(TWO_SPIN, "branch"), np.eye(4)[:, ix])
+    sliced = full[:, ix[:, None], ix]
+    terms = structural_terms(TWO_SPIN, "branch")
+    assert np.array_equal(terms, sliced)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(terms, part)),
+                              np.signbit(getattr(sliced, part)))
     assert structural_terms(TWO_SPIN, "rest").shape == (4, 0, 0)
+    for sector, sign in (("odd", 1.0), ("odd_rest", -1.0)):
+        assert np.array_equal(sector_basis(TWO_SPIN, sector)[:, 0],
+                              [0.0, np.sqrt(0.5), sign * np.sqrt(0.5), 0.0])
+        assert np.array_equal(structural_terms(TWO_SPIN, sector)[:, 0, 0],
+                              [sign, sign, 0.0, 0.0])
     psi = np.array([[0.6 - 0.0j, -0.8j]])
     assert np.array_equal(embed_branch(TWO_SPIN, psi),
                           [[0.6, 0.0, 0.0, -0.8j]])

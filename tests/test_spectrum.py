@@ -111,12 +111,16 @@ def test_closed_form_2x2_matches_lapack(data):
 
 
 def test_closed_form_2x2_on_the_two_spin_ramp(two_spec):
-    # the branch block [[Bz, J1 - J2], [J1 - J2, -Bz]] and the P = -1 block
-    # [[0, J1 + J2], [J1 + J2, 0]] of the default ramp
-    for sector in ("branch", "odd"):
-        h = h0(two_spec, np.linspace(0.0, 10.0, 801), sector)
-        w, v = eigensolve(h)
-        _lapack_agreement(h, w, v)
+    # the branch block [[Bz, J1 - J2], [J1 - J2, -Bz]] of the default ramp;
+    # the P = -1 blocks are the 1 x 1 levels +(J1 + J2) and -(J1 + J2)
+    rs = np.linspace(0.0, 10.0, 801)
+    h = h0(two_spec, rs, "branch")
+    w, v = eigensolve(h)
+    _lapack_agreement(h, w, v)
+    for sector, sign in (("odd", 1.0), ("odd_rest", -1.0)):
+        w, v = eigensolve(h0(two_spec, rs, sector))
+        assert np.array_equal(w[:, 0], sign * h0(two_spec, rs, "odd")[:, 0, 0])
+        assert np.allclose(w[:, 0], sign * 10.0, rtol=0.0, atol=1e-14)
 
 
 def test_closed_form_2x2_near_the_float_limit():
@@ -127,6 +131,84 @@ def test_closed_form_2x2_near_the_float_limit():
     _lapack_agreement(h, w, v)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="residual"):
         eigensolve(np.full((2, 2), 1.7e308) * [[1, 1], [1, -1]])
+
+
+def _counted_eigh(monkeypatch) -> list:
+    """The stack shapes ``np.linalg.eigh`` is called with from here on."""
+    calls = []
+    def counted(h, _eigh=np.linalg.eigh):
+        calls.append(np.shape(h))
+        return _eigh(h)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_closed_form_3x3_matches_lapack(monkeypatch):
+    # random real symmetric 3 x 3 stacks at scales 1e-150 to 1e150: levels
+    # within 16 ulp of the largest level, vectors within 64 eps of LAPACK's
+    # up to sign, scaled by the condition scale / gap, and no fallback
+    rng = np.random.default_rng(2024)
+    a = rng.uniform(-1.0, 1.0, (3000, 3, 3)) * 10.0 ** rng.integers(-150, 151, (3000, 1, 1))
+    h = a + a.swapaxes(-1, -2)
+    lapack = _counted_eigh(monkeypatch)
+    w, v = eigensolve(h)
+    assert lapack == []
+    monkeypatch.undo()
+    w_ref, v_ref = np.linalg.eigh(h)
+    scale = np.max(np.abs(w_ref), axis=1)
+    assert np.all(np.abs(w - w_ref) <= 16 * np.spacing(scale)[:, None])
+    steps = np.diff(w_ref, axis=1)
+    gap = np.stack([steps[:, 0], np.minimum(steps[:, 0], steps[:, 1]), steps[:, 1]], axis=1)
+    signs = np.sign(np.sum(v * v_ref, axis=1))
+    error = np.max(np.abs(v * signs[:, None, :] - v_ref), axis=1)
+    assert np.all(error <= 64 * np.finfo(float).eps * np.maximum(1.0, scale[:, None] / gap))
+
+
+def _rotated(levels, seed=7):
+    q = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))[0]
+    return (q * levels) @ q.T
+
+
+@pytest.mark.parametrize("h", [
+    pytest.param(np.diag([1.0, 1.0, 2.0]), id="exact pair"),
+    pytest.param(np.diag([-3.0, 2.0, 2.0]), id="exact upper pair"),
+    pytest.param(_rotated([1.0, 1.0, -2.0]), id="rotated exact pair"),
+    pytest.param(_rotated([1.0, 1.0 + 1e-9, 2.0]), id="1e-9 split"),
+    pytest.param(_rotated([0.0, 1.0, 1.0 + 1e-9]), id="1e-9 upper split"),
+    pytest.param(3.0 * np.eye(3), id="c I"),
+    pytest.param(np.zeros((3, 3)), id="zero"),
+])
+def test_closed_form_3x3_degeneracies_take_the_lapack_fallback(h, monkeypatch):
+    # a degenerate pair gets equal (or zero) cross-product vectors, which fail
+    # the orthonormality check; that matrix alone is re-solved by LAPACK,
+    # and the well-separated matrices around it stay in closed form
+    h = 0.5 * (h + h.T)
+    good = h0(ModelSpec(kind=THREE_SPIN_KAGOME), [1.0, 2.0], "branch")
+    stack = np.stack([good[0], h, good[1]])
+    lapack = _counted_eigh(monkeypatch)
+    w, v = eigensolve(stack)
+    assert lapack == [(1, 3, 3)]
+    monkeypatch.undo()
+    w_ref, v_ref = np.linalg.eigh(h)
+    assert np.array_equal(w[1], w_ref) and np.array_equal(v[1], v_ref)
+    assert not np.any(np.isnan(w)) and not np.any(np.isnan(v))
+    assert np.array_equal(w[[0, 2]], eigensolve(good)[0])
+
+
+def test_closed_form_3x3_at_extreme_scales():
+    # entries near 1e200 and 1e-200 are solved without overflow or NaN; near
+    # the largest double the levels overflow, and the input raises the
+    # residual error exactly as it did when LAPACK solved every 3 x 3 block
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1.0, 1.0, (2, 3, 3))
+    for exponent in (200, -200):
+        h = (a + a.swapaxes(-1, -2)) * 10.0 ** exponent
+        w, v = eigensolve(h)
+        w_ref = np.linalg.eigvalsh(h)
+        assert np.all(np.abs(w - w_ref) <= 16 * np.spacing(np.max(np.abs(w_ref))))
+    h = np.full((3, 3), 1.7e308) * [[1, 1, 0], [1, -1, 1], [0, 1, 1]]
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="residual nan"):
+        eigensolve(h)
 
 
 def test_complex_2x2_goes_to_lapack():
