@@ -259,7 +259,8 @@ def _spectrum_tables(spec, times, rs) -> tuple[Table, Table]:
     """The eigenvalues and gap tables: the levels of the branch solve and of
     every other block, merged."""
     branch = branch_vector_at(spec, rs)[1]
-    others = [eigensolve(h0(spec, rs, sector))[0] for sector in SECTORS[1:]]
+    others = [eigensolve(h0(spec, rs, sector))[0] for sector in SECTORS
+              if sector != "branch"]
     levels = np.sort(np.concatenate([branch, *others], axis=-1), axis=-1)
     gaps = nearest_level_gap(levels, branch[:, 0])
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]

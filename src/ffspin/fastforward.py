@@ -227,7 +227,7 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     if table.w.shape[-1] != spec.n_generators:
         raise ValueError(f"table has {table.w.shape[-1]} coupling columns; the "
                          f"{spec.kind} model needs {spec.n_generators}")
-    if table.spec is not None and table.spec != spec:
+    if table.spec != spec:
         differ = [f.name for f in fields(ModelSpec)
                   if getattr(table.spec, f.name) != getattr(spec, f.name)]
         solved, wanted = (", ".join(f"{name}={getattr(s, name)!r}" for name in differ)

@@ -171,13 +171,12 @@ def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.n
 class CoefficientTable:
     """Driving couplings w, shape (n, n_generators), sampled on the branch
     grid, with cubic interpolation.  ``spec`` is the model they were solved
-    for, which ``integrate`` requires to be its own; None for a table built
-    by hand, which ``integrate`` checks by its column count alone."""
+    for, which ``integrate`` requires to be its own."""
 
     r_grid: np.ndarray
     w: np.ndarray
     residuals: np.ndarray
-    spec: ModelSpec | None = None
+    spec: ModelSpec
 
     @classmethod
     def zeros(cls, spec: ModelSpec, r_grid: np.ndarray) -> CoefficientTable:

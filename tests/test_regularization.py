@@ -213,6 +213,10 @@ def _spline_probes(r_grid: np.ndarray, seed: int) -> np.ndarray:
                            [r_grid[0] - pad, r_grid[-1] + pad]])
 
 
+#: the spec of the hand-built spline tables; the spline reads only r_grid and w
+SPLINE_SPEC = ModelSpec(kind=THREE_SPIN_KAGOME)
+
+
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shapes and float64 bit patterns: unlike ``np.array_equal``, -0.0
     differs from 0.0."""
@@ -248,7 +252,8 @@ def test_spline_keeps_scipys_signed_zeros():
     # cubic, so every term at that knot is -0.0; scipy's sum starts from +0.0
     r_grid = np.linspace(0.0, 1.0, 9)
     w = -(r_grid ** 3 + r_grid ** 2 + r_grid)
-    table = CoefficientTable(r_grid, np.stack([w, np.full(9, -0.0)], axis=-1), np.zeros(9))
+    table = CoefficientTable(r_grid, np.stack([w, np.full(9, -0.0)], axis=-1), np.zeros(9),
+                             SPLINE_SPEC)
     assert np.signbit(table.w[0]).all() and not np.signbit(table(0.0)).any()
     _assert_matches_scipy_bitwise(table, seed=9)
 
@@ -261,7 +266,7 @@ def test_spline_matches_scipy_on_jittered_grids():
         n = int(rng.integers(4, 120))
         r_grid = np.cumsum(rng.uniform(0.7, 1.3, n))
         w = rng.normal(size=(n, int(rng.integers(1, 4)))) * rng.uniform(0.1, 10.0)
-        table = CoefficientTable(r_grid, w, np.zeros(n))
+        table = CoefficientTable(r_grid, w, np.zeros(n), SPLINE_SPEC)
         probes = _spline_probes(r_grid, n)
         error = np.max(np.abs(table(probes) - CubicSpline(r_grid, w)(probes)))
         assert error <= 1e-13 * np.max(np.abs(w))
@@ -271,7 +276,7 @@ def test_spline_matches_scipy_on_jittered_grids():
 def test_spline_of_two_and_three_points_is_the_interpolating_polynomial(n_points):
     r_grid = np.array([0.5, 1.25, 3.0])[:n_points]
     w = np.array([[1.0, -2.0], [0.25, 4.0], [-3.0, 0.5]])[:n_points]
-    table = CoefficientTable(r_grid, w, np.zeros(n_points))
+    table = CoefficientTable(r_grid, w, np.zeros(n_points), SPLINE_SPEC)
     probes = np.linspace(0.0, 3.5, 41)
     expected = np.stack([np.polyval(np.polyfit(r_grid, w[:, k], n_points - 1), probes)
                          for k in range(2)], axis=-1)
@@ -292,7 +297,7 @@ def test_spline_rejects_bad_tables(r_grid, w, message):
     values = np.ones((4, 2))
     if w is not None:
         values[2, 1] = w
-    table = CoefficientTable(np.array(r_grid), values, np.zeros(4))
+    table = CoefficientTable(np.array(r_grid), values, np.zeros(4), SPLINE_SPEC)
     with pytest.raises(ValueError, match=message):
         table(1.5)
 
