@@ -229,11 +229,6 @@ def _emit(tables: dict[str, Table]) -> dict[str, bytes]:
     return files
 
 
-def _csv(header: list[str], columns: list[np.ndarray | None]) -> bytes:
-    """The CSV bytes of one table (see ``_emit``)."""
-    return _emit({"": (header, columns)})[""]
-
-
 def _r_grid(config: ScenarioConfig) -> np.ndarray:
     """The uniform R grid from the ramp start to its end, for tracking."""
     return np.linspace(config.r0, config.r0 + config.v_bar * config.t_ff,

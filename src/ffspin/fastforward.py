@@ -25,9 +25,13 @@ linear in psi, so each fixed step is a matrix; these are built as batched
 matmuls a chunk of steps at a time, multiplied pairwise within each record
 interval (Blelloch, "Prefix sums and their applications", 1990) and joined by
 an inclusive prefix scan over the chunk's intervals (Hillis & Steele, CACM
-29, 1170 (1986)), so each record is one product with psi.  There is no per-step renormalization;
-the norm is recorded so that drift stays visible as a diagnostic instead of
-being hidden.
+29, 1170 (1986)), so each record is one product with psi.  A chunk's fixed
+cost is kept to a few numpy calls: its stage coefficients come from one
+fused pass over its stage times, which ``_stage_times`` makes inside
+[0, t_ff] and so are not checked again, and each round of products writes
+into one fresh array, with no concatenation.  There is no per-step
+renormalization; the norm is recorded so that drift stays visible as a
+diagnostic instead of being hidden.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelSpec, combine, embed_branch, schedules, structural_terms
+from .model import ModelSpec, combine, embed_branch, structural_terms
 from .regularization import CoefficientTable
 from .spectrum import branch_vector_at
 
@@ -103,18 +107,33 @@ class Trajectory:
 
 def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
                        table: CoefficientTable, t: float | np.ndarray) -> np.ndarray:
-    """H_FF's coefficients (J1, J2, Bz, v w1, ...) on the structural terms at t."""
-    r = r_of_t(profile, spec.r0, t)
+    """H_FF's coefficients (J1, J2, Bz, v w1, ...) on the structural terms at
+    stage times t (a float or an array) in [0, t_ff], which ``_stage_times``
+    guarantees, so t is not checked again.
+
+    One pass: r and v share one phase and are ``r_of_t``'s and ``v_of_t``'s
+    expressions, bit for bit, and every column is written into one
+    (..., 3 + n_generators) array.  An r outside the table's range (or NaN)
+    raises, naming the first such r."""
+    t = np.asarray(t, dtype=float)
+    phase = 2.0 * np.pi * t / profile.t_ff
+    r = spec.r0 + 2.0 * profile.v_bar * (0.5 * t - profile.t_ff * np.sin(phase)
+                                         / (4.0 * np.pi))
     lo, hi = float(table.r_grid[0]), float(table.r_grid[-1])
     pad = 1e-9 * max(1.0, abs(hi - lo))
-    outside = ~((lo - pad <= r) & (r <= hi + pad))
-    if np.any(outside):
+    if not (lo - pad <= r.min() and r.max() <= hi + pad):  # NaN fails too
+        outside = ~((lo - pad <= r) & (r <= hi + pad))
         raise ValueError(
-            f"r={np.asarray(r)[outside][0]} outside the tabulated coefficient "
-            f"range [{lo}, {hi}]")
-    v = v_of_t(profile, t)
-    return np.concatenate([np.stack(schedules(spec, r), axis=-1),
-                           v[..., None] * table(r)], axis=-1)
+            f"r={r[outside][0]} outside the tabulated coefficient range [{lo}, {hi}]")
+    out = np.empty(r.shape + (3 + spec.n_generators,))
+    np.subtract(spec.j0, r, out=out[..., 0])  # (J1, J2, Bz) of ``schedules``
+    out[..., 1] = r
+    np.subtract(spec.b0, r, out=out[..., 2])
+    v = profile.v_bar * (1.0 - np.cos(phase))
+    # transposed, the generator axis is outermost, as in the table's own
+    # layout, and the inner loops run over t
+    np.multiply(table(r).T, v.T, out=out[..., 3:].T)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -170,14 +189,24 @@ def _step_increments(a: np.ndarray, dt: float) -> np.ndarray:
     return k2
 
 
+def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """(I + x)(I + y) - I = (x + y) + x y into ``out``, without a concatenation."""
+    np.add(x, y, out=out)
+    out += x @ y
+
+
 def _ordered_product(d: np.ndarray) -> np.ndarray:
     """(I + d[:, m-1]) ... (I + d[:, 0]) - I for a (g, m, k, k) stack, multiplied
     pairwise as (I + x)(I + y) - I = x + y + x y: rounding I + d would repeat
-    the same diagonal error at every step."""
+    the same diagonal error at every step.  Each round joins the pairs into
+    a new (g, ceil(m/2), k, k) array and copies an odd leftover last factor."""
     while d.shape[1] > 1:
-        even = d.shape[1] // 2 * 2
-        x, y = d[:, 1:even:2], d[:, 0:even:2]
-        d = np.concatenate([x + y + x @ y, d[:, even:]], axis=1)
+        half, odd = divmod(d.shape[1], 2)
+        out = np.empty((len(d), half + odd) + d.shape[2:])
+        _join(d[:, 1:2 * half:2], d[:, 0:2 * half:2], out[:, :half])
+        if odd:
+            out[:, half] = d[:, -1]
+        d = out
     return d[:, 0]
 
 
@@ -186,9 +215,10 @@ def _prefix_products(d: np.ndarray) -> np.ndarray:
     stack, in log2(g) batched matmuls (Hillis & Steele)."""
     shift = 1
     while shift < len(d):
-        x, y = d[shift:], d[:-shift]
-        d = np.concatenate([d[:shift], x + y + x @ y])
-        shift *= 2
+        out = np.empty_like(d)
+        out[:shift] = d[:shift]
+        _join(d[shift:], d[:-shift], out[shift:])
+        d, shift = out, 2 * shift
     return d
 
 
@@ -242,19 +272,19 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     k = vecs.shape[-1]
     rows = np.empty((len(rec_t), 2 * k))  # [Re psi, Im psi] on the sector
     rows[0] = psi = np.concatenate([vecs[0], np.zeros(k)])
-    for first, last in _chunks(steps, output_stride):
-        block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
-        a = combine(_h_ff_coefficients(spec, profile, table, block_t), terms)
-        # an overflow shows as a non-finite norm drift, reported below
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow shows as a non-finite norm drift, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, last in _chunks(steps, output_stride):
+            block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
+            a = combine(_h_ff_coefficients(spec, profile, table, block_t), terms)
             d = _step_increments(a, dt)
             groups = _ordered_product(
                 d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]))
             states = psi + _prefix_products(groups) @ psi
-        psi = states[-1]
-        if last % output_stride == 0:  # else the interval goes on
-            end = last // output_stride + 1
-            rows[end - len(states):end] = states
+            psi = states[-1]
+            if last % output_stride == 0:  # else the interval goes on
+                end = last // output_stride + 1
+                rows[end - len(states):end] = states
     sector_psis = rows[:, :k] + 1j * rows[:, k:]
     psis = embed_branch(spec.kind, sector_psis)
 

@@ -132,7 +132,7 @@ def schedules(spec: ModelSpec, r: float) -> tuple[float, float, float]:
 
 
 @lru_cache(maxsize=None)
-def parity_indices(dim: int, parity: int = 1) -> np.ndarray:
+def _parity_indices(dim: int, parity: int = 1) -> np.ndarray:
     """z-basis indices of the P = ``parity`` block: the kets with an even
     (P = +1) or odd (P = -1) number of down spins."""
     ix = np.array([i for i in range(dim) if (-1) ** bin(i).count("1") == parity])
@@ -176,7 +176,7 @@ def _sector_weights(kind: str, sector: str) -> np.ndarray:
     n = _n_spins(kind)
     eye = np.eye(2 ** n)
     columns, seen = [], set()
-    for ket in parity_indices(2 ** n, parity):
+    for ket in _parity_indices(2 ** n, parity):
         if ket in seen:
             continue
         bits = format(ket, f"0{n}b")

@@ -45,8 +45,6 @@ from .spectrum import AdiabaticBranch
 #: least-squares residual above this value means the ansatz cannot represent
 #: i dC/dR and the computation must stop
 ANSATZ_RESIDUAL_LIMIT = 1e-6
-#: expected noise ceiling for the residual when everything is healthy
-RESIDUAL_NOISE_ATOL = 1e-8
 
 
 def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

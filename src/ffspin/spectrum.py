@@ -87,11 +87,12 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # per matrix only when some check fails: short reductions are slow
         good = (residual <= bound) & (ortho <= EIG_RESIDUAL_ATOL)
         ascending = w[:, 1:] >= w[:, :-1]
-        if not (np.all(good) and np.all(ascending)):
-            redo = ~(np.all(good, axis=(1, 2)) & np.all(ascending, axis=1))
-            w[redo], v[redo] = np.linalg.eigh(h[redo])
-            _, residual[redo], bound[redo], ortho[redo] = _errors(
-                h[redo], w[redo], v[redo])
+        if np.all(good) and np.all(ascending):
+            return w.reshape(stack + (d,)), v.reshape(stack + (d, d))
+        # only the re-solved matrices are checked again
+        redo = ~(np.all(good, axis=(1, 2)) & np.all(ascending, axis=1))
+        w[redo], v[redo] = np.linalg.eigh(h[redo])
+        _, residual, bound, ortho = _errors(h[redo], w[redo], v[redo])
     if not np.all(residual <= bound):  # NaN fails too
         raise RuntimeError(
             f"eigensolve residual {np.max(residual):.3e} exceeds tolerance")

@@ -34,6 +34,9 @@ from ffspin.regularization import CoefficientTable
 from ffspin.spectrum import AdiabaticBranch, eigensolve, nearest_level_gap
 
 IMAG_RESIDUE_ATOL = 1e-10
+#: expected noise ceiling for the core least-squares residual when everything
+#: is healthy
+RESIDUAL_NOISE_ATOL = 1e-8
 #: position in ``structural_terms`` of the field Sz = M_bz; the exchange
 #: generators follow it
 FIELD_TERM = 2

@@ -23,14 +23,14 @@ import pytest
 
 from ffspin.cli import make_config, run
 from ffspin.fastforward import integrate, r_of_t, v_of_t
-from ffspin.model import TWO_SPIN, h0, parity_indices, schedules
-from ffspin.regularization import (RESIDUAL_NOISE_ATOL, coefficient_table,
-                                   solve_core)
+from ffspin.model import TWO_SPIN, _parity_indices, h0, schedules
+from ffspin.regularization import coefficient_table, solve_core
 from ffspin.spectrum import branch_vector_at, eigensolve, track_branch
 
 from conftest import probabilities, ramp_grid
-from oracles import (closed_form_two_spin, component_form_three_spin, embed,
-                     full_ansatz_solve, gap_report, h_ff)
+from oracles import (RESIDUAL_NOISE_ATOL, closed_form_two_spin,
+                     component_form_three_spin, embed, full_ansatz_solve, gap_report,
+                     h_ff)
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -216,7 +216,7 @@ def test_criterion_7_spectrum_properties(two_spec, two_branch, three_spec,
     gaps3 = gap_report(three_branch, three_spec)
     no_crossing = bool(np.all(gaps3[1:] > 0.0))
     # the branch is solved in the P = +1 block: h0 never couples it to P = -1
-    even, odd = parity_indices(4), parity_indices(4, -1)
+    even, odd = _parity_indices(4), _parity_indices(4, -1)
     support = not np.any(h0(two_spec, two_branch.r_grid)[:, even[:, None], odd])
     idx_lo = int(np.searchsorted(two_branch.r_grid, 7.99))
     idx_hi = int(np.searchsorted(two_branch.r_grid, 8.01))

@@ -353,15 +353,20 @@ def test_fast_forward_run_enters_every_traced_layer(tmp_path):
     tracer.totals()
 
 
+def _csv(header, columns):
+    """The CSV bytes that ``cli._emit`` writes for one table."""
+    return cli._emit({"": (header, columns)})[""]
+
+
 def test_csv_matches_per_cell_format():
     special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 0.1, -2.5])
     column, matrix = special[:4], special.reshape(4, 2)
     expected = ("a,b,c,d\n" + "".join(
         f"{format(x, '.16e')},,{format(y, '.16e')},{format(z, '.16e')}\n"
         for x, (y, z) in zip(column.tolist(), matrix.tolist()))).encode()
-    assert cli._csv(list("abcd"), [column, None, matrix]) == expected
+    assert _csv(list("abcd"), [column, None, matrix]) == expected
     expected = ("a,b\n" + "".join(f"{format(x, '.16e')},\n" for x in column.tolist())).encode()
-    assert cli._csv(["a", "b"], [column, None]) == expected
+    assert _csv(["a", "b"], [column, None]) == expected
 
 
 def _per_cell_csv(header, columns):
@@ -397,14 +402,14 @@ def test_csv_matches_format_on_any_floats(data):
         np.float64, (rows, width) if width else (rows,), elements=st.floats()))
         for width in widths]
     header = [f"c{i}" for i in range(len(columns))]
-    assert cli._csv(header, columns) == _per_cell_csv(header, columns)
+    assert _csv(header, columns) == _per_cell_csv(header, columns)
 
 
 def test_csv_matches_format_on_random_bit_patterns():
     bits = np.random.default_rng(20231).integers(0, 2**64, 200_000, dtype=np.uint64)
     values = bits.view(np.float64).reshape(-1, 4)
     columns = [values[:, 0], None, values[:, 1:]]
-    assert cli._csv(["a", "b", "c"], columns) == _per_cell_csv(["a", "b", "c"], columns)
+    assert _csv(["a", "b", "c"], columns) == _per_cell_csv(["a", "b", "c"], columns)
 
 
 def test_csv_edge_values_take_the_fast_path(monkeypatch):
@@ -418,7 +423,7 @@ def test_csv_edge_values_take_the_fast_path(monkeypatch):
                            [5e-324, np.finfo(float).max, 0.0, np.inf, np.nan]])
     values = np.concatenate([edge, -edge])
     calls = _count_fallbacks(monkeypatch)
-    assert cli._csv(["x"], [values]) == _per_cell_csv(["x"], [values])
+    assert _csv(["x"], [values]) == _per_cell_csv(["x"], [values])
     magnitude = np.abs(values)
     slow = ~((magnitude == 0) | ((magnitude >= 1e-280) & (magnitude <= 1e280)))
     in_range = [x for x in calls if 1e-280 <= abs(x) <= 1e280]
@@ -475,7 +480,7 @@ def test_emit_keeps_signed_zeros_and_nan_payloads_apart(monkeypatch):
     columns = [zeros, -zeros, nans, payload, zeros.copy()]
     header = list("abcde")
     sizes = _count_cells(monkeypatch)
-    assert cli._csv(header, columns) == _per_cell_csv(header, columns)
+    assert _csv(header, columns) == _per_cell_csv(header, columns)
     assert sum(sizes) == 12  # only the copy of `zeros` shares its cells
 
 
@@ -498,7 +503,7 @@ def test_default_run_formats_no_cell_in_python(model, tmp_path, monkeypatch):
     calls = _count_fallbacks(monkeypatch)
     assert run(make_config({"model": model}), tmp_path) == 0
     assert calls == []
-    assert cli._csv(["x"], [np.array([np.nan])]) == b"x\nnan\n"
+    assert _csv(["x"], [np.array([np.nan])]) == b"x\nnan\n"
     assert len(calls) == 1
 
 

@@ -4,14 +4,15 @@ in the full space, the blocks outside the branch sector that it leaves
 untouched, its chunking and its real-form stage terms."""
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ffspin import CoefficientTable, fastforward
-from ffspin.fastforward import FastForwardProfile, integrate, r_of_t
-from ffspin.model import (MODEL_KINDS, h0, parity_indices, sector_basis,
+from ffspin.fastforward import FastForwardProfile, integrate, r_of_t, v_of_t
+from ffspin.model import (MODEL_KINDS, _parity_indices, h0, schedules, sector_basis,
                           structural_terms)
 
 from oracles import embed, h_ff
@@ -108,9 +109,9 @@ def test_records_match_per_step_loop(model, drive, stride, profile, request):
 def test_default_start_leaves_odd_block_exactly_zero(two_spec, three_spec,
                                                      two_run, three_run):
     for spec, run in ((two_spec, two_run), (three_spec, three_run)):
-        odd = parity_indices(spec.dim, -1)
+        odd = _parity_indices(spec.dim, -1)
         assert np.all(run.psi[:, odd] == 0.0)
-        assert np.any(run.psi[-1, parity_indices(spec.dim, 1)] != 0.0)
+        assert np.any(run.psi[-1, _parity_indices(spec.dim, 1)] != 0.0)
         # the rest of P = +1 too: psi is U psi_sector, so udd = ddu exactly
         assert np.all(run.psi @ sector_basis(spec.kind, "rest") == 0.0)
 
@@ -154,7 +155,7 @@ def test_real_stage_terms_are_real_forms_of_minus_i_terms(kind, parity):
     assert not terms.flags.writeable
     assert np.array_equal(terms, _real_form(-1j * structural_terms(kind, "branch")))
     u = sector_basis(kind, "branch")
-    outside = np.setdiff1d(np.arange(len(u)), parity_indices(len(u), parity))
+    outside = np.setdiff1d(np.arange(len(u)), _parity_indices(len(u), parity))
     assert not np.any(u[outside])
 
 
@@ -183,3 +184,65 @@ def test_stage_time_memory_does_not_grow_with_steps(three_spec, profile,
 
     peak(1000)  # builds the table's spline outside the measured calls
     assert peak(200_000) <= 1.1 * peak(10_000)
+
+
+def _chunk_stage_times(profile, steps, stride):
+    """Every chunk's stage times, as ``integrate`` builds them."""
+    return [fastforward._stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
+            for first, last in fastforward._chunks(steps, stride)]
+
+
+@pytest.mark.parametrize("model", ["two", "three"])
+@pytest.mark.parametrize("v_bar,t_ff", [(10.0, 1.0), (27.0, 0.37)])
+def test_fused_coefficients_match_the_public_functions(model, v_bar, t_ff, request):
+    spec = request.getfixturevalue(f"{model}_spec")
+    table = request.getfixturevalue(f"{model}_table")  # solved on R in [0, 10]
+    profile = FastForwardProfile(v_bar=v_bar, t_ff=t_ff)
+    # 513 steps at stride 513 end on a 1-step chunk; 1 step is one chunk
+    times = [t for steps, stride in ((2000, 100), (2000, 1), (513, 513), (1, 1))
+             for t in _chunk_stage_times(profile, steps, stride)]
+    assert min(map(len, times)) == 3  # a 1-step chunk: start, midpoint, end
+    assert times[0][0] == 0.0 and times[-1][-1] == profile.t_ff
+    for t in times:
+        r = r_of_t(profile, spec.r0, t)
+        expected = np.column_stack([*schedules(spec, r),
+                                    v_of_t(profile, t)[:, None] * table(r)])
+        got = fastforward._h_ff_coefficients(spec, profile, table, t)
+        assert got.shape == expected.shape == (len(t), 3 + spec.n_generators)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    # a table that ends short of the ramp names the first r outside it
+    short = CoefficientTable(table.r_grid[:50], table.w[:50], table.residuals[:50], spec)
+    t = times[0]
+    r = r_of_t(profile, spec.r0, t)
+    first = r[r > short.r_grid[-1] + 1e-9 * (short.r_grid[-1] - short.r_grid[0])][0]
+    with pytest.raises(ValueError, match=re.escape(f"r={first} outside the tabulated")):
+        fastforward._h_ff_coefficients(spec, profile, short, t)
+
+
+def _running_products(d):
+    """(I + d[j]) ... (I + d[0]) - I for every j, one factor at a time, in
+    extended precision and in the form e -> d + e + d e, so that no I + d
+    is rounded."""
+    e, out = np.zeros_like(d[0], dtype=np.longdouble), []
+    for x in d.astype(np.longdouble):
+        e = x + e + x @ e
+        out.append(e)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("g", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 13, 500])
+def test_ordered_product_with_odd_leftovers_matches_per_step_product(g, m):
+    # increments of the size of RK4 step increments; odd m leave a last
+    # factor over in some round (13 -> 7 -> 4, 500 -> 250 -> 125 -> 63 -> 32)
+    d = 1e-3 * np.random.default_rng(100 * g + m).normal(size=(g, m, 6, 6))
+    got = fastforward._ordered_product(d)
+    assert got.shape == (g, 6, 6)
+    for group, product in zip(d, got):
+        expected = _running_products(group)[-1]
+        assert np.max(np.abs(product - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # the prefix scan over the g interval products
+    expected = _running_products(got)
+    assert np.max(np.abs(fastforward._prefix_products(got) - expected)) <= (
+        1e-13 * np.max(np.abs(expected)))

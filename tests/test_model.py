@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ffspin.model import (MODEL_KINDS, SECTORS, TERM_WORDS, THREE_SPIN_KAGOME,
-                          TWO_SPIN, ModelSpec, d_h0_dr, embed_branch, h0,
-                          parity_indices, schedules, sector_basis, site_symmetries,
+                          TWO_SPIN, ModelSpec, _parity_indices, d_h0_dr, embed_branch,
+                          h0, schedules, sector_basis, site_symmetries,
                           structural_terms)
 
 from oracles import (bond_terms, h_candidate, is_hermitian, site_reversal,
@@ -261,7 +261,7 @@ def test_two_spin_sectors_are_slices_of_the_full_terms():
     # It splits P = -1 into (ud + du)/sqrt(2) and (ud - du)/sqrt(2), where
     # xx and yy are exactly +1 and -1
     full = structural_terms(TWO_SPIN)
-    ix = parity_indices(4)
+    ix = _parity_indices(4)
     assert np.array_equal(sector_basis(TWO_SPIN, "branch"), np.eye(4)[:, ix])
     sliced = full[:, ix[:, None], ix]
     terms = structural_terms(TWO_SPIN, "branch")

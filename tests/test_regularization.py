@@ -8,13 +8,13 @@ from scipy.interpolate import CubicSpline
 
 from ffspin.fastforward import integrate
 from ffspin.model import TERM_WORDS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec
-from ffspin.regularization import (RESIDUAL_NOISE_ATOL, CoefficientTable,
-                                   _min_norm_lstsq, coefficient_table, solve_core)
+from ffspin.regularization import (CoefficientTable, _min_norm_lstsq,
+                                   coefficient_table, solve_core)
 from ffspin.spectrum import track_branch
 
 from conftest import ramp_grid
-from oracles import (closed_form_two_spin, closed_form_w, component_form_three_spin,
-                     embed, full_ansatz_solve)
+from oracles import (RESIDUAL_NOISE_ATOL, closed_form_two_spin, closed_form_w,
+                     component_form_three_spin, embed, full_ansatz_solve)
 
 
 def test_solve_core_two_spin_at_start(two_spec, two_branch):

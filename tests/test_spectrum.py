@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, d_h0_dr, h0,
-                          parity_indices)
+from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, _parity_indices,
+                          d_h0_dr, h0)
 from ffspin.spectrum import (branch_vector_at, eigensolve, fix_gauge,
                              nearest_level_gap, track_branch)
 
@@ -195,6 +195,19 @@ def test_closed_form_3x3_degeneracies_take_the_lapack_fallback(h, monkeypatch):
     assert np.array_equal(w[[0, 2]], eigensolve(good)[0])
 
 
+def test_matrices_resolved_by_lapack_are_checked_again(monkeypatch):
+    # the closed-form matrices passed their checks once; the re-solved one is
+    # checked again, here against a LAPACK result with doubled vectors
+    good = h0(ModelSpec(kind=THREE_SPIN_KAGOME), [1.0, 2.0], "branch")
+    stack = np.stack([good[0], 3.0 * np.eye(3), good[1]])
+    def doubled(h, _eigh=np.linalg.eigh):
+        w, v = _eigh(h)
+        return w, 2.0 * v
+    monkeypatch.setattr(np.linalg, "eigh", doubled)
+    with pytest.raises(RuntimeError, match=r"not orthonormal to 3\.000e\+00"):
+        eigensolve(stack)
+
+
 def test_closed_form_3x3_at_extreme_scales():
     # entries near 1e200 and 1e-200 are solved without overflow or NaN; near
     # the largest double the levels overflow, and the input raises the
@@ -286,7 +299,7 @@ def test_three_spin_branch_support(three_spec, three_branch):
     # solve of that 4 x 4 block (uuu, udd, dud, ddu) of the full h0
     vecs = embed(three_branch.vectors, three_spec.kind)
     assert np.max(np.abs(vecs[:, 3] - vecs[:, 6])) < 1e-9
-    even = parity_indices(8)
+    even = _parity_indices(8)
     block = h0(three_spec, three_branch.r_grid)[:, even[:, None], even]
     levels, block_vecs = eigensolve(block)
     assert np.max(np.abs(levels[:, 0] - three_branch.energies)) < 1e-12
