@@ -29,9 +29,10 @@ an inclusive prefix scan over the chunk's intervals (Hillis & Steele, CACM
 cost is kept to a few numpy calls: its stage coefficients come from one
 fused pass over its stage times, which ``_stage_times`` makes inside
 [0, t_ff] and so are not checked again, and each round of products writes
-into one fresh array, with no concatenation.  There is no per-step
-renormalization; the norm is recorded so that drift stays visible as a
-diagnostic instead of being hidden.
+into one fresh array, with no concatenation.  The recorded psi is U psi,
+its real and imaginary parts embedded by one real matmul, so no run makes a
+complex matmul.  There is no per-step renormalization; the norm is recorded
+so that drift stays visible as a diagnostic instead of being hidden.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelSpec, combine, embed_branch, structural_terms
+from .model import ModelSpec, combine, sector_basis, structural_terms
 from .regularization import CoefficientTable
 from .spectrum import branch_vector_at
 
@@ -286,7 +287,9 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
                 end = last // output_stride + 1
                 rows[end - len(states):end] = states
     sector_psis = rows[:, :k] + 1j * rows[:, k:]
-    psis = embed_branch(spec.kind, sector_psis)
+    # U psi, its real and imaginary parts in one real matmul
+    full = rows.reshape(-1, 2, k) @ sector_basis(spec.kind, "branch").T
+    psis = full[:, 0] + 1j * full[:, 1]
 
     norms = np.linalg.norm(psis, axis=1)
     drift = float(np.max(np.abs(norms - 1.0)))

@@ -54,10 +54,11 @@ orbit.  Every term leaves the four blocks invariant (``SECTORS``):
 
 So every block of both models is at most 3 x 3.  ``sector_basis`` gives
 each as a real isometry U (dim x k), and ``structural_terms``, ``h0`` and
-``d_h0_dr`` evaluate on a block as U^T T U.  A U whose columns are columns
-of the identity (the two-spin branch sector) is applied as a slice, not a
-matmul; any other is summed with its integer orbit weights and scaled once,
-so that the sector terms are exact or correctly rounded.
+``d_h0_dr`` evaluate on a block as U^T T U, summed with the integer orbit
+weights and scaled once, so that the sector terms are exact or correctly
+rounded (exact when U's columns are columns of the identity, as in the
+two-spin branch sector).  The real and imaginary parts of the terms are
+summed apart, so no run makes a complex matmul.
 """
 from __future__ import annotations
 
@@ -204,48 +205,25 @@ def sector_basis(kind: str, sector: str) -> np.ndarray:
     return u
 
 
-def _picked_kets(u: np.ndarray) -> np.ndarray | None:
-    """The ket each column of U picks, when U's columns are columns of the
-    identity; None otherwise."""
-    ix = np.argmax(u, axis=0)
-    return ix if np.array_equal(u, np.eye(len(u))[:, ix]) else None
-
-
-def embed_branch(kind: str, components: np.ndarray) -> np.ndarray:
-    """U c: the (..., dim) full-space vectors of (..., k) branch sector
-    components; a scatter when U's columns are kets."""
-    u = sector_basis(kind, "branch")
-    ix = _picked_kets(u)
-    if ix is None:
-        return components @ u.T
-    full = np.zeros(components.shape[:-1] + (len(u),), components.dtype)
-    full[..., ix] = components
-    return full
-
-
 @lru_cache(maxsize=None)
 def structural_terms(kind: str, sector: str | None = None) -> np.ndarray:
     """The terms of ``TERM_WORDS[kind]`` (M_j1, M_j2, M_bz, G_w1, ...) as one
-    read-only (k, d, d) stack, on ``sector`` as U^T T U (a slice when U's
-    columns are kets) unless ``sector`` is None.  The M's are real and the
-    exchange generators G purely imaginary."""
+    read-only (k, d, d) stack, on ``sector`` as U^T T U unless ``sector`` is
+    None.  The M's are real and the exchange generators G purely imaginary."""
     if sector is not None:
         full = structural_terms(kind, None)
         weights = _sector_weights(kind, sector)
-        ix = _picked_kets(weights)
-        if ix is not None:
-            terms = np.ascontiguousarray(full[:, ix[:, None], ix])
-        else:
-            # S^T T S sums integers exactly, and one scaling by sqrt(1 / (q_a
-            # q_b)), q the columns' squared norms, rounds each entry once:
-            # correctly, when q_a q_b is a power of two.  The real and
-            # imaginary parts go apart: a two-spin run then makes no complex
-            # matmul, whose first call adds 0.25 MB to the process
-            q = np.sum(weights ** 2, axis=0)
-            scale = np.sqrt(1.0 / np.outer(q, q))
-            terms = np.empty(full.shape[:1] + scale.shape, full.dtype)
-            terms.real, terms.imag = ((weights.T @ part @ weights) * scale
-                                      for part in (full.real, full.imag))
+        # S^T T S sums integers exactly, and one scaling by sqrt(1 / (q_a
+        # q_b)), q the columns' squared norms, rounds each entry once:
+        # correctly, when q_a q_b is a power of two, and not at all for
+        # identity columns, signed zeros included.  The real and imaginary
+        # parts go apart: no run makes a complex matmul, whose first call
+        # adds 0.25 MB to the process
+        q = np.sum(weights ** 2, axis=0)
+        scale = np.sqrt(1.0 / np.outer(q, q))
+        terms = np.empty(full.shape[:1] + scale.shape, full.dtype)
+        terms.real, terms.imag = ((weights.T @ part @ weights) * scale
+                                  for part in (full.real, full.imag))
         terms.flags.writeable = False
         return terms
     terms = np.stack([scale * sum(map(pauli_word, words.split()))

@@ -25,12 +25,11 @@ and raises, naming the R where it happens.
 
 Every function accepts stacks (``eigensolve`` an (..., d, d) array; the
 others arrays of R), so a run calls each once, not per R.  Every sector
-block of both models is real and at most 3 x 3, and ``eigensolve`` solves
-such a stack in vectorized closed form: 2 x 2 by a rotation, 3 x 3 by
-trigonometric levels and cross-product vectors.  A matrix whose closed form
-fails a check (a degenerate pair, say) goes to LAPACK ``eigh`` on its own,
-as do complex and larger stacks, whole; a default run of either model makes
-no LAPACK call.
+block of both models is real and at most 3 x 3, and ``eigensolve`` takes
+only such stacks, solved in vectorized closed form: 2 x 2 by a rotation,
+3 x 3 by trigonometric levels and cross-product vectors.  A matrix whose
+closed form fails a check (a degenerate pair, say) goes to LAPACK ``eigh``
+on its own; a default run of either model makes no LAPACK call.
 """
 from __future__ import annotations
 
@@ -50,71 +49,61 @@ MIN_CONTINUITY_OVERLAP = 0.99
 
 
 def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a real symmetric
+    (..., d, d) stack with d <= 3, like every sector block of both models.
 
-    An (..., d, d) stack gives (..., d) eigenvalues and (..., d, d) vectors.
-    A 1 x 1 matrix is its own level, exactly, and a 0 x 0 one has none.  A
-    real stack with d = 2 or 3, like every sector block of both models, is
-    solved in closed form: ``_eigh_2x2``, or ``_eigenvectors_3x3`` with the
-    Rayleigh quotients v^T h v as the levels.  A closed-form matrix that
-    fails the residual or orthonormality check, or whose levels are not
-    ascending (a NaN fails all three), is solved again on its own by
-    ``np.linalg.eigh`` and checked again.  Complex input and d >= 4 go to
-    one batched ``np.linalg.eigh`` call.  Raises ValueError if a matrix is
-    not Hermitian and RuntimeError if a decomposition fails its own residual
-    check, scaled per matrix, or its orthonormality check.
+    The stack gives (..., d) eigenvalues and (..., d, d) vectors.  A 1 x 1
+    matrix is its own level, exactly, and a 0 x 0 one has none.  A 2 x 2
+    stack is solved by ``_eigh_2x2``, a 3 x 3 one by ``_eigenvectors_3x3``
+    with the Rayleigh quotients v^T h v as the levels.  A matrix that fails
+    the residual or orthonormality check, or whose levels are not ascending
+    (a NaN fails all three), is solved again on its own by
+    ``np.linalg.eigh`` and checked again.  Raises ValueError for complex
+    input, for d > 3 and if a matrix is not Hermitian, and RuntimeError if a
+    re-solved matrix fails its residual check, scaled per matrix, or its
+    orthonormality check.
     """
-    complex_input = np.iscomplexobj(h)
-    ht = h.swapaxes(-1, -2)
-    deviation = float(np.max(np.abs(h - (ht.conj() if complex_input else ht)),
-                             initial=0.0))
+    d = h.shape[-1]
+    if h.dtype.kind == "c" or d > 3:
+        raise ValueError("eigensolve takes real (..., d, d) stacks with d <= 3, "
+                         f"got {h.dtype} of shape {h.shape}")
+    deviation = float(np.max(np.abs(h - h.swapaxes(-1, -2)), initial=0.0))
     if not deviation < HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
-    d = h.shape[-1]
     if d <= 1:  # exact: the Hermiticity check has rejected NaN and inf
-        return np.diagonal(h, 0, -2, -1).real.astype(float), np.ones(h.shape)
+        return np.diagonal(h, 0, -2, -1).astype(float), np.ones(h.shape)
     stack = h.shape[:-2]
     h = h.reshape((prod(stack), d, d))
-    closed_form = not complex_input and d <= 3
-    if not closed_form:
-        w, v = np.linalg.eigh(h)
-    elif d == 2:
-        w, v = _eigh_2x2(h)
-    else:
-        w, v = None, _eigenvectors_3x3(h)
+    w, v = _eigh_2x2(h) if d == 2 else (None, _eigenvectors_3x3(h))
     w, residual, bound, ortho = _errors(h, w, v)
-    if closed_form:
-        # per matrix only when some check fails: short reductions are slow
-        good = (residual <= bound) & (ortho <= EIG_RESIDUAL_ATOL)
-        ascending = w[:, 1:] >= w[:, :-1]
-        if np.all(good) and np.all(ascending):
-            return w.reshape(stack + (d,)), v.reshape(stack + (d, d))
-        # only the re-solved matrices are checked again
+    # per matrix only when some check fails: short reductions are slow
+    good = (residual <= bound) & (ortho <= EIG_RESIDUAL_ATOL)
+    ascending = w[:, 1:] >= w[:, :-1]
+    if not (np.all(good) and np.all(ascending)):
         redo = ~(np.all(good, axis=(1, 2)) & np.all(ascending, axis=1))
         w[redo], v[redo] = np.linalg.eigh(h[redo])
         _, residual, bound, ortho = _errors(h[redo], w[redo], v[redo])
-    if not np.all(residual <= bound):  # NaN fails too
-        raise RuntimeError(
-            f"eigensolve residual {np.max(residual):.3e} exceeds tolerance")
-    if not np.all(ortho <= EIG_RESIDUAL_ATOL):
-        raise RuntimeError(f"eigenvectors not orthonormal to {np.max(ortho):.3e}")
+        if not np.all(residual <= bound):  # NaN fails too
+            raise RuntimeError(
+                f"eigensolve residual {np.max(residual):.3e} exceeds tolerance")
+        if not np.all(ortho <= EIG_RESIDUAL_ATOL):
+            raise RuntimeError(f"eigenvectors not orthonormal to {np.max(ortho):.3e}")
     return w.reshape(stack + (d,)), v.reshape(stack + (d, d))
 
 
 def _errors(h: np.ndarray, w: np.ndarray | None, v: np.ndarray):
-    """The levels and the checks of an (n, d, d) stack's decomposition, d >= 2:
-    w, or the Rayleigh quotients v^T h v of a d = 3 stack when w is None;
-    the residual |h v - v w| with its bound ``EIG_RESIDUAL_ATOL`` max(|w|, 1)
-    per matrix (w ascending), and the orthonormality error |v^H v - I|."""
+    """The levels and the checks of a real (n, d, d) stack's decomposition,
+    d >= 2: w, or the Rayleigh quotients v^T h v of a d = 3 stack when w is
+    None; the residual |h v - v w| with its bound ``EIG_RESIDUAL_ATOL``
+    max(|w|, 1) per matrix (w ascending), and the orthonormality error
+    |v^T v - I|."""
     hv = h @ v
     if w is None:
         w = v[:, 0] * hv[:, 0] + v[:, 1] * hv[:, 1] + v[:, 2] * hv[:, 2]
     residual = np.abs(hv - v * w[:, None, :])
     scale = np.maximum(np.maximum(-w[:, 0], w[:, -1]), 1.0)
     # a contiguous transpose keeps the stacked matmul off numpy's strided path
-    vh = v.swapaxes(-1, -2)
-    vh = vh.conj() if np.iscomplexobj(v) else np.ascontiguousarray(vh)
-    ortho = np.abs(vh @ v - np.eye(h.shape[-1]))
+    ortho = np.abs(np.ascontiguousarray(v.swapaxes(-1, -2)) @ v - np.eye(h.shape[-1]))
     return w, residual, (EIG_RESIDUAL_ATOL * scale)[:, None, None], ortho
 
 

@@ -31,7 +31,7 @@ from ffspin.fastforward import FastForwardProfile, r_of_t, v_of_t
 from ffspin.model import (SCHEDULE_RATES, TWO_SPIN, ModelSpec, combine, h0,
                           schedules, sector_basis, structural_terms)
 from ffspin.regularization import CoefficientTable
-from ffspin.spectrum import AdiabaticBranch, eigensolve, nearest_level_gap
+from ffspin.spectrum import AdiabaticBranch, nearest_level_gap
 
 IMAG_RESIDUE_ATOL = 1e-10
 #: expected noise ceiling for the core least-squares residual when everything
@@ -131,8 +131,9 @@ def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
 
 def gap_report(branch: AdiabaticBranch, spec: ModelSpec) -> np.ndarray:
     """Per-sample distance from the branch energy to the nearest other level
-    of the full spectrum."""
-    return nearest_level_gap(eigensolve(h0(spec, branch.r_grid))[0], branch.energies)
+    of the full spectrum, from LAPACK."""
+    return nearest_level_gap(np.linalg.eigvalsh(h0(spec, branch.r_grid)),
+                             branch.energies)
 
 
 def binary_labels(n_spins: int) -> list[str]:

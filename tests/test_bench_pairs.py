@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +101,28 @@ def test_benchmark_files_must_match(tmp_path):
     assert bench_pairs.same_benchmark(parent, change) == []
     (change / "bench" / "run.py").write_text("x = 2\n")
     assert bench_pairs.same_benchmark(parent, change) == ["bench/run.py"]
+
+
+FAKE_BENCHMARK = """\
+import json, sys
+print("workload " + " ".join(sys.argv[1:]))
+print("run_s (not gated)                 0.0321 s      n=3")
+if "--seed" in sys.argv and sys.argv[sys.argv.index("--seed") + 1] == "7":
+    sys.exit(1)
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {}}))
+"""
+
+
+def test_invocations_keep_the_human_readable_lines(tmp_path):
+    (tmp_path / "bench.py").write_text(FAKE_BENCHMARK)
+    benchmark = {"command": [sys.executable, "bench.py"], "run_seconds": 2}
+    entry = bench_pairs.run_invocation(tmp_path, benchmark, "w", 3, 1)
+    assert entry["exit"] == 0 and entry["result"]["attempted"] == 3
+    assert entry["stdout"] == [
+        "workload --workload w --seed 3 --seconds 2 --trace 1",
+        "run_s (not gated)                 0.0321 s      n=3"]
+    # no JSON line: the result is None and every line is kept
+    broken = bench_pairs.run_invocation(tmp_path, benchmark, "w", 7, 0)
+    assert broken["exit"] == 1 and broken["result"] is None
+    assert broken["stdout"][-1].startswith("run_s (not gated)")
+    assert len(broken["stdout"]) == 2

@@ -5,7 +5,8 @@ import pytest
 
 from ffspin import fastforward
 from ffspin.fastforward import FastForwardProfile, integrate, r_of_t, v_of_t
-from ffspin.model import MODEL_KINDS, THREE_SPIN_KAGOME, ModelSpec, h0
+from ffspin.model import (MODEL_KINDS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, h0,
+                          sector_basis)
 from ffspin.regularization import CoefficientTable, coefficient_table
 from ffspin.spectrum import branch_vector_at, track_branch
 
@@ -221,3 +222,26 @@ def test_run_starts_on_the_tracked_sample_zero(kind, r0, ramp_profile):
     signs = np.sign(np.sum(vecs * branch.vectors, axis=1))
     assert np.array_equal(vecs, signs[:, None] * branch.vectors)
     assert np.all(vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)] > 0.0)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_psi_is_the_sector_components_times_u_transposed(kind, ramp_profile,
+                                                         monkeypatch):
+    # the same run with the identity as its branch basis records the sector
+    # components c themselves.  Each row of U has at most one nonzero, so each
+    # entry of c U^T is one product and psi equals it exactly; the kets
+    # outside the sector are exactly 0
+    spec = ModelSpec(kind=kind)
+    branch = track_branch(spec, ramp_grid(spec, ramp_profile, 201))
+    table = coefficient_table(spec, branch)
+    psi = integrate(spec, ramp_profile, 400, table=table, output_stride=40).psi
+    u = sector_basis(kind, "branch")
+    monkeypatch.setattr(fastforward, "sector_basis",
+                        lambda kind, sector: np.eye(u.shape[1]))
+    c = integrate(spec, ramp_profile, 400, table=table, output_stride=40).psi
+    assert c.shape == (11, u.shape[1]) and np.all(np.abs(c[1:].imag) > 0)
+    assert np.array_equal(c[0], branch_vector_at(spec, spec.r0)[0])  # C(R0), real
+    assert np.array_equal(psi, c @ u.T)
+    assert not np.any(psi[:, ~u.any(axis=1)])
+    if kind == TWO_SPIN:  # U is identity columns 0 and 3: psi holds c as is
+        assert np.array_equal(psi[:, [0, 3]], c)

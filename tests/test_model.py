@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ffspin.model import (MODEL_KINDS, SECTORS, TERM_WORDS, THREE_SPIN_KAGOME,
-                          TWO_SPIN, ModelSpec, _parity_indices, d_h0_dr, embed_branch,
+                          TWO_SPIN, ModelSpec, _parity_indices, d_h0_dr,
                           h0, schedules, sector_basis, site_symmetries,
                           structural_terms)
 
@@ -257,7 +257,7 @@ def test_every_term_leaves_each_sector_invariant(kind, sector):
 
 def test_two_spin_sectors_are_slices_of_the_full_terms():
     # the swap leaves the P = +1 block whole: U is identity columns 0 and 3,
-    # applied as a slice, so the block terms keep every bit, signed zeros too.
+    # so the block terms are a slice of the full ones, signed zeros too.
     # It splits P = -1 into (ud + du)/sqrt(2) and (ud - du)/sqrt(2), where
     # xx and yy are exactly +1 and -1
     full = structural_terms(TWO_SPIN)
@@ -275,9 +275,6 @@ def test_two_spin_sectors_are_slices_of_the_full_terms():
                               [0.0, np.sqrt(0.5), sign * np.sqrt(0.5), 0.0])
         assert np.array_equal(structural_terms(TWO_SPIN, sector)[:, 0, 0],
                               [sign, sign, 0.0, 0.0])
-    psi = np.array([[0.6 - 0.0j, -0.8j]])
-    assert np.array_equal(embed_branch(TWO_SPIN, psi),
-                          [[0.6, 0.0, 0.0, -0.8j]])
 
 
 def test_three_spin_sector_terms_match_the_hand_written_matrix(three):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ffspin.model import (THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, _parity_indices,
-                          d_h0_dr, h0)
+from ffspin.model import (SECTORS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec,
+                          _parity_indices, d_h0_dr, h0)
 from ffspin.spectrum import (branch_vector_at, eigensolve, fix_gauge,
                              nearest_level_gap, track_branch)
 
@@ -22,34 +22,50 @@ END_POPULATION = (2.0 + np.sqrt(2.0)) / 4.0
 
 
 def test_eigensolve_two_spin_closed_form_ground():
-    spec = ModelSpec(kind=TWO_SPIN)
-    # J1=10, J2=0, Bz=10 corresponds to b0=10, r=0
-    w, _ = eigensolve(h0(ModelSpec(kind=TWO_SPIN, b0=10.0), 0.0))
+    # J1=10, J2=0, Bz=10 corresponds to b0=10, r=0; the branch block is
+    # [[Bz, J1 - J2], [J1 - J2, -Bz]]
+    w, _ = eigensolve(h0(ModelSpec(kind=TWO_SPIN, b0=10.0), 0.0, "branch"))
     assert w[0] == pytest.approx(-np.sqrt(200.0), abs=1e-10)
 
 
 def test_eigensolve_identity():
-    w, _ = eigensolve(np.eye(5, dtype=complex))
-    assert np.allclose(w, 1.0)
+    for d in (1, 2, 3):
+        w, v = eigensolve(np.eye(d))
+        assert np.allclose(w, 1.0) and np.allclose(v.T @ v, np.eye(d), atol=1e-15)
 
 
 def test_eigensolve_three_spin_r0_degenerate_ground():
+    # the sector blocks together hold the whole spectrum; the two-fold ground
+    # level at R = 0 is shared between sectors
     spec = ModelSpec(kind=THREE_SPIN_KAGOME)
-    w, _ = eigensolve(h0(spec, 0.0))
+    w = np.sort(np.concatenate([eigensolve(h0(spec, 0.0, sector))[0]
+                                for sector in SECTORS]))
+    assert np.allclose(w, np.linalg.eigvalsh(h0(spec, 0.0)), rtol=0.0, atol=1e-12)
     assert w[0] == pytest.approx(-20.0, abs=1e-9)
     assert w[1] - w[0] == pytest.approx(0.0, abs=1e-10)
     assert w[2] - w[0] > 1.0
 
 
 def test_eigensolve_rejects_non_hermitian():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="Hermitian"):
         eigensolve(m)
 
 
+def test_eigensolve_rejects_complex_and_larger_stacks():
+    # every sector block is real and at most 3 x 3; anything else is refused
+    # by name, before any check or solve
+    h = np.array([[[1.0, 1j], [-1j, 2.0]]] * 5)  # Hermitian
+    with pytest.raises(ValueError, match=r"real \(\.\.\., d, d\) stacks with d <= 3, "
+                                         r"got complex128 of shape \(5, 2, 2\)"):
+        eigensolve(h)
+    with pytest.raises(ValueError, match=r"d <= 3, got float64 of shape \(4, 4\)"):
+        eigensolve(np.eye(4))
+
+
 @pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
 def test_eigensolve_stack_matches_per_matrix_calls(kind):
-    hs = h0(ModelSpec(kind=kind), np.linspace(0.0, 10.0, 7))
+    hs = h0(ModelSpec(kind=kind), np.linspace(0.0, 10.0, 7), "branch")
     w, v = eigensolve(hs)
     assert w.shape == hs.shape[:2] and v.shape == hs.shape
     for k, h in enumerate(hs):
@@ -62,11 +78,12 @@ def test_eigensolve_stack_matches_per_matrix_calls(kind):
 
 
 def test_eigensolve_random_hermitian_residuals():
-    a = RNG.randn(8, 8) + 1j * RNG.randn(8, 8)
-    h = a + a.conj().T
-    w, v = eigensolve(h)
-    assert np.max(np.abs(h @ v - v * w)) < 1e-10 * np.max(np.abs(w))
-    assert np.allclose(v.conj().T @ v, np.eye(8), atol=1e-10)
+    for d in (2, 3):
+        a = RNG.randn(8, d, d)
+        h = a + a.swapaxes(-1, -2)
+        w, v = eigensolve(h)
+        assert np.max(np.abs(h @ v - v * w[:, None, :])) < 1e-10 * np.max(np.abs(w))
+        assert np.allclose(v.swapaxes(-1, -2) @ v, np.eye(d), atol=1e-10)
 
 
 def _lapack_agreement(h, w, v):
@@ -224,23 +241,14 @@ def test_closed_form_3x3_at_extreme_scales():
         eigensolve(h)
 
 
-def test_complex_2x2_goes_to_lapack():
-    a = RNG.randn(5, 2, 2) + 1j * RNG.randn(5, 2, 2)
-    h = a + a.conj().swapaxes(-1, -2)
-    w, v = eigensolve(h)
-    w_ref, v_ref = np.linalg.eigh(h)
-    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
-
-
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_eigensolve_takes_one_by_one_and_empty_stacks(dtype):
-    w, v = eigensolve(np.zeros((4, 0, 0), dtype))
+def test_eigensolve_takes_one_by_one_and_empty_stacks():
+    w, v = eigensolve(np.zeros((4, 0, 0)))
     assert w.shape == (4, 0) and v.shape == (4, 0, 0)
     entries = np.array([-2.5, 0.0, 1e300])
-    w, v = eigensolve(entries.reshape(3, 1, 1).astype(dtype))
+    w, v = eigensolve(entries.reshape(3, 1, 1))
     assert np.array_equal(w, entries[:, None]) and np.array_equal(v, np.ones((3, 1, 1)))
-    with pytest.raises(ValueError, match="Hermitian"):
-        eigensolve(np.full((1, 1), 1j))
+    with pytest.raises(ValueError, match="Hermitian"):  # NaN is not its own level
+        eigensolve(np.full((1, 1), np.nan))
 
 
 def test_fix_gauge_keeps_real_input_up_to_sign():
@@ -296,12 +304,12 @@ def test_two_spin_sector_crossing_near_eight(two_branch):
 def test_three_spin_branch_support(three_spec, three_branch):
     # C4 = C7: the mirror symmetry of the triangle's bonds.  Mapped by U, the
     # sector branch is level 0 of the whole P = +1 block on this ramp, from a
-    # solve of that 4 x 4 block (uuu, udd, dud, ddu) of the full h0
+    # LAPACK solve of that 4 x 4 block (uuu, udd, dud, ddu) of the full h0
     vecs = embed(three_branch.vectors, three_spec.kind)
     assert np.max(np.abs(vecs[:, 3] - vecs[:, 6])) < 1e-9
     even = _parity_indices(8)
     block = h0(three_spec, three_branch.r_grid)[:, even[:, None], even]
-    levels, block_vecs = eigensolve(block)
+    levels, block_vecs = np.linalg.eigh(block)
     assert np.max(np.abs(levels[:, 0] - three_branch.energies)) < 1e-12
     overlap = np.abs(np.sum(block_vecs[:, :, 0] * vecs[:, even], axis=1))
     assert np.max(np.abs(overlap - 1.0)) < 1e-12
@@ -371,7 +379,7 @@ def test_gap_zero_at_start_positive_after(three_branch, three_spec):
 
 def test_gap_report_matches_per_sample_nearest_level_gap(three_branch, three_spec):
     ks = np.arange(0, len(three_branch.r_grid), 100)
-    levels = np.array([eigensolve(h0(three_spec, float(three_branch.r_grid[k])))[0]
+    levels = np.array([np.linalg.eigvalsh(h0(three_spec, float(three_branch.r_grid[k])))
                        for k in ks])
     expected = [nearest_level_gap(lv, three_branch.energies[k])
                 for lv, k in zip(levels, ks)]

@@ -18,9 +18,11 @@ both checkouts.  ``--trace`` runs the pairs with ``--trace 1`` for the
 per-layer figures.
 
 Every invocation's last output line (the benchmark's JSON result) is
-appended to the file's ``invocations``, and ``summary`` is recomputed from
-all of them.  Repeated calls therefore collect several workloads and traced
-pairs in one file.  For each untraced workload and end-to-end metric the
+appended to the file's ``invocations`` as its ``result``, with the lines
+before it, the benchmark's human-readable report (``run_s (not gated)``
+among them), as its ``stdout``; ``summary`` is recomputed from all of
+them.  Repeated calls therefore collect several workloads and traced pairs
+in one file.  For each untraced workload and end-to-end metric the
 summary gives:
 
 * each side's median, quartiles (inclusive method), extremes and count;
@@ -49,9 +51,10 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 METHOD = (
-    "each entry of 'invocations' is the last-line JSON of one benchmark "
-    "invocation (its 'command'), run from the root of a clean copy of each "
-    "commit with identical benchmark files; parent and change alternate, the "
+    "each entry of 'invocations' is the last-line JSON ('result') and the "
+    "other stdout lines ('stdout') of one benchmark invocation (its "
+    "'command'), run from the root of a clean copy of each commit with "
+    "identical benchmark files; parent and change alternate, the "
     "order flipping on every pair; one invocation at a time; written by "
     "tools/bench_pairs.py")
 NO_CLAIM = ("none: no gain is claimed; the pairs check that no end-to-end "
@@ -88,13 +91,15 @@ def run_invocation(checkout: Path, benchmark: dict, workload: str, seed: int,
         "--seconds", str(benchmark["run_seconds"]), "--trace", str(trace)]
     started = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
     proc = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
     try:
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
     return {"workload": workload, "seed": seed, "trace": trace,
             "command": " ".join(command), "exit": proc.returncode,
-            "started_utc": started, "result": result}
+            "started_utc": started, "result": result,
+            "stdout": lines if result is None else lines[:-1]}
 
 
 def environment() -> dict:
