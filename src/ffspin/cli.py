@@ -29,6 +29,7 @@ every file gathers its rows from those cells.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -53,6 +54,9 @@ GAP_CSV = "gap.csv"
 MANIFEST = "run_manifest.txt"
 #: the CSVs' coupling columns; a model with fewer generators leaves the rest empty
 W_HEADER = ["w1", "w2"]
+#: RK4's stability interval on the imaginary axis ends at y = 2 sqrt(2): for
+#: a larger y = |E| dt, |R(iy)| > 1 (Hairer & Wanner, Solving ODEs II, IV.2)
+RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 #: cap on grid_points and on the record count; branch tracking holds about
 #: 0.56 KB per grid point, so a config at the cap asks for about 560 MB
 MAX_POINTS = 1_000_000
@@ -150,6 +154,13 @@ def validate(config: ScenarioConfig) -> list[str]:
         knob = max(scales, key=scales.get)
         problems.append(f"the couplings are too large: the RK4 stage matrices "
                         f"overflow float64; lower {knob}")
+    elif not problems and config.mode in INTEGRATING_MODES:
+        y, steps = _ramp_end_step(config)
+        if y > RK4_STABILITY_LIMIT:
+            problems.append(
+                f"integrator_steps must be at least {steps}: at {config.integrator_steps} "
+                f"the RK4 step max|E| dt = {y:.3g} at a ramp end is outside the "
+                f"stability interval |E| dt <= 2 sqrt(2)")
     return problems
 
 
@@ -163,11 +174,37 @@ def _stage_overflows(config: ScenarioConfig) -> bool:
     matmuls.  That bound is evaluated in Python floats, which overflow to inf.
     """
     with np.errstate(over="ignore"):
-        ends = h0(_spec(config), [config.r0, config.r0 + config.v_bar * config.t_ff],
-                  "branch")
-        s = float(np.max(np.sum(np.abs(ends), axis=-1)))
+        s = _row_sum_bound(_ramp_ends(config))
     x = s * config.t_ff / config.integrator_steps
     return not np.isfinite(s * (1.0 + x * (1.0 + 0.5 * x * (1.0 + 0.5 * x))))
+
+
+def _ramp_ends(config: ScenarioConfig) -> np.ndarray:
+    """h0 on the branch sector at both ramp ends, where v = 0 and H_FF = h0."""
+    return h0(_spec(config), [config.r0, config.r0 + config.v_bar * config.t_ff],
+              "branch")
+
+
+def _row_sum_bound(h: np.ndarray) -> float:
+    """The largest row sum of |h| over a stack, which bounds every |level|."""
+    return float(np.max(np.sum(np.abs(h), axis=-1)))
+
+
+def _ramp_end_step(config: ScenarioConfig) -> tuple[float, int]:
+    """y = max|E| dt over the branch sector levels at both ramp ends, and the
+    smallest step count, a multiple of ``output_stride``, that keeps y within
+    ``RK4_STABILITY_LIMIT``.  The levels are solved only when their row-sum
+    bound allows y beyond the limit; otherwise y is that bound's."""
+    ends = _ramp_ends(config)
+    e_max = _row_sum_bound(ends)
+    if e_max * config.t_ff / config.integrator_steps > RK4_STABILITY_LIMIT:
+        e_max = float(np.max(np.abs(eigensolve(ends)[0])))
+    span = e_max * config.t_ff
+    steps = max(1, math.ceil(span / RK4_STABILITY_LIMIT))
+    while span / steps > RK4_STABILITY_LIMIT:  # ceil of a rounded quotient
+        steps += 1
+    stride = config.output_stride
+    return span / config.integrator_steps, -(-steps // stride) * stride
 
 
 #: a CSV's header and its (n,) or (n, k) float columns; None is an empty column

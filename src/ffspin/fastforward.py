@@ -107,15 +107,18 @@ class Trajectory:
 
 
 def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
-                       table: CoefficientTable, t: float | np.ndarray) -> np.ndarray:
+                       table: CoefficientTable, t: float | np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """H_FF's coefficients (J1, J2, Bz, v w1, ...) on the structural terms at
-    stage times t (a float or an array) in [0, t_ff], which ``_stage_times``
-    guarantees, so t is not checked again.
+    stage times t (a float or a 1-d array) in [0, t_ff], which
+    ``_stage_times`` guarantees, so t is not checked again.  They are written
+    into ``out``, shape ``np.shape(t) + (3 + n_generators,)``, when it is
+    given, else into a new array.
 
     One pass: r and v share one phase and are ``r_of_t``'s and ``v_of_t``'s
-    expressions, bit for bit, and every column is written into one
-    (..., 3 + n_generators) array.  An r outside the table's range (or NaN)
-    raises, naming the first such r."""
+    expressions, bit for bit, and each column is written in place, the
+    couplings by the table's own spline evaluation.  An r outside the
+    table's range (or NaN) raises, naming the first such r."""
     t = np.asarray(t, dtype=float)
     phase = 2.0 * np.pi * t / profile.t_ff
     r = spec.r0 + 2.0 * profile.v_bar * (0.5 * t - profile.t_ff * np.sin(phase)
@@ -126,14 +129,14 @@ def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
         outside = ~((lo - pad <= r) & (r <= hi + pad))
         raise ValueError(
             f"r={r[outside][0]} outside the tabulated coefficient range [{lo}, {hi}]")
-    out = np.empty(r.shape + (3 + spec.n_generators,))
+    if out is None:
+        out = np.empty(t.shape + (3 + spec.n_generators,))
     np.subtract(spec.j0, r, out=out[..., 0])  # (J1, J2, Bz) of ``schedules``
     out[..., 1] = r
     np.subtract(spec.b0, r, out=out[..., 2])
-    v = profile.v_bar * (1.0 - np.cos(phase))
-    # transposed, the generator axis is outermost, as in the table's own
-    # layout, and the inner loops run over t
-    np.multiply(table(r).T, v.T, out=out[..., 3:].T)
+    vw = out[..., 3:].T  # generator-major, as ``CoefficientTable._evaluate`` writes
+    table._evaluate(r, vw)
+    vw *= profile.v_bar * (1.0 - np.cos(phase))
     return out
 
 
@@ -164,62 +167,80 @@ def _chunks(steps: int, stride: int):
             yield first, min(first + CHUNK_STEPS, end)
 
 
-def _step_increments(a: np.ndarray, dt: float) -> np.ndarray:
+def _step_increments(a: np.ndarray, dt: float, work: np.ndarray) -> np.ndarray:
     """D_n = P_n - I for the RK4 step matrices psi_{n+1} = P_n psi_n, from the
     2n + 1 stage matrices A = -iH at the steps' starts, midpoints and ends:
     P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
-    K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3).  The identity is added on
-    the diagonal in place and K2...K4 reuse two buffers."""
+    K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3).
+
+    The stages are formed doubled: dt A0 + 2I is 2 (I + dt/2 K1) exactly, so
+    Am times it is 2 K2 bit for bit, and likewise 2 K3; (dt/2)(2 K3) + I is
+    I + dt K3.  Scaling by 2 commutes with rounding, so D = dt/6 ((2 K2 + A0)
+    + 2 K3 + K4) has the bits of the undoubled sum, with no pass that
+    doubles K2 or K3.  ``work`` is a (3, >= n, k, k) buffer: D is written
+    into work[0], and work[1] and work[2] are left free."""
     a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
-    m = (0.5 * dt) * a0
+    d, m, q = work[:, :len(am)]
+    np.multiply(a0, dt, out=m)
     diagonal = m.reshape(len(m), -1)[:, ::a.shape[-1] + 1]
+    diagonal += 2.0
+    np.matmul(am, m, out=d)  # 2 K2
+    np.multiply(d, 0.5 * dt, out=m)
+    diagonal += 2.0
+    np.matmul(am, m, out=q)  # 2 K3
+    np.multiply(q, 0.5 * dt, out=m)
     diagonal += 1.0
-    k2 = am @ m
-    np.multiply(k2, 0.5 * dt, out=m)
-    diagonal += 1.0
-    k3 = am @ m
-    np.multiply(k3, dt, out=m)
-    diagonal += 1.0
-    k2 *= 2.0
-    k2 += a0
-    k3 *= 2.0
-    k2 += k3
-    np.matmul(a1, m, out=k3)  # K4
-    k2 += k3
-    k2 *= dt / 6.0
-    return k2
+    d += a0
+    d += q
+    np.matmul(a1, m, out=q)  # K4
+    d += q
+    d *= dt / 6.0
+    return d
 
 
-def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """(I + x)(I + y) - I = (x + y) + x y into ``out``, without a concatenation."""
+def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """(I + x)(I + y) - I = (x + y) + x y into ``out``, with x y formed in
+    ``tmp``, a C-contiguous buffer at least as large as ``out``."""
+    xy = tmp.reshape(-1)[:out.size].reshape(out.shape)
+    np.matmul(x, y, out=xy)
     np.add(x, y, out=out)
-    out += x @ y
+    out += xy
 
 
-def _ordered_product(d: np.ndarray) -> np.ndarray:
-    """(I + d[:, m-1]) ... (I + d[:, 0]) - I for a (g, m, k, k) stack, multiplied
-    pairwise as (I + x)(I + y) - I = x + y + x y: rounding I + d would repeat
-    the same diagonal error at every step.  Each round joins the pairs into
-    a new (g, ceil(m/2), k, k) array and copies an odd leftover last factor."""
+def _ordered_product(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
+    """(I + d[:, m-1]) ... (I + d[:, 0]) - I for a C-contiguous (g, m, k, k)
+    stack, multiplied pairwise as (I + x)(I + y) - I = x + y + x y: rounding
+    I + d would repeat the same diagonal error at every step.
+
+    ``free`` holds two C-contiguous buffers of at least g m matrices that do
+    not overlap d.  Each round joins the pairs into the first, with the
+    products x y in the second, and copies an odd leftover last factor; the
+    round's input is then free in its place.  Returns the (g, k, k) product
+    and the two buffers left free."""
     while d.shape[1] > 1:
         half, odd = divmod(d.shape[1], 2)
-        out = np.empty((len(d), half + odd) + d.shape[2:])
-        _join(d[:, 1:2 * half:2], d[:, 0:2 * half:2], out[:, :half])
+        dst, tmp = free
+        out = dst.reshape(-1)[:d.size // d.shape[1] * (half + odd)].reshape(
+            (len(d), half + odd) + d.shape[2:])
+        _join(d[:, 1:2 * half:2], d[:, 0:2 * half:2], out[:, :half], tmp)
         if odd:
             out[:, half] = d[:, -1]
-        d = out
-    return d[:, 0]
+        free, d = (d, tmp), out
+    return d[:, 0], free
 
 
-def _prefix_products(d: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products (I + d[j]) ... (I + d[0]) - I of a (g, k, k)
-    stack, in log2(g) batched matmuls (Hillis & Steele)."""
+def _prefix_products(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Inclusive prefix products (I + d[j]) ... (I + d[0]) - I of a
+    C-contiguous (g, k, k) stack, in log2(g) batched matmuls (Hillis &
+    Steele); the rounds alternate between d and ``free`` as in
+    ``_ordered_product``."""
     shift = 1
     while shift < len(d):
-        out = np.empty_like(d)
+        dst, tmp = free
+        out = dst.reshape(-1)[:d.size].reshape(d.shape)
         out[:shift] = d[:shift]
-        _join(d[shift:], d[:-shift], out[shift:])
-        d, shift = out, 2 * shift
+        _join(d[shift:], d[:-shift], out[shift:], tmp)
+        free, d, shift = (d, tmp), out, 2 * shift
     return d
 
 
@@ -273,26 +294,35 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
     k = vecs.shape[-1]
     rows = np.empty((len(rec_t), 2 * k))  # [Re psi, Im psi] on the sector
     rows[0] = psi = np.concatenate([vecs[0], np.zeros(k)])
+    # one workspace for every chunk: generator-major stage coefficients (each
+    # coefficient's stage times contiguous), the stage matrices and three
+    # step scratches, which the products' rounds then take turns in
+    size = min(CHUNK_STEPS, steps)
+    coefficients = np.empty((len(terms), 2 * size + 1))
+    stages = np.empty((2 * size + 1,) + terms.shape[1:])
+    work = np.empty((3, size) + terms.shape[1:])
     # an overflow shows as a non-finite norm drift, reported below
     with np.errstate(over="ignore", invalid="ignore"):
         for first, last in _chunks(steps, output_stride):
+            n = 2 * (last - first) + 1
             block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
-            a = combine(_h_ff_coefficients(spec, profile, table, block_t), terms)
-            d = _step_increments(a, dt)
-            groups = _ordered_product(
-                d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]))
-            states = psi + _prefix_products(groups) @ psi
+            c = _h_ff_coefficients(spec, profile, table, block_t,
+                                   out=coefficients[:, :n].T)
+            d = _step_increments(combine(c, terms, out=stages[:n]), dt, work)
+            groups, free = _ordered_product(
+                d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]),
+                (work[1], work[2]))
+            states = psi + _prefix_products(groups, free) @ psi
             psi = states[-1]
             if last % output_stride == 0:  # else the interval goes on
                 end = last // output_stride + 1
                 rows[end - len(states):end] = states
-    sector_psis = rows[:, :k] + 1j * rows[:, k:]
-    # U psi, its real and imaginary parts in one real matmul
-    full = rows.reshape(-1, 2, k) @ sector_basis(spec.kind, "branch").T
-    psis = full[:, 0] + 1j * full[:, 1]
-
-    norms = np.linalg.norm(psis, axis=1)
-    drift = float(np.max(np.abs(norms - 1.0)))
+        sector_psis = rows[:, :k] + 1j * rows[:, k:]
+        # U psi, its real and imaginary parts in one real matmul
+        full = rows.reshape(-1, 2, k) @ sector_basis(spec.kind, "branch").T
+        psis = full[:, 0] + 1j * full[:, 1]
+        norms = np.linalg.norm(psis, axis=1)
+        drift = float(np.max(np.abs(norms - 1.0)))
     if not np.isfinite(drift):
         raise RuntimeError(f"norm drift {drift:.3e}: the RK4 propagation overflowed; "
                            "lower j0, b0 or v_bar")

@@ -232,13 +232,17 @@ def structural_terms(kind: str, sector: str | None = None) -> np.ndarray:
     return terms
 
 
-def combine(coefficients, terms: np.ndarray) -> np.ndarray:
+def combine(coefficients, terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_k coefficients[..., k] * terms[k] as one matmul: (..., k) real
-    coefficients and a (k, d, d) stack give (..., d, d)."""
+    coefficients and a (k, d, d) stack give (..., d, d), written into ``out``
+    (C-contiguous) when it is given."""
     coefficients = np.asarray(coefficients, dtype=float)
     k, d, _ = terms.shape
-    flat = coefficients.reshape(-1, k) @ terms.reshape(k, d * d)
-    return flat.reshape(coefficients.shape[:-1] + (d, d))
+    if out is None:
+        out = np.empty(coefficients.shape[:-1] + (d, d), np.result_type(terms, float))
+    flat = coefficients.reshape(-1, k)
+    np.matmul(flat, terms.reshape(k, d * d), out=out.reshape(len(flat), d * d))
+    return out
 
 
 def h0(spec: ModelSpec, r: float | np.ndarray,

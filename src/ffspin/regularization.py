@@ -210,15 +210,31 @@ class CoefficientTable:
     def __call__(self, r: float | np.ndarray) -> np.ndarray:
         """Interpolated couplings at r, shape ``np.shape(r) + (n_generators,)``;
         the end pieces extrapolate."""
+        out = np.empty(self.w.shape[1:] + np.shape(r))
+        self._evaluate(r, out)
+        return np.moveaxis(out, 0, -1)
+
+    def _evaluate(self, r: float | np.ndarray, out: np.ndarray) -> None:
+        """The interpolated couplings at r written generator-major into
+        ``out``, shape ``(n_generators,) + np.shape(r)``, each generator's row
+        contiguous as in the spline's own layout."""
         c = self._spline
         if c is None:
-            return np.broadcast_to(self.w[0], np.shape(r) + self.w.shape[1:])
+            out[...] = self.w[0].reshape(self.w.shape[1:] + (1,) * np.ndim(r))
+            return
         i = np.searchsorted(self.r_grid[1:-1], r, side="right")
         s = r - self.r_grid[i]
-        c = c.take(i, axis=-1)
+        c = c.take(i, axis=-1)  # a fresh array: its terms are formed in place
         # the sum in scipy's PPoly order, with the powers of s accumulated
+        np.add(0.0, c[3], out=out)
+        c[2] *= s
+        out += c[2]
         z = s * s
-        return np.moveaxis(0.0 + c[3] + c[2] * s + c[1] * z + c[0] * (z * s), 0, -1)
+        c[1] *= z
+        out += c[1]
+        z *= s
+        c[0] *= z
+        out += c[0]
 
 
 def coefficient_table(spec: ModelSpec, branch: AdiabaticBranch) -> CoefficientTable:

@@ -10,6 +10,8 @@ None of these is called by the pipeline:
   ``solve_core`` fit the exchange couplings alone;
 * the fast-forward Hamiltonian H0(R(t)) + v(t) sum_k w_k(R(t)) G_k, written
   from its definition;
+* the RK4 step increments with undoubled stages, nine elementwise passes,
+  whose bits the propagator's doubled stages must reproduce;
 * the driving candidate operator with a field term, and the distance from
   the branch energy to the nearest level of the full spectrum;
 * Pauli operators built by acting on ket labels, and from them the
@@ -200,3 +202,27 @@ def bond_terms(kind: str) -> list[np.ndarray]:
         return [pair("x", "x", 1, 2), pair("y", "y", 1, 2), z, 0.5 * xy(1, 2)]
     return [pair("x", "x", 1, 2) + pair("x", "x", 2, 3), pair("y", "y", 3, 1), z,
             xy(1, 2) + xy(2, 3), xy(3, 1)]
+
+
+def step_increments_nine_pass(a: np.ndarray, dt: float) -> np.ndarray:
+    """D_n = P_n - I of the RK4 steps from the 2n + 1 stage matrices a, with
+    each stage K formed undoubled and doubled in its own pass: nine full
+    elementwise passes, in the order the doubled stages must reproduce."""
+    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
+    m = (0.5 * dt) * a0
+    diagonal = m.reshape(len(m), -1)[:, ::a.shape[-1] + 1]
+    diagonal += 1.0
+    k2 = am @ m
+    np.multiply(k2, 0.5 * dt, out=m)
+    diagonal += 1.0
+    k3 = am @ m
+    np.multiply(k3, dt, out=m)
+    diagonal += 1.0
+    k2 *= 2.0
+    k2 += a0
+    k3 *= 2.0
+    k2 += k3
+    np.matmul(a1, m, out=k3)  # K4
+    k2 += k3
+    k2 *= dt / 6.0
+    return k2

@@ -571,24 +571,48 @@ def test_r_grid_that_does_not_increase_names_the_keys(tmp_path, capsys):
     assert main(["run"] + keys + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"invalid config: {problem}\n"
     assert not (tmp_path / "out").exists()
-    assert validate(make_config({"r0": "1e16", "v_bar": "1e6"})) == []
+    # a ramp long enough for the grid; at |E| ~ 1e16 only a mode without RK4
+    # keeps the step count valid
+    assert validate(make_config({"r0": "1e16", "v_bar": "1e6",
+                                 "mode": "regularization_only"})) == []
+    assert validate(make_config({"r0": "1e16", "v_bar": "1e6"}))[0].startswith(
+        "integrator_steps must be at least ")
 
 
 def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
-    # at these j0 the products of the RK4 steps overflow and the norms are
-    # NaN, which a plain `drift > limit` comparison would let through; the
-    # stage bound of `validate` stays finite.  Under the suite's warnings-as-
-    # errors rule, a numpy RuntimeWarning would replace the message
-    for model, j0 in [("two_spin", "1e5"), ("three_spin_kagome", "1e6")]:
+    # at these j0 the products of the RK4 steps overflow, although the stage
+    # bound of `_stage_overflows` stays finite.  The step at the ramp ends is
+    # far outside RK4's stability interval, so `validate` refuses them by
+    # naming the step count; a direct `integrate` call still fails on the
+    # non-finite norm drift (tests/test_kernels.py)
+    for model, j0, steps, y in [("two_spin", "1e5", 35400, "50"),
+                                ("three_spin_kagome", "1e6", 707200, "1e+03")]:
         out = tmp_path / model
         keys = ["--model", model, "--j0", j0] + [
             f"--{key}={value}" for key, value in FAST_KEYS.items()]
-        assert main(["validate"] + keys) == 0
-        assert main(["run"] + keys + ["--out", str(out)]) == 1
-        # more steps is not the knob here
-        assert capsys.readouterr().err == ("error: norm drift nan: the RK4 propagation "
-                                           "overflowed; lower j0, b0 or v_bar\n")
+        problem = (f"integrator_steps must be at least {steps}: at 2000 the RK4 step "
+                   f"max|E| dt = {y} at a ramp end is outside the stability "
+                   "interval |E| dt <= 2 sqrt(2)")
+        assert main(["validate"] + keys) == 2
+        assert capsys.readouterr().out == problem + "\n"
+        assert main(["run"] + keys + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid config: {problem}\n"
         assert not out.exists()
+
+
+def test_rk4_stability_check_names_the_smallest_passing_step_count():
+    # y = max|E| dt at the ramp ends; the default three-spin run is far inside
+    config = make_config({"j0": "3644", **FAST_KEYS})
+    y, steps = cli._ramp_end_step(config)
+    assert y > cli.RK4_STABILITY_LIMIT and steps % 200 == 0
+    assert validate(make_config({"j0": "3644", **FAST_KEYS,
+                                 "integrator_steps": str(steps)})) == []
+    assert validate(make_config({"j0": "3644", **FAST_KEYS,
+                                 "integrator_steps": str(steps - 200)})) != []
+    assert cli._ramp_end_step(make_config({}))[0] < 0.01
+    # spectrum_only runs no RK4
+    assert validate(make_config({"j0": "3644", **FAST_KEYS,
+                                 "mode": "spectrum_only"})) == []
 
 
 @pytest.mark.parametrize("keys,knob", [(["--j0", "1e300"], "j0"),

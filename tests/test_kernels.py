@@ -10,12 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ffspin import CoefficientTable, fastforward
+from ffspin import CoefficientTable, coefficient_table, fastforward, track_branch
 from ffspin.fastforward import FastForwardProfile, integrate, r_of_t, v_of_t
-from ffspin.model import (MODEL_KINDS, _parity_indices, h0, schedules, sector_basis,
-                          structural_terms)
+from ffspin.model import (MODEL_KINDS, ModelSpec, _parity_indices, combine, h0,
+                          schedules, sector_basis, structural_terms)
 
-from oracles import embed, h_ff
+from oracles import embed, h_ff, step_increments_nine_pass
 
 
 def _run(spec, profile, table, steps=400, stride=100):
@@ -237,12 +237,77 @@ def test_ordered_product_with_odd_leftovers_matches_per_step_product(g, m):
     # increments of the size of RK4 step increments; odd m leave a last
     # factor over in some round (13 -> 7 -> 4, 500 -> 250 -> 125 -> 63 -> 32)
     d = 1e-3 * np.random.default_rng(100 * g + m).normal(size=(g, m, 6, 6))
-    got = fastforward._ordered_product(d)
+    expected = [_running_products(group)[-1] for group in d]
+    # the rounds take turns in d's own buffer and the two free ones
+    got, free = fastforward._ordered_product(d.copy(), (np.empty(d.shape),
+                                                        np.empty(d.shape)))
     assert got.shape == (g, 6, 6)
-    for group, product in zip(d, got):
-        expected = _running_products(group)[-1]
-        assert np.max(np.abs(product - expected)) <= 1e-13 * np.max(np.abs(expected))
+    for product, reference in zip(got, expected):
+        assert np.max(np.abs(product - reference)) <= 1e-13 * np.max(np.abs(reference))
     # the prefix scan over the g interval products
     expected = _running_products(got)
-    assert np.max(np.abs(fastforward._prefix_products(got) - expected)) <= (
+    assert np.max(np.abs(fastforward._prefix_products(got, free) - expected)) <= (
         1e-13 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("kind, j0", [("two_spin", 1e5), ("three_spin_kagome", 1e6),
+                                      ("three_spin_kagome", 3644.0)])
+def test_overflowing_propagation_raises_only_the_drift_error(kind, j0):
+    # `validate` refuses these j0 (the RK4 step is unstable at the ramp ends);
+    # called directly, the propagation overflows.  Under the suite's
+    # warnings-as-errors rule a numpy RuntimeWarning from the records' norms
+    # (as at j0 = 3644) would replace the error
+    spec = ModelSpec(kind=kind, j0=j0)
+    profile = FastForwardProfile(v_bar=10.0, t_ff=1.0)
+    table = coefficient_table(spec, track_branch(spec, np.linspace(0.0, 10.0, 301)))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "norm drift nan: the RK4 propagation overflowed; lower j0, b0 or v_bar")):
+        integrate(spec, profile, 2000, output_stride=200, table=table)
+
+
+def _stage_stack(spec, profile, table, steps):
+    """The 2 steps + 1 stage matrices of a run's first chunk, as ``integrate``
+    builds them."""
+    first, last = next(fastforward._chunks(steps, steps))
+    t = fastforward._stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
+    return combine(fastforward._h_ff_coefficients(spec, profile, table, t),
+                   fastforward._real_stage_terms(spec.kind))
+
+
+@pytest.mark.parametrize("model", ["two", "three"])
+@pytest.mark.parametrize("steps", [800, 2000, 5000])  # the benchmark's workloads
+def test_doubled_stages_equal_the_nine_pass_step(model, steps, profile, request):
+    spec, table = (request.getfixturevalue(f"{model}_{name}") for name in ("spec", "table"))
+    a = _stage_stack(spec, profile, table, steps)
+    dt = profile.t_ff / steps
+    work = np.full((3, len(a) // 2) + a.shape[1:], np.nan)
+    assert np.array_equal(fastforward._step_increments(a, dt, work),
+                          step_increments_nine_pass(a, dt))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+@pytest.mark.parametrize("k", [4, 6])
+def test_doubled_stages_equal_the_nine_pass_step_on_random_stacks(scale, k):
+    rng = np.random.default_rng(int(k * scale * 1000))
+    a = scale * rng.normal(size=(2 * 37 + 1, k, k))
+    work = np.empty((3, 40, k, k))  # larger than the 37 steps, as the last chunk's
+    for dt in (1e-4, 0.1 / scale, 1.0 / 3):
+        assert np.array_equal(fastforward._step_increments(a, dt, work),
+                              step_increments_nine_pass(a, dt))
+
+
+@pytest.mark.parametrize("model", ["two", "three"])
+def test_coefficients_into_a_buffer_equal_the_allocating_call(model, profile, request):
+    spec, table = (request.getfixturevalue(f"{model}_{name}") for name in ("spec", "table"))
+    width = 3 + spec.n_generators
+    # generator-major, as in integrate's workspace; the last chunk of 1000
+    # steps at stride 1000 is 1000 - 512 = 488 steps, shorter than CHUNK_STEPS
+    buffer = np.full((width, 2 * fastforward.CHUNK_STEPS + 1), np.nan)
+    for t in _chunk_stage_times(profile, 1000, 1000):
+        n = len(t)
+        got = fastforward._h_ff_coefficients(spec, profile, table, t,
+                                             out=buffer[:, :n].T)
+        assert np.shares_memory(got, buffer)
+        expected = fastforward._h_ff_coefficients(spec, profile, table, t)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert n == 2 * 488 + 1
