@@ -243,8 +243,8 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
             f"{MIN_CONTINUITY_OVERLAP} at r={r} (sample {k})")
     # sign each sample like its predecessor: a running product of overlap signs
     vectors = raw * np.cumprod(np.sign(np.concatenate([[1.0], overlap])))[:, None]
-    couplings = np.einsum("nji,jk,nk->ni", v[:, :, 1:], d_h0_dr(spec, "branch"),
-                          vectors)
+    # <v_i| dh0/dR |C> of the other levels i: dh0/dR C, then one batched matmul
+    couplings = ((vectors @ d_h0_dr(spec, "branch").T)[:, None, :] @ v[:, :, 1:])[:, 0]
     d = np.einsum("nij,nj->ni", v[:, :, 1:], couplings / (w[:, :1] - w[:, 1:]))
     return AdiabaticBranch(r_grid, energies=w[:, 0], vectors=vectors, d_vectors=d)
 
