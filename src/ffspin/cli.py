@@ -28,11 +28,11 @@ every file gathers its rows from those cells.
 """
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,6 +42,9 @@ from .fastforward import (DEFAULT_STEPS, DEFAULT_STRIDE, FastForwardProfile,
 from .model import MODEL_KINDS, SECTORS, ModelSpec, h0
 from .regularization import CoefficientTable, coefficient_table
 from .spectrum import branch_vector_at, eigensolve, nearest_level_gap, track_branch
+
+if TYPE_CHECKING:
+    import argparse
 
 MODES = ("fast_forward", "no_driving", "spectrum_only", "regularization_only")
 #: the modes that propagate with RK4 and write trajectory.csv
@@ -370,6 +373,9 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # imported here: a library `import ffspin.cli` parses no arguments
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ffspin",
         description="Fast-forward dynamics of small XY spin clusters")

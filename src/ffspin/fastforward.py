@@ -28,11 +28,24 @@ an inclusive prefix scan over the chunk's intervals (Hillis & Steele, CACM
 29, 1170 (1986)), so each record is one product with psi.  A chunk's fixed
 cost is kept to a few numpy calls: its stage coefficients come from one
 fused pass over its stage times, which ``_stage_times`` makes inside
-[0, t_ff] and so are not checked again, and each round of products writes
-into one fresh array, with no concatenation.  The recorded psi is U psi,
-its real and imaginary parts embedded by one real matmul, so no run makes a
-complex matmul.  There is no per-step renormalization; the norm is recorded
-so that drift stays visible as a diagnostic instead of being hidden.
+[0, t_ff] and so are not checked again.
+
+Each call allocates one workspace, sized by min(CHUNK_STEPS, steps), and
+every chunk writes into it: the stage coefficients, generator-major, with
+the coupling spline evaluated in place; the stage matrices; and three step
+scratches, in which the rounds of products then take turns, so no chunk
+allocates an array of stage size.  The RK4 stages are formed doubled:
+dt A0 + 2I is exactly 2 (I + dt/2 A0), so the next matmul gives 2 K2 bit
+for bit, and likewise 2 K3.  Scaling by 2 commutes with rounding, in BLAS
+too, except for subnormal or overflowing values, so the step matrices keep
+the bits of the undoubled form with two fewer elementwise passes.
+``cli.validate`` refuses a config whose stage bound overflows or whose step
+at the ramp ends lies outside RK4's stability interval.
+
+The recorded psi is U psi, its real and imaginary parts embedded by one
+real matmul, so no run makes a complex matmul.  There is no per-step
+renormalization; the norm is recorded so that drift stays visible as a
+diagnostic instead of being hidden.
 """
 from __future__ import annotations
 
@@ -49,7 +62,7 @@ DEFAULT_STEPS = 10_000
 DEFAULT_STRIDE = 100
 NORM_DRIFT_LIMIT = 1e-6
 #: RK4 steps whose stage and step matrices are built in one batch; the
-#: buffers hold 2 * CHUNK_STEPS + 1 matrices whatever the step count
+#: workspace holds 5 * CHUNK_STEPS + 1 matrices whatever the step count
 CHUNK_STEPS = 512
 
 
@@ -198,10 +211,9 @@ def _step_increments(a: np.ndarray, dt: float, work: np.ndarray) -> np.ndarray:
     return d
 
 
-def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray, xy: np.ndarray) -> None:
     """(I + x)(I + y) - I = (x + y) + x y into ``out``, with x y formed in
-    ``tmp``, a C-contiguous buffer at least as large as ``out``."""
-    xy = tmp.reshape(-1)[:out.size].reshape(out.shape)
+    ``xy``, an array of out's shape."""
     np.matmul(x, y, out=xy)
     np.add(x, y, out=out)
     out += xy
@@ -212,34 +224,34 @@ def _ordered_product(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
     stack, multiplied pairwise as (I + x)(I + y) - I = x + y + x y: rounding
     I + d would repeat the same diagonal error at every step.
 
-    ``free`` holds two C-contiguous buffers of at least g m matrices that do
-    not overlap d.  Each round joins the pairs into the first, with the
-    products x y in the second, and copies an odd leftover last factor; the
-    round's input is then free in its place.  Returns the (g, k, k) product
-    and the two buffers left free."""
+    ``free`` holds two C-contiguous (>= g m, k, k) buffers that do not
+    overlap d.  Each round joins the pairs into the first, with the products
+    x y in the second, and copies an odd leftover last factor; the round's
+    input is then free in its place.  Returns the (g, k, k) product and the
+    two buffers left free."""
     while d.shape[1] > 1:
-        half, odd = divmod(d.shape[1], 2)
+        g, m = d.shape[:2]
+        half, odd = divmod(m, 2)
         dst, tmp = free
-        out = dst.reshape(-1)[:d.size // d.shape[1] * (half + odd)].reshape(
-            (len(d), half + odd) + d.shape[2:])
-        _join(d[:, 1:2 * half:2], d[:, 0:2 * half:2], out[:, :half], tmp)
+        out = dst[:g * (half + odd)].reshape((g, half + odd) + d.shape[2:])
+        _join(d[:, 1:2 * half:2], d[:, 0:2 * half:2], out[:, :half],
+              tmp[:g * half].reshape((g, half) + d.shape[2:]))
         if odd:
             out[:, half] = d[:, -1]
-        free, d = (d, tmp), out
+        free, d = (d.reshape((-1,) + d.shape[2:]), tmp), out
     return d[:, 0], free
 
 
 def _prefix_products(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Inclusive prefix products (I + d[j]) ... (I + d[0]) - I of a
-    C-contiguous (g, k, k) stack, in log2(g) batched matmuls (Hillis &
-    Steele); the rounds alternate between d and ``free`` as in
-    ``_ordered_product``."""
+    """Inclusive prefix products (I + d[j]) ... (I + d[0]) - I of a (g, k, k)
+    stack, in log2(g) batched matmuls (Hillis & Steele); the rounds
+    alternate between d and ``free`` as in ``_ordered_product``."""
     shift = 1
     while shift < len(d):
         dst, tmp = free
-        out = dst.reshape(-1)[:d.size].reshape(d.shape)
+        out = dst[:len(d)]
         out[:shift] = d[:shift]
-        _join(d[shift:], d[:-shift], out[shift:], tmp)
+        _join(d[shift:], d[:-shift], out[shift:], tmp[:len(d) - shift])
         free, d, shift = (d, tmp), out, 2 * shift
     return d
 

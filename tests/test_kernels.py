@@ -239,8 +239,8 @@ def test_ordered_product_with_odd_leftovers_matches_per_step_product(g, m):
     d = 1e-3 * np.random.default_rng(100 * g + m).normal(size=(g, m, 6, 6))
     expected = [_running_products(group)[-1] for group in d]
     # the rounds take turns in d's own buffer and the two free ones
-    got, free = fastforward._ordered_product(d.copy(), (np.empty(d.shape),
-                                                        np.empty(d.shape)))
+    got, free = fastforward._ordered_product(d.copy(), (np.empty((g * m, 6, 6)),
+                                                        np.empty((g * m, 6, 6))))
     assert got.shape == (g, 6, 6)
     for product, reference in zip(got, expected):
         assert np.max(np.abs(product - reference)) <= 1e-13 * np.max(np.abs(reference))
