@@ -256,6 +256,36 @@ def _prefix_products(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]) -> np.n
     return d
 
 
+def _propagate(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
+               steps: int, output_stride: int, rows: np.ndarray) -> None:
+    """Fill rows[1:] with the states [Re psi, Im psi] every ``output_stride``
+    steps from rows[0], a chunk of steps at a time.
+
+    The workspace of the module docstring serves every chunk; it is freed
+    on return, before ``integrate`` post-processes the records."""
+    dt = profile.t_ff / steps
+    terms = _real_stage_terms(spec.kind)
+    size = min(CHUNK_STEPS, steps)
+    coefficients = np.empty((len(terms), 2 * size + 1))
+    stages = np.empty((2 * size + 1,) + terms.shape[1:])
+    work = np.empty((3, size) + terms.shape[1:])
+    psi = rows[0]
+    for first, last in _chunks(steps, output_stride):
+        n = 2 * (last - first) + 1
+        block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
+        c = _h_ff_coefficients(spec, profile, table, block_t,
+                               out=coefficients[:, :n].T)
+        d = _step_increments(combine(c, terms, out=stages[:n]), dt, work)
+        groups, free = _ordered_product(
+            d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]),
+            (work[1], work[2]))
+        states = psi + _prefix_products(groups, free) @ psi
+        psi = states[-1]
+        if last % output_stride == 0:  # else the interval goes on
+            end = last // output_stride + 1
+            rows[end - len(states):end] = states
+
+
 def integrate(spec: ModelSpec, profile: FastForwardProfile,
               steps: int = DEFAULT_STEPS, *, table: CoefficientTable,
               output_stride: int = DEFAULT_STRIDE) -> Trajectory:
@@ -298,37 +328,15 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
                           for s in (table.spec, spec))
         raise ValueError(f"table was solved for {solved}, not {wanted}")
 
-    dt = profile.t_ff / steps
-    terms = _real_stage_terms(spec.kind)
     rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
     rec_r = r_of_t(profile, spec.r0, rec_t)
     vecs, _ = branch_vector_at(spec, rec_r)
     k = vecs.shape[-1]
     rows = np.empty((len(rec_t), 2 * k))  # [Re psi, Im psi] on the sector
-    rows[0] = psi = np.concatenate([vecs[0], np.zeros(k)])
-    # one workspace for every chunk: generator-major stage coefficients (each
-    # coefficient's stage times contiguous), the stage matrices and three
-    # step scratches, which the products' rounds then take turns in
-    size = min(CHUNK_STEPS, steps)
-    coefficients = np.empty((len(terms), 2 * size + 1))
-    stages = np.empty((2 * size + 1,) + terms.shape[1:])
-    work = np.empty((3, size) + terms.shape[1:])
+    rows[0] = np.concatenate([vecs[0], np.zeros(k)])
     # an overflow shows as a non-finite norm drift, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        for first, last in _chunks(steps, output_stride):
-            n = 2 * (last - first) + 1
-            block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
-            c = _h_ff_coefficients(spec, profile, table, block_t,
-                                   out=coefficients[:, :n].T)
-            d = _step_increments(combine(c, terms, out=stages[:n]), dt, work)
-            groups, free = _ordered_product(
-                d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]),
-                (work[1], work[2]))
-            states = psi + _prefix_products(groups, free) @ psi
-            psi = states[-1]
-            if last % output_stride == 0:  # else the interval goes on
-                end = last // output_stride + 1
-                rows[end - len(states):end] = states
+        _propagate(spec, profile, table, steps, output_stride, rows)
         sector_psis = rows[:, :k] + 1j * rows[:, k:]
         # U psi, its real and imaginary parts in one real matmul
         full = rows.reshape(-1, 2, k) @ sector_basis(spec.kind, "branch").T
