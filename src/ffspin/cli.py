@@ -123,10 +123,11 @@ def validate(config: ScenarioConfig) -> list[str]:
     if config.mode not in MODES:
         problems.append(f"mode must be one of {MODES}, got {config.mode!r}")
     for key in ("j0", "b0", "r0", "v_bar", "t_ff"):
-        if not np.isfinite(getattr(config, key)):
+        if not math.isfinite(getattr(config, key)):
             problems.append(f"{key} must be finite")
     r0, v_bar, t_ff = config.r0, config.v_bar, config.t_ff
-    if np.all(np.isfinite([r0, v_bar, t_ff])) and not np.isfinite(r0 + v_bar * t_ff):
+    if (all(map(math.isfinite, (r0, v_bar, t_ff)))
+            and not math.isfinite(r0 + v_bar * t_ff)):
         problems.append("the ramp end r0 + v_bar * t_ff must be finite")
     if config.j0 <= 0:
         problems.append("j0 must be positive")
@@ -151,55 +152,50 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append("the R grid linspace(r0, r0 + v_bar * t_ff, grid_points) must "
                         "be strictly increasing; raise v_bar * t_ff against |r0| or "
                         "lower grid_points")
-    if not problems and config.mode in INTEGRATING_MODES and _stage_overflows(config):
-        scales = {"j0": abs(config.j0), "b0": abs(config.b0), "r0": abs(config.r0),
-                  "v_bar": config.v_bar * config.t_ff}
-        knob = max(scales, key=scales.get)
-        problems.append(f"the couplings are too large: the RK4 stage matrices "
-                        f"overflow float64; lower {knob}")
-    elif not problems and config.mode in INTEGRATING_MODES:
-        y, steps = _ramp_end_step(config)
-        if y > RK4_STABILITY_LIMIT:
-            problems.append(
-                f"integrator_steps must be at least {steps}: at {config.integrator_steps} "
-                f"the RK4 step max|E| dt = {y:.3g} at a ramp end is outside the "
-                f"stability interval |E| dt <= 2 sqrt(2)")
+    if not problems and config.mode in INTEGRATING_MODES:
+        # h0 at both ramp ends, where v = 0 and H_FF = h0, and the largest row
+        # sum of its |h0|, which bounds every |level| along the ramp (h0 is
+        # affine in R); an overflow to inf is reported below
+        with np.errstate(over="ignore"):
+            ends = h0(_spec(config), [config.r0, config.r0 + v_bar * t_ff], "branch")
+            row_sum = float(np.max(np.sum(np.abs(ends), axis=-1)))
+        if _stage_overflows(config, row_sum):
+            scales = {"j0": abs(config.j0), "b0": abs(config.b0), "r0": abs(config.r0),
+                      "v_bar": config.v_bar * config.t_ff}
+            knob = max(scales, key=scales.get)
+            problems.append(f"the couplings are too large: the RK4 stage matrices "
+                            f"overflow float64; lower {knob}")
+        else:
+            y, steps = _ramp_end_step(config, ends, row_sum)
+            if y > RK4_STABILITY_LIMIT:
+                problems.append(
+                    f"integrator_steps must be at least {steps}, the minimum for RK4 "
+                    f"stability (a run's norm-drift check may ask for more): at "
+                    f"{config.integrator_steps} the RK4 step max|E| dt = {y:.3g} at a "
+                    f"ramp end is outside the stability interval |E| dt <= 2 sqrt(2)")
     return problems
 
 
-def _stage_overflows(config: ScenarioConfig) -> bool:
+def _stage_overflows(config: ScenarioConfig, s: float) -> bool:
     """Whether the RK4 stages of the bare part of H_FF can overflow float64.
 
     With s the largest row sum of |h0| on the branch sector along the ramp
-    (at a ramp end, since h0 is affine in R) and x = s dt, the stage
-    K4 = A1 (I + dt A (I + dt/2 A (I + dt/2 A))) has row sums up to
-    s (1 + x (1 + x/2 (1 + x/2))), and so has every partial sum of its
-    matmuls.  That bound is evaluated in Python floats, which overflow to inf.
+    and x = s dt, the stage K4 = A1 (I + dt A (I + dt/2 A (I + dt/2 A))) has
+    row sums up to s (1 + x (1 + x/2 (1 + x/2))), and so has every partial
+    sum of its matmuls.  That bound is evaluated in Python floats, which
+    overflow to inf.
     """
-    with np.errstate(over="ignore"):
-        s = _row_sum_bound(_ramp_ends(config))
     x = s * config.t_ff / config.integrator_steps
-    return not np.isfinite(s * (1.0 + x * (1.0 + 0.5 * x * (1.0 + 0.5 * x))))
+    return not math.isfinite(s * (1.0 + x * (1.0 + 0.5 * x * (1.0 + 0.5 * x))))
 
 
-def _ramp_ends(config: ScenarioConfig) -> np.ndarray:
-    """h0 on the branch sector at both ramp ends, where v = 0 and H_FF = h0."""
-    return h0(_spec(config), [config.r0, config.r0 + config.v_bar * config.t_ff],
-              "branch")
-
-
-def _row_sum_bound(h: np.ndarray) -> float:
-    """The largest row sum of |h| over a stack, which bounds every |level|."""
-    return float(np.max(np.sum(np.abs(h), axis=-1)))
-
-
-def _ramp_end_step(config: ScenarioConfig) -> tuple[float, int]:
-    """y = max|E| dt over the branch sector levels at both ramp ends, and the
-    smallest step count, a multiple of ``output_stride``, that keeps y within
-    ``RK4_STABILITY_LIMIT``.  The levels are solved only when their row-sum
-    bound allows y beyond the limit; otherwise y is that bound's."""
-    ends = _ramp_ends(config)
-    e_max = _row_sum_bound(ends)
+def _ramp_end_step(config: ScenarioConfig, ends: np.ndarray, e_max: float
+                   ) -> tuple[float, int]:
+    """y = max|E| dt over the levels of the branch sector blocks ``ends`` at
+    both ramp ends, and the smallest step count, a multiple of
+    ``output_stride``, that keeps y within ``RK4_STABILITY_LIMIT``.  The
+    levels are solved only when their bound ``e_max``, the largest row sum,
+    allows y beyond the limit; otherwise y is that bound's."""
     if e_max * config.t_ff / config.integrator_steps > RK4_STABILITY_LIMIT:
         e_max = float(np.max(np.abs(eigensolve(ends)[0])))
     span = e_max * config.t_ff

@@ -27,9 +27,12 @@ Every function accepts stacks (``eigensolve`` an (..., d, d) array; the
 others arrays of R), so a run calls each once, not per R.  Every sector
 block of both models is real and at most 3 x 3, and ``eigensolve`` takes
 only such stacks, solved in vectorized closed form: 2 x 2 by a rotation,
-3 x 3 by trigonometric levels and cross-product vectors.  A matrix whose
-closed form fails a check (a degenerate pair, say) goes to LAPACK ``eigh``
-on its own; a default run of either model makes no LAPACK call.
+3 x 3 by trigonometric levels and cross-product vectors.  A 3 x 3 solve is
+checked for its residual, orthonormality and level order; a 2 x 2 solve
+only for its residual, since its rotation is orthonormal and its levels
+ascend by construction.  A matrix that fails a check (a degenerate 3 x 3
+pair, say) goes to LAPACK ``eigh`` on its own; a default run of either
+model makes no LAPACK call.
 """
 from __future__ import annotations
 
@@ -55,10 +58,14 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The stack gives (..., d) eigenvalues and (..., d, d) vectors.  A 1 x 1
     matrix is its own level, exactly, and a 0 x 0 one has none.  A 2 x 2
     stack is solved by ``_eigh_2x2``, a 3 x 3 one by ``_eigenvectors_3x3``
-    with the Rayleigh quotients v^T h v as the levels.  A matrix that fails
-    the residual or orthonormality check, or whose levels are not ascending
-    (a NaN fails all three), is solved again on its own by
-    ``np.linalg.eigh`` and checked again.  Raises ValueError for complex
+    with the Rayleigh quotients v^T h v as the levels.  A 3 x 3 matrix that
+    fails the residual or orthonormality check, or whose levels are not
+    ascending (a NaN fails all three), is solved again on its own by
+    ``np.linalg.eigh`` and checked again for its residual and
+    orthonormality; so is a 2 x 2 matrix that fails the residual check (a
+    NaN or overflowed level does), the only check it can fail: its vectors
+    are an exact rotation and its levels m -/+ r with r >= 0 (see
+    ``_eigh_2x2``).  Raises ValueError for complex
     input, for d > 3 and if a matrix is not Hermitian, and RuntimeError if a
     re-solved matrix fails its residual check, scaled per matrix, or its
     orthonormality check.
@@ -75,36 +82,41 @@ def eigensolve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack = h.shape[:-2]
     h = h.reshape((prod(stack), d, d))
     w, v = _eigh_2x2(h) if d == 2 else (None, _eigenvectors_3x3(h))
-    w, residual, bound, ortho = _errors(h, w, v)
+    w, residual, bound = _residual(h, w, v)
+    checks = [residual <= bound]  # NaN fails
+    if d == 3:  # a 2 x 2 solve is a rotation with ascending levels by construction
+        checks += [_orthonormality(v) <= EIG_RESIDUAL_ATOL, w[:, 1:] >= w[:, :-1]]
     # per matrix only when some check fails: short reductions are slow
-    good = (residual <= bound) & (ortho <= EIG_RESIDUAL_ATOL)
-    ascending = w[:, 1:] >= w[:, :-1]
-    if not (np.all(good) and np.all(ascending)):
-        redo = ~(np.all(good, axis=(1, 2)) & np.all(ascending, axis=1))
+    if not all(map(np.all, checks)):
+        redo = ~np.all([np.all(c.reshape(len(h), -1), axis=1) for c in checks], axis=0)
         w[redo], v[redo] = np.linalg.eigh(h[redo])
-        _, residual, bound, ortho = _errors(h[redo], w[redo], v[redo])
+        _, residual, bound = _residual(h[redo], w[redo], v[redo])
         if not np.all(residual <= bound):  # NaN fails too
             raise RuntimeError(
                 f"eigensolve residual {np.max(residual):.3e} exceeds tolerance")
+        ortho = _orthonormality(v[redo])
         if not np.all(ortho <= EIG_RESIDUAL_ATOL):
             raise RuntimeError(f"eigenvectors not orthonormal to {np.max(ortho):.3e}")
     return w.reshape(stack + (d,)), v.reshape(stack + (d, d))
 
 
-def _errors(h: np.ndarray, w: np.ndarray | None, v: np.ndarray):
-    """The levels and the checks of a real (n, d, d) stack's decomposition,
-    d >= 2: w, or the Rayleigh quotients v^T h v of a d = 3 stack when w is
-    None; the residual |h v - v w| with its bound ``EIG_RESIDUAL_ATOL``
-    max(|w|, 1) per matrix (w ascending), and the orthonormality error
-    |v^T v - I|."""
+def _residual(h: np.ndarray, w: np.ndarray | None, v: np.ndarray):
+    """The levels and the residual check of a real (n, d, d) stack's
+    decomposition, d >= 2: w, or the Rayleigh quotients v^T h v of a d = 3
+    stack when w is None; the residual |h v - v w| and its bound
+    ``EIG_RESIDUAL_ATOL`` max(|w|, 1) per matrix (w ascending)."""
     hv = h @ v
     if w is None:
         w = v[:, 0] * hv[:, 0] + v[:, 1] * hv[:, 1] + v[:, 2] * hv[:, 2]
     residual = np.abs(hv - v * w[:, None, :])
     scale = np.maximum(np.maximum(-w[:, 0], w[:, -1]), 1.0)
+    return w, residual, (EIG_RESIDUAL_ATOL * scale)[:, None, None]
+
+
+def _orthonormality(v: np.ndarray) -> np.ndarray:
+    """|v^T v - I| of an (n, d, d) stack of vector columns."""
     # a contiguous transpose keeps the stacked matmul off numpy's strided path
-    ortho = np.abs(np.ascontiguousarray(v.swapaxes(-1, -2)) @ v - np.eye(h.shape[-1]))
-    return w, residual, (EIG_RESIDUAL_ATOL * scale)[:, None, None], ortho
+    return np.abs(np.ascontiguousarray(v.swapaxes(-1, -2)) @ v - np.eye(v.shape[-1]))
 
 
 def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,6 +130,12 @@ def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     by 90 degrees.  An exact degeneracy (e = b = 0) gives e0 and e1.
     (Kopp, Int. J. Mod. Phys. C 19, 523 (2008), compares such closed forms
     with LAPACK.)
+
+    So the vectors are [[c, -s], [s, c]] with (c, s) = (x, y) / hypot(x, y),
+    where max(|x|, |y|) >= 1: v^T v has off-diagonal entries cs - sc, which
+    round to 0 (or to the rounding error of cs, under a fused multiply-add),
+    and a diagonal within a few ulp of 1.  The levels m - r <= m + r ascend
+    for every r >= 0; a NaN level fails ``eigensolve``'s residual check.
     """
     a, b, d = h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]
     mean, half = 0.5 * a + 0.5 * d, 0.5 * a - 0.5 * d  # halved first: no overflow

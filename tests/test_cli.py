@@ -434,6 +434,21 @@ def test_csv_edge_values_take_the_fast_path(monkeypatch):
     assert np.nextafter(1e15, 0) in in_range  # 999999999999999.875, a tie
 
 
+def test_cells_build_a_power_of_ten_table_once_per_exponent_range():
+    # k = 3, 0 (for 1.5 and 0.0) and -5: a cold call holds 10**p, p = 16 - k,
+    # for p = 13 .. 21 only, in one table; a warm call builds no table
+    _csvcells._pow10_table.cache_clear()
+    _csvcells._pow10.cache_clear()
+    values = np.array([1.5, -2.5e3, 7e-5, 0.0])
+    cold = _csvcells.cells(values)
+    assert _csvcells._pow10.cache_info().currsize == 9
+    assert _csvcells._pow10_table.cache_info().currsize == 1
+    built = _csvcells._pow10_table.cache_info().misses
+    assert np.array_equal(_csvcells.cells(values), cold)
+    assert _csvcells._pow10_table.cache_info().misses == built
+    assert _per_cell_csv(["x"], [values]) == _csv(["x"], [values])
+
+
 def _count_cells(monkeypatch):
     """The size of every array passed to ``_csvcells.cells``."""
     sizes = []
@@ -594,9 +609,10 @@ def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
         out = tmp_path / model
         keys = ["--model", model, "--j0", j0] + [
             f"--{key}={value}" for key, value in FAST_KEYS.items()]
-        problem = (f"integrator_steps must be at least {steps}: at 2000 the RK4 step "
-                   f"max|E| dt = {y} at a ramp end is outside the stability "
-                   "interval |E| dt <= 2 sqrt(2)")
+        problem = (f"integrator_steps must be at least {steps}, the minimum for RK4 "
+                   "stability (a run's norm-drift check may ask for more): at 2000 "
+                   f"the RK4 step max|E| dt = {y} at a ramp end is outside the "
+                   "stability interval |E| dt <= 2 sqrt(2)")
         assert main(["validate"] + keys) == 2
         assert capsys.readouterr().out == problem + "\n"
         assert main(["run"] + keys + ["--out", str(out)]) == 2
@@ -604,19 +620,33 @@ def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_rk4_stability_check_names_the_smallest_passing_step_count():
+def test_rk4_stability_check_names_the_smallest_passing_step_count(tmp_path, capsys):
     # y = max|E| dt at the ramp ends; the default three-spin run is far inside
+    def ramp_end_step(config):
+        ends = h0(cli._spec(config), [config.r0, config.r0 + config.v_bar * config.t_ff],
+                  "branch")
+        return cli._ramp_end_step(config, ends, float(np.max(np.sum(np.abs(ends), -1))))
     config = make_config({"j0": "3644", **FAST_KEYS})
-    y, steps = cli._ramp_end_step(config)
+    y, steps = ramp_end_step(config)
     assert y > cli.RK4_STABILITY_LIMIT and steps % 200 == 0
-    assert validate(make_config({"j0": "3644", **FAST_KEYS,
-                                 "integrator_steps": str(steps)})) == []
-    assert validate(make_config({"j0": "3644", **FAST_KEYS,
-                                 "integrator_steps": str(steps - 200)})) != []
-    assert cli._ramp_end_step(make_config({}))[0] < 0.01
+    assert validate(config) == [
+        f"integrator_steps must be at least {steps}, the minimum for RK4 stability "
+        f"(a run's norm-drift check may ask for more): at 2000 the RK4 step "
+        f"max|E| dt = {y:.3g} at a ramp end is outside the stability interval "
+        "|E| dt <= 2 sqrt(2)"]
+    passing = {"j0": "3644", **FAST_KEYS, "integrator_steps": str(steps)}
+    assert validate(make_config(passing)) == []
+    assert validate(make_config({**passing, "integrator_steps": str(steps - 200)})) != []
+    assert ramp_end_step(make_config({}))[0] < 0.01
     # spectrum_only runs no RK4
     assert validate(make_config({"j0": "3644", **FAST_KEYS,
                                  "mode": "spectrum_only"})) == []
+    # stability is necessary, not sufficient: near y = 2 sqrt(2) one step
+    # loses norm, so the run at the named minimum fails on its drift check
+    keys = [f"--{key}={value}" for key, value in passing.items()]
+    assert main(["run"] + keys + ["--out", str(tmp_path / "out")]) == 1
+    assert "norm drift" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("keys,knob", [(["--j0", "1e300"], "j0"),

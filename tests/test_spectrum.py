@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ffspin import spectrum
 from ffspin.model import (SECTORS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec,
                           _parity_indices, d_h0_dr, h0)
 from ffspin.spectrum import (branch_vector_at, eigensolve, fix_gauge,
@@ -125,6 +126,55 @@ def test_closed_form_2x2_matches_lapack(data):
     _lapack_agreement(h, w, v)
     identity = (a == d) & (b == 0)
     assert np.array_equal(np.abs(v[identity]), np.broadcast_to(np.eye(2), v[identity].shape))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_closed_form_2x2_passing_its_residual_check_is_orthonormal_and_ascending(data):
+    # eigensolve checks only the residual of a 2 x 2 solve: the rotation
+    # [[c, -s], [s, c]] it returns must be orthonormal to 4 ulp and its levels
+    # ascending wherever that check passes.  Scales 1e-300 to 1e300 and
+    # entries near the largest double, with signed zeros, exact degeneracies
+    # (a = d, b = 0) and diagonal matrices
+    n = data.draw(st.integers(1, 8))
+    unit = data.draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(-1.0, 1.0)))
+    scale = data.draw(st.one_of(st.integers(-300, 300).map(lambda p: 10.0 ** p),
+                                st.sampled_from([1e307, 1e308, np.finfo(float).max])))
+    entries = unit * scale
+    shape = data.draw(st.sampled_from(["any", "a = d, b = 0", "b = 0"]))
+    if shape != "any":
+        entries[:, 1] = data.draw(st.sampled_from([0.0, -0.0]))
+    if shape == "a = d, b = 0":
+        entries[:, 2] = entries[:, 0]
+    a, b, d = entries.T
+    h = np.stack([a, b, b, d], axis=-1).reshape(n, 2, 2)
+    with np.errstate(all="ignore"):  # an overflowing level fails the residual check
+        w, v = spectrum._eigh_2x2(h)
+        residual, bound = spectrum._residual(h, w, v)[1:]
+    passed = np.all(residual <= bound, axis=(1, 2))
+    ortho = np.abs(np.einsum("nki,nkj->nij", v, v) - np.eye(2))
+    assert np.all(ortho[passed] <= 4 * np.finfo(float).eps)
+    assert np.all(w[passed, 0] <= w[passed, 1])
+
+
+def test_closed_form_2x2_failing_its_residual_check_takes_the_lapack_fallback(
+        two_spec, monkeypatch):
+    # a closed form with one level scaled by 1 + 1e-9 fails the residual check
+    # on every matrix, so each is re-solved by LAPACK, in one call
+    h = h0(two_spec, np.linspace(0.0, 10.0, 11), "branch")
+    def scaled(h, _eigh_2x2=spectrum._eigh_2x2):
+        w, v = _eigh_2x2(h)
+        upper = np.abs(w[:, 1]) >= np.abs(w[:, 0])
+        w[upper, 1] *= 1.0 + 1e-9
+        w[~upper, 0] *= 1.0 + 1e-9
+        return w, v
+    monkeypatch.setattr(spectrum, "_eigh_2x2", scaled)
+    lapack = _counted_eigh(monkeypatch)
+    w, v = eigensolve(h)
+    assert lapack == [(11, 2, 2)]
+    monkeypatch.undo()
+    w_ref, v_ref = np.linalg.eigh(h)
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
 
 def test_closed_form_2x2_on_the_two_spin_ramp(two_spec):
