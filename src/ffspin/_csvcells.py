@@ -47,18 +47,6 @@ def _pow10(p: int) -> tuple[float, float]:
     return hi, (den - num * 10**-p) / (den * 10**-p)
 
 
-@functools.lru_cache(maxsize=64)
-def _pow10_table(base: int, top: int) -> np.ndarray:
-    """10**p as hi + lo for p = base .. top, in the two rows of a read-only
-    array.  Each block of cells asks for the range of its own exponents, and
-    a run's blocks repeat a few ranges, so tables are kept per range rather
-    than built for every p a double can need, which a short process would
-    pay for at start-up."""
-    table = np.array([_pow10(p) for p in range(base, top + 1)]).T.copy()
-    table.flags.writeable = False
-    return table
-
-
 @functools.cache
 def _four_digits() -> np.ndarray:
     """The ASCII bytes of "0000" .. "9999", each viewed as one uint32."""
@@ -79,7 +67,8 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The product must stay below 1e18; its fraction is good to 1e-14."""
     p = 16 - k
     base = int(p.min())
-    ten_hi, ten_lo = _pow10_table(base, int(p.max())).take(p - base, axis=1)
+    his, los = np.array([_pow10(q) for q in range(base, int(p.max()) + 1)]).T
+    ten_hi, ten_lo = his[p - base], los[p - base]
     hi = a * ten_hi
     a1, a2 = _split(a)
     t1, t2 = _split(ten_hi)

@@ -153,12 +153,7 @@ def validate(config: ScenarioConfig) -> list[str]:
                         "be strictly increasing; raise v_bar * t_ff against |r0| or "
                         "lower grid_points")
     if not problems and config.mode in INTEGRATING_MODES:
-        # h0 at both ramp ends, where v = 0 and H_FF = h0, and the largest row
-        # sum of its |h0|, which bounds every |level| along the ramp (h0 is
-        # affine in R); an overflow to inf is reported below
-        with np.errstate(over="ignore"):
-            ends = h0(_spec(config), [config.r0, config.r0 + v_bar * t_ff], "branch")
-            row_sum = float(np.max(np.sum(np.abs(ends), axis=-1)))
+        ends, row_sum = _ramp_ends(config)
         if _stage_overflows(config, row_sum):
             scales = {"j0": abs(config.j0), "b0": abs(config.b0), "r0": abs(config.r0),
                       "v_bar": config.v_bar * config.t_ff}
@@ -176,14 +171,25 @@ def validate(config: ScenarioConfig) -> list[str]:
     return problems
 
 
+def _ramp_ends(config: ScenarioConfig) -> tuple[np.ndarray, float]:
+    """h0 on the branch sector at both ramp ends, where v = 0 and H_FF = h0,
+    and the largest row sum of its |h0|, which bounds every |level| along the
+    ramp (h0 is affine in R).  Either may overflow to inf, which
+    ``_stage_overflows`` reports."""
+    with np.errstate(over="ignore"):
+        ends = h0(_spec(config), [config.r0, config.r0 + config.v_bar * config.t_ff],
+                  "branch")
+        return ends, float(np.max(np.sum(np.abs(ends), axis=-1)))
+
+
 def _stage_overflows(config: ScenarioConfig, s: float) -> bool:
     """Whether the RK4 stages of the bare part of H_FF can overflow float64.
 
-    With s the largest row sum of |h0| on the branch sector along the ramp
-    and x = s dt, the stage K4 = A1 (I + dt A (I + dt/2 A (I + dt/2 A))) has
-    row sums up to s (1 + x (1 + x/2 (1 + x/2))), and so has every partial
-    sum of its matmuls.  That bound is evaluated in Python floats, which
-    overflow to inf.
+    With s the row-sum bound of ``_ramp_ends`` and x = s dt, the stage
+    K4 = A1 (I + dt A (I + dt/2 A (I + dt/2 A))) has row sums up to
+    s (1 + x (1 + x/2 (1 + x/2))), and so has every partial sum of its
+    matmuls.  That bound is evaluated in Python floats, which overflow to
+    inf.
     """
     x = s * config.t_ff / config.integrator_steps
     return not math.isfinite(s * (1.0 + x * (1.0 + 0.5 * x * (1.0 + 0.5 * x))))
@@ -191,10 +197,10 @@ def _stage_overflows(config: ScenarioConfig, s: float) -> bool:
 
 def _ramp_end_step(config: ScenarioConfig, ends: np.ndarray, e_max: float
                    ) -> tuple[float, int]:
-    """y = max|E| dt over the levels of the branch sector blocks ``ends`` at
-    both ramp ends, and the smallest step count, a multiple of
-    ``output_stride``, that keeps y within ``RK4_STABILITY_LIMIT``.  The
-    levels are solved only when their bound ``e_max``, the largest row sum,
+    """y = max|E| dt over the levels of the ramp-end blocks ``ends``, and the
+    smallest step count, a multiple of ``output_stride``, that keeps y within
+    ``RK4_STABILITY_LIMIT``; ``ends`` and their row-sum bound ``e_max`` are
+    those of ``_ramp_ends``.  The levels are solved only when ``e_max``
     allows y beyond the limit; otherwise y is that bound's."""
     if e_max * config.t_ff / config.integrator_steps > RK4_STABILITY_LIMIT:
         e_max = float(np.max(np.abs(eigensolve(ends)[0])))

@@ -434,20 +434,6 @@ def test_csv_edge_values_take_the_fast_path(monkeypatch):
     assert np.nextafter(1e15, 0) in in_range  # 999999999999999.875, a tie
 
 
-def test_cells_build_a_power_of_ten_table_once_per_exponent_range():
-    # k = 3, 0 (for 1.5 and 0.0) and -5: a cold call holds 10**p, p = 16 - k,
-    # for p = 13 .. 21 only, in one table; a warm call builds no table
-    _csvcells._pow10_table.cache_clear()
-    _csvcells._pow10.cache_clear()
-    values = np.array([1.5, -2.5e3, 7e-5, 0.0])
-    cold = _csvcells.cells(values)
-    assert _csvcells._pow10.cache_info().currsize == 9
-    assert _csvcells._pow10_table.cache_info().currsize == 1
-    built = _csvcells._pow10_table.cache_info().misses
-    assert np.array_equal(_csvcells.cells(values), cold)
-    assert _csvcells._pow10_table.cache_info().misses == built
-
-
 def _count_cells(monkeypatch):
     """The size of every array passed to ``_csvcells.cells``."""
     sizes = []
@@ -622,9 +608,7 @@ def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
 def test_rk4_stability_check_names_the_smallest_passing_step_count(tmp_path, capsys):
     # y = max|E| dt at the ramp ends; the default three-spin run is far inside
     def ramp_end_step(config):
-        ends = h0(cli._spec(config), [config.r0, config.r0 + config.v_bar * config.t_ff],
-                  "branch")
-        return cli._ramp_end_step(config, ends, float(np.max(np.sum(np.abs(ends), -1))))
+        return cli._ramp_end_step(config, *cli._ramp_ends(config))
     config = make_config({"j0": "3644", **FAST_KEYS})
     y, steps = ramp_end_step(config)
     assert y > cli.RK4_STABILITY_LIMIT and steps % 200 == 0
