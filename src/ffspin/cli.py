@@ -309,11 +309,11 @@ def _w_columns(w: np.ndarray) -> list[np.ndarray | None]:
     return [w] + [None] * (len(W_HEADER) - w.shape[1])
 
 
-def _trajectory_table(config: ScenarioConfig, spec, profile, table) -> Table:
-    run = integrate(spec, profile, steps=config.integrator_steps,
+def _trajectory_table(config: ScenarioConfig, profile, table) -> Table:
+    run = integrate(profile, steps=config.integrator_steps,
                     output_stride=config.output_stride, table=table)
     header = (["t", "R", "v", *W_HEADER, "norm", "fidelity"]
-              + [f"prob_{i + 1}" for i in range(spec.dim)])
+              + [f"prob_{i + 1}" for i in range(table.spec.dim)])
     return header, [run.t, run.r, run.v, *_w_columns(run.w), run.norm, run.fidelity,
                     np.abs(run.psi) ** 2]
 
@@ -335,13 +335,13 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
     if config.mode == "no_driving":
         table = CoefficientTable.zeros(spec, _track(config).r_grid)
     elif config.mode != "spectrum_only":
-        table = coefficient_table(spec, _track(config))
+        table = coefficient_table(_track(config))
     # the output time grid of the regularization and spectrum CSVs
     times = np.linspace(0.0, config.t_ff, config.grid_points)
     rs = r_of_t(profile, spec.r0, times)
     tables = {}
     if config.mode in INTEGRATING_MODES:
-        tables[TRAJECTORY_CSV] = _trajectory_table(config, spec, profile, table)
+        tables[TRAJECTORY_CSV] = _trajectory_table(config, profile, table)
     if config.mode != "spectrum_only":
         tables[REGULARIZATION_CSV] = (["t", "R", *W_HEADER],
                                       [times, rs, *_w_columns(table(rs))])

@@ -49,12 +49,12 @@ diagnostic instead of being hidden.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelSpec, combine, sector_basis, structural_terms
+from .model import combine, sector_basis, structural_terms
 from .regularization import CoefficientTable
 from .spectrum import branch_vector_at
 
@@ -88,18 +88,22 @@ def _check_time(profile: FastForwardProfile, t: float | np.ndarray) -> np.ndarra
     return t
 
 
+def _ramp(profile: FastForwardProfile, r0: float, t: float | np.ndarray):
+    """R(t) and v(t) at times t (a float or an array) the caller keeps in [0, t_ff]."""
+    phase = 2.0 * np.pi * t / profile.t_ff
+    r = r0 + 2.0 * profile.v_bar * (0.5 * t - profile.t_ff * np.sin(phase)
+                                    / (4.0 * np.pi))
+    return r, profile.v_bar * (1.0 - np.cos(phase))
+
+
 def r_of_t(profile: FastForwardProfile, r0: float, t: float | np.ndarray):
     """Control parameter at time t (a float or an array) of the schedule."""
-    t = _check_time(profile, t)
-    phase = 2.0 * np.pi * t / profile.t_ff
-    return r0 + 2.0 * profile.v_bar * (0.5 * t - profile.t_ff * np.sin(phase)
-                                       / (4.0 * np.pi))
+    return _ramp(profile, r0, _check_time(profile, t))[0]
 
 
 def v_of_t(profile: FastForwardProfile, t: float | np.ndarray):
     """dR/dt at time t (a float or an array); exactly zero at t = 0 and t = t_ff."""
-    t = _check_time(profile, t)
-    return profile.v_bar * (1.0 - np.cos(2.0 * np.pi * t / profile.t_ff))
+    return _ramp(profile, 0.0, _check_time(profile, t))[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,23 +123,21 @@ class Trajectory:
         return len(self.t)
 
 
-def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
-                       table: CoefficientTable, t: float | np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """H_FF's coefficients (J1, J2, Bz, v w1, ...) on the structural terms at
-    stage times t (a float or a 1-d array) in [0, t_ff], which
-    ``_stage_times`` guarantees, so t is not checked again.  They are written
-    into ``out``, shape ``np.shape(t) + (3 + n_generators,)``, when it is
-    given, else into a new array.
+def _h_ff_coefficients(profile: FastForwardProfile, table: CoefficientTable,
+                       t: float | np.ndarray, out: np.ndarray | None = None
+                       ) -> np.ndarray:
+    """H_FF's coefficients (J1, J2, Bz, v w1, ...) on the structural terms of
+    the table's model at stage times t (a float or a 1-d array) in
+    [0, t_ff], which ``_stage_times`` guarantees, so t is not checked again.
+    They are written into ``out``, shape ``np.shape(t) + (3 +
+    n_generators,)``, when it is given, else into a new array.
 
-    One pass: r and v share one phase and are ``r_of_t``'s and ``v_of_t``'s
-    expressions, bit for bit, and each column is written in place, the
-    couplings by the table's own spline evaluation.  An r outside the
-    table's range (or NaN) raises, naming the first such r."""
-    t = np.asarray(t, dtype=float)
-    phase = 2.0 * np.pi * t / profile.t_ff
-    r = spec.r0 + 2.0 * profile.v_bar * (0.5 * t - profile.t_ff * np.sin(phase)
-                                         / (4.0 * np.pi))
+    One pass: r and v come from ``_ramp``, as in ``r_of_t`` and ``v_of_t``,
+    and each column is written in place, the couplings by the table's own
+    spline evaluation.  An r outside the table's range (or NaN) raises,
+    naming the first such r."""
+    spec = table.spec
+    r, v = _ramp(profile, spec.r0, np.asarray(t, dtype=float))
     lo, hi = float(table.r_grid[0]), float(table.r_grid[-1])
     pad = 1e-9 * max(1.0, abs(hi - lo))
     if not (lo - pad <= r.min() and r.max() <= hi + pad):  # NaN fails too
@@ -143,13 +145,13 @@ def _h_ff_coefficients(spec: ModelSpec, profile: FastForwardProfile,
         raise ValueError(
             f"r={r[outside][0]} outside the tabulated coefficient range [{lo}, {hi}]")
     if out is None:
-        out = np.empty(t.shape + (3 + spec.n_generators,))
+        out = np.empty(r.shape + (3 + spec.n_generators,))
     np.subtract(spec.j0, r, out=out[..., 0])  # (J1, J2, Bz) of ``schedules``
     out[..., 1] = r
     np.subtract(spec.b0, r, out=out[..., 2])
     vw = out[..., 3:].T  # generator-major, as ``CoefficientTable._evaluate`` writes
     table._evaluate(r, vw)
-    vw *= profile.v_bar * (1.0 - np.cos(phase))
+    vw *= v
     return out
 
 
@@ -256,15 +258,15 @@ def _prefix_products(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]) -> np.n
     return d
 
 
-def _propagate(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
-               steps: int, output_stride: int, rows: np.ndarray) -> None:
+def _propagate(profile: FastForwardProfile, table: CoefficientTable, steps: int,
+               output_stride: int, rows: np.ndarray) -> None:
     """Fill rows[1:] with the states [Re psi, Im psi] every ``output_stride``
     steps from rows[0], a chunk of steps at a time.
 
     The workspace of the module docstring serves every chunk; it is freed
     on return, before ``integrate`` post-processes the records."""
     dt = profile.t_ff / steps
-    terms = _real_stage_terms(spec.kind)
+    terms = _real_stage_terms(table.spec.kind)
     size = min(CHUNK_STEPS, steps)
     coefficients = np.empty((len(terms), 2 * size + 1))
     stages = np.empty((2 * size + 1,) + terms.shape[1:])
@@ -273,8 +275,7 @@ def _propagate(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientT
     for first, last in _chunks(steps, output_stride):
         n = 2 * (last - first) + 1
         block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
-        c = _h_ff_coefficients(spec, profile, table, block_t,
-                               out=coefficients[:, :n].T)
+        c = _h_ff_coefficients(profile, table, block_t, out=coefficients[:, :n].T)
         d = _step_increments(combine(c, terms, out=stages[:n]), dt, work)
         groups, free = _ordered_product(
             d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]),
@@ -286,24 +287,24 @@ def _propagate(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientT
             rows[end - len(states):end] = states
 
 
-def integrate(spec: ModelSpec, profile: FastForwardProfile,
-              steps: int = DEFAULT_STEPS, *, table: CoefficientTable,
-              output_stride: int = DEFAULT_STRIDE) -> Trajectory:
-    """Integrate the fast-forward TDSE from the branch vector C(R0) and sample
-    a trajectory every ``output_stride`` steps.
+def integrate(profile: FastForwardProfile, steps: int = DEFAULT_STEPS, *,
+              table: CoefficientTable, output_stride: int = DEFAULT_STRIDE
+              ) -> Trajectory:
+    """Integrate the fast-forward TDSE of the table's model from the branch
+    vector C(R0) and sample a trajectory every ``output_stride`` steps.
 
     Parameters
     ----------
-    spec, profile
-        Model and schedule.
+    profile
+        The schedule.
     steps
         Number of fixed RK4 steps; must be a positive multiple of
         ``output_stride``.
     table
-        The driving coefficients along the ramp, one column per generator,
-        solved for ``spec``: a table that records another spec is rejected,
-        naming the fields that differ.  ``CoefficientTable.zeros`` gives the
-        undriven control run (H_FF = H0), with zero recorded couplings ``w``.
+        The driving coefficients along the ramp, one column per generator;
+        ``table.spec``, the model they were solved for, is the model run.
+        ``CoefficientTable.zeros`` gives the undriven control run
+        (H_FF = H0), with zero recorded couplings ``w``.
 
     The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
     built a chunk at a time, so the last step ends exactly at t_ff.  The
@@ -318,25 +319,20 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
         raise ValueError("steps must be positive")
     if output_stride < 1 or steps % output_stride != 0:
         raise ValueError("steps must be a positive multiple of output_stride")
+    spec = table.spec
     if table.w.shape[-1] != spec.n_generators:
         raise ValueError(f"table has {table.w.shape[-1]} coupling columns; the "
                          f"{spec.kind} model needs {spec.n_generators}")
-    if table.spec != spec:
-        differ = [f.name for f in fields(ModelSpec)
-                  if getattr(table.spec, f.name) != getattr(spec, f.name)]
-        solved, wanted = (", ".join(f"{name}={getattr(s, name)!r}" for name in differ)
-                          for s in (table.spec, spec))
-        raise ValueError(f"table was solved for {solved}, not {wanted}")
 
     rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
-    rec_r = r_of_t(profile, spec.r0, rec_t)
+    rec_r, rec_v = _ramp(profile, spec.r0, rec_t)
     vecs, _ = branch_vector_at(spec, rec_r)
     k = vecs.shape[-1]
     rows = np.empty((len(rec_t), 2 * k))  # [Re psi, Im psi] on the sector
     rows[0] = np.concatenate([vecs[0], np.zeros(k)])
     # an overflow shows as a non-finite norm drift, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        _propagate(spec, profile, table, steps, output_stride, rows)
+        _propagate(profile, table, steps, output_stride, rows)
         sector_psis = rows[:, :k] + 1j * rows[:, k:]
         # U psi, its real and imaginary parts in one real matmul
         full = rows.reshape(-1, 2, k) @ sector_basis(spec.kind, "branch").T
@@ -351,5 +347,5 @@ def integrate(spec: ModelSpec, profile: FastForwardProfile,
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             "increase the step count")
     fids = np.abs(np.einsum("ij,ij->i", vecs, sector_psis / norms[:, None])) ** 2
-    return Trajectory(t=rec_t, r=rec_r, v=v_of_t(profile, rec_t), w=table(rec_r),
+    return Trajectory(t=rec_t, r=rec_r, v=rec_v, w=table(rec_r),
                       psi=psis, norm=norms, fidelity=fids)

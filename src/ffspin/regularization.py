@@ -169,7 +169,7 @@ def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.n
 class CoefficientTable:
     """Driving couplings w, shape (n, n_generators), sampled on the branch
     grid, with cubic interpolation.  ``spec`` is the model they were solved
-    for, which ``integrate`` requires to be its own."""
+    for, which ``integrate`` runs."""
 
     r_grid: np.ndarray
     w: np.ndarray
@@ -237,7 +237,7 @@ class CoefficientTable:
         out += c[0]
 
 
-def coefficient_table(spec: ModelSpec, branch: AdiabaticBranch) -> CoefficientTable:
-    """Solve the core system at every branch sample and tabulate the results."""
-    w, residuals = solve_core(spec, branch.vectors, branch.d_vectors)
-    return CoefficientTable(branch.r_grid, w, residuals, spec)
+def coefficient_table(branch: AdiabaticBranch) -> CoefficientTable:
+    """The core system solved at every sample of the branch, for its model."""
+    w, residuals = solve_core(branch.spec, branch.vectors, branch.d_vectors)
+    return CoefficientTable(branch.r_grid, w, residuals, branch.spec)

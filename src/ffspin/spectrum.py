@@ -218,8 +218,9 @@ def _in_sector_crossing(where: str) -> RuntimeError:
 
 @dataclass
 class AdiabaticBranch:
-    """Gauge-fixed eigenvector family C(R) with energies and dC/dR samples."""
+    """Gauge-fixed eigenvector family C(R) of ``spec``, energies and dC/dR samples."""
 
+    spec: ModelSpec
     r_grid: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray      # shape (n_samples, k), branch sector components, real
@@ -264,7 +265,7 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
     # <v_i| dh0/dR |C> of the other levels i: dh0/dR C, then one batched matmul
     couplings = ((vectors @ d_h0_dr(spec, "branch").T)[:, None, :] @ v[:, :, 1:])[:, 0]
     d = np.einsum("nij,nj->ni", v[:, :, 1:], couplings / (w[:, :1] - w[:, 1:]))
-    return AdiabaticBranch(r_grid, energies=w[:, 0], vectors=vectors, d_vectors=d)
+    return AdiabaticBranch(spec, r_grid, energies=w[:, 0], vectors=vectors, d_vectors=d)
 
 
 def branch_vector_at(spec: ModelSpec, r: float | np.ndarray

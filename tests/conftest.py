@@ -45,27 +45,27 @@ def three_branch(three_spec, profile):
 
 @pytest.fixture(scope="session")
 def two_table(two_spec, two_branch):
-    return coefficient_table(two_spec, two_branch)
+    return coefficient_table(two_branch)
 
 
 @pytest.fixture(scope="session")
 def three_table(three_spec, three_branch):
-    return coefficient_table(three_spec, three_branch)
+    return coefficient_table(three_branch)
 
 
 @pytest.fixture(scope="session")
 def two_run(two_spec, profile, two_table):
-    return integrate(two_spec, profile, table=two_table)
+    return integrate(profile, table=two_table)
 
 
 @pytest.fixture(scope="session")
 def three_run(three_spec, profile, three_table):
-    return integrate(three_spec, profile, table=three_table)
+    return integrate(profile, table=three_table)
 
 
 @pytest.fixture(scope="session")
 def three_run_no_driving(three_spec, profile, three_branch):
-    return integrate(three_spec, profile,
+    return integrate(profile,
                      table=CoefficientTable.zeros(three_spec, three_branch.r_grid))
 
 
@@ -75,7 +75,7 @@ def three_fast_runs(three_spec, three_branch, three_table):
     reference ramp, R from 0 to 10, run ten times faster."""
     profile = FastForwardProfile(v_bar=100.0, t_ff=0.1)
     undriven = CoefficientTable.zeros(three_spec, three_branch.r_grid)
-    return tuple(integrate(three_spec, profile, table=table)
+    return tuple(integrate(profile, table=table)
                  for table in (three_table, undriven))
 
 

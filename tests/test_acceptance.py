@@ -241,7 +241,7 @@ def test_criterion_8_numerical_hygiene(three_spec, profile, three_table,
 
     finals = []
     for steps in (2000, 4000, 8000):
-        final = integrate(three_spec, profile, steps=steps, output_stride=steps,
+        final = integrate(profile, steps=steps, output_stride=steps,
                           table=three_table)
         finals.append(final.psi[-1])
     d1 = float(np.linalg.norm(finals[0] - finals[1]))
@@ -249,7 +249,7 @@ def test_criterion_8_numerical_hygiene(three_spec, profile, three_table,
     halving_ratio = d1 / d2
 
     dense_grid = ramp_grid(three_spec, profile, 4001)
-    dense = coefficient_table(three_spec, track_branch(three_spec, dense_grid))
+    dense = coefficient_table(track_branch(three_spec, dense_grid))
     coeff_shift = 0.0
     for r in np.linspace(0.05, 9.95, 101):
         shift = np.abs(three_table(float(r)) - dense(float(r)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import re
 import subprocess
@@ -46,6 +47,18 @@ def test_default_config_is_valid():
 def test_negative_duration_flagged():
     problems = validate(ScenarioConfig(t_ff=-1.0))
     assert any("t_ff must be positive" in p for p in problems)
+    # the other scalar checks, each alone and with its exact message
+    for overrides, message in [
+        ({"model": "four_spin"}, "model must be one of ('two_spin', "
+                                 "'three_spin_kagome'), got 'four_spin'"),
+        ({"mode": "sweep"}, "mode must be one of ('fast_forward', 'no_driving', "
+                            "'spectrum_only', 'regularization_only'), got 'sweep'"),
+        ({"j0": 0.0}, "j0 must be positive"),
+        ({"v_bar": -1.0}, "v_bar must be positive"),
+        ({"integrator_steps": 0}, "integrator_steps must be positive"),
+        ({"output_stride": 0}, "output_stride must be positive"),
+    ]:
+        assert validate(ScenarioConfig(**overrides)) == [message]
 
 
 def test_tiny_grid_flagged():
@@ -630,6 +643,14 @@ def test_rk4_stability_check_names_the_smallest_passing_step_count(tmp_path, cap
     assert main(["run"] + keys + ["--out", str(tmp_path / "out")]) == 1
     assert "norm drift" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    # one ulp above 33 limits, span / limit rounds to 33 exactly, so its
+    # ceiling is 33; but span / 33 exceeds the limit and 34 steps are needed
+    limit, e_max = cli.RK4_STABILITY_LIMIT, 93.33809511662429
+    assert e_max == np.nextafter(33 * limit, np.inf)
+    assert math.ceil(e_max / limit) == 33 and e_max / 33 > limit
+    config = ScenarioConfig(t_ff=1.0, integrator_steps=100_000, output_stride=1)
+    assert cli._ramp_end_step(config, cli._ramp_ends(config)[0], e_max) == (
+        e_max / 100_000, 34)
 
 
 @pytest.mark.parametrize("keys,knob", [(["--j0", "1e300"], "j0"),

@@ -84,7 +84,7 @@ def test_h_ff_hermitian_at_random_times(three_spec, three_table, ramp_profile):
 def test_h_ff_out_of_range_interpolation(two_spec, two_table):
     profile = FastForwardProfile(v_bar=20.0, t_ff=1.0)  # reaches R=20 > table
     with pytest.raises(ValueError, match="outside the tabulated"):
-        fastforward._h_ff_coefficients(two_spec, profile, two_table, 0.8)
+        fastforward._h_ff_coefficients(profile, two_table, 0.8)
 
 
 def test_h_ff_array_matches_scalar_calls(three_spec, three_table, ramp_profile):
@@ -127,7 +127,7 @@ def test_records_cover_run(three_run):
 def test_step_halving_fourth_order(two_spec, ramp_profile, two_table):
     outs = []
     for steps in (2000, 4000, 8000):
-        run = integrate(two_spec, ramp_profile, steps=steps, output_stride=steps,
+        run = integrate(ramp_profile, steps=steps, output_stride=steps,
                         table=two_table)
         outs.append(run.psi[-1])
     d1 = np.linalg.norm(outs[0] - outs[1])
@@ -137,7 +137,7 @@ def test_step_halving_fourth_order(two_spec, ramp_profile, two_table):
 
 def test_no_driving_controls(two_spec, ramp_profile, two_branch,
                              three_run_no_driving):
-    recs2 = integrate(two_spec, ramp_profile,
+    recs2 = integrate(ramp_profile,
                       table=CoefficientTable.zeros(two_spec, two_branch.r_grid))
     fid2 = recs2.fidelity[-1]
     assert fid2 == pytest.approx(NO_DRIVING_FINAL_FIDELITY["two_spin"], abs=1e-4)
@@ -164,8 +164,8 @@ def test_zero_velocity_constant_hamiltonian(two_spec):
     # vbar = 0 keeps R pinned at the start; the eigenstate just gains phase
     profile = FastForwardProfile(v_bar=0.0, t_ff=1.0)
     branch = track_branch(two_spec, ramp_grid(two_spec, profile, 5))
-    run = integrate(two_spec, profile, steps=2000, output_stride=500,
-                    table=coefficient_table(two_spec, branch))
+    run = integrate(profile, steps=2000, output_stride=500,
+                    table=coefficient_table(branch))
     assert run.fidelity.min() > 1.0 - 1e-9
     assert np.all(run.r == 0.0)
     assert np.all(run.v == 0.0)
@@ -174,34 +174,30 @@ def test_zero_velocity_constant_hamiltonian(two_spec):
 def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,
                                        two_table):
     with pytest.raises(ValueError, match="multiple"):
-        integrate(two_spec, ramp_profile, steps=1001, output_stride=100, table=two_table)
+        integrate(ramp_profile, steps=1001, output_stride=100, table=two_table)
     with pytest.raises(ValueError, match="steps must be positive"):
-        integrate(two_spec, ramp_profile, 0, table=two_table)
-    # a table of the other model: two coupling columns where two spins have one
-    three_spin_table = CoefficientTable.zeros(ModelSpec(kind=THREE_SPIN_KAGOME),
-                                              two_branch.r_grid)
+        integrate(ramp_profile, 0, table=two_table)
+    # a hand-built two-spin table with two coupling columns, where two spins have one
+    n = len(two_branch.r_grid)
+    two_columns = CoefficientTable(two_branch.r_grid, np.zeros((n, 2)), np.zeros(n),
+                                   two_spec)
     with pytest.raises(ValueError, match="^table has 2 coupling columns; the two_spin "
                                          "model needs 1$"):
-        integrate(two_spec, ramp_profile, table=three_spin_table)
+        integrate(ramp_profile, table=two_columns)
 
 
-def test_integrate_rejects_a_table_of_another_spec(three_spec, ramp_profile):
-    # a table solved at j0 = 7 drives a j0 = 10 run off its branch (min
-    # fidelity 0.992) unless integrate refuses it, naming the field
+def test_a_table_runs_the_spec_its_branch_was_tracked_for(ramp_profile):
+    # the couplings belong to the branch's model: a table solved at j0 = 7
+    # carries j0 = 7, and integrate runs it at j0 = 7, on its branch
     other = ModelSpec(kind=THREE_SPIN_KAGOME, j0=7.0)
-    grid = ramp_grid(other, ramp_profile, 401)
-    table = coefficient_table(other, track_branch(other, grid))
-    zeros = CoefficientTable.zeros(other, grid)
-    assert table.spec == zeros.spec == other
-    for wrong in (table, zeros):
-        with pytest.raises(ValueError, match=r"^table was solved for j0=7\.0, not j0=10\.0$"):
-            integrate(three_spec, ramp_profile, 400, output_stride=100, table=wrong)
-    shifted = ModelSpec(kind=THREE_SPIN_KAGOME, b0=1.0, r0=0.5)
-    with pytest.raises(ValueError, match=r"^table was solved for j0=7\.0, b0=0\.0, "
-                                         r"r0=0\.0, not j0=10\.0, b0=1\.0, r0=0\.5$"):
-        integrate(shifted, ramp_profile, 400, output_stride=100, table=table)
-    run = integrate(other, ramp_profile, 400, output_stride=100, table=table)
+    branch = track_branch(other, ramp_grid(other, ramp_profile, 401))
+    assert branch.spec == other
+    table = coefficient_table(branch)
+    assert table.spec == other
+    run = integrate(ramp_profile, 400, output_stride=100, table=table)
     assert run.fidelity.min() > 1.0 - 1e-9
+    final = embed(branch_vector_at(other, run.r[-1])[0], other.kind)
+    assert np.max(np.abs(np.abs(run.psi[-1]) ** 2 - final ** 2)) < 1e-6
 
 
 @pytest.mark.parametrize("r0", [0.0, 2.5])
@@ -213,8 +209,8 @@ def test_run_starts_on_the_tracked_sample_zero(kind, r0, ramp_profile):
     spec = ModelSpec(kind=kind, r0=r0)
     grid = ramp_grid(spec, ramp_profile, 401)
     branch = track_branch(spec, grid)
-    run = integrate(spec, ramp_profile, 400, output_stride=100,
-                    table=coefficient_table(spec, branch))
+    run = integrate(ramp_profile, 400, output_stride=100,
+                    table=coefficient_table(branch))
     start = run.psi[0]
     assert np.array_equal(start.real, embed(branch.vectors[0], kind))
     assert not np.any(start.imag)
@@ -233,12 +229,12 @@ def test_psi_is_the_sector_components_times_u_transposed(kind, ramp_profile,
     # outside the sector are exactly 0
     spec = ModelSpec(kind=kind)
     branch = track_branch(spec, ramp_grid(spec, ramp_profile, 201))
-    table = coefficient_table(spec, branch)
-    psi = integrate(spec, ramp_profile, 400, table=table, output_stride=40).psi
+    table = coefficient_table(branch)
+    psi = integrate(ramp_profile, 400, table=table, output_stride=40).psi
     u = sector_basis(kind, "branch")
     monkeypatch.setattr(fastforward, "sector_basis",
                         lambda kind, sector: np.eye(u.shape[1]))
-    c = integrate(spec, ramp_profile, 400, table=table, output_stride=40).psi
+    c = integrate(ramp_profile, 400, table=table, output_stride=40).psi
     assert c.shape == (11, u.shape[1]) and np.all(np.abs(c[1:].imag) > 0)
     assert np.array_equal(c[0], branch_vector_at(spec, spec.r0)[0])  # C(R0), real
     assert np.array_equal(psi, c @ u.T)

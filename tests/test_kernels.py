@@ -19,8 +19,8 @@ from oracles import embed, h_ff, step_increments_nine_pass
 
 
 def _run(spec, profile, table, steps=400, stride=100):
-    # steps passed by position: it is the third positional parameter
-    return integrate(spec, profile, steps, output_stride=stride, table=table)
+    # steps passed by position: it is the second positional parameter
+    return integrate(profile, steps, output_stride=stride, table=table)
 
 
 def test_rerun_is_bitwise_identical(two_spec, profile, two_table):
@@ -98,7 +98,7 @@ def rk4_loop_reference(spec, profile, table, psi0, steps, stride, drive=True):
 def test_records_match_per_step_loop(model, drive, stride, profile, request):
     spec, branch, table = (request.getfixturevalue(f"{model}_{name}")
                            for name in ("spec", "branch", "table"))
-    run = integrate(spec, profile, steps=2000, output_stride=stride,
+    run = integrate(profile, steps=2000, output_stride=stride,
                     table=table if drive else CoefficientTable.zeros(spec, branch.r_grid))
     expected = rk4_loop_reference(spec, profile, table,
                                   embed(branch.vectors[0], spec.kind), 2000, stride,
@@ -119,7 +119,7 @@ def test_default_start_leaves_odd_block_exactly_zero(two_spec, three_spec,
 def test_small_chunks_match_default_chunks(monkeypatch, three_spec, profile,
                                            three_table):
     def run():
-        return integrate(three_spec, profile, steps=2000, output_stride=100,
+        return integrate(profile, steps=2000, output_stride=100,
                          table=three_table)
 
     reference = run()
@@ -127,7 +127,7 @@ def test_small_chunks_match_default_chunks(monkeypatch, three_spec, profile,
     original = fastforward._h_ff_coefficients
 
     def counting_coefficients(*args, **kwargs):
-        sizes.append(np.size(args[3]))
+        sizes.append(np.size(args[2]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fastforward, "CHUNK_STEPS", 7)
@@ -176,7 +176,7 @@ def test_stage_time_memory_does_not_grow_with_steps(three_spec, profile,
     def peak(steps):
         tracemalloc.start()
         try:
-            integrate(three_spec, profile, steps=steps, output_stride=steps,
+            integrate(profile, steps=steps, output_stride=steps,
                       table=three_table)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -207,7 +207,7 @@ def test_fused_coefficients_match_the_public_functions(model, v_bar, t_ff, reque
         r = r_of_t(profile, spec.r0, t)
         expected = np.column_stack([*schedules(spec, r),
                                     v_of_t(profile, t)[:, None] * table(r)])
-        got = fastforward._h_ff_coefficients(spec, profile, table, t)
+        got = fastforward._h_ff_coefficients(profile, table, t)
         assert got.shape == expected.shape == (len(t), 3 + spec.n_generators)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
@@ -217,7 +217,7 @@ def test_fused_coefficients_match_the_public_functions(model, v_bar, t_ff, reque
     r = r_of_t(profile, spec.r0, t)
     first = r[r > short.r_grid[-1] + 1e-9 * (short.r_grid[-1] - short.r_grid[0])][0]
     with pytest.raises(ValueError, match=re.escape(f"r={first} outside the tabulated")):
-        fastforward._h_ff_coefficients(spec, profile, short, t)
+        fastforward._h_ff_coefficients(profile, short, t)
 
 
 def _running_products(d):
@@ -259,10 +259,10 @@ def test_overflowing_propagation_raises_only_the_drift_error(kind, j0):
     # (as at j0 = 3644) would replace the error
     spec = ModelSpec(kind=kind, j0=j0)
     profile = FastForwardProfile(v_bar=10.0, t_ff=1.0)
-    table = coefficient_table(spec, track_branch(spec, np.linspace(0.0, 10.0, 301)))
+    table = coefficient_table(track_branch(spec, np.linspace(0.0, 10.0, 301)))
     with pytest.raises(RuntimeError, match=re.escape(
             "norm drift nan: the RK4 propagation overflowed; lower j0, b0 or v_bar")):
-        integrate(spec, profile, 2000, output_stride=200, table=table)
+        integrate(profile, 2000, output_stride=200, table=table)
 
 
 def _stage_stack(spec, profile, table, steps):
@@ -270,7 +270,7 @@ def _stage_stack(spec, profile, table, steps):
     builds them."""
     first, last = next(fastforward._chunks(steps, steps))
     t = fastforward._stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
-    return combine(fastforward._h_ff_coefficients(spec, profile, table, t),
+    return combine(fastforward._h_ff_coefficients(profile, table, t),
                    fastforward._real_stage_terms(spec.kind))
 
 
@@ -305,9 +305,9 @@ def test_coefficients_into_a_buffer_equal_the_allocating_call(model, profile, re
     buffer = np.full((width, 2 * fastforward.CHUNK_STEPS + 1), np.nan)
     for t in _chunk_stage_times(profile, 1000, 1000):
         n = len(t)
-        got = fastforward._h_ff_coefficients(spec, profile, table, t,
+        got = fastforward._h_ff_coefficients(profile, table, t,
                                              out=buffer[:, :n].T)
         assert np.shares_memory(got, buffer)
-        expected = fastforward._h_ff_coefficients(spec, profile, table, t)
+        expected = fastforward._h_ff_coefficients(profile, table, t)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
     assert n == 2 * 488 + 1

@@ -173,7 +173,7 @@ def test_table_residuals_and_interpolation(three_spec, three_table):
 def test_table_call_shape(r, two_spec, two_table):
     # a spline table, and a single-point one (v_bar = 0: no spline)
     fixed = np.full(5, two_spec.r0)
-    flat = coefficient_table(two_spec, track_branch(two_spec, fixed))
+    flat = coefficient_table(track_branch(two_spec, fixed))
     assert flat._spline is None and two_table._spline is not None
     for table in (two_table, flat):
         assert table(r).shape == np.shape(r) + (1,)
@@ -181,7 +181,7 @@ def test_table_call_shape(r, two_spec, two_table):
 
 def test_grid_doubling_stability(three_spec, three_table, profile):
     grid = ramp_grid(three_spec, profile, 4001)
-    dense = coefficient_table(three_spec, track_branch(three_spec, grid))
+    dense = coefficient_table(track_branch(three_spec, grid))
     probes = np.linspace(0.05, 9.95, 101)
     for r in probes:
         assert np.max(np.abs(three_table(float(r)) - dense(float(r)))) < 1e-6
@@ -243,7 +243,7 @@ def test_spline_reproduces_scipy_on_the_fixture_tables(fixture, request):
 def test_spline_reproduces_scipy_on_uniform_grids(kind, n_points, profile):
     spec = ModelSpec(kind=kind)
     grid = ramp_grid(spec, profile, n_points)
-    _assert_matches_scipy_bitwise(coefficient_table(spec, track_branch(spec, grid)),
+    _assert_matches_scipy_bitwise(coefficient_table(track_branch(spec, grid)),
                                   seed=n_points)
 
 
@@ -322,7 +322,7 @@ def test_couplings_have_one_column_per_generator(model, profile, request):
     assert table.w.shape == zeros.w.shape == (n, k)
     assert table(np.linspace(0.0, 10.0, 7)).shape == (7, k)
     for driving in (table, zeros):
-        run = integrate(spec, profile, 400, table=driving)
+        run = integrate(profile, 400, table=driving)
         assert run.w.shape == (len(run), k)
 
 

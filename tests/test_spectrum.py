@@ -501,6 +501,9 @@ def test_track_branch_rejects_bad_grid():
     spec = ModelSpec(kind=TWO_SPIN)
     with pytest.raises(ValueError, match="monotone"):
         track_branch(spec, np.array([0.0, 1.0, 0.5]))
+    for grid in (np.zeros((2, 3)), np.array([])):
+        with pytest.raises(ValueError, match="^r_grid must be a non-empty 1-d array$"):
+            track_branch(spec, grid)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
