@@ -302,7 +302,7 @@ def integrate(profile: FastForwardProfile, steps: int = DEFAULT_STEPS, *,
         ``output_stride``.
     table
         The driving coefficients along the ramp, one column per generator;
-        ``table.spec``, the model they were solved for, is the model run.
+        ``table.spec``, the model of the branch they come from, is the model run.
         ``CoefficientTable.zeros`` gives the undriven control run
         (H_FF = H0), with zero recorded couplings ``w``.
 

@@ -168,8 +168,8 @@ def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.n
 @dataclass
 class CoefficientTable:
     """Driving couplings w, shape (n, n_generators), sampled on the branch
-    grid, with cubic interpolation.  ``spec`` is the model they were solved
-    for, which ``integrate`` runs."""
+    grid, with cubic interpolation.  ``spec`` is the model of their branch,
+    which ``integrate`` runs."""
 
     r_grid: np.ndarray
     w: np.ndarray
