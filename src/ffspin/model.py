@@ -34,27 +34,28 @@ each a scaled sum of Pauli words whose length is the number of sites.
 these structural terms.
 
 The symmetries come from the same table.  Every term commutes with the
-parity P = z1 z2 ... zn, and with each site permutation that maps every
-term's word set onto itself (``site_symmetries``): the swap for two spins,
-the site 1 <-> 3 reflection for the Kagome triangle.  Under those
-permutations the kets of each parity fall into orbits, which split each
-parity block into the normalized orbit sums and the contrasts within each
-orbit.  Every term leaves the four blocks invariant (``SECTORS``):
+parity P = z1 z2 ... zn, and with the site reversal i <-> n + 1 - i, since
+reversing every word maps each term's word set onto itself: the swap for two
+spins, the site 1 <-> 3 reflection for the Kagome triangle.  The
+reversal pairs each ket with the ket of reversed bits, of the same parity,
+which splits each parity block into the reversal-even sums and the
+reversal-odd contrasts of those pairs.  Every term leaves the four blocks
+invariant (``SECTORS``):
 
-* ``"branch"``: the P = +1 orbit sums, the P = +1 states symmetric under
-  every site permutation, where the tracked branch lives.  Two spins: uu and
-  dd, the whole P = +1 block.  Three spins: uuu, (udd + ddu)/sqrt(2) and dud,
-  the paper's C1, C4 and C6 with C1^2 + 2 C4^2 + C6^2 = 1;
+* ``"branch"``: the P = +1 sums, where the tracked branch lives.  Two
+  spins: uu and dd, the whole P = +1 block.  Three spins: uuu,
+  (udd + ddu)/sqrt(2) and dud, the paper's C1, C4 and C6 with
+  C1^2 + 2 C4^2 + C6^2 = 1;
 * ``"rest"``: the P = +1 contrasts.  Empty for two spins; (udd - ddu)/sqrt(2)
   for three;
-* ``"odd"``: the P = -1 orbit sums.  Two spins: (ud + du)/sqrt(2), level
+* ``"odd"``: the P = -1 sums.  Two spins: (ud + du)/sqrt(2), level
   J1 + J2.  Three spins: (uud + duu)/sqrt(2), udu and ddd;
 * ``"odd_rest"``: the P = -1 contrasts.  Two spins: (ud - du)/sqrt(2), level
   -(J1 + J2).  Three spins: (uud - duu)/sqrt(2).
 
 So every block of both models is at most 3 x 3.  ``sector_basis`` gives
 each as a real isometry U (dim x k), and ``structural_terms``, ``h0`` and
-``d_h0_dr`` evaluate on a block as U^T T U, summed with the integer orbit
+``d_h0_dr`` evaluate on a block as U^T T U, summed with the integer pair
 weights and scaled once, so that the sector terms are exact or correctly
 rounded (exact when U's columns are columns of the identity, as in the
 two-spin branch sector).  The real and imaginary parts of the terms are
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import permutations
 
 import numpy as np
 
@@ -89,8 +89,8 @@ TERM_WORDS = {
 }
 MODEL_KINDS = tuple(TERM_WORDS)
 #: the invariant blocks, as the ``sector`` of ``sector_basis`` and the
-#: structural terms, each with its parity and whether it holds the orbit sums
-#: (else the contrasts within each orbit)
+#: structural terms, each with its parity and whether it holds the sums of the
+#: site-reversal pairs (else their contrasts)
 _SECTOR_PARTS = {"branch": (1, True), "rest": (1, False),
                  "odd": (-1, True), "odd_rest": (-1, False)}
 SECTORS = tuple(_SECTOR_PARTS)
@@ -146,48 +146,34 @@ def pauli_word(word: str) -> np.ndarray:
     return reduce(np.kron, (PAULI[letter] for letter in word))
 
 
-def _permuted(word: str, p: tuple[int, ...]) -> str:
-    """The word, or the ket's bit string, whose letter i is ``word[p[i]]``."""
-    return "".join(word[j] for j in p)
-
-
-@lru_cache(maxsize=None)
-def site_symmetries(kind: str) -> tuple[tuple[int, ...], ...]:
-    """The site permutations p, identity first, that map the word set of every
-    term of ``TERM_WORDS[kind]`` onto itself, letter i of the image being
-    letter p[i] of the word.  They commute with every term, exactly."""
-    terms = [set(words.split()) for _, words in TERM_WORDS[kind]]
-    return tuple(p for p in permutations(range(_n_spins(kind)))
-                 if all({_permuted(w, p) for w in words} == words for words in terms))
-
-
 @lru_cache(maxsize=None)
 def _sector_weights(kind: str, sector: str) -> np.ndarray:
     """Integer (dim, k) columns spanning ``sector``, one of ``SECTORS``: the
     columns of ``sector_basis`` before normalization, as a read-only array.
 
-    Each orbit of the sector's parity kets under ``site_symmetries`` (taken
-    in the order of its first ket) gives one orbit-sum column and m - 1
-    contrast columns, the Helmert contrasts sum_{l<j} e_l - j e_j of its m
-    kets.
+    For each ket i of the sector's parity, in ascending order, let j be the
+    ket whose bits are i's reversed.  The sum sectors take e_i + e_j once (e_i
+    when j = i), the contrast sectors e_i - e_j when i < j.  Raises
+    ValueError when reversing the words does not map the word set of every
+    term of ``TERM_WORDS[kind]`` onto itself: the reversal would not commute
+    with the terms.
     """
     if sector not in SECTORS:
         raise ValueError(f"sector must be one of {SECTORS}, got {sector!r}")
+    for _, words in TERM_WORDS[kind]:
+        if {w[::-1] for w in words.split()} != set(words.split()):
+            raise ValueError(f"the terms of {kind!r} are not symmetric under "
+                             "the site reversal")
     parity, sums = _SECTOR_PARTS[sector]
     n = _n_spins(kind)
     eye = np.eye(2 ** n)
-    columns, seen = [], set()
-    for ket in _parity_indices(2 ** n, parity):
-        if ket in seen:
-            continue
-        bits = format(ket, f"0{n}b")
-        orbit = sorted({int(_permuted(bits, p), 2) for p in site_symmetries(kind)})
-        seen.update(orbit)
-        kets = eye[orbit]
-        if sums:
-            columns.append(kets.sum(axis=0))
-        else:
-            columns += [kets[:j].sum(axis=0) - j * kets[j] for j in range(1, len(orbit))]
+    columns = []
+    for i in _parity_indices(2 ** n, parity):
+        j = int(format(i, f"0{n}b")[::-1], 2)
+        if i < j:
+            columns.append(eye[i] + eye[j] if sums else eye[i] - eye[j])
+        elif i == j and sums:
+            columns.append(eye[i])
     weights = np.array(columns).reshape(-1, 2 ** n).T
     weights.flags.writeable = False
     return weights
@@ -196,9 +182,8 @@ def _sector_weights(kind: str, sector: str) -> np.ndarray:
 @lru_cache(maxsize=None)
 def sector_basis(kind: str, sector: str) -> np.ndarray:
     """Real isometry U, a read-only (dim, k) array, whose orthonormal columns
-    span ``sector``, one of ``SECTORS``: the normalized orbit sums (branch,
-    odd) or the normalized Helmert contrasts within each orbit (rest,
-    odd_rest) of one parity."""
+    span ``sector``, one of ``SECTORS``: the normalized reversal sums (branch,
+    odd) or contrasts (rest, odd_rest) of one parity's kets."""
     weights = _sector_weights(kind, sector)
     u = weights * np.sqrt(1.0 / np.sum(weights ** 2, axis=0))
     u.flags.writeable = False

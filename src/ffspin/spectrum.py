@@ -1,9 +1,9 @@
 """Exact diagonalization and adiabatic-branch tracking in the branch sector.
 
 The bare Hamiltonian and every driving generator commute with the parity
-P = z1 z2 ... zn and with the model's site symmetries (``model``), so they
-leave the branch sector invariant: the P = +1 states symmetric under every
-site symmetry, spanned by the columns of ``sector_basis(kind, "branch")``.
+P = z1 z2 ... zn and with the site reversal (``model``), so they leave the
+branch sector invariant: the P = +1 states symmetric under the reversal,
+spanned by the columns of ``sector_basis(kind, "branch")``.
 It is the whole P = +1 block for two spins, uu and dd, and uuu,
 (udd + ddu)/sqrt(2) and dud for three.  The tracked branch is the lowest
 level of that sector.  Inside it the level is nondegenerate along the

@@ -318,7 +318,7 @@ def test_eigensolve_calls_do_not_grow_with_grid_or_records(tmp_path, monkeypatch
 
 def test_fast_forward_run_solves_the_even_block_once_per_r(tmp_path, monkeypatch):
     # tracking and the spectrum CSVs each solve the 3 x 3 branch sector once
-    # per grid point, the records once each, and the 3 x 3 P = -1 orbit sums
+    # per grid point, the records once each, and the 3 x 3 P = -1 reversal sums
     # and the 1 x 1 rest and P = -1 contrast blocks once per grid point
     solved = []
     for module in (spectrum, cli):

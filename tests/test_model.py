@@ -5,8 +5,7 @@ import pytest
 
 from ffspin.model import (MODEL_KINDS, SECTORS, TERM_WORDS, THREE_SPIN_KAGOME,
                           TWO_SPIN, ModelSpec, _parity_indices, d_h0_dr,
-                          h0, schedules, sector_basis, site_symmetries,
-                          structural_terms)
+                          h0, schedules, sector_basis, structural_terms)
 
 from oracles import (bond_terms, h_candidate, is_hermitian, site_reversal,
                      slow_word)
@@ -222,10 +221,9 @@ def test_sector_bases_are_orthonormal_and_split_the_space(kind, dims):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_table_symmetry_is_the_site_reversal(kind):
-    # the word table yields the identity and the reversal of the sites (the
-    # swap for two spins, site 1 <-> 3 for the triangle), and nothing else
+    # the reversal of the sites (the swap for two spins, site 1 <-> 3 for the
+    # triangle) and P commute with every term of the word table
     n = ModelSpec(kind=kind).n_spins
-    assert site_symmetries(kind) == (tuple(range(n)), tuple(range(n))[::-1])
     reversal = site_reversal(n)
     parity = np.diag([(-1.0) ** bin(i).count("1") for i in range(2 ** n)])
     for symmetry in (reversal, parity):
@@ -288,7 +286,7 @@ def test_three_spin_sector_terms_match_the_hand_written_matrix(three):
 
 
 def test_three_spin_sector_terms_are_exact_or_correctly_rounded():
-    # integer orbit sums scaled once: each entry is the double nearest the
+    # integer reversal sums scaled once: each entry is the double nearest the
     # exact restriction U^T T U, so M_j2[1, 1] is 1 (not 0.9999999999999998)
     # and the sqrt(2) entries are sqrt(2) rounded once (not 1.414213562373095)
     root2 = np.sqrt(2.0)  # IEEE sqrt is correctly rounded: 1.4142135623730951
@@ -306,6 +304,14 @@ def test_three_spin_sector_terms_are_exact_or_correctly_rounded():
     assert np.array_equal(rest[:, 0, 0], [0, -1, -0.5, 0, 0])
     assert np.array_equal(sector_basis(THREE_SPIN_KAGOME, "branch")[[3, 6], 1],
                           [np.sqrt(0.5)] * 2)
+
+
+def test_word_table_without_the_site_reversal_is_rejected(monkeypatch):
+    # a three-site kind with only the (1,2) xx bond: reversed, its word is
+    # 1xx, so the reversal sectors would not be invariant
+    monkeypatch.setitem(TERM_WORDS, "bond_12", ((1, "xx1"),))
+    with pytest.raises(ValueError, match="'bond_12' are not symmetric under the site reversal"):
+        sector_basis("bond_12", "branch")
 
 
 def test_unknown_sector_rejected():
