@@ -14,16 +14,23 @@ exchange couplings solve the real system
     sum_k Im(G_k) C w_k = dC/dR.
 
 ``solve_core`` solves it on the branch sector, where the branch lives (2 x 1
-for two spins, 3 x 2 for three), for a whole stack of samples with one QR
-vectorized over the stack, so ``coefficient_table`` is one call.  It returns
-the couplings as one array w with one entry per generator, shape (..., 1)
-for two spins and (..., 2) for three.  Each Im(G_k) is real antisymmetric, so
-Im(G_k) C and dC/dR are orthogonal to C: in a k-dim sector the system lives
-on the (k - 1)-dim tangent space at C, which the models' k - 1 couplings
-span.  The residual therefore sits at numerical noise; a residual above
-tolerance signals a modeling bug, not an approximation to be accepted.
-The paper's closed forms, and the three-unknown ansatz that shows bz = 0,
-are the test oracles in ``tests/oracles.py``.
+for two spins, 3 x 2 for three), for a whole stack of samples in one call,
+so ``coefficient_table`` is one call.  It returns the couplings as one array
+w with one entry per generator, shape (..., 1) for two spins and (..., 2)
+for three.  Each Im(G_k) is real antisymmetric, so Im(G_k) C and dC/dR are
+orthogonal to C: in a k-dim sector the system lives on the (k - 1)-dim
+tangent space at C, which the models' k - 1 columns Im(G_k) C span unless
+they are dependent.  With C appended as a last column the system
+[Im(G_1) C ... Im(G_{k-1}) C | C] (w, lambda) = dC/dR is square, and one
+batched ``np.linalg.solve`` gives w, the exact least-squares solution since
+every other column is orthogonal to C, and lambda = C . dC/dR, rounding
+noise.  Its determinant is 4 sqrt(2) C1 for three spins and -1 for a unit
+two-spin C, so only a three-spin sample with C1 = 0 makes it singular,
+which raises.  The residual |sum_k w_k Im(G_k) C - dC/dR| is still checked:
+it sits at numerical noise, and a residual above tolerance signals a
+modeling bug, not an approximation to be accepted.  The paper's closed
+forms, and the three-unknown ansatz that shows bz = 0, are the test oracles
+in ``tests/oracles.py``.
 
 ``CoefficientTable`` interpolates w between the samples with the not-a-knot
 cubic spline: the one cubic spline through the samples whose third
@@ -33,7 +40,6 @@ coefficients and values to the bit on uniform grids, so no run loads scipy.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,48 +53,6 @@ from .spectrum import AdiabaticBranch
 ANSATZ_RESIDUAL_LIMIT = 1e-6
 
 
-def _min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lstsq's minimum-norm solution x and rank of the least-squares systems
-    sum_j x[j] a[j] = b of a stack, from k <= 2 columns a[j] and b of shape
-    (..., m); x has shape (k, ...).
-
-    A modified Gram-Schmidt QR of [a | b], vectorized over the stack: it is
-    backward stable for least squares without forming a^T a (Bjorck, BIT 7,
-    1 (1967)).  R has a's singular values; for k = 2 they follow from
-    s1 s2 = |det R| and s1^2 + s2^2 = |R|_F^2.  A singular value counts when
-    it exceeds lstsq's cutoff max(m, k) eps s1.  A full-rank R is solved by
-    back substitution; a rank-1 R = s u v^T has the pseudo-inverse
-    R^T / s^2 = R^T / |R|_F^2, and R = 0 gives x = 0.
-    """
-    k = len(a)
-    if k > 2:  # the rank test and the back substitution are written for k <= 2
-        raise ValueError(f"_min_norm_lstsq solves at most 2 columns (the "
-                         f"models' 2 generators), got {k}")
-    q = a.copy()
-    r = np.zeros((k, k) + b.shape[:-1])
-    c = np.zeros((k,) + b.shape[:-1])
-    for j in range(k):
-        for i in range(j):
-            r[i, j] = np.sum(q[i] * q[j], axis=-1)
-            q[j] -= r[i, j][..., None] * q[i]
-        r[j, j] = np.sqrt(np.sum(q[j] * q[j], axis=-1))
-        q[j] /= np.where(r[j, j] > 0.0, r[j, j], 1.0)[..., None]
-        c[j] = np.sum(q[j] * b, axis=-1)
-        b = b - c[j][..., None] * q[j]
-    f2 = np.sum(r * r, axis=(0, 1))
-    rank = (f2 > 0.0).astype(int)
-    x = np.sum(r * c[:, None], axis=0) / np.where(f2 > 0.0, f2, 1.0)
-    if k == 2:
-        det = np.abs(r[0, 0] * r[1, 1])
-        s1_sq = 0.5 * (f2 + np.sqrt(np.maximum((f2 - 2.0 * det) * (f2 + 2.0 * det), 0.0)))
-        full = det > max(b.shape[-1], k) * np.finfo(float).eps * s1_sq  # s2 > cutoff
-        rank += full
-        x2 = c[1] / np.where(full, r[1, 1], 1.0)
-        x1 = (c[0] - r[0, 1] * x2) / np.where(full, r[0, 0], 1.0)
-        x = np.where(full, np.stack([x1, x2]), x)
-    return x, rank
-
-
 def solve_core(spec: ModelSpec, vector: np.ndarray,
                d_vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the core system for a branch sample (C, dC/dR), given as branch
@@ -96,22 +60,24 @@ def solve_core(spec: ModelSpec, vector: np.ndarray,
 
     (..., k) stacks of samples give couplings w, shape (...,
     n_generators), and residual norms, shape (...).  Raises RuntimeError
-    when a residual exceeds ``ANSATZ_RESIDUAL_LIMIT``.  A rank-deficient
-    sample falls back to the minimum-norm solution, with one warning per call.
+    when the columns Im(G_k) C of a sample are linearly dependent, or when a
+    residual exceeds ``ANSATZ_RESIDUAL_LIMIT`` or is NaN.
     """
     generators = structural_terms(spec.kind, "branch")[3:]
-    # columns Im(G_k) C of the system, shape (n_generators, ..., k)
-    a = np.moveaxis(np.tensordot(generators.imag, vector, axes=(2, -1)), 1, -1)
-    x, rank = _min_norm_lstsq(a, d_vector)
-    if np.any(rank < len(a)):
-        warnings.warn(
-            f"core system rank {np.min(rank)} < {len(a)}; returning the "
-            "minimum-norm solution", RuntimeWarning, stacklevel=2)
-    residual = np.linalg.norm(np.sum(x[..., None] * a, axis=0) - d_vector, axis=-1)
-    if np.any(residual > ANSATZ_RESIDUAL_LIMIT):
+    # the square system [Im(G_1) C ... Im(G_{k-1}) C | C], shape (..., k, k)
+    columns = (generators.imag @ vector[..., None, :, None])[..., 0]
+    a = np.swapaxes(np.concatenate([columns, vector[..., None, :]], axis=-2), -1, -2)
+    try:
+        x = np.linalg.solve(a, d_vector[..., None])
+    except np.linalg.LinAlgError:
+        raise RuntimeError("driving ansatz insufficient: the core system's "
+                           "columns Im(G_k) C and C are linearly dependent") from None
+    w = x[..., :-1, :]
+    residual = np.linalg.norm((a[..., :-1] @ w)[..., 0] - d_vector, axis=-1)
+    if not np.all(residual <= ANSATZ_RESIDUAL_LIMIT):  # NaN fails too
         raise RuntimeError(
             f"driving ansatz insufficient: core residual {np.max(residual):.3e}")
-    return np.moveaxis(x, 0, -1), residual
+    return w[..., 0], residual
 
 
 def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:

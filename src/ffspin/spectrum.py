@@ -32,7 +32,7 @@ checked for its residual, orthonormality and level order; a 2 x 2 solve
 only for its residual, since its rotation is orthonormal and its levels
 ascend by construction.  A matrix that fails a check (a degenerate 3 x 3
 pair, say) goes to LAPACK ``eigh`` on its own; a default run of either
-model makes no LAPACK call.
+model makes no ``eigh`` call.
 """
 from __future__ import annotations
 

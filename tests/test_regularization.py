@@ -1,15 +1,12 @@
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
 from ffspin.fastforward import integrate
 from ffspin.model import TERM_WORDS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec
-from ffspin.regularization import (CoefficientTable, _min_norm_lstsq,
-                                   coefficient_table, solve_core)
+from ffspin.regularization import CoefficientTable, coefficient_table, solve_core
 from ffspin.spectrum import track_branch
 
 from conftest import ramp_grid
@@ -74,19 +71,24 @@ def test_solve_core_stack_matches_per_sample_calls(fixture, spec_kind, request):
         assert single_residual == residual[i]
 
 
-def test_rank_deficient_sample_warns_once_per_call(two_spec, two_branch):
-    # a zero block vector: no driving generator maps it anywhere
-    dark = np.zeros(2)
-    vectors = np.stack([two_branch.vectors[0], dark, two_branch.vectors[5], dark])
-    d_vectors = np.stack([two_branch.d_vectors[0], dark,
-                          two_branch.d_vectors[5], dark])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        w, _ = solve_core(two_spec, vectors, d_vectors)
-    assert [str(c.message) for c in caught] == [
-        "core system rank 0 < 1; returning the minimum-norm solution"]
-    assert w[1, 0] == 0.0 and w[3, 0] == 0.0
-    assert w[0, 0] == pytest.approx(0.05, abs=1e-9)
+def test_dependent_core_columns_raise(three_spec):
+    # the unit C = (0, 1, 0) has C1 = 0: Im(G_2) C vanishes, so the square
+    # system [Im(G_1) C | Im(G_2) C | C] is singular
+    with pytest.raises(RuntimeError, match="driving ansatz insufficient: .* "
+                                           "linearly dependent"):
+        solve_core(three_spec, np.array([0.0, 1.0, 0.0]), np.zeros(3))
+
+
+@pytest.mark.parametrize("fixture,spec_kind", [("two_branch", TWO_SPIN),
+                                               ("three_branch", THREE_SPIN_KAGOME)])
+def test_nan_sample_fails_the_residual_check(fixture, spec_kind, request):
+    # one NaN in a dC/dR sample gives a NaN residual, which must fail the
+    # check rather than return NaN couplings
+    branch = request.getfixturevalue(fixture)
+    d_vectors = branch.d_vectors.copy()
+    d_vectors[7, 0] = np.nan
+    with pytest.raises(RuntimeError, match="core residual nan"):
+        solve_core(ModelSpec(kind=spec_kind), branch.vectors, d_vectors)
 
 
 def test_closed_form_at_start_is_exact(two_spec):
@@ -324,46 +326,3 @@ def test_couplings_have_one_column_per_generator(model, profile, request):
     for driving in (table, zeros):
         run = integrate(profile, 400, table=driving)
         assert run.w.shape == (len(run), k)
-
-
-def test_min_norm_lstsq_matches_lstsq_on_rank_deficient_stacks():
-    # full-rank, parallel and zero columns: the stacked QR must give lstsq's
-    # rank and minimum-norm solution, with one column or two
-    rng = np.random.default_rng(1)
-    cases = []
-    for a in rng.normal(size=(50, 4, 2)):
-        parallel, first_zero, second_zero = (a.copy() for _ in range(3))
-        parallel[:, 1] = 3.0 * a[:, 0]
-        first_zero[:, 0] = 0.0
-        second_zero[:, 1] = 0.0
-        cases += [a, parallel, first_zero, second_zero]
-    a = np.array(cases + [np.zeros((4, 2))])
-    b = rng.normal(size=a.shape[:-1])
-    for k in (1, 2):
-        x, rank = _min_norm_lstsq(np.moveaxis(a[..., :k], -1, 0), b)
-        for i in range(len(a)):
-            expected, _, expected_rank, _ = np.linalg.lstsq(a[i, :, :k], b[i], rcond=None)
-            assert rank[i] == expected_rank
-            assert np.max(np.abs(x[:, i] - expected)) <= 1e-12 * max(
-                1.0, np.max(np.abs(expected)))
-
-
-@pytest.mark.parametrize("angle", [1e-6, 1e-9, 1e-12, 1e-18])
-def test_min_norm_lstsq_rank_cutoff_matches_lstsq(angle):
-    # nearly parallel columns: full rank down to lstsq's cutoff, rank 1 below
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(20, 4, 2))
-    a[..., 1] = a[..., 0] + angle * a[..., 1]
-    _, rank = _min_norm_lstsq(np.moveaxis(a, -1, 0), rng.normal(size=(20, 4)))
-    expected = [np.linalg.matrix_rank(m, tol=4 * np.finfo(float).eps
-                                      * np.linalg.norm(m, 2)) for m in a]
-    assert rank.tolist() == expected
-    assert set(expected) == ({1} if angle < 1e-15 else {2})
-
-
-def test_min_norm_lstsq_rejects_more_than_two_columns():
-    # its rank test and back substitution cover the models' 1 or 2 generators;
-    # a full-rank 4 x 3 system would come back as rank 1 with a wrong x
-    rng = np.random.default_rng(3)
-    with pytest.raises(ValueError, match="at most 2 columns.*2 generators.*got 3"):
-        _min_norm_lstsq(rng.normal(size=(3, 4)), rng.normal(size=4))
