@@ -10,7 +10,10 @@ Each config in ``CONFIGS`` is run twice with ``python -m ffspin run`` on each
 side, with that checkout's ``src/`` first on ``PYTHONPATH``, one run at a
 time.  The configs cover both models in every mode at the defaults, the
 benchmark's three workload sizes at seed 0 (``perfbench/workload.py``), the
-fast undriven three-spin control and the two-spin run from r0 = 2.5.
+fast undriven three-spin control, the two-spin run from r0 = 2.5 and the
+three-spin run across the reflection-odd crossing (j0 = 1, b0 = 3), whose
+core system is the worst conditioned of the robustness sweep (min |C1| =
+0.137).
 
 For every output file the report says whether the parent's and the change's
 bytes are identical, and otherwise gives the largest |change - parent| of
@@ -45,6 +48,9 @@ CONFIGS = {
     "three_spin_fast_no_driving": ["--v_bar", "100", "--t_ff", "0.1",
                                    "--mode", "no_driving"],
     "two_spin_r0_2.5": ["--model", "two_spin", "--r0", "2.5"],
+    "three_spin_crossing": ["--j0", "1", "--b0", "3", "--r0", "0",
+                            "--grid_points", "401", "--integrator_steps", "2000",
+                            "--output_stride", "100"],
 }
 
 
