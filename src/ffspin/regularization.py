@@ -32,11 +32,14 @@ modeling bug, not an approximation to be accepted.  The paper's closed
 forms, and the three-unknown ansatz that shows bz = 0, are the test oracles
 in ``tests/oracles.py``.
 
-``CoefficientTable`` interpolates w between the samples with the not-a-knot
-cubic spline: the one cubic spline through the samples whose third
-derivative is also continuous at the second and the second-to-last sample.
-It is built with numpy and reproduces ``scipy.interpolate.CubicSpline``'s
-coefficients and values to the bit on uniform grids, so no run loads scipy.
+``coefficient_table`` also gives the exact slopes dw/dR.  Differentiating
+the square system in R, with lambda = C . dC/dR dropped as rounding noise,
+gives the same matrix: [Im(G_1) C ... | C] (dw/dR, dlambda/dR) =
+d^2C/dR^2 - sum_k w_k Im(G_k) dC/dR, one more batched solve on the
+branch's d^2C/dR^2 samples.  ``CoefficientTable`` interpolates w between the
+samples with the cubic Hermite interpolant of w and dw/dR, built with numpy:
+no slope system is solved, and its coefficients and values are those of
+``scipy.interpolate.CubicHermiteSpline`` to the bit, so no run loads scipy.
 """
 from __future__ import annotations
 
@@ -53,6 +56,14 @@ from .spectrum import AdiabaticBranch
 ANSATZ_RESIDUAL_LIMIT = 1e-6
 
 
+def _core_matrix(spec: ModelSpec, vector: np.ndarray) -> np.ndarray:
+    """The core system's square matrix [Im(G_1) C ... Im(G_{k-1}) C | C],
+    shape (..., k, k), of (..., k) samples C."""
+    generators = structural_terms(spec.kind, "branch")[3:]
+    columns = (generators.imag @ vector[..., None, :, None])[..., 0]
+    return np.swapaxes(np.concatenate([columns, vector[..., None, :]], axis=-2), -1, -2)
+
+
 def solve_core(spec: ModelSpec, vector: np.ndarray,
                d_vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the core system for a branch sample (C, dC/dR), given as branch
@@ -63,10 +74,7 @@ def solve_core(spec: ModelSpec, vector: np.ndarray,
     when the columns Im(G_k) C of a sample are linearly dependent, or when a
     residual exceeds ``ANSATZ_RESIDUAL_LIMIT`` or is NaN.
     """
-    generators = structural_terms(spec.kind, "branch")[3:]
-    # the square system [Im(G_1) C ... Im(G_{k-1}) C | C], shape (..., k, k)
-    columns = (generators.imag @ vector[..., None, :, None])[..., 0]
-    a = np.swapaxes(np.concatenate([columns, vector[..., None, :]], axis=-2), -1, -2)
+    a = _core_matrix(spec, vector)
     try:
         x = np.linalg.solve(a, d_vector[..., None])
     except np.linalg.LinAlgError:
@@ -80,94 +88,45 @@ def solve_core(spec: ModelSpec, vector: np.ndarray,
     return w[..., 0], residual
 
 
-def _not_a_knot_slopes(x: np.ndarray, dx: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """Knot slopes, shape (n, k), of the not-a-knot cubic spline through
-    points with abscissae x, spacings dx and secant slopes ``slope``, shape
-    (n - 1, k).
-
-    Not-a-knot: the third derivative is continuous at the second and the
-    second-to-last knot, so the first two and the last two pieces are one
-    cubic each.  The slopes solve scipy's tridiagonal system, with its end
-    rows and right-hand side, by LAPACK gtsv's elimination over Python
-    floats, the pivots once for all columns; gtsv does not pivot on these
-    rows for uniform grids, so the slopes are scipy's to the bit.  Two
-    points give the line, three the parabola, as in scipy.
-    """
-    n = len(x)
-    if n == 2:
-        return slope[[0, 0]]
-    if n == 3:
-        c = (slope[1] - slope[0]) / (x[2] - x[0])
-        return np.stack([slope[0] - c * dx[0], slope[0] + c * dx[0], slope[1] + c * dx[1]])
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    b = np.empty((n, slope.shape[1]))
-    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]) / d0
-    b[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
-    b[-1] = (dx[-1] * dx[-1] * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    # rows i: lower[i - 1] s[i - 1] + diag[i] s[i] + upper[i] s[i + 1] = b[i]
-    lower = dx[1:].tolist() + [float(d1)]
-    diag = [float(dx[1])] + (2 * (dx[:-1] + dx[1:])).tolist() + [float(dx[-2])]
-    upper = [float(d0)] + dx[:-1].tolist()
-    p = diag[0]
-    pivots, factors = [p], []
-    for low, dg, up in zip(lower, diag[1:], upper):
-        f = low / p
-        p = dg - f * up
-        pivots.append(p)
-        factors.append(f)
-    slopes = []
-    for column in b.T.tolist():
-        u = column[0]
-        us = [u]
-        for f, c in zip(factors, column[1:]):
-            u = c - f * u
-            us.append(u)
-        u = u / p
-        s = [u]
-        for q, up, c in zip(pivots[-2::-1], upper[::-1], us[-2::-1]):
-            u = (c - up * u) / q
-            s.append(u)
-        slopes.append(s[::-1])
-    return np.array(slopes).T
-
-
 @dataclass
 class CoefficientTable:
-    """Driving couplings w, shape (n, n_generators), sampled on the branch
-    grid, with cubic interpolation.  ``spec`` is the model of their branch,
-    which ``integrate`` runs."""
+    """Driving couplings w and their slopes dw = dw/dR, each of shape (n,
+    n_generators), sampled on the branch grid, with cubic Hermite
+    interpolation.  ``spec`` is the model of their branch, which
+    ``integrate`` runs."""
 
     r_grid: np.ndarray
     w: np.ndarray
+    dw: np.ndarray
     residuals: np.ndarray
     spec: ModelSpec
 
     @classmethod
     def zeros(cls, spec: ModelSpec, r_grid: np.ndarray) -> CoefficientTable:
         """The undriven control's table: zero couplings (H_FF = H0), one per
-        generator of the model, and zero residuals on ``r_grid``."""
-        return cls(r_grid, np.zeros(np.shape(r_grid) + (spec.n_generators,)),
-                   np.zeros_like(r_grid), spec)
+        generator of the model, zero slopes and zero residuals on ``r_grid``."""
+        w = np.zeros(np.shape(r_grid) + (spec.n_generators,))
+        return cls(r_grid, w, np.zeros_like(w), np.zeros_like(r_grid), spec)
 
     @cached_property
     def _spline(self) -> np.ndarray | None:
-        """The not-a-knot cubic spline of the columns of w as power-basis
-        coefficients c, shape (4, n_generators, n - 1): on [r_i, r_i+1] the
-        couplings are sum_k c[k, :, i] (r - r_i)^(3 - k).  None for a
-        single-point grid, where the couplings are constant."""
-        x, y = self.r_grid, self.w
-        if len(x) < 2 or x[-1] == x[0]:
+        """The cubic Hermite interpolant of the columns of w with slopes dw as
+        power-basis coefficients c, shape (4, n_generators, n - 1): on
+        [r_i, r_i+1] the couplings are sum_k c[k, :, i] (r - r_i)^(3 - k).
+        None when every r is r_grid[0], where the couplings are constant."""
+        x, y, s = self.r_grid, self.w, self.dw
+        for name, values in (("r_grid", x), ("w", y), ("dw", s)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must contain only finite values")
+        if np.shape(s) != np.shape(y):
+            raise ValueError(f"dw has shape {np.shape(s)}, w has {np.shape(y)}")
+        if np.all(x == x[0]):
             return None
-        if not np.all(np.isfinite(x)):
-            raise ValueError("r_grid must contain only finite values")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("w must contain only finite values")
         dx = np.diff(x)
         if np.any(dx <= 0):
             raise ValueError("r_grid must be strictly increasing")
         dx_col = dx[:, None]
         slope = np.diff(y, axis=0) / dx_col
-        s = _not_a_knot_slopes(x, dx, slope)
         # scipy's CubicHermiteSpline coefficients, in its operation order
         t = (s[:-1] + s[1:] - 2 * slope) / dx_col
         c = np.stack([t / dx_col, (slope - s[:-1]) / dx_col - t, s[:-1], y[:-1]])
@@ -204,6 +163,12 @@ class CoefficientTable:
 
 
 def coefficient_table(branch: AdiabaticBranch) -> CoefficientTable:
-    """The core system solved at every sample of the branch, for its model."""
-    w, residuals = solve_core(branch.spec, branch.vectors, branch.d_vectors)
-    return CoefficientTable(branch.r_grid, w, residuals, branch.spec)
+    """The core system solved at every sample of the branch, for its model,
+    and its R derivative for the slopes dw/dR."""
+    spec, d = branch.spec, branch.d_vectors
+    w, residuals = solve_core(spec, branch.vectors, d)
+    # the core system differentiated in R: A (dw, dlambda) = C'' - sum_k w_k
+    # Im(G_k) C', whose Im(G_k) C' are the first columns of A at C'
+    b = branch.d2_vectors - (_core_matrix(spec, d)[..., :-1] @ w[..., None])[..., 0]
+    dw = np.linalg.solve(_core_matrix(spec, branch.vectors), b[..., None])[..., :-1, 0]
+    return CoefficientTable(branch.r_grid, w, dw, residuals, spec)

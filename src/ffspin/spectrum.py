@@ -16,12 +16,13 @@ the real symmetric h0 has real eigenvectors, so the gauge is a sign:
 ``fix_gauge`` makes the largest component positive, and ``track_branch``
 then signs each sample like its predecessor.  ``branch_vector_at`` keeps
 the ``fix_gauge`` sign: its vectors feed only sign-blind outputs.
-Vectors and dC/dR are returned as their k sector components, in the column
-order of ``sector_basis``; U c gives the full-space vector.
+Vectors and their R derivatives are returned as their k sector components,
+in the column order of ``sector_basis``; U c gives the full-space vector.
 
-dC/dR is the first-order resolvent sum over the other levels of the sector.
-An in-sector near-degeneracy of the tracked level makes that sum singular
-and raises, naming the R where it happens.
+dC/dR is the first-order resolvent sum over the other levels of the sector,
+and d^2C/dR^2 the second-order one, from the same eigenpairs.  An in-sector
+near-degeneracy of the tracked level makes those sums singular and raises,
+naming the R where it happens.
 
 Every function accepts stacks (``eigensolve`` an (..., d, d) array; the
 others arrays of R), so a run calls each once, not per R.  Every sector
@@ -218,13 +219,14 @@ def _in_sector_crossing(where: str) -> RuntimeError:
 
 @dataclass
 class AdiabaticBranch:
-    """Gauge-fixed eigenvector family C(R) of ``spec``, energies and dC/dR samples."""
+    """Gauge-fixed eigenvector family C(R) of ``spec``, energies, dC/dR and d^2C/dR^2."""
 
     spec: ModelSpec
     r_grid: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray      # shape (n_samples, k), branch sector components, real
     d_vectors: np.ndarray    # shape (n_samples, k), branch sector components, real
+    d2_vectors: np.ndarray   # d^2C/dR^2, likewise
 
 
 def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
@@ -262,10 +264,22 @@ def track_branch(spec: ModelSpec, r_grid: np.ndarray) -> AdiabaticBranch:
             f"{MIN_CONTINUITY_OVERLAP} at r={r} (sample {k})")
     # sign each sample like its predecessor: a running product of overlap signs
     vectors = raw * np.cumprod(np.sign(np.concatenate([[1.0], overlap])))[:, None]
-    # <v_i| dh0/dR |C> of the other levels i: dh0/dR C, then one batched matmul
-    couplings = ((vectors @ d_h0_dr(spec, "branch").T)[:, None, :] @ v[:, :, 1:])[:, 0]
-    d = np.einsum("nij,nj->ni", v[:, :, 1:], couplings / (w[:, :1] - w[:, 1:]))
-    return AdiabaticBranch(spec, r_grid, energies=w[:, 0], vectors=vectors, d_vectors=d)
+    others, dh = v[:, :, 1:], d_h0_dr(spec, "branch")
+
+    def resolvent(x: np.ndarray) -> np.ndarray:
+        """sum_i v_i <v_i|x> / (E0 - E_i) over the other levels i of the
+        sector: <v_i|x> by one batched matmul."""
+        return np.einsum("nij,nj->ni", others,
+                         (x[:, None, :] @ others)[:, 0] / (w[:, :1] - w[:, 1:]))
+
+    # with D = dh0/dR (h0 is linear in R) and E0' = <C|D|C>: C' is the
+    # resolvent of D C, and C'' = 2 resolvent((D - E0') C') - |C'|^2 C
+    dc = vectors @ dh.T
+    d = resolvent(dc)
+    d_energy = np.sum(vectors * dc, axis=1)[:, None]
+    d2 = 2.0 * resolvent(d @ dh.T - d_energy * d) - np.sum(d * d, axis=1)[:, None] * vectors
+    return AdiabaticBranch(spec, r_grid, energies=w[:, 0], vectors=vectors,
+                           d_vectors=d, d2_vectors=d2)
 
 
 def branch_vector_at(spec: ModelSpec, r: float | np.ndarray

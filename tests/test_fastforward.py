@@ -179,8 +179,8 @@ def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,
         integrate(ramp_profile, 0, table=two_table)
     # a hand-built two-spin table with two coupling columns, where two spins have one
     n = len(two_branch.r_grid)
-    two_columns = CoefficientTable(two_branch.r_grid, np.zeros((n, 2)), np.zeros(n),
-                                   two_spec)
+    two_columns = CoefficientTable(two_branch.r_grid, np.zeros((n, 2)), np.zeros((n, 2)),
+                                   np.zeros(n), two_spec)
     with pytest.raises(ValueError, match="^table has 2 coupling columns; the two_spin "
                                          "model needs 1$"):
         integrate(ramp_profile, table=two_columns)

@@ -212,7 +212,8 @@ def test_fused_coefficients_match_the_public_functions(model, v_bar, t_ff, reque
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     # a table that ends short of the ramp names the first r outside it
-    short = CoefficientTable(table.r_grid[:50], table.w[:50], table.residuals[:50], spec)
+    short = CoefficientTable(table.r_grid[:50], table.w[:50], table.dw[:50],
+                             table.residuals[:50], spec)
     t = times[0]
     r = r_of_t(profile, spec.r0, t)
     first = r[r > short.r_grid[-1] + 1e-9 * (short.r_grid[-1] - short.r_grid[0])][0]

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from ffspin.fastforward import integrate
 from ffspin.model import TERM_WORDS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec
@@ -181,6 +181,40 @@ def test_table_call_shape(r, two_spec, two_table):
         assert table(r).shape == np.shape(r) + (1,)
 
 
+@pytest.mark.parametrize("model", ["two", "three"])
+def test_slopes_match_central_differences_of_the_core_solve(model, request):
+    # w does not depend on the sign of C, so the solves at r +/- h need no
+    # sign matching.  Bound 1e-9: at h = 1e-5 the truncation error
+    # h^2 |d^3w/dR^3| / 6 and the rounding error eps |w| / h both stay below
+    # 1e-10; measured at most 1.1e-11, for max|dw| of 0.081 (two spins) and
+    # 0.0061 (three)
+    spec, branch, table = (request.getfixturevalue(f"{model}_{name}")
+                           for name in ("spec", "branch", "table"))
+
+    def w_at(r):
+        probe = track_branch(spec, r)
+        return solve_core(spec, probe.vectors, probe.d_vectors)[0]
+
+    h = 1e-5
+    fd = (w_at(branch.r_grid + h) - w_at(branch.r_grid - h)) / (2.0 * h)
+    assert table.dw.shape == table.w.shape
+    assert np.max(np.abs(fd - table.dw)) < 1e-9
+
+
+@pytest.mark.parametrize("kind,n_points,bound", [(THREE_SPIN_KAGOME, 401, 1e-11),
+                                                 (TWO_SPIN, 801, 1e-10)])
+def test_table_matches_the_core_solve_between_samples(kind, n_points, bound, profile):
+    # the benchmark's grids; the couplings solved directly at the grid
+    # midpoints, where the interpolation error peaks.  Measured 2.3e-12
+    # (three spins) and 2.4e-11 (two spins)
+    spec = ModelSpec(kind=kind)
+    table = coefficient_table(track_branch(spec, ramp_grid(spec, profile, n_points)))
+    midpoints = 0.5 * (table.r_grid[1:] + table.r_grid[:-1])
+    exact = track_branch(spec, midpoints)
+    w, _ = solve_core(spec, exact.vectors, exact.d_vectors)
+    assert np.max(np.abs(table(midpoints) - w)) <= bound
+
+
 def test_grid_doubling_stability(three_spec, three_table, profile):
     grid = ramp_grid(three_spec, profile, 4001)
     dense = coefficient_table(track_branch(three_spec, grid))
@@ -215,7 +249,8 @@ def _spline_probes(r_grid: np.ndarray, seed: int) -> np.ndarray:
                            [r_grid[0] - pad, r_grid[-1] + pad]])
 
 
-#: the spec of the hand-built spline tables; the spline reads only r_grid and w
+#: the spec of the hand-built spline tables; the spline reads only r_grid, w
+#: and dw
 SPLINE_SPEC = ModelSpec(kind=THREE_SPIN_KAGOME)
 
 
@@ -227,7 +262,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _assert_matches_scipy_bitwise(table: CoefficientTable, seed: int) -> None:
-    spline = CubicSpline(table.r_grid, table.w)
+    spline = CubicHermiteSpline(table.r_grid, table.w, table.dw)
     assert _same_bits(table._spline, spline.c.transpose(0, 2, 1))
     probes = _spline_probes(table.r_grid, seed)
     assert _same_bits(table(probes), spline(probes))
@@ -254,52 +289,50 @@ def test_spline_keeps_scipys_signed_zeros():
     # cubic, so every term at that knot is -0.0; scipy's sum starts from +0.0
     r_grid = np.linspace(0.0, 1.0, 9)
     w = -(r_grid ** 3 + r_grid ** 2 + r_grid)
-    table = CoefficientTable(r_grid, np.stack([w, np.full(9, -0.0)], axis=-1), np.zeros(9),
-                             SPLINE_SPEC)
+    dw = -(3 * r_grid ** 2 + 2 * r_grid + 1)
+    zero = np.full(9, -0.0)
+    table = CoefficientTable(r_grid, np.stack([w, zero], axis=-1),
+                             np.stack([dw, zero], axis=-1), np.zeros(9), SPLINE_SPEC)
     assert np.signbit(table.w[0]).all() and not np.signbit(table(0.0)).any()
     _assert_matches_scipy_bitwise(table, seed=9)
 
 
 def test_spline_matches_scipy_on_jittered_grids():
-    # away from uniform spacing gtsv may pivot where the sweep does not, so
-    # the two agree to rounding rather than to the bit
+    # from two points up, with random slopes: no slope system is solved, so
+    # the table is scipy's on any grid, to the bit
     rng = np.random.default_rng(77)
     for _ in range(300):
-        n = int(rng.integers(4, 120))
+        n = int(rng.integers(2, 120))
         r_grid = np.cumsum(rng.uniform(0.7, 1.3, n))
-        w = rng.normal(size=(n, int(rng.integers(1, 4)))) * rng.uniform(0.1, 10.0)
-        table = CoefficientTable(r_grid, w, np.zeros(n), SPLINE_SPEC)
-        probes = _spline_probes(r_grid, n)
-        error = np.max(np.abs(table(probes) - CubicSpline(r_grid, w)(probes)))
-        assert error <= 1e-13 * np.max(np.abs(w))
+        w, dw = rng.normal(size=(2, n, int(rng.integers(1, 4)))) * rng.uniform(0.1, 10.0)
+        _assert_matches_scipy_bitwise(CoefficientTable(r_grid, w, dw, np.zeros(n), SPLINE_SPEC),
+                                      seed=n)
 
 
-@pytest.mark.parametrize("n_points", [2, 3])
-def test_spline_of_two_and_three_points_is_the_interpolating_polynomial(n_points):
-    r_grid = np.array([0.5, 1.25, 3.0])[:n_points]
-    w = np.array([[1.0, -2.0], [0.25, 4.0], [-3.0, 0.5]])[:n_points]
-    table = CoefficientTable(r_grid, w, np.zeros(n_points), SPLINE_SPEC)
-    probes = np.linspace(0.0, 3.5, 41)
-    expected = np.stack([np.polyval(np.polyfit(r_grid, w[:, k], n_points - 1), probes)
-                         for k in range(2)], axis=-1)
-    assert np.allclose(table(probes), expected, rtol=0.0, atol=1e-13)
-    assert np.allclose(table(probes), CubicSpline(r_grid, w)(probes), rtol=0.0, atol=1e-13)
-    assert np.array_equal(table(r_grid[:-1]), w[:-1])  # each piece starts at its knot
-
-
-@pytest.mark.parametrize("r_grid, w, message", [
+@pytest.mark.parametrize("r_grid, bad, message", [
     ([0.0, 1.0, 1.0, 2.0], None, "strictly increasing"),
     ([0.0, 2.0, 1.0, 3.0], None, "strictly increasing"),
     ([0.0, np.nan, 2.0, 3.0], None, "r_grid must contain only finite"),
     ([0.0, 1.0, 2.0, np.inf], None, "r_grid must contain only finite"),
     ([0.0, 1.0, 2.0, 3.0], np.nan, "w must contain only finite"),
     ([0.0, 1.0, 2.0, 3.0], -np.inf, "w must contain only finite"),
+    # equal ends do not make a constant table
+    ([0.0, 1.0, 2.0, 0.0], None, "strictly increasing"),
+    # a one-point table is constant, and checked all the same
+    ([1.0], np.nan, "w must contain only finite"),
+    ([0.0, 1.0, 2.0, 3.0], [[0.0, 0.0]] * 2 + [[0.0, np.inf], [0.0, 0.0]],
+     "dw must contain only finite"),
+    ([0.0, 1.0, 2.0, 3.0], [[0.0]] * 4, r"^dw has shape \(4, 1\), w has \(4, 2\)$"),
 ])
-def test_spline_rejects_bad_tables(r_grid, w, message):
-    values = np.ones((4, 2))
-    if w is not None:
-        values[2, 1] = w
-    table = CoefficientTable(np.array(r_grid), values, np.zeros(4), SPLINE_SPEC)
+def test_spline_rejects_bad_tables(r_grid, bad, message):
+    # bad is None, a value put into w, or the whole dw
+    n = len(r_grid)
+    w, dw = np.ones((n, 2)), np.zeros((n, 2))
+    if isinstance(bad, list):
+        dw = np.array(bad)
+    elif bad is not None:
+        w[n // 2, 1] = bad
+    table = CoefficientTable(np.array(r_grid), w, dw, np.zeros(n), SPLINE_SPEC)
     with pytest.raises(ValueError, match=message):
         table(1.5)
 
@@ -308,6 +341,7 @@ def test_zero_table_is_the_undriven_control(three_spec, three_branch):
     table = CoefficientTable.zeros(three_spec, three_branch.r_grid)
     assert table.r_grid is three_branch.r_grid
     assert table.w.shape == three_branch.r_grid.shape + (2,) and not np.any(table.w)
+    assert table.dw.shape == table.w.shape and not np.any(table.dw)
     assert table.residuals.shape == three_branch.r_grid.shape
     assert not np.any(table.residuals)
     assert not np.any(table(np.linspace(0.0, 10.0, 7)))

@@ -316,7 +316,7 @@ def test_branch_vectors_are_block_components(fixture, dim, request):
     branch = request.getfixturevalue(fixture)
     n = len(branch.r_grid)
     k = {4: 2, 8: 3}[dim]
-    assert branch.vectors.shape == branch.d_vectors.shape == (n, k)
+    assert branch.vectors.shape == branch.d_vectors.shape == branch.d2_vectors.shape == (n, k)
 
 
 def test_resolve_two_spin_initial_state(two_branch):
@@ -444,21 +444,35 @@ def test_two_spin_gap_at_end(two_branch, two_spec):
     assert gaps[-1] == pytest.approx(np.sqrt(200.0) - 10.0, abs=1e-9)
 
 
+def probed(spec: ModelSpec, r: float, vector: np.ndarray) -> np.ndarray:
+    """Level 0 of the branch sector at r from a fresh solve, signed like
+    ``vector``.  Probe points may fall slightly outside the tracked R
+    interval, which is fine because the Hamiltonian is defined for every R."""
+    probe = eigensolve(h0(spec, r, "branch"))[1][:, 0]
+    return probe if probe @ vector >= 0.0 else -probe
+
+
 def fd_branch_derivative(spec: ModelSpec, r: float, vector: np.ndarray,
                          step: float = 1e-4) -> np.ndarray:
     """Central finite-difference dC/dR of level 0 of the branch sector, signed
     like ``vector``, with one Richardson extrapolation: an oracle for the
-    resolvent derivative that shares only ``h0`` and ``eigensolve`` with it.
-    Probe points may fall slightly outside the tracked R interval, which is
-    fine because the Hamiltonian is defined for every R."""
-
-    def probed(rr: float) -> np.ndarray:
-        probe = eigensolve(h0(spec, rr, "branch"))[1][:, 0]
-        return probe if probe @ vector >= 0.0 else -probe
-
-    coarse = (probed(r + step) - probed(r - step)) / (2.0 * step)
-    fine = (probed(r + step / 2.0) - probed(r - step / 2.0)) / step
+    resolvent derivative that shares only ``h0`` and ``eigensolve`` with it."""
+    coarse = (probed(spec, r + step, vector) - probed(spec, r - step, vector)) / (2.0 * step)
+    fine = (probed(spec, r + step / 2.0, vector)
+            - probed(spec, r - step / 2.0, vector)) / step
     return (4.0 * fine - coarse) / 3.0
+
+
+def fd_branch_second_derivative(spec: ModelSpec, r: float, vector: np.ndarray,
+                                step: float = 1e-2) -> np.ndarray:
+    """Central second difference d^2C/dR^2 of level 0 of the branch sector,
+    signed like ``vector``, with one Richardson extrapolation."""
+
+    def second(h: float) -> np.ndarray:
+        return (probed(spec, r + h, vector) - 2.0 * probed(spec, r, vector)
+                + probed(spec, r - h, vector)) / (h * h)
+
+    return (4.0 * second(step / 2.0) - second(step)) / 3.0
 
 
 @pytest.mark.parametrize("kind,indices", [(TWO_SPIN, (0, 700, 1600)),
@@ -470,6 +484,21 @@ def test_fd_derivative_cross_checks_resolvent(kind, indices, request):
     for k in indices:
         fd = fd_branch_derivative(spec, float(branch.r_grid[k]), branch.vectors[k])
         assert np.max(np.abs(fd - branch.d_vectors[k])) < 1e-6
+
+
+@pytest.mark.parametrize("kind,indices", [(TWO_SPIN, (0, 700, 1600)),
+                                          (THREE_SPIN_KAGOME, (0, 700, 1600))])
+def test_fd_second_derivative_cross_checks_resolvent(kind, indices, request):
+    # bound 1e-9: the second differences at h = 1e-2 and 5e-3 round to
+    # about eps |C| / h^2 ~ 1e-11 and Richardson leaves an O(h^4) truncation
+    # error; measured at most 1.4e-11 for max|C''| between 0.009 and 0.07
+    # (smaller steps only add rounding: 1e-9 at h = 1e-3)
+    branch = request.getfixturevalue(
+        "two_branch" if kind == TWO_SPIN else "three_branch")
+    spec = ModelSpec(kind=kind)
+    for k in indices:
+        fd = fd_branch_second_derivative(spec, float(branch.r_grid[k]), branch.vectors[k])
+        assert np.max(np.abs(fd - branch.d2_vectors[k])) < 1e-9
 
 
 def test_branch_vector_at_between_samples(two_spec):
