@@ -1,4 +1,6 @@
-"""The bytes of ``"%.16e" % x`` for a whole float64 array, written by numpy.
+"""A run's CSV bytes.  ``cells`` writes ``"%.16e" % x`` for a whole float64
+array with numpy, each value a NUL-padded row of ``SLOT`` bytes, and
+``emit`` gathers a file's rows of cells, a separator in each last byte.
 
 For |x| in [1e-280, 1e280], with k = floor(log10 |x|), the 17 significant
 digits are N = round(|x| * 10**(16 - k)).  The product is Dekker's exact
@@ -33,6 +35,8 @@ FAST_MIN, FAST_MAX = 1e-280, 1e280
 SLOT = 25
 #: a product this close to a rounding tie goes to Python: 1e5 times its error
 TIE_MARGIN = 1e-9
+#: cells formatted at once, which bounds the formatter's temporaries
+BLOCK_VALUES = 2048
 
 
 @functools.cache
@@ -125,3 +129,57 @@ def cells(x: np.ndarray) -> np.ndarray:
         grid[i, :-1] = 0
         grid[i, :len(text)] = np.frombuffer(text, np.uint8)
     return grid.reshape(x.shape + (SLOT,))
+
+
+def emit(tables: dict[str, tuple[list[str], list[np.ndarray | None]]]
+         ) -> dict[str, bytes]:
+    """Each table, a header and its (n,) or (n, k) float columns, as ASCII
+    CSV bytes, formatting each distinct column once.
+
+    A cell is the bytes of ``"%.16e" % x`` (which round-trips float64), and a
+    None column is an empty cell.  Every column vector is keyed by its bytes,
+    so bitwise-equal vectors share their cells across all the tables, while
+    0.0 and -0.0 stay apart.  The distinct vectors are formatted end to end in
+    blocks of ``BLOCK_VALUES`` cells, and each file gathers its rows of cells
+    from them.  Nothing is kept between calls.
+    """
+    firsts: dict[bytes, int] = {}  # vector bytes -> its first row of cells
+    total = 1  # row 0 of the cells is the empty cell
+    layouts = {}
+    for name, (header, columns) in tables.items():
+        rows = next(len(column) for column in columns if column is not None)
+        starts = []  # per CSV column, its first row of cells
+        for column in columns:
+            if column is None:
+                starts.append(0)
+                continue
+            array = np.asarray(column, dtype=float).reshape(rows, -1)
+            for j in range(array.shape[1]):
+                key = array[:, j].tobytes()
+                if key not in firsts:
+                    firsts[key] = total
+                    total += rows
+                starts.append(firsts[key])
+        layouts[name] = header, rows, np.array(starts)
+    values = np.frombuffer(b"".join(firsts), dtype=float)
+    del firsts  # its keys are a second copy of the values
+    grid = np.zeros((total, SLOT), np.uint8)
+    for start in range(0, len(values), BLOCK_VALUES):
+        stop = start + BLOCK_VALUES  # both slices end at the last value
+        grid[1 + start:1 + stop] = cells(values[start:stop])
+    del values
+
+    files = {}
+    for name, (header, rows, starts) in layouts.items():
+        separators = np.full(len(starts), ord(","), np.uint8)
+        separators[-1] = ord("\n")
+        parts = [",".join(header).encode("ascii") + b"\n"]
+        block = max(1, BLOCK_VALUES // len(starts))
+        for first in range(0, rows, block):
+            offsets = np.arange(first, min(first + block, rows))[:, None]
+            # every row of an empty column reads row 0
+            part = np.take(grid, starts + offsets * (starts > 0), axis=0)
+            part[..., -1] = separators
+            parts.append(part.tobytes().translate(None, b"\0"))  # NUL padding goes
+        files[name] = b"".join(parts)
+    return files

@@ -22,9 +22,9 @@ the four invariant blocks of ``model.SECTORS``: the branch sector's levels
 come with the branch solve, and every other block (at most 3 x 3, so solved
 in closed form) is solved by one ``eigensolve`` call.
 
-A CSV cell is the text of ``"%.16e" % x``.  A run's CSVs are emitted in one
-pass (``_emit``): each distinct column, by its bytes, is formatted once, and
-every file gathers its rows from those cells.
+``cli`` builds a run's CSVs as (header, columns) tables; their bytes, each
+value the text of ``"%.16e" % x``, come from one ``_csvcells.emit`` call,
+which formats each distinct column once.
 """
 from __future__ import annotations
 
@@ -63,8 +63,6 @@ RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 #: cap on grid_points and on the record count; branch tracking holds about
 #: 0.56 KB per grid point, so a config at the cap asks for about 560 MB
 MAX_POINTS = 1_000_000
-#: CSV cells formatted at once, which bounds the formatter's temporaries
-_BLOCK_VALUES = 2048
 
 
 @dataclass
@@ -153,57 +151,49 @@ def validate(config: ScenarioConfig) -> list[str]:
                         "be strictly increasing; raise v_bar * t_ff against |r0| or "
                         "lower grid_points")
     if not problems and config.mode in INTEGRATING_MODES:
-        ends, row_sum = _ramp_ends(config)
-        if _stage_overflows(config, row_sum):
-            scales = {"j0": abs(config.j0), "b0": abs(config.b0), "r0": abs(config.r0),
-                      "v_bar": config.v_bar * config.t_ff}
-            knob = max(scales, key=scales.get)
-            problems.append(f"the couplings are too large: the RK4 stage matrices "
-                            f"overflow float64; lower {knob}")
-        else:
-            y, steps = _ramp_end_step(config, ends, row_sum)
-            if y > RK4_STABILITY_LIMIT:
-                problems.append(
-                    f"integrator_steps must be at least {steps}, the minimum for RK4 "
-                    f"stability (a run's norm-drift check may ask for more): at "
-                    f"{config.integrator_steps} the RK4 step max|E| dt = {y:.3g} at a "
-                    f"ramp end is outside the stability interval |E| dt <= 2 sqrt(2)")
+        problem = _rk4_problem(config)
+        if problem:
+            problems.append(problem)
     return problems
 
 
-def _ramp_ends(config: ScenarioConfig) -> tuple[np.ndarray, float]:
-    """h0 on the branch sector at both ramp ends, where v = 0 and H_FF = h0,
-    and the largest row sum of its |h0|, which bounds every |level| along the
-    ramp (h0 is affine in R).  Either may overflow to inf, which
-    ``_stage_overflows`` reports."""
+def _rk4_problem(config: ScenarioConfig) -> str | None:
+    """Why RK4 cannot run the config, or None: its stage matrices can
+    overflow float64, or its step lies outside the stability interval.
+
+    Both are judged from h0 on the branch sector at the two ramp ends, where
+    v = 0 and H_FF = h0.  h0 is affine in R, so the largest row sum s of
+    |h0| there bounds every |level| along the ramp.  With x = s dt, the stage
+    K4 = A1 (I + dt A (I + dt/2 A (I + dt/2 A))) has row sums up to
+    s (1 + x (1 + x/2 (1 + x/2))), and so has every partial sum of its
+    matmuls; that bound is evaluated in Python floats, which overflow to
+    inf.  The ramp-end levels are solved only when s allows a step beyond
+    ``RK4_STABILITY_LIMIT``; otherwise the step is s's."""
     with np.errstate(over="ignore"):
         ends = h0(_spec(config), [config.r0, config.r0 + config.v_bar * config.t_ff],
                   "branch")
-        return ends, float(np.max(np.sum(np.abs(ends), axis=-1)))
-
-
-def _stage_overflows(config: ScenarioConfig, s: float) -> bool:
-    """Whether the RK4 stages of the bare part of H_FF can overflow float64.
-
-    With s the row-sum bound of ``_ramp_ends`` and x = s dt, the stage
-    K4 = A1 (I + dt A (I + dt/2 A (I + dt/2 A))) has row sums up to
-    s (1 + x (1 + x/2 (1 + x/2))), and so has every partial sum of its
-    matmuls.  That bound is evaluated in Python floats, which overflow to
-    inf.
-    """
-    x = s * config.t_ff / config.integrator_steps
-    return not math.isfinite(s * (1.0 + x * (1.0 + 0.5 * x * (1.0 + 0.5 * x))))
-
-
-def _ramp_end_step(config: ScenarioConfig, ends: np.ndarray, e_max: float
-                   ) -> tuple[float, int]:
-    """y = max|E| dt over the levels of the ramp-end blocks ``ends``, and the
-    smallest step count, a multiple of ``output_stride``, that keeps y within
-    ``RK4_STABILITY_LIMIT``; ``ends`` and their row-sum bound ``e_max`` are
-    those of ``_ramp_ends``.  The levels are solved only when ``e_max``
-    allows y beyond the limit; otherwise y is that bound's."""
-    if e_max * config.t_ff / config.integrator_steps > RK4_STABILITY_LIMIT:
+        e_max = float(np.max(np.sum(np.abs(ends), axis=-1)))
+    x = e_max * config.t_ff / config.integrator_steps
+    if not math.isfinite(e_max * (1.0 + x * (1.0 + 0.5 * x * (1.0 + 0.5 * x)))):
+        scales = {"j0": abs(config.j0), "b0": abs(config.b0), "r0": abs(config.r0),
+                  "v_bar": config.v_bar * config.t_ff}
+        return (f"the couplings are too large: the RK4 stage matrices overflow "
+                f"float64; lower {max(scales, key=scales.get)}")
+    if x > RK4_STABILITY_LIMIT:
         e_max = float(np.max(np.abs(eigensolve(ends)[0])))
+    y, steps = _rk4_step(config, e_max)
+    if y > RK4_STABILITY_LIMIT:
+        return (f"integrator_steps must be at least {steps}, the minimum for RK4 "
+                f"stability (a run's norm-drift check may ask for more): at "
+                f"{config.integrator_steps} the RK4 step max|E| dt = {y:.3g} at a "
+                f"ramp end is outside the stability interval |E| dt <= 2 sqrt(2)")
+    return None
+
+
+def _rk4_step(config: ScenarioConfig, e_max: float) -> tuple[float, int]:
+    """y = e_max dt, the RK4 step of the largest |level| e_max, and the
+    smallest step count, a multiple of ``output_stride``, that keeps y within
+    ``RK4_STABILITY_LIMIT``."""
     span = e_max * config.t_ff
     steps = max(1, math.ceil(span / RK4_STABILITY_LIMIT))
     while span / steps > RK4_STABILITY_LIMIT:  # ceil of a rounded quotient
@@ -214,61 +204,6 @@ def _ramp_end_step(config: ScenarioConfig, ends: np.ndarray, e_max: float
 
 #: a CSV's header and its (n,) or (n, k) float columns; None is an empty column
 Table = tuple[list[str], list[np.ndarray | None]]
-
-
-def _emit(tables: dict[str, Table]) -> dict[str, bytes]:
-    """Each table as ASCII CSV bytes, formatting each distinct column once.
-
-    A cell is the bytes of ``"%.16e" % x`` (which round-trips float64), and a
-    None column is an empty cell.  Every column vector is keyed by its bytes,
-    so bitwise-equal vectors share their cells across all the tables, while
-    0.0 and -0.0 stay apart.  The distinct vectors are formatted end to end in
-    blocks of ``_BLOCK_VALUES`` cells, and each file gathers its rows of cells
-    from them.  Nothing is kept between calls.
-    """
-    # imported here: compiling it at `import ffspin.cli` adds to every start-up
-    from ._csvcells import SLOT, cells
-
-    firsts: dict[bytes, int] = {}  # vector bytes -> its first row of cells
-    total = 1  # row 0 of the cells is the empty cell
-    layouts = {}
-    for name, (header, columns) in tables.items():
-        rows = next(len(column) for column in columns if column is not None)
-        starts = []  # per CSV column, its first row of cells
-        for column in columns:
-            if column is None:
-                starts.append(0)
-                continue
-            array = np.asarray(column, dtype=float).reshape(rows, -1)
-            for j in range(array.shape[1]):
-                key = array[:, j].tobytes()
-                if key not in firsts:
-                    firsts[key] = total
-                    total += rows
-                starts.append(firsts[key])
-        layouts[name] = header, rows, np.array(starts)
-    values = np.frombuffer(b"".join(firsts), dtype=float)
-    del firsts  # its keys are a second copy of the values
-    grid = np.zeros((total, SLOT), np.uint8)
-    for start in range(0, len(values), _BLOCK_VALUES):
-        stop = start + _BLOCK_VALUES  # both slices end at the last value
-        grid[1 + start:1 + stop] = cells(values[start:stop])
-    del values
-
-    files = {}
-    for name, (header, rows, starts) in layouts.items():
-        separators = np.full(len(starts), ord(","), np.uint8)
-        separators[-1] = ord("\n")
-        parts = [",".join(header).encode("ascii") + b"\n"]
-        block = max(1, _BLOCK_VALUES // len(starts))
-        for first in range(0, rows, block):
-            offsets = np.arange(first, min(first + block, rows))[:, None]
-            # every row of an empty column reads row 0
-            part = np.take(grid, starts + offsets * (starts > 0), axis=0)
-            part[..., -1] = separators
-            parts.append(part.tobytes().translate(None, b"\0"))  # NUL padding goes
-        files[name] = b"".join(parts)
-    return files
 
 
 def _r_grid(config: ScenarioConfig) -> np.ndarray:
@@ -347,7 +282,10 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
                                       [times, rs, *_w_columns(table(rs))])
     if config.mode != "regularization_only":
         tables[EIGENVALUES_CSV], tables[GAP_CSV] = _spectrum_tables(spec, times, rs)
-    files = {**_emit(tables), MANIFEST: _manifest(config)}
+    # imported here: compiling it at `import ffspin.cli` adds to every start-up
+    from ._csvcells import emit
+
+    files = {**emit(tables), MANIFEST: _manifest(config)}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, data in files.items():
@@ -418,7 +356,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # surface module errors as a diagnostic, not a trace
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

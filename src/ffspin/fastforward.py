@@ -31,8 +31,8 @@ fused pass over its stage times, which ``_stage_times`` makes inside
 [0, t_ff] and so are not checked again.
 
 Each call allocates one workspace, sized by min(CHUNK_STEPS, steps), and
-every chunk writes into it: the stage coefficients, generator-major, with
-the coupling spline evaluated in place; the stage matrices; and three step
+every chunk writes into it: the stage coefficients, generator-major, the
+couplings as ``table(r)`` times v; the stage matrices; and three step
 scratches, in which the rounds of products then take turns, so no chunk
 allocates an array of stage size.  The RK4 stages are formed doubled:
 dt A0 + 2I is exactly 2 (I + dt/2 A0), so the next matmul gives 2 K2 bit
@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import combine, sector_basis, structural_terms
+from .model import combine, schedules, sector_basis, structural_terms
 from .regularization import CoefficientTable
 from .spectrum import branch_vector_at
 
@@ -133,9 +133,9 @@ def _h_ff_coefficients(profile: FastForwardProfile, table: CoefficientTable,
     n_generators,)``, when it is given, else into a new array.
 
     One pass: r and v come from ``_ramp``, as in ``r_of_t`` and ``v_of_t``,
-    and each column is written in place, the couplings by the table's own
-    spline evaluation.  An r outside the table's range (or NaN) raises,
-    naming the first such r."""
+    (J1, J2, Bz) from ``model.schedules`` and the couplings from
+    ``table(r)``, each written into its columns.  An r outside the table's
+    range (or NaN) raises, naming the first such r."""
     spec = table.spec
     r, v = _ramp(profile, spec.r0, np.asarray(t, dtype=float))
     lo, hi = float(table.r_grid[0]), float(table.r_grid[-1])
@@ -146,12 +146,9 @@ def _h_ff_coefficients(profile: FastForwardProfile, table: CoefficientTable,
             f"r={r[outside][0]} outside the tabulated coefficient range [{lo}, {hi}]")
     if out is None:
         out = np.empty(r.shape + (3 + spec.n_generators,))
-    np.subtract(spec.j0, r, out=out[..., 0])  # (J1, J2, Bz) of ``schedules``
-    out[..., 1] = r
-    np.subtract(spec.b0, r, out=out[..., 2])
-    vw = out[..., 3:].T  # generator-major, as ``CoefficientTable._evaluate`` writes
-    table._evaluate(r, vw)
-    vw *= v
+    np.stack(schedules(spec, r), axis=-1, out=out[..., :3])
+    # generator-major, the memory order of ``table(r)`` and of the workspace
+    np.multiply(table(r).T, v, out=out[..., 3:].T)
     return out
 
 

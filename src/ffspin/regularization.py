@@ -37,7 +37,8 @@ the square system in R, with lambda = C . dC/dR dropped as rounding noise,
 gives the same matrix: [Im(G_1) C ... | C] (dw/dR, dlambda/dR) =
 d^2C/dR^2 - sum_k w_k Im(G_k) dC/dR, one more batched solve on the
 branch's d^2C/dR^2 samples.  ``CoefficientTable`` interpolates w between the
-samples with the cubic Hermite interpolant of w and dw/dR, built with numpy:
+samples, ``table(r)`` being its one evaluation, with the cubic Hermite
+interpolant of w and dw/dR, built with numpy:
 no slope system is solved, and its coefficients and values are those of
 ``scipy.interpolate.CubicHermiteSpline`` to the bit, so no run loads scipy.
 """
@@ -115,9 +116,14 @@ class CoefficientTable:
         [r_i, r_i+1] the couplings are sum_k c[k, :, i] (r - r_i)^(3 - k).
         None when every r is r_grid[0], where the couplings are constant."""
         x, y, s = self.r_grid, self.w, self.dw
+        if np.ndim(x) != 1 or np.size(x) == 0:
+            raise ValueError(f"r_grid must be a non-empty 1-d array, got shape {np.shape(x)}")
         for name, values in (("r_grid", x), ("w", y), ("dw", s)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must contain only finite values")
+        if np.shape(y)[:1] != np.shape(x):
+            raise ValueError(f"w has shape {np.shape(y)}: one row per r_grid point "
+                             f"needs {len(x)} rows")
         if np.shape(s) != np.shape(y):
             raise ValueError(f"dw has shape {np.shape(s)}, w has {np.shape(y)}")
         if np.all(x == x[0]):
@@ -133,25 +139,18 @@ class CoefficientTable:
         return np.ascontiguousarray(c.transpose(0, 2, 1))
 
     def __call__(self, r: float | np.ndarray) -> np.ndarray:
-        """Interpolated couplings at r, shape ``np.shape(r) + (n_generators,)``;
-        the end pieces extrapolate."""
-        out = np.empty(self.w.shape[1:] + np.shape(r))
-        self._evaluate(r, out)
-        return np.moveaxis(out, 0, -1)
-
-    def _evaluate(self, r: float | np.ndarray, out: np.ndarray) -> None:
-        """The interpolated couplings at r written generator-major into
-        ``out``, shape ``(n_generators,) + np.shape(r)``, each generator's row
-        contiguous as in the spline's own layout."""
+        """Interpolated couplings at r, a new array of shape ``np.shape(r) +
+        (n_generators,)``; the end pieces extrapolate.  Between distinct
+        samples its memory is generator-major, as in the spline's own layout,
+        so ``table(r).T`` is C-contiguous for a 1-d r."""
         c = self._spline
         if c is None:
-            out[...] = self.w[0].reshape(self.w.shape[1:] + (1,) * np.ndim(r))
-            return
+            return np.full(np.shape(r) + self.w.shape[1:], self.w[0])
         i = np.searchsorted(self.r_grid[1:-1], r, side="right")
         s = r - self.r_grid[i]
         c = c.take(i, axis=-1)  # a fresh array: its terms are formed in place
         # the sum in scipy's PPoly order, with the powers of s accumulated
-        np.add(0.0, c[3], out=out)
+        out = np.add(0.0, c[3])
         c[2] *= s
         out += c[2]
         z = s * s
@@ -160,6 +159,7 @@ class CoefficientTable:
         z *= s
         c[0] *= z
         out += c[0]
+        return np.moveaxis(out, 0, -1)
 
 
 def coefficient_table(branch: AdiabaticBranch) -> CoefficientTable:

@@ -364,8 +364,8 @@ def test_fast_forward_run_enters_every_traced_layer(tmp_path):
 
 
 def _csv(header, columns):
-    """The CSV bytes that ``cli._emit`` writes for one table."""
-    return cli._emit({"": (header, columns)})[""]
+    """The CSV bytes that ``_csvcells.emit`` writes for one table."""
+    return _csvcells.emit({"": (header, columns)})[""]
 
 
 def test_csv_matches_per_cell_format():
@@ -462,10 +462,10 @@ DENSE_KEYS = {"model": "two_spin", "grid_points": "801", "integrator_steps": "80
 
 def test_emit_formats_each_distinct_column_once(tmp_path, monkeypatch):
     emitted = []
-    def spy(tables, _emit=cli._emit):
+    def spy(tables, _emit=_csvcells.emit):
         emitted.append(tables)
         return _emit(tables)
-    monkeypatch.setattr(cli, "_emit", spy)
+    monkeypatch.setattr(_csvcells, "emit", spy)
     sizes = _count_cells(monkeypatch)
     assert run(make_config(DENSE_KEYS), tmp_path) == 0
     [tables] = emitted
@@ -479,7 +479,7 @@ def test_emit_formats_each_distinct_column_once(tmp_path, monkeypatch):
                 cells += vectors.size
     # the two P = -1 prob columns are exact zeros, and equal too
     assert sum(sizes) == sum(len(key) // 8 for key in distinct) == 11_214 < cells
-    assert len(sizes) == -(-sum(sizes) // cli._BLOCK_VALUES)
+    assert len(sizes) == -(-sum(sizes) // _csvcells.BLOCK_VALUES)
     for name, (header, columns) in tables.items():
         assert (tmp_path / name).read_bytes() == _per_cell_csv(header, columns)
 
@@ -534,6 +534,17 @@ def test_import_does_not_load_the_cell_formatter():
 
 def test_import_does_not_load_argparse():
     _run_python("import sys, ffspin.cli; assert 'argparse' not in sys.modules")
+
+
+def test_module_entry_point_validates():
+    # `python -m ffspin` is the one module entry point; tools/compare_outputs.py
+    # runs every config through it
+    src = str(Path(ffspin.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "ffspin", "validate", "--model",
+                           "two_spin"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
 def test_import_derives_no_sector():
@@ -595,7 +606,7 @@ def test_r_grid_that_does_not_increase_names_the_keys(tmp_path, capsys):
 
 def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
     # at these j0 the products of the RK4 steps overflow, although the stage
-    # bound of `_stage_overflows` stays finite.  The step at the ramp ends is
+    # bound of `_rk4_problem` stays finite.  The step at the ramp ends is
     # far outside RK4's stability interval, so `validate` refuses them by
     # naming the step count; a direct `integrate` call still fails on the
     # non-finite norm drift (tests/test_kernels.py)
@@ -618,7 +629,9 @@ def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
 def test_rk4_stability_check_names_the_smallest_passing_step_count(tmp_path, capsys):
     # y = max|E| dt at the ramp ends; the default three-spin run is far inside
     def ramp_end_step(config):
-        return cli._ramp_end_step(config, *cli._ramp_ends(config))
+        ends = h0(cli._spec(config),
+                  [config.r0, config.r0 + config.v_bar * config.t_ff], "branch")
+        return cli._rk4_step(config, float(np.max(np.abs(spectrum.eigensolve(ends)[0]))))
     config = make_config({"j0": "3644", **FAST_KEYS})
     y, steps = ramp_end_step(config)
     assert y > cli.RK4_STABILITY_LIMIT and steps % 200 == 0
@@ -628,9 +641,11 @@ def test_rk4_stability_check_names_the_smallest_passing_step_count(tmp_path, cap
         f"max|E| dt = {y:.3g} at a ramp end is outside the stability interval "
         "|E| dt <= 2 sqrt(2)"]
     passing = {"j0": "3644", **FAST_KEYS, "integrator_steps": str(steps)}
+    assert cli._rk4_problem(config) == validate(config)[0]
     assert validate(make_config(passing)) == []
     assert validate(make_config({**passing, "integrator_steps": str(steps - 200)})) != []
     assert ramp_end_step(make_config({}))[0] < 0.01
+    assert cli._rk4_problem(make_config({})) is None
     # spectrum_only runs no RK4
     assert validate(make_config({"j0": "3644", **FAST_KEYS,
                                  "mode": "spectrum_only"})) == []
@@ -646,8 +661,7 @@ def test_rk4_stability_check_names_the_smallest_passing_step_count(tmp_path, cap
     assert e_max == np.nextafter(33 * limit, np.inf)
     assert math.ceil(e_max / limit) == 33 and e_max / 33 > limit
     config = ScenarioConfig(t_ff=1.0, integrator_steps=100_000, output_stride=1)
-    assert cli._ramp_end_step(config, cli._ramp_ends(config)[0], e_max) == (
-        e_max / 100_000, 34)
+    assert cli._rk4_step(config, e_max) == (e_max / 100_000, 34)
 
 
 @pytest.mark.parametrize("keys,knob", [(["--j0", "1e300"], "j0"),

@@ -323,13 +323,24 @@ def test_spline_matches_scipy_on_jittered_grids():
     ([0.0, 1.0, 2.0, 3.0], [[0.0, 0.0]] * 2 + [[0.0, np.inf], [0.0, 0.0]],
      "dw must contain only finite"),
     ([0.0, 1.0, 2.0, 3.0], [[0.0]] * 4, r"^dw has shape \(4, 1\), w has \(4, 2\)$"),
+    # w and dw need one row per grid point, and the grid a point
+    ([0.0, 1.0, 2.0], "w", r"^w has shape \(2, 2\): one row per r_grid point needs 3 rows$"),
+    ([0.0, 1.0, 2.0], "dw", r"^dw has shape \(2, 2\), w has \(3, 2\)$"),
+    ([], None, r"^r_grid must be a non-empty 1-d array, got shape \(0,\)$"),
+    ([[0.0, 1.0], [2.0, 3.0]], None,
+     r"^r_grid must be a non-empty 1-d array, got shape \(2, 2\)$"),
 ])
 def test_spline_rejects_bad_tables(r_grid, bad, message):
-    # bad is None, a value put into w, or the whole dw
+    # bad is None, a value put into w, the whole dw, or the name of the array
+    # given one row too few
     n = len(r_grid)
     w, dw = np.ones((n, 2)), np.zeros((n, 2))
     if isinstance(bad, list):
         dw = np.array(bad)
+    elif bad == "w":
+        w = w[1:]
+    elif bad == "dw":
+        dw = dw[1:]
     elif bad is not None:
         w[n // 2, 1] = bad
     table = CoefficientTable(np.array(r_grid), w, dw, np.zeros(n), SPLINE_SPEC)
