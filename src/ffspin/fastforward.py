@@ -146,7 +146,8 @@ def _h_ff_coefficients(profile: FastForwardProfile, table: CoefficientTable,
             f"r={r[outside][0]} outside the tabulated coefficient range [{lo}, {hi}]")
     if out is None:
         out = np.empty(r.shape + (3 + spec.n_generators,))
-    np.stack(schedules(spec, r), axis=-1, out=out[..., :3])
+    for k, column in enumerate(schedules(spec, r)):  # (J1, J2, Bz)
+        out[..., k] = column
     # generator-major, the memory order of ``table(r)`` and of the workspace
     np.multiply(table(r).T, v, out=out[..., 3:].T)
     return out
