@@ -140,9 +140,9 @@ class CoefficientTable:
 
     def __call__(self, r: float | np.ndarray) -> np.ndarray:
         """Interpolated couplings at r, a new array of shape ``np.shape(r) +
-        (n_generators,)``; the end pieces extrapolate.  Between distinct
-        samples its memory is generator-major, as in the spline's own layout,
-        so ``table(r).T`` is C-contiguous for a 1-d r."""
+        (n_generators,)``; the end pieces extrapolate.  Unless the table is
+        constant, its memory is generator-major, as in the spline's own
+        layout, so ``table(r).T`` is C-contiguous for a 1-d r."""
         c = self._spline
         if c is None:
             return np.full(np.shape(r) + self.w.shape[1:], self.w[0])
