@@ -34,11 +34,18 @@ Each call allocates one workspace, sized by min(CHUNK_STEPS, steps), and
 every chunk writes into it: the stage coefficients, generator-major, the
 couplings as ``table(r)`` times v; the stage matrices; and three step
 scratches, in which the rounds of products then take turns, so no chunk
-allocates an array of stage size.  The RK4 stages are formed doubled:
-dt A0 + 2I is exactly 2 (I + dt/2 A0), so the next matmul gives 2 K2 bit
-for bit, and likewise 2 K3.  Scaling by 2 commutes with rounding, in BLAS
-too, except for subnormal or overflowing values, so the step matrices keep
-the bits of the undoubled form with two fewer elementwise passes.
+allocates an array of stage size.  The views into the workspace that a
+chunk's kernel uses (the stage split, the step scratches, the operands of
+every product and prefix round and the result) form a plan, made once per
+distinct chunk length in a call (at most two: the regular chunk and a
+shorter last one, or the two pieces of a record interval longer than
+``CHUNK_STEPS``), so every chunk makes the same numpy calls in the same
+order and memory still does not grow with the step count.  The RK4 stages
+are formed doubled: dt A0 + 2I is exactly 2 (I + dt/2 A0), so the next
+matmul gives 2 K2 bit for bit, and likewise 2 K3.  Scaling by 2 commutes
+with rounding, in BLAS too, except for subnormal or overflowing values, so
+the step matrices keep the bits of the undoubled form with two fewer
+elementwise passes.
 ``cli.validate`` refuses a config whose stage bound overflows or whose step
 at the ramp ends lies outside RK4's stability interval.
 
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import setitem
 
 import numpy as np
 
@@ -180,6 +188,36 @@ def _chunks(steps: int, stride: int):
             yield first, min(first + CHUNK_STEPS, end)
 
 
+def _run(calls: list) -> None:
+    """Call each function of a list of (function, args) pairs on its args,
+    in order: the kernel's one executor, which ``_step_increments``,
+    ``_ordered_product``, ``_prefix_products`` and every chunk of
+    ``_propagate`` run their calls through."""
+    for function, args in calls:
+        function(*args)
+
+
+def _step_calls(a: np.ndarray, dt: float, work: np.ndarray):
+    """The calls of ``_step_increments`` on views of a and work, and the
+    view of D they fill."""
+    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
+    d, m, q = work[:, :len(am)]
+    diagonal = m.reshape(len(m), -1)[:, ::a.shape[-1] + 1]
+    return [(np.multiply, (a0, dt, m)),
+            (np.add, (diagonal, 2.0, diagonal)),
+            (np.matmul, (am, m, d)),  # 2 K2
+            (np.multiply, (d, 0.5 * dt, m)),
+            (np.add, (diagonal, 2.0, diagonal)),
+            (np.matmul, (am, m, q)),  # 2 K3
+            (np.multiply, (q, 0.5 * dt, m)),
+            (np.add, (diagonal, 1.0, diagonal)),
+            (np.add, (d, a0, d)),
+            (np.add, (d, q, d)),
+            (np.matmul, (a1, m, q)),  # K4
+            (np.add, (d, q, d)),
+            (np.multiply, (d, dt / 6.0, d))], d
+
+
 def _step_increments(a: np.ndarray, dt: float, work: np.ndarray) -> np.ndarray:
     """D_n = P_n - I for the RK4 step matrices psi_{n+1} = P_n psi_n, from the
     2n + 1 stage matrices A = -iH at the steps' starts, midpoints and ends:
@@ -192,31 +230,33 @@ def _step_increments(a: np.ndarray, dt: float, work: np.ndarray) -> np.ndarray:
     + 2 K3 + K4) has the bits of the undoubled sum, with no pass that
     doubles K2 or K3.  ``work`` is a (3, >= n, k, k) buffer: D is written
     into work[0], and work[1] and work[2] are left free."""
-    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
-    d, m, q = work[:, :len(am)]
-    np.multiply(a0, dt, out=m)
-    diagonal = m.reshape(len(m), -1)[:, ::a.shape[-1] + 1]
-    diagonal += 2.0
-    np.matmul(am, m, out=d)  # 2 K2
-    np.multiply(d, 0.5 * dt, out=m)
-    diagonal += 2.0
-    np.matmul(am, m, out=q)  # 2 K3
-    np.multiply(q, 0.5 * dt, out=m)
-    diagonal += 1.0
-    d += a0
-    d += q
-    np.matmul(a1, m, out=q)  # K4
-    d += q
-    d *= dt / 6.0
+    calls, d = _step_calls(a, dt, work)
+    _run(calls)
     return d
 
 
-def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray, xy: np.ndarray) -> None:
-    """(I + x)(I + y) - I = (x + y) + x y into ``out``, with x y formed in
-    ``xy``, an array of out's shape."""
-    np.matmul(x, y, out=xy)
-    np.add(x, y, out=out)
-    out += xy
+def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray, xy: np.ndarray) -> list:
+    """The calls that form (I + x)(I + y) - I = (x + y) + x y into ``out``,
+    with x y formed in ``xy``, an array of out's shape."""
+    return [(np.matmul, (x, y, xy)), (np.add, (x, y, out)), (np.add, (out, xy, out))]
+
+
+def _product_calls(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
+    """The rounds of ``_ordered_product`` as calls on views of d and
+    ``free``, the view of the (g, k, k) product they leave and the two
+    buffers left free."""
+    calls = []
+    while d.shape[1] > 1:
+        g, m = d.shape[:2]
+        half, odd = divmod(m, 2)
+        dst, tmp = free
+        out = dst[:g * (half + odd)].reshape((g, half + odd) + d.shape[2:])
+        calls += _join(d[:, 1:2 * half:2], d[:, 0:2 * half:2], out[:, :half],
+                       tmp[:g * half].reshape((g, half) + d.shape[2:]))
+        if odd:
+            calls.append((setitem, (out[:, half], ..., d[:, -1])))
+        free, d = (d.reshape((-1,) + d.shape[2:]), tmp), out
+    return calls, d[:, 0], free
 
 
 def _ordered_product(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
@@ -229,31 +269,50 @@ def _ordered_product(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
     x y in the second, and copies an odd leftover last factor; the round's
     input is then free in its place.  Returns the (g, k, k) product and the
     two buffers left free."""
-    while d.shape[1] > 1:
-        g, m = d.shape[:2]
-        half, odd = divmod(m, 2)
+    calls, product, free = _product_calls(d, free)
+    _run(calls)
+    return product, free
+
+
+def _prefix_calls(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
+    """The rounds of ``_prefix_products`` as calls on views of d and
+    ``free``, and the view of the prefix products they leave."""
+    calls, shift = [], 1
+    while shift < len(d):
         dst, tmp = free
-        out = dst[:g * (half + odd)].reshape((g, half + odd) + d.shape[2:])
-        _join(d[:, 1:2 * half:2], d[:, 0:2 * half:2], out[:, :half],
-              tmp[:g * half].reshape((g, half) + d.shape[2:]))
-        if odd:
-            out[:, half] = d[:, -1]
-        free, d = (d.reshape((-1,) + d.shape[2:]), tmp), out
-    return d[:, 0], free
+        out = dst[:len(d)]
+        calls.append((setitem, (out[:shift], ..., d[:shift])))
+        calls += _join(d[shift:], d[:-shift], out[shift:], tmp[:len(d) - shift])
+        free, d, shift = (d, tmp), out, 2 * shift
+    return calls, d
 
 
 def _prefix_products(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Inclusive prefix products (I + d[j]) ... (I + d[0]) - I of a (g, k, k)
     stack, in log2(g) batched matmuls (Hillis & Steele); the rounds
     alternate between d and ``free`` as in ``_ordered_product``."""
-    shift = 1
-    while shift < len(d):
-        dst, tmp = free
-        out = dst[:len(d)]
-        out[:shift] = d[:shift]
-        _join(d[shift:], d[:-shift], out[shift:], tmp[:len(d) - shift])
-        free, d, shift = (d, tmp), out, 2 * shift
-    return d
+    calls, products = _prefix_calls(d, free)
+    _run(calls)
+    return products
+
+
+def _chunk_plan(workspace: tuple[np.ndarray, np.ndarray, np.ndarray], steps: int,
+                group: int, dt: float):
+    """The views of a chunk of ``steps`` RK4 steps into ``workspace``, the
+    (coefficients, stages, work) buffers of ``_propagate``, in record
+    intervals of ``group`` steps (or one piece of an interval): the stage
+    coefficients' view, generator-major; the stage matrices' view; the
+    calls of ``_step_increments``, ``_ordered_product`` and
+    ``_prefix_products``, in order; and the view of the (g, 2k, 2k) prefix
+    products P - I of the chunk's g intervals that those calls leave."""
+    coefficients, stages, work = workspace
+    n = 2 * steps + 1
+    step_calls, d = _step_calls(stages[:n], dt, work)
+    product_calls, groups, free = _product_calls(
+        d.reshape((-1, group) + d.shape[1:]), (work[1], work[2]))
+    prefix_calls, products = _prefix_calls(groups, free)
+    return (coefficients[:, :n].T, stages[:n],
+            step_calls + product_calls + prefix_calls, products)
 
 
 def _propagate(profile: FastForwardProfile, table: CoefficientTable, steps: int,
@@ -261,24 +320,27 @@ def _propagate(profile: FastForwardProfile, table: CoefficientTable, steps: int,
     """Fill rows[1:] with the states [Re psi, Im psi] every ``output_stride``
     steps from rows[0], a chunk of steps at a time.
 
-    The workspace of the module docstring serves every chunk; it is freed
-    on return, before ``integrate`` post-processes the records."""
+    The workspace of the module docstring serves every chunk; each distinct
+    chunk length gets one plan of views into it, on first use.  Both are
+    freed on return, before ``integrate`` post-processes the records."""
     dt = profile.t_ff / steps
     terms = _real_stage_terms(table.spec.kind)
     size = min(CHUNK_STEPS, steps)
-    coefficients = np.empty((len(terms), 2 * size + 1))
-    stages = np.empty((2 * size + 1,) + terms.shape[1:])
-    work = np.empty((3, size) + terms.shape[1:])
+    workspace = (np.empty((len(terms), 2 * size + 1)),
+                 np.empty((2 * size + 1,) + terms.shape[1:]),
+                 np.empty((3, size) + terms.shape[1:]))
+    plans = {}
     psi = rows[0]
     for first, last in _chunks(steps, output_stride):
-        n = 2 * (last - first) + 1
+        length = last - first
+        if length not in plans:
+            plans[length] = _chunk_plan(workspace, length, min(output_stride, length), dt)
+        coefficients, stages, calls, products = plans[length]
         block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
-        c = _h_ff_coefficients(profile, table, block_t, out=coefficients[:, :n].T)
-        d = _step_increments(combine(c, terms, out=stages[:n]), dt, work)
-        groups, free = _ordered_product(
-            d.reshape((-1, min(output_stride, last - first)) + d.shape[1:]),
-            (work[1], work[2]))
-        states = psi + _prefix_products(groups, free) @ psi
+        _h_ff_coefficients(profile, table, block_t, out=coefficients)
+        combine(coefficients, terms, out=stages)
+        _run(calls)
+        states = psi + products @ psi
         psi = states[-1]
         if last % output_stride == 0:  # else the interval goes on
             end = last // output_stride + 1
@@ -324,6 +386,7 @@ def integrate(profile: FastForwardProfile, steps: int = DEFAULT_STEPS, *,
 
     rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
     rec_r, rec_v = _ramp(profile, spec.r0, rec_t)
+    rec_w = table(rec_r)  # a malformed table raises its own error here
     vecs, _ = branch_vector_at(spec, rec_r)
     k = vecs.shape[-1]
     rows = np.empty((len(rec_t), 2 * k))  # [Re psi, Im psi] on the sector
@@ -345,5 +408,5 @@ def integrate(profile: FastForwardProfile, steps: int = DEFAULT_STEPS, *,
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
             "increase the step count")
     fids = np.abs(np.einsum("ij,ij->i", vecs, sector_psis / norms[:, None])) ** 2
-    return Trajectory(t=rec_t, r=rec_r, v=rec_v, w=table(rec_r),
+    return Trajectory(t=rec_t, r=rec_r, v=rec_v, w=rec_w,
                       psi=psis, norm=norms, fidelity=fids)

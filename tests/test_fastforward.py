@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,14 @@ def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,
     with pytest.raises(ValueError, match="^table has 2 coupling columns; the two_spin "
                                          "model needs 1$"):
         integrate(ramp_profile, table=two_columns)
+    # an empty or a 2-d r_grid: the table's own check speaks first
+    for r_grid in (np.empty(0), two_branch.r_grid[None]):
+        malformed = CoefficientTable(r_grid, np.zeros((r_grid.size, 1)),
+                                     np.zeros((r_grid.size, 1)), np.zeros(r_grid.size),
+                                     two_spec)
+        with pytest.raises(ValueError, match=re.escape(
+                f"r_grid must be a non-empty 1-d array, got shape {r_grid.shape}")):
+            integrate(ramp_profile, table=malformed)
 
 
 def test_a_table_runs_the_spec_its_branch_was_tracked_for(ramp_profile):

@@ -1,7 +1,8 @@
 """The RK4 propagator inside `integrate`: record layout, reproducibility, the
 undriven control on a zero table, agreement with a plain per-step RK4 loop
 in the full space, the blocks outside the branch sector that it leaves
-untouched, its chunking and its real-form stage terms."""
+untouched, its chunking, the per-call plans of views that its chunks reuse,
+and its real-form stage terms."""
 from __future__ import annotations
 
 import re
@@ -137,6 +138,57 @@ def test_small_chunks_match_default_chunks(monkeypatch, three_spec, profile,
     # each record interval of 100 steps is 14 chunks of 7 and one of 2
     assert len(sizes) == 20 * 15
     assert np.max(np.abs(small.psi - reference.psi)) <= 1e-13
+
+
+@pytest.mark.parametrize("model, steps, stride, lengths", [
+    ("three", 5000, 500, [500]),          # ten chunks of one interval each
+    ("three", 3000, 1000, [512, 488]),    # each interval in two pieces
+    ("two", 800, 1, [512, 288])])         # a shorter last chunk
+def test_one_plan_per_distinct_chunk_length(model, steps, stride, lengths, profile,
+                                            monkeypatch, request):
+    table = request.getfixturevalue(f"{model}_table")
+    built = []
+    original = fastforward._chunk_plan
+
+    def counting_plan(workspace, length, group, dt):
+        built.append(length)
+        return original(workspace, length, group, dt)
+
+    monkeypatch.setattr(fastforward, "_chunk_plan", counting_plan)
+    integrate(profile, steps, output_stride=stride, table=table)
+    assert built == lengths
+    built.clear()
+    integrate(profile, steps, output_stride=stride, table=table)
+    assert built == lengths  # plans are per call
+
+
+@pytest.mark.parametrize("steps, group", [(500, 500), (500, 20), (488, 488), (288, 1)])
+def test_a_reused_plan_matches_fresh_kernel_calls(steps, group):
+    # a workspace as integrate allocates it, for 6 x 6 stages
+    size = fastforward.CHUNK_STEPS
+    workspace = (np.empty((6, 2 * size + 1)), np.empty((2 * size + 1, 6, 6)),
+                 np.empty((3, size, 6, 6)))
+    dt = 1.0 / 3000
+    coefficients, stages, calls, products = fastforward._chunk_plan(
+        workspace, steps, group, dt)
+    assert coefficients.shape == (2 * steps + 1, 6)
+    assert stages.shape == (2 * steps + 1, 6, 6)
+    assert products.shape == (steps // group, 6, 6)
+    # views only: every array of the plan lies in the workspace
+    arrays = [coefficients, stages, products] + [
+        x for _, args in calls for x in args if isinstance(x, np.ndarray)]
+    assert all(any(np.shares_memory(x, buffer) for buffer in workspace) for x in arrays)
+    rng = np.random.default_rng(steps + group)
+    for _ in range(2):  # a second, different stack through the same views
+        a = rng.normal(size=stages.shape)
+        stages[...] = a
+        fastforward._run(calls)
+        work = np.empty((3, steps, 6, 6))
+        d = fastforward._step_increments(a, dt, work)
+        groups, free = fastforward._ordered_product(
+            d.reshape((-1, group) + d.shape[1:]), (work[1], work[2]))
+        expected = fastforward._prefix_products(groups, free)
+        assert np.array_equal(products.view(np.uint64), expected.view(np.uint64))
 
 
 def _real_form(a):

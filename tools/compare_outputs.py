@@ -10,10 +10,12 @@ Each config in ``CONFIGS`` is run twice with ``python -m ffspin run`` on each
 side, with that checkout's ``src/`` first on ``PYTHONPATH``, one run at a
 time.  The configs cover both models in every mode at the defaults, the
 benchmark's three workload sizes at seed 0 (``perfbench/workload.py``), the
-fast undriven three-spin control, the two-spin run from r0 = 2.5 and the
+fast undriven three-spin control, the two-spin run from r0 = 2.5, the
 three-spin run across the reflection-odd crossing (j0 = 1, b0 = 3), whose
 core system is the worst conditioned of the robustness sweep (min |C1| =
-0.137).
+0.137), and a three-spin run whose record interval of 1000 steps is longer
+than ``fastforward.CHUNK_STEPS``, so that each interval is propagated in
+pieces of 512 and 488 steps.
 
 For every output file the report says whether the parent's and the change's
 bytes are identical, and otherwise gives the largest |change - parent| of
@@ -51,6 +53,8 @@ CONFIGS = {
     "three_spin_crossing": ["--j0", "1", "--b0", "3", "--r0", "0",
                             "--grid_points", "401", "--integrator_steps", "2000",
                             "--output_stride", "100"],
+    "three_spin_long_intervals": ["--grid_points", "201", "--integrator_steps", "3000",
+                                  "--output_stride", "1000"],
 }
 
 
