@@ -26,20 +26,21 @@ matmuls a chunk of steps at a time, multiplied pairwise within each record
 interval (Blelloch, "Prefix sums and their applications", 1990) and joined by
 an inclusive prefix scan over the chunk's intervals (Hillis & Steele, CACM
 29, 1170 (1986)), so each record is one product with psi.  A chunk's fixed
-cost is kept to a few numpy calls: its stage coefficients come from one
-fused pass over its stage times, which ``_stage_times`` makes inside
-[0, t_ff] and so are not checked again.
+cost is kept to a few numpy calls: ``_h_ff_coefficients`` writes its stage
+coefficients into the workspace in one fused pass over its stage times,
+which ``_stage_times`` makes inside [0, t_ff] and so are not checked again.
 
 Each call allocates one workspace, sized by min(CHUNK_STEPS, steps), and
 every chunk writes into it: the stage coefficients, generator-major, the
 couplings as ``table(r)`` times v; the stage matrices; and three step
 scratches, in which the rounds of products then take turns, so no chunk
-allocates an array of stage size.  The views into the workspace that a
-chunk's kernel uses (the stage split, the step scratches, the operands of
-every product and prefix round and the result) form a plan, made once per
-distinct chunk length in a call (at most two: the regular chunk and a
-shorter last one, or the two pieces of a record interval longer than
-``CHUNK_STEPS``), so every chunk makes the same numpy calls in the same
+allocates an array of stage size.  The kernel has one entry: a plan of the
+views into the workspace that a chunk uses (the stage split, the step
+scratches, the operands of every product and prefix round and the result)
+and of the numpy calls on them, built by ``_chunk_plan`` once per distinct
+chunk length in a call (at most two: the regular chunk and a shorter last
+one, or the two pieces of a record interval longer than ``CHUNK_STEPS``)
+and run by ``_run``, so every chunk makes the same numpy calls in the same
 order and memory still does not grow with the step count.  The RK4 stages
 are formed doubled: dt A0 + 2I is exactly 2 (I + dt/2 A0), so the next
 matmul gives 2 K2 bit for bit, and likewise 2 K3.  Scaling by 2 commutes
@@ -132,33 +133,28 @@ class Trajectory:
 
 
 def _h_ff_coefficients(profile: FastForwardProfile, table: CoefficientTable,
-                       t: float | np.ndarray, out: np.ndarray | None = None
-                       ) -> np.ndarray:
-    """H_FF's coefficients (J1, J2, Bz, v w1, ...) on the structural terms of
-    the table's model at stage times t (a float or a 1-d array) in
-    [0, t_ff], which ``_stage_times`` guarantees, so t is not checked again.
-    They are written into ``out``, shape ``np.shape(t) + (3 +
-    n_generators,)``, when it is given, else into a new array.
+                       t: np.ndarray, out: np.ndarray) -> None:
+    """Write H_FF's coefficients (J1, J2, Bz, v w1, ...) on the structural
+    terms of the table's model at the 1-d stage times t into ``out``, shape
+    (len(t), 3 + n_generators).  ``_stage_times`` keeps t in [0, t_ff], so
+    it is not checked again.
 
     One pass: r and v come from ``_ramp``, as in ``r_of_t`` and ``v_of_t``,
     (J1, J2, Bz) from ``model.schedules`` and the couplings from
     ``table(r)``, each written into its columns.  An r outside the table's
     range (or NaN) raises, naming the first such r."""
     spec = table.spec
-    r, v = _ramp(profile, spec.r0, np.asarray(t, dtype=float))
+    r, v = _ramp(profile, spec.r0, t)
     lo, hi = float(table.r_grid[0]), float(table.r_grid[-1])
     pad = 1e-9 * max(1.0, abs(hi - lo))
     if not (lo - pad <= r.min() and r.max() <= hi + pad):  # NaN fails too
         outside = ~((lo - pad <= r) & (r <= hi + pad))
         raise ValueError(
             f"r={r[outside][0]} outside the tabulated coefficient range [{lo}, {hi}]")
-    if out is None:
-        out = np.empty(r.shape + (3 + spec.n_generators,))
     for k, column in enumerate(schedules(spec, r)):  # (J1, J2, Bz)
-        out[..., k] = column
+        out[:, k] = column
     # generator-major, the memory order of ``table(r)`` and of the workspace
-    np.multiply(table(r).T, v, out=out[..., 3:].T)
-    return out
+    np.multiply(table(r).T, v, out=out[:, 3:].T)
 
 
 @lru_cache(maxsize=None)
@@ -190,16 +186,24 @@ def _chunks(steps: int, stride: int):
 
 def _run(calls: list) -> None:
     """Call each function of a list of (function, args) pairs on its args,
-    in order: the kernel's one executor, which ``_step_increments``,
-    ``_ordered_product``, ``_prefix_products`` and every chunk of
-    ``_propagate`` run their calls through."""
+    in order: the kernel's one executor, which runs every chunk's plan."""
     for function, args in calls:
         function(*args)
 
 
 def _step_calls(a: np.ndarray, dt: float, work: np.ndarray):
-    """The calls of ``_step_increments`` on views of a and work, and the
-    view of D they fill."""
+    """The calls that write D_n = P_n - I for the RK4 step matrices psi_{n+1}
+    = P_n psi_n into work[0], and the view of D they fill, from the 2n + 1
+    stage matrices A = -iH at the steps' starts, midpoints and ends:
+    P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
+    K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3).
+
+    The stages are formed doubled: dt A0 + 2I is 2 (I + dt/2 K1) exactly, so
+    Am times it is 2 K2 bit for bit, and likewise 2 K3; (dt/2)(2 K3) + I is
+    I + dt K3.  Scaling by 2 commutes with rounding, so D = dt/6 ((2 K2 + A0)
+    + 2 K3 + K4) has the bits of the undoubled sum, with no pass that
+    doubles K2 or K3.  ``work`` is a (3, >= n, k, k) buffer; the calls also
+    use work[1] and work[2] and leave them free."""
     a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
     d, m, q = work[:, :len(am)]
     diagonal = m.reshape(len(m), -1)[:, ::a.shape[-1] + 1]
@@ -218,23 +222,6 @@ def _step_calls(a: np.ndarray, dt: float, work: np.ndarray):
             (np.multiply, (d, dt / 6.0, d))], d
 
 
-def _step_increments(a: np.ndarray, dt: float, work: np.ndarray) -> np.ndarray:
-    """D_n = P_n - I for the RK4 step matrices psi_{n+1} = P_n psi_n, from the
-    2n + 1 stage matrices A = -iH at the steps' starts, midpoints and ends:
-    P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2 K1),
-    K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3).
-
-    The stages are formed doubled: dt A0 + 2I is 2 (I + dt/2 K1) exactly, so
-    Am times it is 2 K2 bit for bit, and likewise 2 K3; (dt/2)(2 K3) + I is
-    I + dt K3.  Scaling by 2 commutes with rounding, so D = dt/6 ((2 K2 + A0)
-    + 2 K3 + K4) has the bits of the undoubled sum, with no pass that
-    doubles K2 or K3.  ``work`` is a (3, >= n, k, k) buffer: D is written
-    into work[0], and work[1] and work[2] are left free."""
-    calls, d = _step_calls(a, dt, work)
-    _run(calls)
-    return d
-
-
 def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray, xy: np.ndarray) -> list:
     """The calls that form (I + x)(I + y) - I = (x + y) + x y into ``out``,
     with x y formed in ``xy``, an array of out's shape."""
@@ -242,9 +229,16 @@ def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray, xy: np.ndarray) -> list
 
 
 def _product_calls(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
-    """The rounds of ``_ordered_product`` as calls on views of d and
-    ``free``, the view of the (g, k, k) product they leave and the two
-    buffers left free."""
+    """The calls that form (I + d[:, m-1]) ... (I + d[:, 0]) - I for a
+    C-contiguous (g, m, k, k) stack, multiplied pairwise as (I + x)(I + y)
+    - I = x + y + x y: rounding I + d would repeat the same diagonal error
+    at every step.  Returns the calls, the view of the (g, k, k) product
+    they leave and the two buffers left free.
+
+    ``free`` holds two C-contiguous (>= g m, k, k) buffers that do not
+    overlap d.  Each round joins the pairs into the first, with the products
+    x y in the second, and copies an odd leftover last factor; the round's
+    input is then free in its place."""
     calls = []
     while d.shape[1] > 1:
         g, m = d.shape[:2]
@@ -259,24 +253,11 @@ def _product_calls(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
     return calls, d[:, 0], free
 
 
-def _ordered_product(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
-    """(I + d[:, m-1]) ... (I + d[:, 0]) - I for a C-contiguous (g, m, k, k)
-    stack, multiplied pairwise as (I + x)(I + y) - I = x + y + x y: rounding
-    I + d would repeat the same diagonal error at every step.
-
-    ``free`` holds two C-contiguous (>= g m, k, k) buffers that do not
-    overlap d.  Each round joins the pairs into the first, with the products
-    x y in the second, and copies an odd leftover last factor; the round's
-    input is then free in its place.  Returns the (g, k, k) product and the
-    two buffers left free."""
-    calls, product, free = _product_calls(d, free)
-    _run(calls)
-    return product, free
-
-
 def _prefix_calls(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
-    """The rounds of ``_prefix_products`` as calls on views of d and
-    ``free``, and the view of the prefix products they leave."""
+    """The calls that form the inclusive prefix products (I + d[j]) ...
+    (I + d[0]) - I of a (g, k, k) stack in log2(g) batched matmuls (Hillis &
+    Steele), the rounds alternating between d and ``free`` as in
+    ``_product_calls``, and the view of the products they leave."""
     calls, shift = [], 1
     while shift < len(d):
         dst, tmp = free
@@ -287,24 +268,15 @@ def _prefix_calls(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
     return calls, d
 
 
-def _prefix_products(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Inclusive prefix products (I + d[j]) ... (I + d[0]) - I of a (g, k, k)
-    stack, in log2(g) batched matmuls (Hillis & Steele); the rounds
-    alternate between d and ``free`` as in ``_ordered_product``."""
-    calls, products = _prefix_calls(d, free)
-    _run(calls)
-    return products
-
-
 def _chunk_plan(workspace: tuple[np.ndarray, np.ndarray, np.ndarray], steps: int,
                 group: int, dt: float):
     """The views of a chunk of ``steps`` RK4 steps into ``workspace``, the
     (coefficients, stages, work) buffers of ``_propagate``, in record
     intervals of ``group`` steps (or one piece of an interval): the stage
     coefficients' view, generator-major; the stage matrices' view; the
-    calls of ``_step_increments``, ``_ordered_product`` and
-    ``_prefix_products``, in order; and the view of the (g, 2k, 2k) prefix
-    products P - I of the chunk's g intervals that those calls leave."""
+    calls of ``_step_calls``, ``_product_calls`` and ``_prefix_calls``, in
+    order, for ``_run``; and the view of the (g, 2k, 2k) prefix products
+    P - I of the chunk's g intervals that those calls leave."""
     coefficients, stages, work = workspace
     n = 2 * steps + 1
     step_calls, d = _step_calls(stages[:n], dt, work)
@@ -337,7 +309,7 @@ def _propagate(profile: FastForwardProfile, table: CoefficientTable, steps: int,
             plans[length] = _chunk_plan(workspace, length, min(output_stride, length), dt)
         coefficients, stages, calls, products = plans[length]
         block_t = _stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
-        _h_ff_coefficients(profile, table, block_t, out=coefficients)
+        _h_ff_coefficients(profile, table, block_t, coefficients)
         combine(coefficients, terms, out=stages)
         _run(calls)
         states = psi + products @ psi

@@ -293,6 +293,22 @@ def test_main_validate_tracks_the_branch(capsys):
     assert "grid too coarse" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("keys, error", [
+    ({"model": "two_spin", "b0": "5"}, "in-sector crossing"),
+    ({"grid_points": "5"}, "grid too coarse")], ids=["crossing", "coarse_grid"])
+def test_no_driving_run_still_tracks_the_branch(keys, error, tmp_path, capsys):
+    # the zero table needs only the grid, but the branch solve is also the
+    # run's crossing and coarse-grid check: untracked, the records' fidelity
+    # would follow the sector's lowest level, which past a crossing is
+    # another level, with no error
+    keys = {**keys, "mode": "no_driving"}
+    with pytest.raises(RuntimeError, match=error):
+        run(make_config(keys), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    assert main(["validate", *(f"--{k}={v}" for k, v in keys.items())]) == 2
+    assert error in capsys.readouterr().out
+
+
 def test_eigensolve_calls_do_not_grow_with_grid_or_records(tmp_path, monkeypatch):
     # the spectral layer works on whole stacks: a per-sample or per-record
     # loop would make these counts grow with grid_points or 1/output_stride

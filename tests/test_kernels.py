@@ -162,16 +162,24 @@ def test_one_plan_per_distinct_chunk_length(model, steps, stride, lengths, profi
     assert built == lengths  # plans are per call
 
 
-@pytest.mark.parametrize("steps, group", [(500, 500), (500, 20), (488, 488), (288, 1)])
+def _workspace(steps):
+    """A workspace as ``integrate`` allocates it for three spins (5
+    structural terms, 6 x 6 real stages), for chunks of up to ``steps`` steps."""
+    return (np.empty((5, 2 * steps + 1)), np.empty((2 * steps + 1, 6, 6)),
+            np.empty((3, steps, 6, 6)))
+
+
+# the chunk shapes (steps, group) of the benchmark's workloads: three_spin's
+# (500, 20), long_ramp's (500, 500) and dense_two_spin's (512, 1) and
+# (288, 1); and (488, 488), the second piece of a 1000-step interval
+@pytest.mark.parametrize("steps, group", [(500, 500), (500, 20), (488, 488), (288, 1),
+                                          (512, 1)])
 def test_a_reused_plan_matches_fresh_kernel_calls(steps, group):
-    # a workspace as integrate allocates it, for 6 x 6 stages
-    size = fastforward.CHUNK_STEPS
-    workspace = (np.empty((6, 2 * size + 1)), np.empty((2 * size + 1, 6, 6)),
-                 np.empty((3, size, 6, 6)))
+    workspace = _workspace(fastforward.CHUNK_STEPS)
     dt = 1.0 / 3000
     coefficients, stages, calls, products = fastforward._chunk_plan(
         workspace, steps, group, dt)
-    assert coefficients.shape == (2 * steps + 1, 6)
+    assert coefficients.shape == (2 * steps + 1, 5)
     assert stages.shape == (2 * steps + 1, 6, 6)
     assert products.shape == (steps // group, 6, 6)
     # views only: every array of the plan lies in the workspace
@@ -183,11 +191,11 @@ def test_a_reused_plan_matches_fresh_kernel_calls(steps, group):
         a = rng.normal(size=stages.shape)
         stages[...] = a
         fastforward._run(calls)
-        work = np.empty((3, steps, 6, 6))
-        d = fastforward._step_increments(a, dt, work)
-        groups, free = fastforward._ordered_product(
-            d.reshape((-1, group) + d.shape[1:]), (work[1], work[2]))
-        expected = fastforward._prefix_products(groups, free)
+        # a fresh plan on a fresh workspace, sized to this chunk alone
+        _, fresh_stages, fresh_calls, expected = fastforward._chunk_plan(
+            _workspace(steps), steps, group, dt)
+        fresh_stages[...] = a
+        fastforward._run(fresh_calls)
         assert np.array_equal(products.view(np.uint64), expected.view(np.uint64))
 
 
@@ -259,8 +267,8 @@ def test_fused_coefficients_match_the_public_functions(model, v_bar, t_ff, reque
         r = r_of_t(profile, spec.r0, t)
         expected = np.column_stack([*schedules(spec, r),
                                     v_of_t(profile, t)[:, None] * table(r)])
-        got = fastforward._h_ff_coefficients(profile, table, t)
-        assert got.shape == expected.shape == (len(t), 3 + spec.n_generators)
+        got = np.full(expected.shape, np.nan)
+        fastforward._h_ff_coefficients(profile, table, t, got)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     # a table that ends short of the ramp names the first r outside it
@@ -270,7 +278,8 @@ def test_fused_coefficients_match_the_public_functions(model, v_bar, t_ff, reque
     r = r_of_t(profile, spec.r0, t)
     first = r[r > short.r_grid[-1] + 1e-9 * (short.r_grid[-1] - short.r_grid[0])][0]
     with pytest.raises(ValueError, match=re.escape(f"r={first} outside the tabulated")):
-        fastforward._h_ff_coefficients(profile, short, t)
+        fastforward._h_ff_coefficients(profile, short, t,
+                                       np.empty((len(t), 3 + spec.n_generators)))
 
 
 def _running_products(d):
@@ -287,20 +296,18 @@ def _running_products(d):
 @pytest.mark.parametrize("g", [1, 3])
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 13, 500])
 def test_ordered_product_with_odd_leftovers_matches_per_step_product(g, m):
-    # increments of the size of RK4 step increments; odd m leave a last
-    # factor over in some round (13 -> 7 -> 4, 500 -> 250 -> 125 -> 63 -> 32)
-    d = 1e-3 * np.random.default_rng(100 * g + m).normal(size=(g, m, 6, 6))
-    expected = [_running_products(group)[-1] for group in d]
-    # the rounds take turns in d's own buffer and the two free ones
-    got, free = fastforward._ordered_product(d.copy(), (np.empty((g * m, 6, 6)),
-                                                        np.empty((g * m, 6, 6))))
-    assert got.shape == (g, 6, 6)
-    for product, reference in zip(got, expected):
+    # a plan of g record intervals of m steps: odd m leave a last factor
+    # over in some round of the interval products (13 -> 7 -> 4, 500 -> 250
+    # -> 125 -> 63 -> 32), and g = 3 one in the prefix scan over them
+    steps, dt = g * m, 1e-3
+    _, stages, calls, products = fastforward._chunk_plan(_workspace(steps), steps, m, dt)
+    # stages of unit size, so the step increments are of RK4's size, ~dt
+    stages[...] = np.random.default_rng(100 * g + m).normal(size=stages.shape)
+    expected = _running_products(step_increments_nine_pass(stages, dt))[m - 1::m]
+    fastforward._run(calls)
+    assert products.shape == (g, 6, 6)
+    for product, reference in zip(products, expected):
         assert np.max(np.abs(product - reference)) <= 1e-13 * np.max(np.abs(reference))
-    # the prefix scan over the g interval products
-    expected = _running_products(got)
-    assert np.max(np.abs(fastforward._prefix_products(got, free) - expected)) <= (
-        1e-13 * np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("kind, j0", [("two_spin", 1e5), ("three_spin_kagome", 1e6),
@@ -323,8 +330,17 @@ def _stage_stack(spec, profile, table, steps):
     builds them."""
     first, last = next(fastforward._chunks(steps, steps))
     t = fastforward._stage_times(profile, steps, np.arange(2 * first, 2 * last + 1))
-    return combine(fastforward._h_ff_coefficients(profile, table, t),
-                   fastforward._real_stage_terms(spec.kind))
+    coefficients = np.empty((3 + spec.n_generators, len(t))).T  # generator-major
+    fastforward._h_ff_coefficients(profile, table, t, coefficients)
+    return combine(coefficients, fastforward._real_stage_terms(spec.kind))
+
+
+def _run_step_calls(a, dt, work):
+    """D = P - I of a stage stack's steps, from the calls that a chunk plan
+    runs first, into work[0]."""
+    calls, d = fastforward._step_calls(a, dt, work)
+    fastforward._run(calls)
+    return d
 
 
 @pytest.mark.parametrize("model", ["two", "three"])
@@ -334,8 +350,7 @@ def test_doubled_stages_equal_the_nine_pass_step(model, steps, profile, request)
     a = _stage_stack(spec, profile, table, steps)
     dt = profile.t_ff / steps
     work = np.full((3, len(a) // 2) + a.shape[1:], np.nan)
-    assert np.array_equal(fastforward._step_increments(a, dt, work),
-                          step_increments_nine_pass(a, dt))
+    assert np.array_equal(_run_step_calls(a, dt, work), step_increments_nine_pass(a, dt))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
@@ -345,12 +360,12 @@ def test_doubled_stages_equal_the_nine_pass_step_on_random_stacks(scale, k):
     a = scale * rng.normal(size=(2 * 37 + 1, k, k))
     work = np.empty((3, 40, k, k))  # larger than the 37 steps, as the last chunk's
     for dt in (1e-4, 0.1 / scale, 1.0 / 3):
-        assert np.array_equal(fastforward._step_increments(a, dt, work),
+        assert np.array_equal(_run_step_calls(a, dt, work),
                               step_increments_nine_pass(a, dt))
 
 
 @pytest.mark.parametrize("model", ["two", "three"])
-def test_coefficients_into_a_buffer_equal_the_allocating_call(model, profile, request):
+def test_coefficients_into_the_workspace_equal_a_fresh_array(model, profile, request):
     spec, table = (request.getfixturevalue(f"{model}_{name}") for name in ("spec", "table"))
     width = 3 + spec.n_generators
     # generator-major, as in integrate's workspace; the last chunk of 1000
@@ -358,9 +373,10 @@ def test_coefficients_into_a_buffer_equal_the_allocating_call(model, profile, re
     buffer = np.full((width, 2 * fastforward.CHUNK_STEPS + 1), np.nan)
     for t in _chunk_stage_times(profile, 1000, 1000):
         n = len(t)
-        got = fastforward._h_ff_coefficients(profile, table, t,
-                                             out=buffer[:, :n].T)
-        assert np.shares_memory(got, buffer)
-        expected = fastforward._h_ff_coefficients(profile, table, t)
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        buffer[...] = np.nan
+        fastforward._h_ff_coefficients(profile, table, t, buffer[:, :n].T)
+        expected = np.empty((n, width))
+        fastforward._h_ff_coefficients(profile, table, t, expected)
+        assert np.array_equal(buffer[:, :n].T.view(np.uint64), expected.view(np.uint64))
     assert n == 2 * 488 + 1
+    assert np.all(np.isnan(buffer[:, n:]))  # nothing past the chunk's view
