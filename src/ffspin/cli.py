@@ -85,8 +85,10 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Read key=value lines; '#' starts a comment, blank lines ignored."""
+    """Read key=value lines; '#' starts a comment, blank lines ignored, and a
+    key set on two lines raises."""
     raw: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -94,6 +96,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in set_on:
+            raise ValueError(
+                f"{path}:{lineno}: key {key!r} already set on line {set_on[key]}")
+        set_on[key] = lineno
         raw[key] = value
     return raw
 

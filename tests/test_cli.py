@@ -123,6 +123,17 @@ def test_config_file_bad_line(tmp_path):
         parse_config_file(cfg)
 
 
+def test_config_file_key_set_twice(tmp_path, capsys):
+    # the last line used to win silently: validate said "ok" with j0 = 1
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("j0=10\n# a comment\nmodel=two_spin\n j0 = 1\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{cfg}:4: key 'j0' already set on line 1")):
+        parse_config_file(cfg)
+    assert main(["validate", "--config", str(cfg)]) == 2
+    assert "already set on line 1" in capsys.readouterr().err
+
+
 def test_spectrum_only_outputs(tmp_path):
     config = make_config({"mode": "spectrum_only", "grid_points": "101",
                           "v_bar": "100", "t_ff": "0.1"})

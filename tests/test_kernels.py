@@ -166,7 +166,13 @@ def _workspace(steps):
     """A workspace as ``integrate`` allocates it for three spins (5
     structural terms, 6 x 6 real stages), for chunks of up to ``steps`` steps."""
     return (np.empty((5, 2 * steps + 1)), np.empty((2 * steps + 1, 6, 6)),
-            np.empty((3, steps, 6, 6)))
+            np.empty((3, steps, 6, 6)), fastforward._identity_stacks(6, steps))
+
+
+def _ends_then_midpoints(a):
+    """A stage stack in natural time order (start, midpoint, end of each step)
+    laid out as the workspace stores it: the step ends, then the midpoints."""
+    return a[fastforward._stage_order(len(a) // 2)]
 
 
 # the chunk shapes (steps, group) of the benchmark's workloads: three_spin's
@@ -177,8 +183,9 @@ def _workspace(steps):
 def test_a_reused_plan_matches_fresh_kernel_calls(steps, group):
     workspace = _workspace(fastforward.CHUNK_STEPS)
     dt = 1.0 / 3000
-    coefficients, stages, calls, products = fastforward._chunk_plan(
+    order, coefficients, stages, calls, products = fastforward._chunk_plan(
         workspace, steps, group, dt)
+    assert np.array_equal(order, fastforward._stage_order(steps))
     assert coefficients.shape == (2 * steps + 1, 5)
     assert stages.shape == (2 * steps + 1, 6, 6)
     assert products.shape == (steps // group, 6, 6)
@@ -192,11 +199,59 @@ def test_a_reused_plan_matches_fresh_kernel_calls(steps, group):
         stages[...] = a
         fastforward._run(calls)
         # a fresh plan on a fresh workspace, sized to this chunk alone
-        _, fresh_stages, fresh_calls, expected = fastforward._chunk_plan(
+        _, _, fresh_stages, fresh_calls, expected = fastforward._chunk_plan(
             _workspace(steps), steps, group, dt)
         fresh_stages[...] = a
         fastforward._run(fresh_calls)
         assert np.array_equal(products.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("steps, group", [(500, 500), (500, 20), (288, 1)])
+def test_step_operands_are_contiguous_views_into_the_workspace(steps, group):
+    # every operand of the RK4 step calls, among them A0, Am and A1 and the
+    # slices of the 2I and I stacks, is read with unit stride
+    workspace = _workspace(fastforward.CHUNK_STEPS)
+    dt = 1.0 / 3000
+    _, _, stages, calls, _ = fastforward._chunk_plan(workspace, steps, group, dt)
+    step_calls, _ = fastforward._step_calls(stages, dt, workspace[2], workspace[3])
+    assert [f for f, _ in calls[:len(step_calls)]] == [f for f, _ in step_calls]
+    operands = [x for _, args in calls[:len(step_calls)] for x in args
+                if isinstance(x, np.ndarray)]
+    for x in operands:
+        assert x.flags.c_contiguous
+        assert any(np.shares_memory(x, buffer) for buffer in workspace)
+    for part in (stages[:steps], stages[1:steps + 1], stages[steps + 1:],
+                 workspace[3][0, :steps], workspace[3][1, :steps]):
+        assert any(x.ctypes.data == part.ctypes.data and x.shape == part.shape
+                   for x in operands)
+
+
+def test_identity_stacks_stay_one_per_matrix_size(monkeypatch, profile, two_table,
+                                                  three_table):
+    monkeypatch.setattr(fastforward, "_IDENTITY_STACKS", {})
+    cache = fastforward._IDENTITY_STACKS
+    runs = {}
+    for steps in (400, 2000):  # below and above CHUNK_STEPS
+        for table in (two_table, three_table):
+            runs[steps, table.spec.kind] = integrate(profile, steps, output_stride=100,
+                                                     table=table)
+    assert sorted(cache) == [4, 6]
+    built = dict(cache)
+    for size, stacks in cache.items():
+        assert stacks.shape == (2, fastforward.CHUNK_STEPS, size, size)
+        assert not stacks.flags.writeable
+        eye = np.broadcast_to(np.eye(size), stacks.shape[1:])
+        assert np.array_equal(stacks[0], 2.0 * eye) and np.array_equal(stacks[1], eye)
+    integrate(profile, 2000, output_stride=100, table=three_table)
+    assert cache == built  # the same stacks, not rebuilt
+
+    # a larger chunk gets a long enough stack, in place of the shorter one
+    monkeypatch.setattr(fastforward, "CHUNK_STEPS", 1000)
+    larger = integrate(profile, 2000, output_stride=1000, table=three_table)
+    assert sorted(cache) == [4, 6]
+    assert cache[6].shape == (2, 1000, 6, 6) and cache[4] is built[4]
+    reference = runs[2000, three_table.spec.kind]
+    assert np.max(np.abs(larger.psi - reference.psi[::10])) <= 1e-13
 
 
 def _real_form(a):
@@ -226,7 +281,8 @@ def test_stage_times_equal_linspace():
             grid = np.linspace(0.0, t_ff, 2 * steps + 1)
             for index in (np.arange(2 * steps + 1),
                           np.arange(10, 2 * steps + 1),      # a last chunk
-                          np.arange(0, 2 * steps + 1, 4)):   # stride-2 records
+                          np.arange(0, 2 * steps + 1, 4),    # stride-2 records
+                          fastforward._stage_order(steps)):  # the workspace order
                 assert np.array_equal(
                     fastforward._stage_times(profile, steps, index), grid[index])
 
@@ -300,10 +356,11 @@ def test_ordered_product_with_odd_leftovers_matches_per_step_product(g, m):
     # over in some round of the interval products (13 -> 7 -> 4, 500 -> 250
     # -> 125 -> 63 -> 32), and g = 3 one in the prefix scan over them
     steps, dt = g * m, 1e-3
-    _, stages, calls, products = fastforward._chunk_plan(_workspace(steps), steps, m, dt)
+    _, _, stages, calls, products = fastforward._chunk_plan(_workspace(steps), steps, m, dt)
     # stages of unit size, so the step increments are of RK4's size, ~dt
-    stages[...] = np.random.default_rng(100 * g + m).normal(size=stages.shape)
-    expected = _running_products(step_increments_nine_pass(stages, dt))[m - 1::m]
+    a = np.random.default_rng(100 * g + m).normal(size=stages.shape)
+    stages[...] = _ends_then_midpoints(a)
+    expected = _running_products(step_increments_nine_pass(a, dt))[m - 1::m]
     fastforward._run(calls)
     assert products.shape == (g, 6, 6)
     for product, reference in zip(products, expected):
@@ -336,9 +393,11 @@ def _stage_stack(spec, profile, table, steps):
 
 
 def _run_step_calls(a, dt, work):
-    """D = P - I of a stage stack's steps, from the calls that a chunk plan
-    runs first, into work[0]."""
-    calls, d = fastforward._step_calls(a, dt, work)
+    """D = P - I of a natural-order stage stack's steps, from the calls that
+    a chunk plan runs first, into work[0]."""
+    calls, d = fastforward._step_calls(
+        _ends_then_midpoints(a), dt, work,
+        fastforward._identity_stacks(a.shape[-1], len(a) // 2))
     fastforward._run(calls)
     return d
 
