@@ -2,7 +2,8 @@
 undriven control on a zero table, agreement with a plain per-step RK4 loop
 in the full space, the blocks outside the branch sector that it leaves
 untouched, its chunking, the per-call plans of views that its chunks reuse,
-and its real-form stage terms."""
+their ends-then-midpoints stage layout and cached identity stacks, and its
+real-form stage terms."""
 from __future__ import annotations
 
 import re
