@@ -49,6 +49,8 @@ if TYPE_CHECKING:
 MODES = ("fast_forward", "no_driving", "spectrum_only", "regularization_only")
 #: the modes that propagate with RK4 and write trajectory.csv
 INTEGRATING_MODES = ("fast_forward", "no_driving")
+#: the modes that solve the driving couplings and interpolate them
+COUPLING_MODES = ("fast_forward", "regularization_only")
 
 TRAJECTORY_CSV = "trajectory.csv"
 EIGENVALUES_CSV = "eigenvalues.csv"
@@ -156,6 +158,14 @@ def validate(config: ScenarioConfig) -> list[str]:
         problems.append("the R grid linspace(r0, r0 + v_bar * t_ff, grid_points) must "
                         "be strictly increasing; raise v_bar * t_ff against |r0| or "
                         "lower grid_points")
+    if not problems and config.mode in COUPLING_MODES:
+        # the spline's cubic coefficients are of order dw/dR / spacing^2
+        spacing = config.v_bar * config.t_ff / (config.grid_points - 1)
+        if spacing * spacing < sys.float_info.min:
+            problems.append(f"the R grid spacing v_bar * t_ff / (grid_points - 1) = "
+                            f"{spacing:.3g} is too fine for the couplings' spline, whose "
+                            f"coefficients overflow float64; raise v_bar * t_ff or "
+                            f"lower grid_points")
     if not problems and config.mode in INTEGRATING_MODES:
         problem = _rk4_problem(config)
         if problem:

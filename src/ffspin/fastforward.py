@@ -32,9 +32,9 @@ which ``_stage_times`` makes inside [0, t_ff] and so are not checked again.
 
 Each call allocates one workspace, sized by min(CHUNK_STEPS, steps), and
 every chunk writes into it: the stage coefficients, generator-major, the
-couplings as ``table(r)`` times v; the stage matrices; and three step
-scratches, in which the rounds of products then take turns, so no chunk
-allocates an array of stage size.  A chunk of m steps stores its 2m + 1
+couplings as ``table(r)`` times v; the stage matrices, scaled by dt/2
+(below); and three step scratches, in which the rounds of products then
+take turns, so no chunk allocates an array of stage size.  A chunk of m steps stores its 2m + 1
 stage times, coefficient rows and stage matrices as the m + 1 step ends
 followed by the m midpoints (``_stage_order``), so the steps' starts, ends
 and midpoints are the contiguous blocks a[:m], a[1:m+1] and a[m+1:]; each
@@ -46,15 +46,10 @@ and prefix round and the result) and of the numpy calls on them, built by
 regular chunk and a shorter last one, or the two pieces of a record
 interval longer than ``CHUNK_STEPS``) and run by ``_run``, so every chunk
 makes the same numpy calls in the same order and memory still does not
-grow with the step count.  The RK4 stages are formed doubled: dt A0 + 2I is
-exactly 2 (I + dt/2 A0), so the next matmul gives 2 K2 bit for bit, and
-likewise 2 K3.  Scaling by 2 commutes with rounding, in BLAS too, except
-for subnormal or overflowing values, so the step matrices keep the bits of
-the undoubled form with two fewer elementwise passes.  The 2I and I are
-added as whole stacks, read-only and cached once per matrix size at the
-first call (``_identity_stacks``), so every operand of the step calls is
-C-contiguous; x + 0.0 keeps the bits of x but for the sign of a zero,
-which no recorded probability, norm or fidelity shows.
+grow with the step count.  Each call scales the cached stage terms by dt/2
+once, so the workspace holds the half-step stages B = (dt/2) A and a step
+needs no identity matrix: with L = (dt/2) K, L2 = Bm + Bm B0, L3 = Bm +
+Bm L2 and P - I = (B0 + B1 + 2 (L2 + L3 + B1 L3)) / 3.
 ``cli.validate`` refuses a config whose stage bound overflows or whose step
 at the ramp ends lies outside RK4's stability interval.
 
@@ -79,11 +74,8 @@ DEFAULT_STEPS = 10_000
 DEFAULT_STRIDE = 100
 NORM_DRIFT_LIMIT = 1e-6
 #: RK4 steps whose stage and step matrices are built in one batch; the
-#: workspace holds 5 * CHUNK_STEPS + 1 matrices whatever the step count, and
-#: the cached 2I and I stacks 2 * CHUNK_STEPS more per matrix size
+#: workspace holds 5 * CHUNK_STEPS + 1 matrices whatever the step count
 CHUNK_STEPS = 512
-#: matrix size -> the read-only stacks of ``_identity_stacks``
-_IDENTITY_STACKS: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -208,54 +200,34 @@ def _stage_order(steps: int) -> np.ndarray:
     return np.concatenate([np.arange(0, 2 * steps + 1, 2), np.arange(1, 2 * steps, 2)])
 
 
-def _identity_stacks(size: int, steps: int) -> np.ndarray:
-    """The read-only (2, >= steps, size, size) stacks of 2I and of I that
-    ``_step_calls`` adds.  One is cached per matrix size, at least
-    ``CHUNK_STEPS`` long; it is built on first use and replaced only by a
-    longer one."""
-    stacks = _IDENTITY_STACKS.get(size)
-    if stacks is None or stacks.shape[1] < steps:
-        shape = (max(steps, CHUNK_STEPS), size, size)
-        stacks = np.multiply.outer([2.0, 1.0], np.broadcast_to(np.eye(size), shape))
-        stacks.flags.writeable = False
-        _IDENTITY_STACKS[size] = stacks
-    return stacks
-
-
-def _step_calls(a: np.ndarray, dt: float, work: np.ndarray, identities: np.ndarray):
+def _step_calls(b: np.ndarray, work: np.ndarray):
     """The calls that write D_n = P_n - I for the RK4 step matrices psi_{n+1}
     = P_n psi_n into work[0], and the view of D they fill, from the 2n + 1
-    stage matrices A = -iH stored as in ``_stage_order``: the n + 1 step
-    ends, A0 = a[:n] the steps' starts and A1 = a[1:n+1] their ends, then
-    the n midpoints Am = a[n+1:].  P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4)
-    with K1 = A0, K2 = Am (I + dt/2 K1), K3 = Am (I + dt/2 K2) and K4 = A1
-    (I + dt K3).
+    half-step stages B = (dt/2) A, A = -iH, stored as in ``_stage_order``:
+    the n + 1 step ends, B0 = b[:n] the steps' starts and B1 = b[1:n+1]
+    their ends, then the n midpoints Bm = b[n+1:].
 
-    The stages are formed doubled: dt A0 + 2I is 2 (I + dt/2 K1) exactly, so
-    Am times it is 2 K2 bit for bit, and likewise 2 K3; (dt/2)(2 K3) + I is
-    I + dt K3.  Scaling by 2 commutes with rounding, so D = dt/6 ((2 K2 + A0)
-    + 2 K3 + K4) has the bits of the undoubled sum, with no pass that
-    doubles K2 or K3.  2I and I are added as whole stacks, ``identities``
-    of ``_identity_stacks``, so every operand is C-contiguous; x + 0.0 is x
-    except that -0.0 becomes 0.0.  ``work`` is a (3, >= n, k, k) buffer;
-    the calls also use work[1] and work[2] and leave them free."""
-    n = len(a) // 2
-    a0, a1, am = a[:n], a[1:n + 1], a[n + 1:]
-    d, m, q = work[:, :n]
-    two, one = identities[:, :n]
-    return [(np.multiply, (a0, dt, m)),
-            (np.add, (m, two, m)),
-            (np.matmul, (am, m, d)),  # 2 K2
-            (np.multiply, (d, 0.5 * dt, m)),
-            (np.add, (m, two, m)),
-            (np.matmul, (am, m, q)),  # 2 K3
-            (np.multiply, (q, 0.5 * dt, m)),
-            (np.add, (m, one, m)),
-            (np.add, (d, a0, d)),
-            (np.add, (d, q, d)),
-            (np.matmul, (a1, m, q)),  # K4
-            (np.add, (d, q, d)),
-            (np.multiply, (d, dt / 6.0, d))], d
+    P_n = I + dt/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + dt/2
+    K1), K3 = Am (I + dt/2 K2) and K4 = A1 (I + dt K3).  In L = (dt/2) K
+    that is L1 = B0, L2 = Bm + Bm L1, L3 = Bm + Bm L2, L4 = B1 + 2 B1 L3 and
+    D = (L1 + 2 L2 + 2 L3 + L4) / 3 = (B0 + B1 + 2 (L2 + L3 + B1 L3)) / 3,
+    so no identity is added and every operand is C-contiguous.  ``work`` is
+    a (3, >= n, k, k) buffer; the calls also use work[1] and work[2] and
+    leave them free."""
+    n = len(b) // 2
+    b0, b1, bm = b[:n], b[1:n + 1], b[n + 1:]
+    d, l2, l3 = work[:, :n]
+    return [(np.matmul, (bm, b0, l2)),
+            (np.add, (bm, l2, l2)),  # L2
+            (np.matmul, (bm, l2, l3)),
+            (np.add, (bm, l3, l3)),  # L3
+            (np.matmul, (b1, l3, d)),
+            (np.add, (d, l3, d)),
+            (np.add, (d, l2, d)),
+            (np.multiply, (d, 2.0, d)),
+            (np.add, (d, b0, d)),
+            (np.add, (d, b1, d)),
+            (np.multiply, (d, 1.0 / 3.0, d))], d  # np.divide takes 3 times as long
 
 
 def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray, xy: np.ndarray) -> list:
@@ -304,18 +276,18 @@ def _prefix_calls(d: np.ndarray, free: tuple[np.ndarray, np.ndarray]):
     return calls, d
 
 
-def _chunk_plan(workspace: tuple[np.ndarray, ...], steps: int, group: int, dt: float):
+def _chunk_plan(workspace: tuple[np.ndarray, ...], steps: int, group: int):
     """The views of a chunk of ``steps`` RK4 steps into ``workspace``, the
-    (coefficients, stages, work, identities) arrays of ``_propagate``, in
+    (coefficients, stages, work) arrays of ``_propagate``, in
     record intervals of ``group`` steps (or one piece of an interval): the
     chunk's stage indices, ``_stage_order``; the stage coefficients' view,
-    generator-major; the stage matrices' view; the calls of
+    generator-major; the half-step stage matrices' view; the calls of
     ``_step_calls``, ``_product_calls`` and ``_prefix_calls``, in order, for
     ``_run``; and the view of the (g, 2k, 2k) prefix products P - I of the
     chunk's g intervals that those calls leave."""
-    coefficients, stages, work, identities = workspace
+    coefficients, stages, work = workspace
     n = 2 * steps + 1
-    step_calls, d = _step_calls(stages[:n], dt, work, identities)
+    step_calls, d = _step_calls(stages[:n], work)
     product_calls, groups, free = _product_calls(
         d.reshape((-1, group) + d.shape[1:]), (work[1], work[2]))
     prefix_calls, products = _prefix_calls(groups, free)
@@ -332,18 +304,17 @@ def _propagate(profile: FastForwardProfile, table: CoefficientTable, steps: int,
     chunk length gets one plan of views into it, on first use.  Both are
     freed on return, before ``integrate`` post-processes the records."""
     dt = profile.t_ff / steps
-    terms = _real_stage_terms(table.spec.kind)
+    terms = _real_stage_terms(table.spec.kind) * (0.5 * dt)
     size = min(CHUNK_STEPS, steps)
     workspace = (np.empty((len(terms), 2 * size + 1)),
                  np.empty((2 * size + 1,) + terms.shape[1:]),
-                 np.empty((3, size) + terms.shape[1:]),
-                 _identity_stacks(terms.shape[-1], size))
+                 np.empty((3, size) + terms.shape[1:]))
     plans = {}
     psi = rows[0]
     for first, last in _chunks(steps, output_stride):
         length = last - first
         if length not in plans:
-            plans[length] = _chunk_plan(workspace, length, min(output_stride, length), dt)
+            plans[length] = _chunk_plan(workspace, length, min(output_stride, length))
         order, coefficients, stages, calls, products = plans[length]
         block_t = _stage_times(profile, steps, 2 * first + order)
         _h_ff_coefficients(profile, table, block_t, coefficients)

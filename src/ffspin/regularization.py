@@ -114,7 +114,8 @@ class CoefficientTable:
         """The cubic Hermite interpolant of the columns of w with slopes dw as
         power-basis coefficients c, shape (4, n_generators, n - 1): on
         [r_i, r_i+1] the couplings are sum_k c[k, :, i] (r - r_i)^(3 - k).
-        None when every r is r_grid[0], where the couplings are constant."""
+        None when every r is r_grid[0], where the couplings are constant;
+        ValueError when a coefficient overflows, a spacing too fine for dw."""
         x, y, s = self.r_grid, self.w, self.dw
         if np.ndim(x) != 1 or np.size(x) == 0:
             raise ValueError(f"r_grid must be a non-empty 1-d array, got shape {np.shape(x)}")
@@ -132,10 +133,14 @@ class CoefficientTable:
         if np.any(dx <= 0):
             raise ValueError("r_grid must be strictly increasing")
         dx_col = dx[:, None]
-        slope = np.diff(y, axis=0) / dx_col
-        # scipy's CubicHermiteSpline coefficients, in its operation order
-        t = (s[:-1] + s[1:] - 2 * slope) / dx_col
-        c = np.stack([t / dx_col, (slope - s[:-1]) / dx_col - t, s[:-1], y[:-1]])
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            slope = np.diff(y, axis=0) / dx_col
+            # scipy's CubicHermiteSpline coefficients, in its operation order
+            t = (s[:-1] + s[1:] - 2 * slope) / dx_col
+            c = np.stack([t / dx_col, (slope - s[:-1]) / dx_col - t, s[:-1], y[:-1]])
+        if not np.all(np.isfinite(c)):
+            raise ValueError("the spline coefficients overflow float64: the r_grid "
+                             "spacing is too fine for the slopes dw")
         return np.ascontiguousarray(c.transpose(0, 2, 1))
 
     def __call__(self, r: float | np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ None of these is called by the pipeline:
   ``solve_core`` fit the exchange couplings alone;
 * the fast-forward Hamiltonian H0(R(t)) + v(t) sum_k w_k(R(t)) G_k, written
   from its definition;
-* the RK4 step increments with undoubled stages, nine elementwise passes,
-  whose bits the propagator's doubled stages must reproduce;
+* the RK4 step increments P - I of the plain RK4 stages, in extended
+  precision;
 * the driving candidate operator with a field term, and the distance from
   the branch energy to the nearest level of the full spectrum;
 * Pauli operators built by acting on ket labels, and from them the
@@ -204,25 +204,15 @@ def bond_terms(kind: str) -> list[np.ndarray]:
             xy(1, 2) + xy(2, 3), xy(3, 1)]
 
 
-def step_increments_nine_pass(a: np.ndarray, dt: float) -> np.ndarray:
-    """D_n = P_n - I of the RK4 steps from the 2n + 1 stage matrices a, with
-    each stage K formed undoubled and doubled in its own pass: nine full
-    elementwise passes, in the order the doubled stages must reproduce."""
+def step_increments(a: np.ndarray, dt: float) -> np.ndarray:
+    """D_n = P_n - I of the RK4 steps from the 2n + 1 stage matrices a in time
+    order (start, midpoint, end of each step), from the plain stages K1 = A0,
+    K2 = Am (I + dt/2 K1), K3 = Am (I + dt/2 K2), K4 = A1 (I + dt K3) and
+    D = dt/6 (K1 + 2 K2 + 2 K3 + K4), all in ``np.longdouble``."""
+    a = np.asarray(a, dtype=np.longdouble)
+    dt = np.longdouble(dt)
     a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
-    m = (0.5 * dt) * a0
-    diagonal = m.reshape(len(m), -1)[:, ::a.shape[-1] + 1]
-    diagonal += 1.0
-    k2 = am @ m
-    np.multiply(k2, 0.5 * dt, out=m)
-    diagonal += 1.0
-    k3 = am @ m
-    np.multiply(k3, dt, out=m)
-    diagonal += 1.0
-    k2 *= 2.0
-    k2 += a0
-    k3 *= 2.0
-    k2 += k3
-    np.matmul(a1, m, out=k3)  # K4
-    k2 += k3
-    k2 *= dt / 6.0
-    return k2
+    k2 = am + am @ (dt / 2 * a0)
+    k3 = am + am @ (dt / 2 * k2)
+    k4 = a1 + a1 @ (dt * k3)
+    return dt / 6 * (a0 + 2 * k2 + 2 * k3 + k4)

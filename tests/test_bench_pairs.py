@@ -92,6 +92,20 @@ def test_traced_pairs_and_broken_invocations():
     assert summary["failed_invocations"] == {"parent": 0, "change": 1}
 
 
+def test_summary_gives_each_sides_median_run_seconds():
+    invocations = _pairs()
+    for k, i in enumerate(invocations):  # parent 10 .. 19 ms, change 20 .. 29 ms
+        seconds = (10 + k // 2 + (10 if i["side"] == "change" else 0)) / 1000
+        i["stdout"] = ["env python=3.11", f"run_s (not gated)   {seconds:g} s      n=9 "
+                       f"q1={seconds:g} q3={seconds:g} min={seconds:g} max={seconds:g}"]
+    invocations[0]["stdout"] = []  # a side with a missing line uses the others
+    summary = bench_pairs.summarize(invocations, END_TO_END)["w"]
+    assert summary["run_s_median"] == {"parent": pytest.approx(0.015),
+                                       "change": pytest.approx(0.0245)}
+    # invocations without the line give no run_s entry
+    assert "run_s_median" not in bench_pairs.summarize(_pairs(), END_TO_END)["w"]
+
+
 def test_benchmark_files_must_match(tmp_path):
     for side in ("parent", "change"):
         (tmp_path / side / "bench").mkdir(parents=True)

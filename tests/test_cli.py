@@ -631,6 +631,44 @@ def test_r_grid_that_does_not_increase_names_the_keys(tmp_path, capsys):
         "integrator_steps must be at least ")
 
 
+@pytest.mark.parametrize("keys, spacing", [
+    (["--v_bar", "1e-160"], "5e-164"),
+    (["--t_ff", "1e-160"], "5e-163"),
+    (["--v_bar", "1e-80", "--t_ff", "1e-80"], "5e-164"),
+    (["--model", "two_spin", "--v_bar", "1e-160"], "5e-164")])
+def test_r_grid_too_fine_for_the_spline_names_the_keys(keys, spacing, tmp_path, capsys):
+    # validate said "ok", and run printed numpy's overflow warnings from the
+    # spline, then failed on a NaN norm drift that named the couplings.  The
+    # suite turns a warning into an error, which `run` would report with
+    # exit status 1
+    problem = (f"the R grid spacing v_bar * t_ff / (grid_points - 1) = {spacing} is "
+               "too fine for the couplings' spline, whose coefficients overflow "
+               "float64; raise v_bar * t_ff or lower grid_points")
+    assert main(["validate"] + keys) == 2
+    assert capsys.readouterr().out == problem + "\n"
+    assert main(["run"] + keys + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"invalid config: {problem}\n"
+    assert not (tmp_path / "out").exists()
+    # the modes that interpolate no couplings stay valid
+    for mode in ("no_driving", "spectrum_only"):
+        assert main(["validate", "--mode", mode] + keys) == 0
+
+
+def test_r_grid_spacing_of_1e_150_runs_clean(tmp_path, capsys):
+    # the spacing 5e-154 squared is still a normal float64
+    out = tmp_path / "out"
+    assert main(["run", "--v_bar", "1e-150", "--out", str(out)]) == 0
+    assert (out / "trajectory.csv").exists()
+    # a slope of order 1 / j0^2 overflows the spline at a coarser spacing;
+    # the table reports it before any file is written
+    assert main(["run", "--j0", "0.01", "--v_bar", "1e-150",
+                 "--out", str(tmp_path / "small_j0")]) == 1
+    assert capsys.readouterr().err == (
+        "error: the spline coefficients overflow float64: the r_grid spacing is "
+        "too fine for the slopes dw\n")
+    assert not (tmp_path / "small_j0").exists()
+
+
 def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
     # at these j0 the products of the RK4 steps overflow, although the stage
     # bound of `_rk4_problem` stays finite.  The step at the ramp ends is

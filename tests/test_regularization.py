@@ -348,6 +348,15 @@ def test_spline_rejects_bad_tables(r_grid, bad, message):
         table(1.5)
 
 
+def test_spline_whose_coefficients_overflow_raises():
+    # unit slopes on a spacing of 1e-160: the cubic coefficients are ~1e320
+    r_grid = np.array([0.0, 1e-160, 2e-160])
+    table = CoefficientTable(r_grid, np.zeros((3, 2)), np.ones((3, 2)), np.zeros(3),
+                             SPLINE_SPEC)
+    with pytest.raises(ValueError, match="the spline coefficients overflow float64"):
+        table(1e-160)
+
+
 def test_zero_table_is_the_undriven_control(three_spec, three_branch):
     table = CoefficientTable.zeros(three_spec, three_branch.r_grid)
     assert table.r_grid is three_branch.r_grid

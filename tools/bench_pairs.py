@@ -32,6 +32,10 @@ summary gives:
 * ``gain_shown``: the change won at least 9 of every 10 pairs and the
   median difference exceeds the parent's interquartile range.
 
+It also gives each side's median ``run_s`` (the run's own seconds, parsed
+from the stored ``run_s (not gated)`` line), so that a shift of the
+``run_ref_ratio`` can be told apart from a shift of the reference loop.
+
 A traced pair is summarised by its per-layer figures, parent and change.
 """
 from __future__ import annotations
@@ -137,6 +141,14 @@ def compare(pairs: dict[int, dict[str, float]], better: str) -> dict:
             "gain_shown": 10 * wins >= 9 * len(both) and difference > iqr}
 
 
+def run_seconds(invocation: dict) -> float | None:
+    """The ``run_s`` of an invocation, from its ``run_s (not gated)`` line."""
+    for line in invocation.get("stdout", []):
+        if line.startswith("run_s (not gated)"):
+            return float(line.split()[3])
+    return None
+
+
 def summarize(invocations: list[dict], end_to_end: list[dict]) -> dict:
     """Per-workload summary of untraced pairs, per-seed figures of traced ones."""
     summary: dict[str, dict] = {}
@@ -152,6 +164,10 @@ def summarize(invocations: list[dict], end_to_end: list[dict]) -> dict:
                     pairs.setdefault(i["pair"], {})[i["side"]] = value
             if any(len(p) == 2 for p in pairs.values()):
                 entry[metric["name"]] = compare(pairs, metric["better"])
+        run_s = {s: [x for i in runs if i["side"] == s
+                     for x in [run_seconds(i)] if x is not None] for s in SIDES}
+        if all(run_s.values()):
+            entry["run_s_median"] = {s: statistics.median(v) for s, v in run_s.items()}
         for count in ("failed", "attempted"):
             entry[f"{count}_runs"] = {s: sum(i["result"][count] for i in runs
                                              if i["side"] == s) for s in SIDES}
