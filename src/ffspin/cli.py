@@ -163,9 +163,9 @@ def validate(config: ScenarioConfig) -> list[str]:
         spacing = config.v_bar * config.t_ff / (config.grid_points - 1)
         if spacing * spacing < sys.float_info.min:
             problems.append(f"the R grid spacing v_bar * t_ff / (grid_points - 1) = "
-                            f"{spacing:.3g} is too fine for the couplings' spline, whose "
-                            f"coefficients overflow float64; raise v_bar * t_ff or "
-                            f"lower grid_points")
+                            f"{spacing:.3g} is too fine for the couplings' spline, "
+                            f"whose coefficients overflow float64; raise "
+                            f"v_bar * t_ff or lower grid_points")
     if not problems and config.mode in INTEGRATING_MODES:
         problem = _rk4_problem(config)
         if problem:

@@ -34,11 +34,12 @@ Each call allocates one workspace, sized by min(CHUNK_STEPS, steps), and
 every chunk writes into it: the stage coefficients, generator-major, the
 couplings as ``table(r)`` times v; the stage matrices, scaled by dt/2
 (below); and three step scratches, in which the rounds of products then
-take turns, so no chunk allocates an array of stage size.  A chunk of m steps stores its 2m + 1
-stage times, coefficient rows and stage matrices as the m + 1 step ends
-followed by the m midpoints (``_stage_order``), so the steps' starts, ends
-and midpoints are the contiguous blocks a[:m], a[1:m+1] and a[m+1:]; each
-time, row and matrix is still computed on its own.  The kernel has one
+take turns, so no chunk allocates an array of stage size.  A chunk of m
+steps stores its 2m + 1 stage times, coefficient rows and stage matrices
+as the m + 1 step ends followed by the m midpoints (``_stage_order``), so
+the steps' starts, ends and midpoints are the contiguous blocks a[:m],
+a[1:m+1] and a[m+1:]; each time, row and matrix is still computed on its
+own.  The kernel has one
 entry: a plan of the views into the workspace that a chunk uses (the stage
 order, the stage split, the step scratches, the operands of every product
 and prefix round and the result) and of the numpy calls on them, built by

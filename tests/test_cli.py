@@ -654,13 +654,17 @@ def test_r_grid_too_fine_for_the_spline_names_the_keys(keys, spacing, tmp_path, 
         assert main(["validate", "--mode", mode] + keys) == 0
 
 
-def test_r_grid_spacing_of_1e_150_runs_clean(tmp_path, capsys):
+def test_r_grid_spacing_of_1e_150_runs_clean(tmp_path):
     # the spacing 5e-154 squared is still a normal float64
     out = tmp_path / "out"
     assert main(["run", "--v_bar", "1e-150", "--out", str(out)]) == 0
     assert (out / "trajectory.csv").exists()
-    # a slope of order 1 / j0^2 overflows the spline at a coarser spacing;
-    # the table reports it before any file is written
+
+
+def test_spline_that_overflows_above_the_spacing_floor_fails_before_writing(
+        tmp_path, capsys):
+    # slopes dw/dR of order 1 / j0^2 overflow the spline at a spacing that
+    # validate accepts; the table names the cause before any file is written
     assert main(["run", "--j0", "0.01", "--v_bar", "1e-150",
                  "--out", str(tmp_path / "small_j0")]) == 1
     assert capsys.readouterr().err == (
