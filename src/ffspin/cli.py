@@ -12,8 +12,10 @@ Modes and their outputs:
 * ``spectrum_only``    eigenvalues.csv, gap.csv
 * ``regularization_only``  regularization.csv
 
-``ffspin validate`` also tracks the branch on the configured grid, so a grid
-too coarse to follow it or an in-sector crossing is reported before a run;
+``ffspin validate`` also runs ``run``'s set-up, ``_table``: it tracks the
+branch on the configured grid and builds the couplings along it, so a grid
+too coarse to follow the branch, an in-sector crossing or a spline too fine
+for the couplings' slopes is reported before a run, with ``run``'s message;
 ``spectrum_only`` reads nothing from the branch, so it neither tracks nor
 checks it.  Configs above ``MAX_POINTS`` grid points or records are rejected.
 
@@ -154,7 +156,8 @@ def validate(config: ScenarioConfig) -> list[str]:
     elif config.integrator_steps // config.output_stride + 1 > MAX_POINTS:
         problems.append(f"integrator_steps // output_stride + 1 (the record count) "
                         f"must be at most {MAX_POINTS}")
-    if not problems and np.any(np.diff(_r_grid(config)) <= 0):
+    if (not problems and config.mode != "spectrum_only"
+            and np.any(np.diff(_r_grid(config)) <= 0)):
         problems.append("the R grid linspace(r0, r0 + v_bar * t_ff, grid_points) must "
                         "be strictly increasing; raise v_bar * t_ff against |r0| or "
                         "lower grid_points")
@@ -179,12 +182,21 @@ def _rk4_problem(config: ScenarioConfig) -> str | None:
 
     Both are judged from h0 on the branch sector at the two ramp ends, where
     v = 0 and H_FF = h0.  h0 is affine in R, so the largest row sum s of
-    |h0| there bounds every |level| along the ramp.  With x = s dt, the stage
-    K4 = A1 (I + dt A (I + dt/2 A (I + dt/2 A))) has row sums up to
-    s (1 + x (1 + x/2 (1 + x/2))), and so has every partial sum of its
-    matmuls; that bound is evaluated in Python floats, which overflow to
-    inf.  The ramp-end levels are solved only when s allows a step beyond
-    ``RK4_STABILITY_LIMIT``; otherwise the step is s's."""
+    |h0| there bounds every |level| along the ramp, and b = s dt / 2 bounds
+    the row sums of the half-step stages B = (dt/2) A that
+    ``fastforward._step_calls`` starts from.  With F = b (1 + b (1 + b)),
+    the matrices it forms have row sums up to b (1 + b) (L2), F (L3), b F
+    (B1 L3) and 2 (b + b (1 + b) + F + b F) <= 2 F (3 + b) (the partial
+    sums of D).  The bound evaluated here, in Python floats, which overflow
+    to inf, is s (1 + x (1 + x/2 (1 + x/2))) = s (1 + 2 F) with x = s dt.
+    For dt <= 2, b <= s, so every matrix formed stays within twice that
+    bound when s >= 3, and below 500 when s < 3.  For dt > 2 they can
+    exceed it, and the stability check covers them: a step it accepts has
+    max|E| dt <= 2 sqrt(2), so x <= 2 sqrt(6) (a k x k Hermitian matrix's
+    row sums are at most sqrt(k) times its largest |level|, and k <= 3) and
+    every matrix formed stays below 300.  The ramp-end levels are solved
+    only when s allows a step beyond ``RK4_STABILITY_LIMIT``; otherwise the
+    step is s's."""
     with np.errstate(over="ignore"):
         ends = h0(_spec(config), [config.r0, config.r0 + config.v_bar * config.t_ff],
                   "branch")
@@ -232,9 +244,17 @@ def _spec(config: ScenarioConfig) -> ModelSpec:
     return ModelSpec(kind=config.model, j0=config.j0, b0=config.b0, r0=config.r0)
 
 
-def _track(config: ScenarioConfig):
-    """The branch tracked on the configured grid."""
-    return track_branch(_spec(config), _r_grid(config))
+def _table(config: ScenarioConfig) -> CoefficientTable | None:
+    """A run's set-up: the branch tracked on the configured grid and the
+    couplings solved along it, or the zero table in ``no_driving`` (the
+    branch is still tracked, as the crossing and coarse-grid check), or
+    None in ``spectrum_only``, which reads no branch."""
+    if config.mode == "spectrum_only":
+        return None
+    branch = track_branch(_spec(config), _r_grid(config))
+    if config.mode == "no_driving":
+        return CoefficientTable.zeros(branch.spec, branch.r_grid)
+    return coefficient_table(branch)
 
 
 def _manifest(config: ScenarioConfig) -> bytes:
@@ -282,11 +302,7 @@ def run(config: ScenarioConfig, out_dir: str | Path) -> int:
         return 2
     spec = _spec(config)
     profile = FastForwardProfile(v_bar=config.v_bar, t_ff=config.t_ff)
-    table = None
-    if config.mode == "no_driving":
-        table = CoefficientTable.zeros(spec, _track(config).r_grid)
-    elif config.mode != "spectrum_only":
-        table = coefficient_table(_track(config))
+    table = _table(config)
     # the output time grid of the regularization and spectrum CSVs
     times = np.linspace(0.0, config.t_ff, config.grid_points)
     rs = r_of_t(profile, spec.r0, times)
@@ -353,12 +369,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.command == "validate":
-        # tracked here, not in validate(): run() calls validate() and then tracks
         problems = validate(config)
-        if not problems and config.mode != "spectrum_only":
+        if not problems:
             try:
-                _track(config)
-            except RuntimeError as exc:
+                _table(config)
+            except (RuntimeError, ValueError) as exc:
                 problems.append(str(exc))
         if problems:
             for p in problems:

@@ -28,7 +28,8 @@ an inclusive prefix scan over the chunk's intervals (Hillis & Steele, CACM
 29, 1170 (1986)), so each record is one product with psi.  A chunk's fixed
 cost is kept to a few numpy calls: ``_h_ff_coefficients`` writes its stage
 coefficients into the workspace in one fused pass over its stage times,
-which ``_stage_times`` makes inside [0, t_ff] and so are not checked again.
+which ``_stage_times`` makes inside [0, t_ff] and whose r the one
+table-range check of each ``integrate`` call bounds, so none is checked.
 
 Each call allocates one workspace, sized by min(CHUNK_STEPS, steps), and
 every chunk writes into it: the stage coefficients, generator-major, the
@@ -140,21 +141,15 @@ def _h_ff_coefficients(profile: FastForwardProfile, table: CoefficientTable,
                        t: np.ndarray, out: np.ndarray) -> None:
     """Write H_FF's coefficients (J1, J2, Bz, v w1, ...) on the structural
     terms of the table's model at the 1-d stage times t into ``out``, shape
-    (len(t), 3 + n_generators).  ``_stage_times`` keeps t in [0, t_ff], so
-    it is not checked again.
+    (len(t), 3 + n_generators).  Nothing is checked here: ``_stage_times``
+    keeps t in [0, t_ff], and ``integrate`` has checked the table's R range
+    once, on the records' r, which bound every stage r.
 
     One pass: r and v come from ``_ramp``, as in ``r_of_t`` and ``v_of_t``,
     (J1, J2, Bz) from ``model.schedules`` and the couplings from
-    ``table(r)``, each written into its columns.  An r outside the table's
-    range (or NaN) raises, naming the first such r."""
+    ``table(r)``, each written into its columns."""
     spec = table.spec
     r, v = _ramp(profile, spec.r0, t)
-    lo, hi = float(table.r_grid[0]), float(table.r_grid[-1])
-    pad = 1e-9 * max(1.0, abs(hi - lo))
-    if not (lo - pad <= r.min() and r.max() <= hi + pad):  # NaN fails too
-        outside = ~((lo - pad <= r) & (r <= hi + pad))
-        raise ValueError(
-            f"r={r[outside][0]} outside the tabulated coefficient range [{lo}, {hi}]")
     for k, column in enumerate(schedules(spec, r)):  # (J1, J2, Bz)
         out[:, k] = column
     # generator-major, the memory order of ``table(r)`` and of the workspace
@@ -350,9 +345,12 @@ def integrate(profile: FastForwardProfile, steps: int = DEFAULT_STEPS, *,
     The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
     built a chunk at a time, so the last step ends exactly at t_ff.  The
     branch vectors C(R(t)) of the records come from one ``branch_vector_at``
-    solve; the first, C(R0), is the start vector.  Only the branch sector,
-    where it lies, is propagated; the recorded ``psi`` is U psi, whose
-    components outside the sector are exactly 0.0.  Norm drift beyond
+    solve; the first, C(R0), is the start vector.  A record r outside the
+    table's R range (or NaN) raises, naming the first such r: the records
+    include R(0) and R(t_ff) and R is monotone, so they bound every stage r
+    of every chunk up to rounding, which the check's 1e-9 pad covers.  Only
+    the branch sector, where it lies, is propagated; the recorded ``psi`` is
+    U psi, whose components outside the sector are exactly 0.0.  Norm drift beyond
     ``NORM_DRIFT_LIMIT`` raises, with the advice to raise ``steps``; a
     non-finite drift (the propagation overflowed) names the couplings.
     """
@@ -368,6 +366,12 @@ def integrate(profile: FastForwardProfile, steps: int = DEFAULT_STEPS, *,
     rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
     rec_r, rec_v = _ramp(profile, spec.r0, rec_t)
     rec_w = table(rec_r)  # a malformed table raises its own error here
+    lo, hi = float(table.r_grid[0]), float(table.r_grid[-1])
+    pad = 1e-9 * max(1.0, abs(hi - lo))
+    if not (lo - pad <= rec_r.min() and rec_r.max() <= hi + pad):  # NaN fails too
+        outside = ~((lo - pad <= rec_r) & (rec_r <= hi + pad))
+        raise ValueError(f"r={rec_r[outside][0]} outside the tabulated coefficient "
+                         f"range [{lo}, {hi}]")
     vecs, _ = branch_vector_at(spec, rec_r)
     k = vecs.shape[-1]
     rows = np.empty((len(rec_t), 2 * k))  # [Re psi, Im psi] on the sector

@@ -112,6 +112,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"kind must be one of {MODEL_KINDS}, got {self.kind!r}")
+        for name in ("j0", "b0", "r0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def n_spins(self) -> int:

@@ -170,11 +170,14 @@ class CoefficientTable:
 
 def coefficient_table(branch: AdiabaticBranch) -> CoefficientTable:
     """The core system solved at every sample of the branch, for its model,
-    and its R derivative for the slopes dw/dR."""
+    and its R derivative for the slopes dw/dR.  The table's spline is built
+    here, so a grid too fine for the slopes fails where the table is made."""
     spec, d = branch.spec, branch.d_vectors
     w, residuals = solve_core(spec, branch.vectors, d)
     # the core system differentiated in R: A (dw, dlambda) = C'' - sum_k w_k
     # Im(G_k) C', whose Im(G_k) C' are the first columns of A at C'
     b = branch.d2_vectors - (_core_matrix(spec, d)[..., :-1] @ w[..., None])[..., 0]
     dw = np.linalg.solve(_core_matrix(spec, branch.vectors), b[..., None])[..., :-1, 0]
-    return CoefficientTable(branch.r_grid, w, dw, residuals, spec)
+    table = CoefficientTable(branch.r_grid, w, dw, residuals, spec)
+    table._spline  # a cached property: reading it builds and checks the spline
+    return table

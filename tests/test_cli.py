@@ -320,6 +320,49 @@ def test_no_driving_run_still_tracks_the_branch(keys, error, tmp_path, capsys):
     assert error in capsys.readouterr().out
 
 
+#: the modes whose set-up tracks the branch
+TRACKING_MODES = ("fast_forward", "no_driving", "regularization_only")
+
+
+@pytest.mark.parametrize("keys, modes", [
+    (["--model", "two_spin", "--b0", "5"], TRACKING_MODES),
+    (["--grid_points", "5"], TRACKING_MODES),
+    # the zero table of no_driving has no slopes to overflow its spline
+    (["--j0", "0.01", "--v_bar", "1e-150"], cli.COUPLING_MODES)],
+    ids=["crossing", "coarse_grid", "spline"])
+def test_validate_reports_what_the_run_set_up_raises(keys, modes, tmp_path, capsys):
+    # `validate` runs `run`'s own set-up, so it exits 2 with the message that
+    # `run` prints after "error: ", in every mode whose set-up fails
+    for mode in TRACKING_MODES:
+        args = keys + ["--mode", mode]
+        out = tmp_path / mode
+        fails = mode in modes
+        assert main(["run", *args, "--out", str(out)]) == (1 if fails else 0)
+        err = capsys.readouterr().err
+        assert out.exists() != fails
+        assert main(["validate", *args]) == (2 if fails else 0)
+        if fails:
+            assert err.startswith("error: ")
+            assert capsys.readouterr().out == err[len("error: "):]
+        else:
+            assert (err, capsys.readouterr().out) == ("", "ok\n")
+
+
+@pytest.mark.parametrize("model", ["two_spin", "three_spin_kagome"])
+def test_spectrum_only_takes_a_grid_that_tracking_could_not(model, tmp_path, capsys):
+    # at r0 = 1e16 the tracking grid repeats values (see the test below), but
+    # spectrum_only tracks nothing: it reads R(t) on its own time grid
+    keys = ["--model", model, "--mode", "spectrum_only", "--r0", "1e16",
+            "--v_bar", "4", "--grid_points", "401"]
+    assert main(["validate"] + keys) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert main(["run"] + keys + ["--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "eigenvalues.csv", "gap.csv", "run_manifest.txt"]
+    _, rows = _read_csv(tmp_path / "gap.csv")
+    assert len(rows) == 401
+
+
 def test_eigensolve_calls_do_not_grow_with_grid_or_records(tmp_path, monkeypatch):
     # the spectral layer works on whole stacks: a per-sample or per-record
     # loop would make these counts grow with grid_points or 1/output_stride
@@ -671,6 +714,10 @@ def test_spline_that_overflows_above_the_spacing_floor_fails_before_writing(
         "error: the spline coefficients overflow float64: the r_grid spacing is "
         "too fine for the slopes dw\n")
     assert not (tmp_path / "small_j0").exists()
+    assert main(["validate", "--j0", "0.01", "--v_bar", "1e-150"]) == 2
+    assert capsys.readouterr().out == (
+        "the spline coefficients overflow float64: the r_grid spacing is too fine "
+        "for the slopes dw\n")
 
 
 def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):

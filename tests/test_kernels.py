@@ -298,15 +298,14 @@ def test_fused_coefficients_match_the_public_functions(model, v_bar, t_ff, reque
         fastforward._h_ff_coefficients(profile, table, t, got)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
-    # a table that ends short of the ramp names the first r outside it
+    # a table that ends short of the ramp: `integrate` checks the range once,
+    # on the records' r, and names the first record r outside it
     short = CoefficientTable(table.r_grid[:50], table.w[:50], table.dw[:50],
                              table.residuals[:50], spec)
-    t = times[0]
-    r = r_of_t(profile, spec.r0, t)
+    r = r_of_t(profile, spec.r0, np.linspace(0.0, profile.t_ff, 2 * 2000 + 1)[::200])
     first = r[r > short.r_grid[-1] + 1e-9 * (short.r_grid[-1] - short.r_grid[0])][0]
     with pytest.raises(ValueError, match=re.escape(f"r={first} outside the tabulated")):
-        fastforward._h_ff_coefficients(profile, short, t,
-                                       np.empty((len(t), 3 + spec.n_generators)))
+        integrate(profile, 2000, output_stride=100, table=short)
 
 
 def _running_products(d):

@@ -49,6 +49,16 @@ def test_invalid_kind_rejected():
         ModelSpec(kind="four_spin")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["j0", "b0", "r0"])
+def test_non_finite_constant_is_rejected_by_name(key, value):
+    # j0 = nan used to reach the eigensolver as "matrix is not Hermitian
+    # (max deviation nan)"; r0 = nan tracked an explicit grid without error
+    for kind in MODEL_KINDS:
+        with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+            ModelSpec(kind=kind, **{key: value})
+
+
 @pytest.mark.parametrize("kind,n_spins,n_generators", [(TWO_SPIN, 2, 1),
                                                      (THREE_SPIN_KAGOME, 3, 2)])
 def test_sizes_come_from_the_word_table(kind, n_spins, n_generators):
