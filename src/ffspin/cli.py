@@ -12,12 +12,15 @@ Modes and their outputs:
 * ``spectrum_only``    eigenvalues.csv, gap.csv
 * ``regularization_only``  regularization.csv
 
-``ffspin validate`` also runs ``run``'s set-up, ``_table``: it tracks the
-branch on the configured grid and builds the couplings along it, so a grid
-too coarse to follow the branch, an in-sector crossing or a spline too fine
-for the couplings' slopes is reported before a run, with ``run``'s message;
-``spectrum_only`` reads nothing from the branch, so it neither tracks nor
-checks it.  Configs above ``MAX_POINTS`` grid points or records are rejected.
+``validate(config)`` judges the config alone, tracking nothing: its keys and
+their ranges, the R grid, the spline's grid spacing and the RK4 step.
+Configs above ``MAX_POINTS`` grid points or records are rejected.
+``ffspin validate`` and ``run`` add ``run``'s set-up, ``_table``: it tracks
+the branch on the configured grid and builds the couplings along it, so a
+grid too coarse to follow the branch, an in-sector crossing or a spline too
+fine for the couplings' slopes is reported before a run, with ``run``'s
+message; ``spectrum_only`` reads nothing from the branch, so it neither
+tracks nor checks it.
 
 ``eigenvalues.csv`` and ``gap.csv`` list all dim levels of h0, merged from
 the four invariant blocks of ``model.SECTORS``: the branch sector's levels
@@ -124,7 +127,11 @@ def make_config(raw: dict[str, str]) -> ScenarioConfig:
 
 
 def validate(config: ScenarioConfig) -> list[str]:
-    """Human-readable list of violations; empty means the config is runnable."""
+    """Human-readable list of the config's violations, judged from the config
+    alone: the keys and their ranges, the R grid, the spline's grid spacing
+    and the RK4 step.  It tracks nothing, so it stays cheap at ``MAX_POINTS``
+    grid points; empty does not mean that the set-up, ``_table``, succeeds.
+    ``ffspin validate`` and ``run`` run that after it."""
     problems = []
     if config.model not in MODEL_KINDS:
         problems.append(f"model must be one of {MODEL_KINDS}, got {config.model!r}")

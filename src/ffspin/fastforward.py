@@ -64,6 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from operator import setitem
 
 import numpy as np
@@ -335,12 +336,15 @@ def integrate(profile: FastForwardProfile, steps: int = DEFAULT_STEPS, *,
         The schedule.
     steps
         Number of fixed RK4 steps; must be a positive multiple of
-        ``output_stride``.
+        ``output_stride``.  Both are integers (a numpy integer too): any
+        other type raises TypeError by name before any work.
     table
         The driving coefficients along the ramp, one column per generator;
         ``table.spec``, the model of the branch they come from, is the model run.
         ``CoefficientTable.zeros`` gives the undriven control run
-        (H_FF = H0), with zero recorded couplings ``w``.
+        (H_FF = H0), with zero recorded couplings ``w``.  A table checked
+        its own fields when it was made; only its column count, which its
+        model fixes, is checked here.
 
     The 2 * steps + 1 stage times are ``linspace(0, t_ff, 2 * steps + 1)``,
     built a chunk at a time, so the last step ends exactly at t_ff.  The
@@ -354,6 +358,9 @@ def integrate(profile: FastForwardProfile, steps: int = DEFAULT_STEPS, *,
     ``NORM_DRIFT_LIMIT`` raises, with the advice to raise ``steps``; a
     non-finite drift (the propagation overflowed) names the couplings.
     """
+    for name, value in (("steps", steps), ("output_stride", output_stride)):
+        if not isinstance(value, Integral):
+            raise TypeError(f"{name} must be an integer, got {value}")
     if steps < 1:
         raise ValueError("steps must be positive")
     if output_stride < 1 or steps % output_stride != 0:
@@ -365,7 +372,7 @@ def integrate(profile: FastForwardProfile, steps: int = DEFAULT_STEPS, *,
 
     rec_t = _stage_times(profile, steps, np.arange(0, 2 * steps + 1, 2 * output_stride))
     rec_r, rec_v = _ramp(profile, spec.r0, rec_t)
-    rec_w = table(rec_r)  # a malformed table raises its own error here
+    rec_w = table(rec_r)
     lo, hi = float(table.r_grid[0]), float(table.r_grid[-1])
     pad = 1e-9 * max(1.0, abs(hi - lo))
     if not (lo - pad <= rec_r.min() and rec_r.max() <= hi + pad):  # NaN fails too

@@ -38,14 +38,14 @@ gives the same matrix: [Im(G_1) C ... | C] (dw/dR, dlambda/dR) =
 d^2C/dR^2 - sum_k w_k Im(G_k) dC/dR, one more batched solve on the
 branch's d^2C/dR^2 samples.  ``CoefficientTable`` interpolates w between the
 samples, ``table(r)`` being its one evaluation, with the cubic Hermite
-interpolant of w and dw/dR, built with numpy:
-no slope system is solved, and its coefficients and values are those of
+interpolant of w and dw/dR, built with numpy when the table is made, which
+also converts and checks its fields: no slope system is solved, and its
+coefficients and values are those of
 ``scipy.interpolate.CubicHermiteSpline`` to the bit, so no run loads scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +94,17 @@ class CoefficientTable:
     """Driving couplings w and their slopes dw = dw/dR, each of shape (n,
     n_generators), sampled on the branch grid, with cubic Hermite
     interpolation.  ``spec`` is the model of their branch, which
-    ``integrate`` runs."""
+    ``integrate`` runs.
+
+    A table is complete when it is made: ``r_grid``, ``w``, ``dw`` and
+    ``residuals`` are converted to float arrays (a float64 array is kept as
+    it is), checked, each failure a ValueError naming the field, and the
+    spline is built.  ``_spline`` holds the cubic Hermite interpolant of the
+    columns of w with slopes dw as power-basis coefficients c, shape (4,
+    n_generators, n - 1): on [r_i, r_i+1] the couplings are sum_k c[k, :, i]
+    (r - r_i)^(3 - k).  It is None when every r is r_grid[0], where the
+    couplings are constant; a coefficient that overflows, a spacing too fine
+    for dw, is a ValueError too."""
 
     r_grid: np.ndarray
     w: np.ndarray
@@ -109,26 +119,23 @@ class CoefficientTable:
         w = np.zeros(np.shape(r_grid) + (spec.n_generators,))
         return cls(r_grid, w, np.zeros_like(w), np.zeros_like(r_grid), spec)
 
-    @cached_property
-    def _spline(self) -> np.ndarray | None:
-        """The cubic Hermite interpolant of the columns of w with slopes dw as
-        power-basis coefficients c, shape (4, n_generators, n - 1): on
-        [r_i, r_i+1] the couplings are sum_k c[k, :, i] (r - r_i)^(3 - k).
-        None when every r is r_grid[0], where the couplings are constant;
-        ValueError when a coefficient overflows, a spacing too fine for dw."""
+    def __post_init__(self):
+        for name in ("r_grid", "w", "dw", "residuals"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         x, y, s = self.r_grid, self.w, self.dw
-        if np.ndim(x) != 1 or np.size(x) == 0:
-            raise ValueError(f"r_grid must be a non-empty 1-d array, got shape {np.shape(x)}")
+        if x.ndim != 1 or x.size == 0:
+            raise ValueError(f"r_grid must be a non-empty 1-d array, got shape {x.shape}")
         for name, values in (("r_grid", x), ("w", y), ("dw", s)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} must contain only finite values")
-        if np.shape(y)[:1] != np.shape(x):
-            raise ValueError(f"w has shape {np.shape(y)}: one row per r_grid point "
+        if y.shape[:1] != x.shape:
+            raise ValueError(f"w has shape {y.shape}: one row per r_grid point "
                              f"needs {len(x)} rows")
-        if np.shape(s) != np.shape(y):
-            raise ValueError(f"dw has shape {np.shape(s)}, w has {np.shape(y)}")
+        if s.shape != y.shape:
+            raise ValueError(f"dw has shape {s.shape}, w has {y.shape}")
+        self._spline = None
         if np.all(x == x[0]):
-            return None
+            return
         dx = np.diff(x)
         if np.any(dx <= 0):
             raise ValueError("r_grid must be strictly increasing")
@@ -141,7 +148,7 @@ class CoefficientTable:
         if not np.all(np.isfinite(c)):
             raise ValueError("the spline coefficients overflow float64: the r_grid "
                              "spacing is too fine for the slopes dw")
-        return np.ascontiguousarray(c.transpose(0, 2, 1))
+        self._spline = np.ascontiguousarray(c.transpose(0, 2, 1))
 
     def __call__(self, r: float | np.ndarray) -> np.ndarray:
         """Interpolated couplings at r, a new array of shape ``np.shape(r) +
@@ -170,14 +177,12 @@ class CoefficientTable:
 
 def coefficient_table(branch: AdiabaticBranch) -> CoefficientTable:
     """The core system solved at every sample of the branch, for its model,
-    and its R derivative for the slopes dw/dR.  The table's spline is built
-    here, so a grid too fine for the slopes fails where the table is made."""
+    and its R derivative for the slopes dw/dR.  Making the table builds its
+    spline, so a grid too fine for the slopes fails here."""
     spec, d = branch.spec, branch.d_vectors
     w, residuals = solve_core(spec, branch.vectors, d)
     # the core system differentiated in R: A (dw, dlambda) = C'' - sum_k w_k
     # Im(G_k) C', whose Im(G_k) C' are the first columns of A at C'
     b = branch.d2_vectors - (_core_matrix(spec, d)[..., :-1] @ w[..., None])[..., 0]
     dw = np.linalg.solve(_core_matrix(spec, branch.vectors), b[..., None])[..., :-1, 0]
-    table = CoefficientTable(branch.r_grid, w, dw, residuals, spec)
-    table._spline  # a cached property: reading it builds and checks the spline
-    return table
+    return CoefficientTable(branch.r_grid, w, dw, residuals, spec)

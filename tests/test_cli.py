@@ -348,6 +348,18 @@ def test_validate_reports_what_the_run_set_up_raises(keys, modes, tmp_path, caps
             assert (err, capsys.readouterr().out) == ("", "ok\n")
 
 
+@pytest.mark.parametrize("keys", [{"model": "two_spin", "b0": "5"}, {"grid_points": "5"},
+                                  {"j0": "0.01", "v_bar": "1e-150"}],
+                         ids=["crossing", "coarse_grid", "spline"])
+def test_library_validate_leaves_the_set_up_to_the_commands(keys):
+    # validate(config) judges the config alone and tracks nothing, so the
+    # configs whose set-up fails above pass it; the commands add the set-up
+    config = make_config(keys)
+    assert validate(config) == []
+    with pytest.raises((RuntimeError, ValueError)):
+        cli._table(config)
+
+
 @pytest.mark.parametrize("model", ["two_spin", "three_spin_kagome"])
 def test_spectrum_only_takes_a_grid_that_tracking_could_not(model, tmp_path, capsys):
     # at r0 = 1e16 the tracking grid repeats values (see the test below), but

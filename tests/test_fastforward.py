@@ -187,14 +187,34 @@ def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,
     with pytest.raises(ValueError, match="^table has 2 coupling columns; the two_spin "
                                          "model needs 1$"):
         integrate(ramp_profile, table=two_columns)
-    # an empty or a 2-d r_grid: the table's own check speaks first
+    # an empty or a 2-d r_grid: the table rejects it when it is made
     for r_grid in (np.empty(0), two_branch.r_grid[None]):
-        malformed = CoefficientTable(r_grid, np.zeros((r_grid.size, 1)),
-                                     np.zeros((r_grid.size, 1)), np.zeros(r_grid.size),
-                                     two_spec)
         with pytest.raises(ValueError, match=re.escape(
                 f"r_grid must be a non-empty 1-d array, got shape {r_grid.shape}")):
-            integrate(ramp_profile, table=malformed)
+            integrate(ramp_profile, table=CoefficientTable(
+                r_grid, np.zeros((r_grid.size, 1)), np.zeros((r_grid.size, 1)),
+                np.zeros(r_grid.size), two_spec))
+
+
+@pytest.mark.parametrize("steps, stride, message", [
+    (1e4, 100, "steps must be an integer, got 10000.0"),
+    (np.float64(1e4), 100, "steps must be an integer, got 10000.0"),
+    (1000, 100.0, "output_stride must be an integer, got 100.0"),
+    ("1000", 100, "steps must be an integer, got 1000"),
+])
+def test_integrate_rejects_a_step_count_that_is_not_an_integer(
+        steps, stride, message, ramp_profile, two_table, monkeypatch):
+    # by name and before any work: the records' branch vectors are not solved
+    solves = []
+    monkeypatch.setattr(fastforward, "branch_vector_at",
+                        lambda *args: solves.append(args) or branch_vector_at(*args))
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        integrate(ramp_profile, steps, output_stride=stride, table=two_table)
+    assert not solves
+    # numpy integers are integers
+    run = integrate(ramp_profile, np.int64(1000), output_stride=np.int32(100),
+                    table=two_table)
+    assert len(run) == 11 and len(solves) == 1
 
 
 def test_a_table_runs_the_spec_its_branch_was_tracked_for(ramp_profile):

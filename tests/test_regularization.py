@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
@@ -343,18 +345,16 @@ def test_spline_rejects_bad_tables(r_grid, bad, message):
         dw = dw[1:]
     elif bad is not None:
         w[n // 2, 1] = bad
-    table = CoefficientTable(np.array(r_grid), w, dw, np.zeros(n), SPLINE_SPEC)
     with pytest.raises(ValueError, match=message):
-        table(1.5)
+        CoefficientTable(np.array(r_grid), w, dw, np.zeros(n), SPLINE_SPEC)
 
 
 def test_spline_whose_coefficients_overflow_raises():
     # unit slopes on a spacing of 1e-160: the cubic coefficients are ~1e320
     r_grid = np.array([0.0, 1e-160, 2e-160])
-    table = CoefficientTable(r_grid, np.zeros((3, 2)), np.ones((3, 2)), np.zeros(3),
-                             SPLINE_SPEC)
     with pytest.raises(ValueError, match="the spline coefficients overflow float64"):
-        table(1e-160)
+        CoefficientTable(r_grid, np.zeros((3, 2)), np.ones((3, 2)), np.zeros(3),
+                         SPLINE_SPEC)
 
 
 def test_zero_table_is_the_undriven_control(three_spec, three_branch):
@@ -365,6 +365,27 @@ def test_zero_table_is_the_undriven_control(three_spec, three_branch):
     assert table.residuals.shape == three_branch.r_grid.shape
     assert not np.any(table.residuals)
     assert not np.any(table(np.linspace(0.0, 10.0, 7)))
+
+
+def test_list_fields_are_converted_when_the_table_is_made(two_spec, two_table, profile):
+    # a list grid for the zero table, and w and dw as nested lists, run to
+    # the bit as the array tables do
+    grid = [0.0, 5.0, 10.0]
+    listed = CoefficientTable(two_table.r_grid, two_table.w.tolist(), two_table.dw.tolist(),
+                              two_table.residuals, two_spec)
+    for table, arrays in ((CoefficientTable.zeros(two_spec, grid),
+                           CoefficientTable.zeros(two_spec, np.array(grid))),
+                          (listed, two_table)):
+        run, reference = (integrate(profile, 2000, output_stride=100, table=t)
+                          for t in (table, arrays))
+        for field in fields(run):
+            assert (getattr(run, field.name).tobytes()
+                    == getattr(reference, field.name).tobytes())
+    # an all-equal list grid is a constant table, as the same array is
+    flat = CoefficientTable([5.0] * 3, [[0.25, -1.0]] * 3, [[0.0, 0.0]] * 3, [0.0] * 3,
+                            SPLINE_SPEC)
+    assert flat._spline is None
+    assert np.array_equal(flat(np.array([4.0, 6.0])), [[0.25, -1.0]] * 2)
 
 
 @pytest.mark.parametrize("model", ["two", "three"])
