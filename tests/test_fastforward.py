@@ -201,7 +201,7 @@ def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,
     (np.float64(1e4), 100, "steps must be an integer, got 10000.0"),
     (1000, 100.0, "output_stride must be an integer, got 100.0"),
     ("1000", 100, "steps must be an integer, got 1000"),
-])
+], ids=["float", "numpy_float", "float_stride", "string"])
 def test_integrate_rejects_a_step_count_that_is_not_an_integer(
         steps, stride, message, ramp_profile, two_table, monkeypatch):
     # by name and before any work: the records' branch vectors are not solved
