@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -265,7 +265,8 @@ def _table(config: ScenarioConfig) -> CoefficientTable | None:
 
 
 def _manifest(config: ScenarioConfig) -> bytes:
-    lines = [f"{key}={value}" for key, value in sorted(asdict(config).items())]
+    # read by name: asdict() would deep-copy every value, on every run
+    lines = [f"{name}={getattr(config, name)}" for name in sorted(_FIELD_TYPES)]
     lines.append(f"ffspin_version={__version__}")
     return ("\n".join(lines) + "\n").encode()
 

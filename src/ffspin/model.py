@@ -241,9 +241,10 @@ def h0(spec: ModelSpec, r: float | np.ndarray,
     An array of r gives the stack of matrices, shape ``r.shape + (d, d)``;
     with ``sector`` the matrices are that block, U^T h0 U.
     """
-    j1, j2, bz = schedules(spec, np.asarray(r, dtype=float))
-    return combine(np.stack([j1, j2, bz], axis=-1),
-                   structural_terms(spec.kind, sector)[:3].real)
+    r = np.asarray(r, dtype=float)
+    coefficients = np.empty(r.shape + (3,))
+    coefficients[..., 0], coefficients[..., 1], coefficients[..., 2] = schedules(spec, r)
+    return combine(coefficients, structural_terms(spec.kind, sector)[:3].real)
 
 
 def d_h0_dr(spec: ModelSpec, sector: str | None = None) -> np.ndarray:

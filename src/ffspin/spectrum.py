@@ -33,7 +33,7 @@ checked for its residual, orthonormality and level order; a 2 x 2 solve
 only for its residual, since its rotation is orthonormal and its levels
 ascend by construction.  A matrix that fails a check (a degenerate 3 x 3
 pair, say) goes to LAPACK ``eigh`` on its own; a default run of either
-model makes no ``eigh`` call.
+model makes no LAPACK call.
 """
 from __future__ import annotations
 
@@ -148,8 +148,12 @@ def _eigh_2x2(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = np.where(row_one, 1.0 + e, -f)
     norm = np.hypot(x, y)
     c, s = x / norm, y / norm
-    w = np.stack([mean - r, mean + r], axis=-1)
-    v = np.stack([c, -s, s, c], axis=-1).reshape(h.shape)
+    w = np.empty(r.shape + (2,), r.dtype)
+    np.subtract(mean, r, out=w[..., 0])
+    np.add(mean, r, out=w[..., 1])
+    v = np.empty(h.shape, c.dtype)
+    v[..., 0, 0], v[..., 1, 0], v[..., 1, 1] = c, s, c
+    np.negative(s, out=v[..., 0, 1])
     return w, v
 
 
@@ -205,10 +209,18 @@ def _eigenvectors_3x3(h: np.ndarray) -> np.ndarray:
 
 def fix_gauge(vector: np.ndarray) -> np.ndarray:
     """Sign a real eigenvector so that its largest-magnitude component is
-    positive; an (..., d) stack is signed row by row."""
+    positive; an (..., d) stack is signed row by row.  The largest is
+    ``np.argmax``'s: the first of equal magnitudes, or the first NaN, found
+    by d - 1 elementwise compares, which for d <= 3 cost less than argmax."""
     v = np.asarray(vector, dtype=float)
-    largest = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
-    return np.where(largest < 0.0, -v, v)
+    size = np.abs(v)
+    largest, top = v[..., 0], size[..., 0]
+    for i in range(1, v.shape[-1]):
+        # a NaN top stays; a larger or NaN component replaces any other
+        later = ~(size[..., i] <= top) & (top == top)
+        largest = np.where(later, v[..., i], largest)
+        top = np.where(later, size[..., i], top)
+    return np.where((largest < 0.0)[..., None], -v, v)
 
 
 def _in_sector_crossing(where: str) -> RuntimeError:

@@ -8,6 +8,8 @@ None of these is called by the pipeline:
   its real unknowns, field included, solved per sample by ``lstsq``.  It
   shows that the field coefficient vanishes, which is what lets
   ``solve_core`` fit the exchange couplings alone;
+* the square core system [Im(G_1) C ... | C] x = b solved exactly, in
+  rationals, from the doubles of the generators, C and b;
 * the fast-forward Hamiltonian H0(R(t)) + v(t) sum_k w_k(R(t)) G_k, written
   from its definition;
 * the RK4 step increments P - I of the plain RK4 stages, in extended
@@ -24,6 +26,7 @@ the full-space oracles place them in the full space with :func:`embed`.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from itertools import product
 
@@ -111,6 +114,35 @@ def full_ansatz_solve(spec: ModelSpec, vector: np.ndarray,
     x = np.linalg.lstsq(a_real, b_real, rcond=None)[0]
     residual = float(np.linalg.norm(a_real @ x - b_real))
     return x[1:], float(x[0]), residual
+
+
+def exact_core_columns(spec: ModelSpec, vector: np.ndarray) -> list[list[Fraction]]:
+    """The core system's columns Im(G_k) C of one (k,) sample, exactly in
+    rationals from the doubles of the generators and C."""
+    generators = structural_terms(spec.kind, "branch")[3:].imag
+    c = [Fraction(x) for x in np.asarray(vector, dtype=float).tolist()]
+    return [[sum(Fraction(g) * x for g, x in zip(row, c)) for row in generator]
+            for generator in generators.tolist()]
+
+
+def exact_core_solve(spec: ModelSpec, vector: np.ndarray, rhs) -> np.ndarray:
+    """The first n_generators unknowns of the square core system
+    [Im(G_1) C ... Im(G_{k-1}) C | C] x = rhs at one (k,) sample, solved by
+    Gauss-Jordan elimination in rationals and rounded once to float64.  The
+    matrix is exact from the doubles of the generators and C, and ``rhs``
+    holds doubles or Fractions."""
+    columns = exact_core_columns(spec, vector)
+    rows = [[*(column[i] for column in columns), Fraction(c), Fraction(b)]
+            for i, (c, b) in enumerate(zip(np.asarray(vector, dtype=float).tolist(), rhs))]
+    k = len(rows)
+    for i in range(k):
+        pivot = next(j for j in range(i, k) if rows[j][i] != 0)
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        for j in range(k):
+            if j != i and rows[j][i] != 0:
+                factor = rows[j][i] / rows[i][i]
+                rows[j] = [x - factor * y for x, y in zip(rows[j], rows[i])]
+    return np.array([float(rows[i][k] / rows[i][i]) for i in range(k - 1)])
 
 
 def h_candidate(spec: ModelSpec, w1=0.0, w2=0.0, bz=0.0) -> np.ndarray:

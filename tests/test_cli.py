@@ -417,14 +417,15 @@ def test_fast_forward_run_solves_the_even_block_once_per_r(tmp_path, monkeypatch
 @pytest.mark.parametrize("model", ["two_spin", "three_spin_kagome"])
 def test_default_run_makes_no_lapack_call(model, tmp_path, monkeypatch):
     # every block of both models is at most 3 x 3 and real, solved in closed
-    # form, and no matrix of a default run takes the LAPACK fallback.  The six
-    # eigensolve calls: tracking, branch_vector_at twice and the three other
-    # blocks
+    # form, and no matrix of a default run takes the LAPACK fallback; the
+    # core system is inverted in closed form too.  The six eigensolve calls:
+    # tracking, branch_vector_at twice and the three other blocks
     lapack, solves = [], []
-    def counted_eigh(h, _eigh=np.linalg.eigh):
-        lapack.append(np.shape(h))
-        return _eigh(h)
-    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    for name in ("eigh", "solve", "inv", "lstsq"):
+        def counted_lapack(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            lapack.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted_lapack)
     for module in (spectrum, cli):
         def counted(h, _eigensolve=module.eigensolve):
             solves.append(np.shape(h))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from ffspin.spectrum import track_branch
 
 from conftest import ramp_grid
 from oracles import (RESIDUAL_NOISE_ATOL, closed_form_two_spin, closed_form_w,
-                     component_form_three_spin, embed, full_ansatz_solve)
+                     component_form_three_spin, embed, exact_core_columns,
+                     exact_core_solve, full_ansatz_solve)
 
 
 def test_solve_core_two_spin_at_start(two_spec, two_branch):
@@ -91,6 +93,38 @@ def test_nan_sample_fails_the_residual_check(fixture, spec_kind, request):
     d_vectors[7, 0] = np.nan
     with pytest.raises(RuntimeError, match="core residual nan"):
         solve_core(ModelSpec(kind=spec_kind), branch.vectors, d_vectors)
+
+
+#: j0 = 1, b0 = 3, r0 = 0 on 401 points: the reflection-odd crossing run,
+#: whose core system is the worst conditioned of the robustness sweep
+CROSSING_SPEC = ModelSpec(kind=THREE_SPIN_KAGOME, j0=1.0, b0=3.0, r0=0.0)
+
+
+@pytest.mark.parametrize("model", ["two", "three", "crossing"])
+def test_closed_form_core_matches_an_exact_rational_solve(model, request):
+    # every 4th sample: w from dC/dR, and dw from C'' - sum_k w_k Im(G_k) C'
+    # with the table's w, each solved exactly from the same doubles.  Bound
+    # 4 ulp of each array's largest magnitude; measured at most 2 ulp, as
+    # LAPACK's gesv read on the same samples
+    if model == "crossing":
+        spec = CROSSING_SPEC
+        branch = track_branch(spec, np.linspace(0.0, 10.0, 401))
+    else:
+        spec, branch = (request.getfixturevalue(f"{model}_{name}")
+                        for name in ("spec", "branch"))
+    table = coefficient_table(branch)
+    ks = range(0, len(branch.r_grid), 4)
+    exact_w, exact_dw = [], []
+    for k in ks:
+        exact_w.append(exact_core_solve(spec, branch.vectors[k], branch.d_vectors[k]))
+        columns = exact_core_columns(spec, branch.d_vectors[k])
+        rhs = [Fraction(b) - sum(Fraction(w) * column[i]
+                                 for w, column in zip(table.w[k].tolist(), columns))
+               for i, b in enumerate(branch.d2_vectors[k].tolist())]
+        exact_dw.append(exact_core_solve(spec, branch.vectors[k], rhs))
+    for got, exact in ((table.w[::4], exact_w), (table.dw[::4], exact_dw)):
+        ulp = np.spacing(np.max(np.abs(got)))
+        assert np.max(np.abs(got - np.array(exact))) <= 4 * ulp
 
 
 def test_closed_form_at_start_is_exact(two_spec):
@@ -355,6 +389,32 @@ def test_spline_whose_coefficients_overflow_raises():
     with pytest.raises(ValueError, match="the spline coefficients overflow float64"):
         CoefficientTable(r_grid, np.zeros((3, 2)), np.ones((3, 2)), np.zeros(3),
                          SPLINE_SPEC)
+
+
+@pytest.mark.parametrize("n, w, residuals, message", [
+    (11, np.zeros(11), np.zeros(11),
+     r"^w must be a 2-d array \(n, n_generators\), got shape \(11,\)$"),
+    (1, np.zeros(1), np.zeros(1),
+     r"^w must be a 2-d array \(n, n_generators\), got shape \(1,\)$"),
+    (11, np.zeros((11, 2)), np.zeros(3),
+     r"^residuals has shape \(3,\): one per r_grid point needs shape \(11,\)$"),
+], ids=["1d_w", "1d_w_on_one_point", "short_residuals"])
+def test_table_rejects_a_misshapen_w_or_residuals_by_name(n, w, residuals, message):
+    # a 1-d w used to fail inside the spline build with numpy's shape
+    # message, or, on one point, to run and lose the generator axis
+    r_grid = np.linspace(0.0, 10.0, n)
+    with pytest.raises(ValueError, match=message):
+        CoefficientTable(r_grid, w, np.zeros_like(w), residuals, SPLINE_SPEC)
+
+
+def test_table_fields_cannot_be_reassigned(three_spec):
+    # the spline is built from the fields when the table is made: a field
+    # assigned later would leave it describing the old couplings
+    table = CoefficientTable.zeros(three_spec, np.linspace(0.0, 10.0, 11))
+    for name in ("r_grid", "w", "dw", "residuals", "spec", "_spline"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(table, name, getattr(table, name))
+    assert not np.any(table(5.0))
 
 
 def test_zero_table_is_the_undriven_control(three_spec, three_branch):

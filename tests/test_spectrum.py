@@ -308,6 +308,29 @@ def test_fix_gauge_keeps_real_input_up_to_sign():
     assert out[np.argmax(np.abs(out))] > 0
 
 
+def _argmax_gauge(vector: np.ndarray) -> np.ndarray:
+    """``fix_gauge``'s rule written with ``np.argmax``: the sign of the first
+    largest-magnitude component, a NaN counting as the largest."""
+    v = np.asarray(vector, dtype=float)
+    largest = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    return np.where(largest < 0.0, -v, v)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_fix_gauge_keeps_argmaxs_rule_bitwise(d):
+    # random rows, and rows drawn from values with equal magnitudes of both
+    # signs, signed zeros, infinities and NaN, as stacks and one row at a
+    # time; -0.0 and a NaN's sign must come out as argmax's rule gives them
+    rng = np.random.default_rng(d)
+    tied = np.array([1.0, -1.0, 0.5, -0.5, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    for rows in (rng.normal(size=(300, d)), rng.choice(tied, size=(2000, d)),
+                 rng.choice(tied[:6], size=(4, 100, d))):
+        expected = _argmax_gauge(rows)
+        assert fix_gauge(rows).tobytes() == expected.tobytes()
+        for row, signed in zip(rows.reshape(-1, d)[:200], expected.reshape(-1, d)):
+            assert fix_gauge(row).tobytes() == signed.tobytes()
+
+
 # branch vectors are branch sector components: two spins (uu, dd), three
 # spins (uuu, (udd + ddu)/sqrt(2), dud), the paper's (C1, sqrt(2) C4, C6)
 
