@@ -42,13 +42,11 @@ BLOCK_VALUES = 2048
 @functools.cache
 def _pow10(p: int) -> tuple[float, float]:
     """10**p as hi + lo: hi the double nearest to it, lo the double nearest to
-    the rest, both from exact integer arithmetic."""
-    if p >= 0:
-        hi = float(10**p)
-        return hi, float(10**p - int(hi))
-    hi = 1 / 10**-p
-    num, den = hi.as_integer_ratio()
-    return hi, (den - num * 10**-p) / (den * 10**-p)
+    the rest, both from exact integer arithmetic on 10**p = num / den."""
+    num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+    hi = num / den  # an int quotient is correctly rounded
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
 
 
 @functools.cache

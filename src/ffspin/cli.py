@@ -13,7 +13,8 @@ Modes and their outputs:
 * ``regularization_only``  regularization.csv
 
 ``validate(config)`` judges the config alone, tracking nothing: its keys and
-their ranges, the R grid, the spline's grid spacing and the RK4 step.
+their ranges, the R grid, the spline's grid spacing and the RK4 step, whose
+rule, ``fastforward.ramp_end_step``, lives beside the step it bounds.
 Configs above ``MAX_POINTS`` grid points or records are rejected.
 ``ffspin validate`` and ``run`` add ``run``'s set-up, ``_table``: it tracks
 the branch on the configured grid and builds the couplings along it, so a
@@ -42,11 +43,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .fastforward import (DEFAULT_STEPS, DEFAULT_STRIDE, FastForwardProfile,
-                          integrate, r_of_t)
+from .fastforward import (DEFAULT_STEPS, DEFAULT_STRIDE, RK4_STABILITY_LIMIT,
+                          FastForwardProfile, integrate, r_of_t, ramp_end_step)
 from .model import MODEL_KINDS, SECTORS, ModelSpec, h0
 from .regularization import CoefficientTable, coefficient_table
-from .spectrum import branch_vector_at, eigensolve, nearest_level_gap, track_branch
+from .spectrum import branch_vector_at, eigensolve, track_branch
 
 if TYPE_CHECKING:
     import argparse
@@ -64,9 +65,6 @@ GAP_CSV = "gap.csv"
 MANIFEST = "run_manifest.txt"
 #: the CSVs' coupling columns; a model with fewer generators leaves the rest empty
 W_HEADER = ["w1", "w2"]
-#: RK4's stability interval on the imaginary axis ends at y = 2 sqrt(2): for
-#: a larger y = |E| dt, |R(iy)| > 1 (Hairer & Wanner, Solving ODEs II, IV.2)
-RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 #: cap on grid_points and on the record count; branch tracking holds about
 #: 0.56 KB per grid point, so a config at the cap asks for about 560 MB
 MAX_POINTS = 1_000_000
@@ -177,64 +175,21 @@ def validate(config: ScenarioConfig) -> list[str]:
                             f"whose coefficients overflow float64; raise "
                             f"v_bar * t_ff or lower grid_points")
     if not problems and config.mode in INTEGRATING_MODES:
-        problem = _rk4_problem(config)
-        if problem:
-            problems.append(problem)
-    return problems
-
-
-def _rk4_problem(config: ScenarioConfig) -> str | None:
-    """Why RK4 cannot run the config, or None: its stage matrices can
-    overflow float64, or its step lies outside the stability interval.
-
-    Both are judged from h0 on the branch sector at the two ramp ends, where
-    v = 0 and H_FF = h0.  h0 is affine in R, so the largest row sum s of
-    |h0| there bounds every |level| along the ramp, and b = s dt / 2 bounds
-    the row sums of the half-step stages B = (dt/2) A that
-    ``fastforward._step_calls`` starts from.  With F = b (1 + b (1 + b)),
-    the matrices it forms have row sums up to b (1 + b) (L2), F (L3), b F
-    (B1 L3) and 2 (b + b (1 + b) + F + b F) <= 2 F (3 + b) (the partial
-    sums of D).  The bound evaluated here, in Python floats, which overflow
-    to inf, is s (1 + x (1 + x/2 (1 + x/2))) = s (1 + 2 F) with x = s dt.
-    For dt <= 2, b <= s, so every matrix formed stays within twice that
-    bound when s >= 3, and below 500 when s < 3.  For dt > 2 they can
-    exceed it, and the stability check covers them: a step it accepts has
-    max|E| dt <= 2 sqrt(2), so x <= 2 sqrt(6) (a k x k Hermitian matrix's
-    row sums are at most sqrt(k) times its largest |level|, and k <= 3) and
-    every matrix formed stays below 300.  The ramp-end levels are solved
-    only when s allows a step beyond ``RK4_STABILITY_LIMIT``; otherwise the
-    step is s's."""
-    with np.errstate(over="ignore"):
-        ends = h0(_spec(config), [config.r0, config.r0 + config.v_bar * config.t_ff],
-                  "branch")
-        e_max = float(np.max(np.sum(np.abs(ends), axis=-1)))
-    x = e_max * config.t_ff / config.integrator_steps
-    if not math.isfinite(e_max * (1.0 + x * (1.0 + 0.5 * x * (1.0 + 0.5 * x)))):
-        scales = {"j0": abs(config.j0), "b0": abs(config.b0), "r0": abs(config.r0),
-                  "v_bar": config.v_bar * config.t_ff}
-        return (f"the couplings are too large: the RK4 stage matrices overflow "
-                f"float64; lower {max(scales, key=scales.get)}")
-    if x > RK4_STABILITY_LIMIT:
-        e_max = float(np.max(np.abs(eigensolve(ends)[0])))
-    y, steps = _rk4_step(config, e_max)
-    if y > RK4_STABILITY_LIMIT:
-        return (f"integrator_steps must be at least {steps}, the minimum for RK4 "
+        step = ramp_end_step(_spec(config), FastForwardProfile(config.v_bar, config.t_ff),
+                             config.integrator_steps, config.output_stride)
+        if step is None:
+            scales = {"j0": abs(config.j0), "b0": abs(config.b0), "r0": abs(config.r0),
+                      "v_bar": config.v_bar * config.t_ff}
+            problems.append(f"the couplings are too large: the RK4 stage matrices "
+                            f"overflow float64; lower {max(scales, key=scales.get)}")
+        elif step[0] > RK4_STABILITY_LIMIT:
+            y, steps = step
+            problems.append(
+                f"integrator_steps must be at least {steps}, the minimum for RK4 "
                 f"stability (a run's norm-drift check may ask for more): at "
                 f"{config.integrator_steps} the RK4 step max|E| dt = {y:.3g} at a "
                 f"ramp end is outside the stability interval |E| dt <= 2 sqrt(2)")
-    return None
-
-
-def _rk4_step(config: ScenarioConfig, e_max: float) -> tuple[float, int]:
-    """y = e_max dt, the RK4 step of the largest |level| e_max, and the
-    smallest step count, a multiple of ``output_stride``, that keeps y within
-    ``RK4_STABILITY_LIMIT``."""
-    span = e_max * config.t_ff
-    steps = max(1, math.ceil(span / RK4_STABILITY_LIMIT))
-    while span / steps > RK4_STABILITY_LIMIT:  # ceil of a rounded quotient
-        steps += 1
-    stride = config.output_stride
-    return span / config.integrator_steps, -(-steps // stride) * stride
+    return problems
 
 
 #: a CSV's header and its (n,) or (n, k) float columns; None is an empty column
@@ -273,12 +228,15 @@ def _manifest(config: ScenarioConfig) -> bytes:
 
 def _spectrum_tables(spec, times, rs) -> tuple[Table, Table]:
     """The eigenvalues and gap tables: the levels of the branch solve and of
-    every other block, merged."""
+    every other block, merged, and the distance from the branch energy to
+    the nearest of the others, the branch block's levels above it and every
+    other block's."""
     branch = branch_vector_at(spec, rs)[1]
     others = [eigensolve(h0(spec, rs, sector))[0] for sector in SECTORS
               if sector != "branch"]
     levels = np.sort(np.concatenate([branch, *others], axis=-1), axis=-1)
-    gaps = nearest_level_gap(levels, branch[:, 0])
+    rest = np.concatenate([branch[:, 1:], *others], axis=-1)
+    gaps = np.min(np.abs(rest - branch[:, :1]), axis=-1)
     header = ["t", "R"] + [f"E_{i + 1}" for i in range(spec.dim)]
     return (header, [times, rs, levels]), (["t", "R", "gap"], [times, rs, gaps])
 

@@ -52,8 +52,9 @@ grow with the step count.  Each call scales the cached stage terms by dt/2
 once, so the workspace holds the half-step stages B = (dt/2) A and a step
 needs no identity matrix: with L = (dt/2) K, L2 = Bm + Bm B0, L3 = Bm +
 Bm L2 and P - I = (B0 + B1 + 2 (L2 + L3 + B1 L3)) / 3.
-``cli.validate`` refuses a config whose stage bound overflows or whose step
-at the ramp ends lies outside RK4's stability interval.
+``ramp_end_step`` bounds the stage matrices at the ramp ends and finds the
+smallest step count inside RK4's stability interval there; ``cli.validate``
+refuses a config whose stage bound overflows or whose step is outside it.
 
 The recorded psi is U psi, its real and imaginary parts embedded by one
 real matmul, so no run makes a complex matmul.  There is no per-step
@@ -62,6 +63,7 @@ diagnostic instead of being hidden.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -69,9 +71,9 @@ from operator import setitem
 
 import numpy as np
 
-from .model import combine, schedules, sector_basis, structural_terms
+from .model import ModelSpec, combine, h0, schedules, sector_basis, structural_terms
 from .regularization import CoefficientTable
-from .spectrum import branch_vector_at
+from .spectrum import branch_vector_at, eigensolve
 
 DEFAULT_STEPS = 10_000
 DEFAULT_STRIDE = 100
@@ -79,6 +81,9 @@ NORM_DRIFT_LIMIT = 1e-6
 #: RK4 steps whose stage and step matrices are built in one batch; the
 #: workspace holds 5 * CHUNK_STEPS + 1 matrices whatever the step count
 CHUNK_STEPS = 512
+#: RK4's stability interval on the imaginary axis ends at y = 2 sqrt(2): for
+#: a larger y = |E| dt, |R(iy)| > 1 (Hairer & Wanner, Solving ODEs II, IV.2)
+RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -225,6 +230,44 @@ def _step_calls(b: np.ndarray, work: np.ndarray):
             (np.add, (d, b0, d)),
             (np.add, (d, b1, d)),
             (np.multiply, (d, 1.0 / 3.0, d))], d  # np.divide takes 3 times as long
+
+
+def ramp_end_step(spec: ModelSpec, profile: FastForwardProfile, steps: int,
+                  stride: int) -> tuple[float, int] | None:
+    """RK4's step at the ramp ends, where v = 0 and H_FF = h0, of ``steps``
+    steps of ``profile`` on ``spec``: None when the matrices that
+    ``_step_calls`` forms can overflow float64, else y = max|E| dt over the
+    branch sector levels there and the smallest step count, a multiple of
+    ``stride``, whose y is within ``RK4_STABILITY_LIMIT``.
+
+    h0 is affine in R, so the largest row sum s of |h0| at the two ramp ends
+    bounds every |level| along the ramp, and b = s dt / 2 bounds the row
+    sums of the half-step stages B = (dt/2) A that ``_step_calls`` starts
+    from.  With F = b (1 + b (1 + b)), the matrices it forms have row sums
+    up to b (1 + b) (L2), F (L3), b F (B1 L3) and 2 (b + b (1 + b) + F + b
+    F) <= 2 F (3 + b) (the partial sums of D).  The bound evaluated here,
+    in Python floats, which overflow to inf, is s (1 + x (1 + x/2 (1 +
+    x/2))) = s (1 + 2 F) with x = s dt.  For dt <= 2, b <= s, so every
+    matrix formed stays within twice that bound when s >= 3, and below 500
+    when s < 3.  For dt > 2 they can exceed it, and the stability check
+    covers them: a step it accepts has max|E| dt <= 2 sqrt(2), so x <= 2
+    sqrt(6) (a k x k Hermitian matrix's row sums are at most sqrt(k) times
+    its largest |level|, and k <= 3) and every matrix formed stays below
+    300.  The ramp-end levels are solved only when s allows a step beyond
+    ``RK4_STABILITY_LIMIT``; otherwise y is s's."""
+    with np.errstate(over="ignore"):
+        ends = h0(spec, [spec.r0, spec.r0 + profile.v_bar * profile.t_ff], "branch")
+        e_max = float(np.max(np.sum(np.abs(ends), axis=-1)))
+    x = e_max * profile.t_ff / steps
+    if not math.isfinite(e_max * (1.0 + x * (1.0 + 0.5 * x * (1.0 + 0.5 * x)))):
+        return None
+    if x > RK4_STABILITY_LIMIT:
+        e_max = float(np.max(np.abs(eigensolve(ends)[0])))
+    span = e_max * profile.t_ff
+    needed = max(1, math.ceil(span / RK4_STABILITY_LIMIT))
+    while span / needed > RK4_STABILITY_LIMIT:  # ceil of a rounded quotient
+        needed += 1
+    return span / steps, -(-needed // stride) * stride
 
 
 def _join(x: np.ndarray, y: np.ndarray, out: np.ndarray, xy: np.ndarray) -> list:

@@ -113,7 +113,8 @@ def _solve(spec: ModelSpec, vector: np.ndarray, d_vector: np.ndarray):
     rows = _inverse_rows(columns, vector)
     w = _dot(rows, d_vector[..., None, :])
     fit = _dot(np.swapaxes(columns, -1, -2), w[..., None, :])
-    residual = np.linalg.norm(fit - d_vector, axis=-1)
+    miss = fit - d_vector
+    residual = np.sqrt(_dot(miss, miss))
     if not np.all(residual <= ANSATZ_RESIDUAL_LIMIT):  # NaN fails too
         raise RuntimeError(
             f"driving ansatz insufficient: core residual {np.max(residual):.3e}")

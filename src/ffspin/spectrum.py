@@ -229,7 +229,7 @@ def _in_sector_crossing(where: str) -> RuntimeError:
         "is not defined there; change b0 or j0")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AdiabaticBranch:
     """Gauge-fixed eigenvector family C(R) of ``spec``, energies, dC/dR and d^2C/dR^2."""
 
@@ -302,10 +302,3 @@ def branch_vector_at(spec: ModelSpec, r: float | np.ndarray
     (..., k) vectors and levels."""
     w, v = eigensolve(h0(spec, r, "branch"))
     return fix_gauge(v[..., 0]), w
-
-
-def nearest_level_gap(levels: np.ndarray, energy: float | np.ndarray):
-    """Distance from ``energy`` to the nearest other of ``levels``; row-wise on stacks."""
-    dist = np.abs(np.asarray(levels) - np.asarray(energy)[..., None])
-    np.put_along_axis(dist, np.argmin(dist, axis=-1)[..., None], np.inf, axis=-1)
-    return np.min(dist, axis=-1)

@@ -36,7 +36,7 @@ from ffspin.fastforward import FastForwardProfile, r_of_t, v_of_t
 from ffspin.model import (SCHEDULE_RATES, TWO_SPIN, ModelSpec, combine, h0,
                           schedules, sector_basis, structural_terms)
 from ffspin.regularization import CoefficientTable
-from ffspin.spectrum import AdiabaticBranch, nearest_level_gap
+from ffspin.spectrum import AdiabaticBranch
 
 IMAG_RESIDUE_ATOL = 1e-10
 #: expected noise ceiling for the core least-squares residual when everything
@@ -165,9 +165,12 @@ def h_ff(spec: ModelSpec, profile: FastForwardProfile, table: CoefficientTable,
 
 def gap_report(branch: AdiabaticBranch, spec: ModelSpec) -> np.ndarray:
     """Per-sample distance from the branch energy to the nearest other level
-    of the full spectrum, from LAPACK."""
-    return nearest_level_gap(np.linalg.eigvalsh(h0(spec, branch.r_grid)),
-                             branch.energies)
+    of the full spectrum, from LAPACK: the distances to every level, with
+    the smallest, the branch level's own, masked out."""
+    dist = np.abs(np.linalg.eigvalsh(h0(spec, branch.r_grid))
+                  - branch.energies[:, None])
+    np.put_along_axis(dist, np.argmin(dist, axis=-1)[:, None], np.inf, axis=-1)
+    return np.min(dist, axis=-1)
 
 
 def binary_labels(n_spins: int) -> list[str]:

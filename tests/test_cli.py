@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ffspin
-from ffspin import _csvcells, cli, spectrum
+from ffspin import _csvcells, cli, fastforward, spectrum
 from ffspin.cli import (ScenarioConfig, main, make_config, parse_config_file,
                         run, validate)
+from ffspin.fastforward import FastForwardProfile
 from ffspin.model import ModelSpec, h0
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -505,6 +507,15 @@ def test_csv_matches_format_on_random_bit_patterns():
     assert _csv(["a", "b", "c"], columns) == _per_cell_csv(["a", "b", "c"], columns)
 
 
+def test_pow10_pairs_are_the_nearest_doubles():
+    # hi the double nearest to 10**p and lo the double nearest to the rest,
+    # against exact rationals, on both signs of p and past both float ends
+    for p in range(-330, 309):
+        exact = Fraction(10) ** p
+        hi, lo = _csvcells._pow10(p)
+        assert hi == float(exact) and lo == float(exact - Fraction(hi))
+
+
 def test_csv_edge_values_take_the_fast_path(monkeypatch):
     # powers of ten and their neighbours, and values whose 17th digit carries
     # into a new leading digit; only non-finite cells, cells outside
@@ -758,23 +769,27 @@ def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
 def test_rk4_stability_check_names_the_smallest_passing_step_count(tmp_path, capsys):
     # y = max|E| dt at the ramp ends; the default three-spin run is far inside
     def ramp_end_step(config):
-        ends = h0(cli._spec(config),
-                  [config.r0, config.r0 + config.v_bar * config.t_ff], "branch")
-        return cli._rk4_step(config, float(np.max(np.abs(spectrum.eigensolve(ends)[0]))))
+        return fastforward.ramp_end_step(
+            cli._spec(config), FastForwardProfile(config.v_bar, config.t_ff),
+            config.integrator_steps, config.output_stride)
     config = make_config({"j0": "3644", **FAST_KEYS})
     y, steps = ramp_end_step(config)
-    assert y > cli.RK4_STABILITY_LIMIT and steps % 200 == 0
+    assert y > fastforward.RK4_STABILITY_LIMIT and steps % 200 == 0
     assert validate(config) == [
         f"integrator_steps must be at least {steps}, the minimum for RK4 stability "
         f"(a run's norm-drift check may ask for more): at 2000 the RK4 step "
         f"max|E| dt = {y:.3g} at a ramp end is outside the stability interval "
         "|E| dt <= 2 sqrt(2)"]
     passing = {"j0": "3644", **FAST_KEYS, "integrator_steps": str(steps)}
-    assert cli._rk4_problem(config) == validate(config)[0]
+    # the step is the ramp-end levels' own, solved here apart from the rule
+    ends = h0(cli._spec(config),
+              [config.r0, config.r0 + config.v_bar * config.t_ff], "branch")
+    e_max = float(np.max(np.abs(spectrum.eigensolve(ends)[0])))
+    assert y == e_max * config.t_ff / config.integrator_steps
     assert validate(make_config(passing)) == []
     assert validate(make_config({**passing, "integrator_steps": str(steps - 200)})) != []
     assert ramp_end_step(make_config({}))[0] < 0.01
-    assert cli._rk4_problem(make_config({})) is None
+    assert ramp_end_step(make_config({}))[1] <= make_config({}).integrator_steps
     # spectrum_only runs no RK4
     assert validate(make_config({"j0": "3644", **FAST_KEYS,
                                  "mode": "spectrum_only"})) == []
@@ -786,11 +801,14 @@ def test_rk4_stability_check_names_the_smallest_passing_step_count(tmp_path, cap
     assert not (tmp_path / "out").exists()
     # one ulp above 33 limits, span / limit rounds to 33 exactly, so its
     # ceiling is 33; but span / 33 exceeds the limit and 34 steps are needed
-    limit, e_max = cli.RK4_STABILITY_LIMIT, 93.33809511662429
+    limit, e_max = fastforward.RK4_STABILITY_LIMIT, 93.33809511662429
     assert e_max == np.nextafter(33 * limit, np.inf)
     assert math.ceil(e_max / limit) == 33 and e_max / 33 > limit
-    config = ScenarioConfig(t_ff=1.0, integrator_steps=100_000, output_stride=1)
-    assert cli._rk4_step(config, e_max) == (e_max / 100_000, 34)
+    # the ramp-start block is [[0, j0], [j0, 0]], so on this short ramp the
+    # largest ramp-end row sum is exactly j0 = e_max
+    spec = ModelSpec(kind="two_spin", j0=e_max)
+    profile = FastForwardProfile(v_bar=1e-9, t_ff=1.0)
+    assert fastforward.ramp_end_step(spec, profile, 100_000, 1) == (e_max / 100_000, 34)
 
 
 @pytest.mark.parametrize("keys,knob", [(["--j0", "1e300"], "j0"),

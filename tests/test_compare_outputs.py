@@ -64,3 +64,46 @@ def test_compare_file_report_lines(tmp_path):
     manifest_a.write_text("model=two_spin\n")
     manifest_b.write_text("model=three_spin_kagome\n")
     assert compare_outputs.compare_file(manifest_a, manifest_b) == "differs"
+
+
+def _fake_checkout(root: Path, main: str) -> Path:
+    """A checkout whose ``python -m ffspin`` runs ``main``."""
+    package = root / "src" / "ffspin"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text(main)
+    return root
+
+
+#: ``validate`` prints "ok" and exits 0; the change rejects any ``--j0``
+FAKE_PARENT = 'import sys\nif sys.argv[1] == "validate":\n    print("ok")\n'
+FAKE_CHANGE = ('import sys\nif sys.argv[1] == "validate":\n'
+               '    print("rejected" if "--j0" in sys.argv else "ok")\n'
+               '    sys.exit(2 if "--j0" in sys.argv else 0)\n')
+
+
+def test_validate_report_on_a_faked_pair(tmp_path, monkeypatch, capsys):
+    parent = _fake_checkout(tmp_path / "parent", FAKE_PARENT)
+    change = _fake_checkout(tmp_path / "change", FAKE_CHANGE)
+    assert compare_outputs.validate_config(parent, ["--j0", "1"]) == (0, "ok\n")
+    assert compare_outputs.validate_config(change, ["--j0", "1"]) == (2, "rejected\n")
+    assert compare_outputs.compare_validate((2, "x\n"), (2, "x\n")) == \
+        "identical (exit 2)"
+    assert compare_outputs.compare_validate((0, "ok\n"), (0, "bad\n")) == \
+        "differs: stdout 'ok\\n' != 'bad\\n'"
+    assert compare_outputs.compare_validate((0, "ok\n"), (2, "ok\n")) == \
+        "differs: exit 0 != 2"
+    # a mismatch counts in the exit status; the runs write no file to compare
+    monkeypatch.setattr(compare_outputs, "CONFIGS", {"defaults": []})
+    monkeypatch.setattr(compare_outputs, "VALIDATE_CONFIGS",
+                        {"defaults": [], "j0": ["--j0", "1"]})
+    args = ["--parent", str(parent), "--change", str(change)]
+    assert compare_outputs.main(args) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "validate defaults: identical (exit 0)",
+        "validate j0: differs: exit 0 != 2; stdout 'ok\\n' != 'rejected\\n'",
+        "differences found"]
+    monkeypatch.setattr(compare_outputs, "VALIDATE_CONFIGS", {"defaults": []})
+    assert compare_outputs.main(args) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "validate defaults: identical (exit 0)", "all identical"]

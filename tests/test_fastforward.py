@@ -10,7 +10,7 @@ from ffspin.fastforward import FastForwardProfile, integrate, r_of_t, v_of_t
 from ffspin.model import (MODEL_KINDS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec, h0,
                           sector_basis)
 from ffspin.regularization import CoefficientTable, coefficient_table
-from ffspin.spectrum import branch_vector_at, track_branch
+from ffspin.spectrum import branch_vector_at, eigensolve, track_branch
 
 from conftest import ramp_grid
 from oracles import embed, h_ff
@@ -172,6 +172,31 @@ def test_zero_velocity_constant_hamiltonian(two_spec):
     assert run.fidelity.min() > 1.0 - 1e-9
     assert np.all(run.r == 0.0)
     assert np.all(run.v == 0.0)
+
+
+def test_ramp_end_step_overflows_is_unstable_or_passes(ramp_profile, monkeypatch):
+    # the RK4 rule at the ramp ends, with the ramp-end level solves counted:
+    # they run only when the row-sum step leaves the stability interval
+    solves = []
+    monkeypatch.setattr(fastforward, "eigensolve",
+                        lambda h: solves.append(h) or eigensolve(h))
+    limit, step = fastforward.RK4_STABILITY_LIMIT, fastforward.ramp_end_step
+    # the stage bound overflows float64
+    assert step(ModelSpec(THREE_SPIN_KAGOME, j0=1e300), ramp_profile, 2000, 200) is None
+    # 2000 steps leave the stability interval; 2600, a multiple of the stride
+    # 200, are the fewest that stay in it
+    spec = ModelSpec(THREE_SPIN_KAGOME, j0=3644.0)
+    y, steps = step(spec, ramp_profile, 2000, 200)
+    assert y > limit and steps == 2600
+    assert step(spec, ramp_profile, 2600, 200)[0] <= limit
+    assert step(spec, ramp_profile, 2400, 200)[0] > limit
+    assert len(solves) == 3
+    # the defaults pass, from the row sums alone
+    for kind in MODEL_KINDS:
+        y, steps = step(ModelSpec(kind), ramp_profile, fastforward.DEFAULT_STEPS,
+                        fastforward.DEFAULT_STRIDE)
+        assert y <= limit and steps <= fastforward.DEFAULT_STEPS
+    assert len(solves) == 3
 
 
 def test_integrate_validates_arguments(two_spec, ramp_profile, two_branch,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
+from ffspin import regularization
 from ffspin.fastforward import integrate
 from ffspin.model import TERM_WORDS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec
 from ffspin.regularization import CoefficientTable, coefficient_table, solve_core
@@ -125,6 +126,25 @@ def test_closed_form_core_matches_an_exact_rational_solve(model, request):
     for got, exact in ((table.w[::4], exact_w), (table.dw[::4], exact_dw)):
         ulp = np.spacing(np.max(np.abs(got)))
         assert np.max(np.abs(got - np.array(exact))) <= 4 * ulp
+
+
+@pytest.mark.parametrize("model", ["two", "three", "crossing"])
+def test_core_residual_keeps_the_bits_of_np_linalg_norm(model, profile, request):
+    # the residual is the square root of the in-order sum of squares, which
+    # is how np.linalg.norm forms it on these length-2 and length-3 axes
+    if model == "two":
+        spec = ModelSpec(kind=TWO_SPIN)
+        branch = track_branch(spec, ramp_grid(spec, profile, 801))
+    elif model == "crossing":
+        spec = CROSSING_SPEC
+        branch = track_branch(spec, np.linspace(0.0, 10.0, 401))
+    else:
+        spec, branch = (request.getfixturevalue(f"three_{name}")
+                        for name in ("spec", "branch"))
+    w, residual = solve_core(spec, branch.vectors, branch.d_vectors)
+    columns = regularization._columns(spec, branch.vectors)
+    fit = regularization._dot(np.swapaxes(columns, -1, -2), w[..., None, :])
+    assert np.array_equal(residual, np.linalg.norm(fit - branch.d_vectors, axis=-1))
 
 
 def test_closed_form_at_start_is_exact(two_spec):

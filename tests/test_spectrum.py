@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ffspin import spectrum
+from ffspin.cli import ScenarioConfig, run
 from ffspin.model import (SECTORS, THREE_SPIN_KAGOME, TWO_SPIN, ModelSpec,
                           _parity_indices, d_h0_dr, h0)
-from ffspin.spectrum import (branch_vector_at, eigensolve, fix_gauge,
-                             nearest_level_gap, track_branch)
+from ffspin.spectrum import branch_vector_at, eigensolve, fix_gauge, track_branch
 
 from oracles import embed, gap_report
 
@@ -450,15 +451,23 @@ def test_gap_zero_at_start_positive_after(three_branch, three_spec):
     assert np.all(gaps[1:] > 0.0)
 
 
-def test_gap_report_matches_per_sample_nearest_level_gap(three_branch, three_spec):
-    ks = np.arange(0, len(three_branch.r_grid), 100)
-    levels = np.array([np.linalg.eigvalsh(h0(three_spec, float(three_branch.r_grid[k])))
-                       for k in ks])
-    expected = [nearest_level_gap(lv, three_branch.energies[k])
-                for lv, k in zip(levels, ks)]
-    assert np.array_equal(nearest_level_gap(levels, three_branch.energies[ks]),
-                          expected)
-    assert np.array_equal(gap_report(three_branch, three_spec)[ks], expected)
+@pytest.mark.parametrize("kind", [TWO_SPIN, THREE_SPIN_KAGOME])
+def test_gap_csv_matches_the_full_space_gap_report(kind, tmp_path):
+    # a run reads the gap off the sector blocks' levels; the oracle masks the
+    # branch level out of LAPACK's levels of the full space
+    assert run(ScenarioConfig(model=kind), tmp_path) == 0
+    _, r, gap = np.loadtxt(tmp_path / "gap.csv", delimiter=",", skiprows=1,
+                           unpack=True)
+    spec = ModelSpec(kind=kind)
+    assert np.max(np.abs(gap - gap_report(track_branch(spec, r), spec))) <= 1e-12
+
+
+def test_branch_fields_cannot_be_reassigned(three_branch):
+    # coefficient_table pairs the samples with the branch's own r_grid: a
+    # field assigned later would pair them with another grid
+    for field in fields(three_branch):
+        with pytest.raises(FrozenInstanceError):
+            setattr(three_branch, field.name, getattr(three_branch, field.name))
 
 
 def test_two_spin_gap_at_end(two_branch, two_spec):

@@ -20,8 +20,18 @@ pieces of 512 and 488 steps.
 For every output file the report says whether the parent's and the change's
 bytes are identical, and otherwise gives the largest |change - parent| of
 each CSV column that differs.  It also says whether each side's rerun
-reproduced its first run byte for byte.  The exit status is 0 when every file
-is identical across the sides and across the reruns, and 1 otherwise.
+reproduced its first run byte for byte.
+
+Each config in ``VALIDATE_CONFIGS`` is then checked once with ``python -m
+ffspin validate`` on each side, and the report says whether the two sides
+printed the same stdout with the same exit status.  The configs are the
+five of CI's "validate rejects" loop, the couplings whose RK4 stages
+overflow (``--j0 1e300``), a step count below RK4's stability minimum at
+the ramp ends and that minimum itself, the two-spin in-sector crossing and
+the defaults of both models.
+
+The exit status is 0 when every file is identical across the sides and
+across the reruns and every ``validate`` config matches, and 1 otherwise.
 """
 from __future__ import annotations
 
@@ -55,6 +65,23 @@ CONFIGS = {
                             "--output_stride", "100"],
     "three_spin_long_intervals": ["--grid_points", "201", "--integrator_steps", "3000",
                                   "--output_stride", "1000"],
+}
+
+#: name -> ``ffspin validate`` arguments
+VALIDATE_CONFIGS = {
+    "j0_1e6": ["--j0", "1e6"],
+    "two_spin_j0_1e5": ["--model", "two_spin", "--j0", "1e5"],
+    "v_bar_1e-160": ["--v_bar", "1e-160"],
+    "t_ff_1e-160": ["--t_ff", "1e-160"],
+    "spline_overflow": ["--j0", "0.01", "--v_bar", "1e-150"],
+    "stage_overflow": ["--j0", "1e300"],
+    **{f"j0_3644_steps_{steps}": ["--j0", "3644", "--grid_points", "301",
+                                  "--output_stride", "200",
+                                  "--integrator_steps", steps]
+       for steps in ("2000", "2600")},
+    "two_spin_crossing": ["--model", "two_spin", "--b0", "5"],
+    "three_spin_defaults": [],
+    "two_spin_defaults": ["--model", "two_spin"],
 }
 
 
@@ -105,12 +132,35 @@ def compare_file(parent: Path, change: Path) -> str:
         f"{name} {delta:.3g}" for name, delta in deltas.items())
 
 
-def run_config(checkout: Path, args: list[str], out: Path) -> int:
+def compare_validate(parent: tuple[int, str], change: tuple[int, str]) -> str:
+    """One report line for a ``validate`` config, from each side's exit
+    status and stdout."""
+    if parent == change:
+        return f"identical (exit {parent[0]})"
+    notes = []
+    if parent[0] != change[0]:
+        notes.append(f"exit {parent[0]} != {change[0]}")
+    if parent[1] != change[1]:
+        notes.append(f"stdout {parent[1]!r} != {change[1]!r}")
+    return "differs: " + "; ".join(notes)
+
+
+def _ffspin(checkout: Path, args: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``python -m ffspin`` with the checkout's ``src/`` first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(checkout.resolve() / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "ffspin", "run", *args,
-                           "--out", str(out)], env=env).returncode
+    return subprocess.run([sys.executable, "-m", "ffspin", *args], env=env, **kwargs)
+
+
+def run_config(checkout: Path, args: list[str], out: Path) -> int:
+    return _ffspin(checkout, ["run", *args, "--out", str(out)]).returncode
+
+
+def validate_config(checkout: Path, args: list[str]) -> tuple[int, str]:
+    """The exit status and stdout of ``ffspin validate`` on a config."""
+    done = _ffspin(checkout, ["validate", *args], capture_output=True, text=True)
+    return done.returncode, done.stdout
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,6 +194,11 @@ def main(argv: list[str] | None = None) -> int:
                 rerun_note = (f"; rerun differs on {', '.join(reruns)}" if reruns
                               else "; reruns identical")
                 print(f"{name}/{output}: {line}{rerun_note}")
+    for name, config in VALIDATE_CONFIGS.items():
+        line = compare_validate(*(validate_config(checkouts[side], config)
+                                  for side in SIDES))
+        clean = clean and line.startswith("identical")
+        print(f"validate {name}: {line}")
     print("all identical" if clean else "differences found")
     return 0 if clean else 1
 
