@@ -6,9 +6,8 @@ For |x| in [1e-280, 1e280], with k = floor(log10 |x|), the 17 significant
 digits are N = round(|x| * 10**(16 - k)).  The product is Dekker's exact
 double-double product (Numer. Math. 18, 224, 1971) of |x| with 10**(16 - k)
 held as hi + lo, on Veltkamp-split halves because numpy has no fused
-multiply-add; its fraction is good to about 1e-14.  N's digits are copied from
-a table of 4-digit groups into a NUL-padded byte grid.  A cell this cannot
-prove exact is formatted by Python: NaN, ±inf, |x| outside that range (±0
+multiply-add; its fraction is good to about 1e-14.  A cell this cannot prove
+exact is formatted by Python: NaN, ±inf, |x| outside that range (±0
 excepted) and a product within ``TIE_MARGIN`` of a rounding tie.
 
 The margin is far above the product's error.  Once k is final the product
@@ -22,6 +21,13 @@ subtraction are exact.  The fraction's error is thus below 8e-15, and 1e-9
 is 1e5 times that, so only a fraction within 1e-9 of 0.5 could round N the
 wrong way.  For uniformly spread fractions that is 2e-9 of the cells, about
 1e-4 cells per default run of about 36k, so Python formats almost none.
+
+A cell is 7 aligned uint32 words, each copied from a lookup table: word 0
+holds the sign, N's leading digit and the point, words 1 to 4 N's other 16
+digits in groups of four, and words 5 and 6, as one uint64, the exponent,
+"e+dd" to "e-ddd".  NULs pad each part to its words, and ``emit`` drops
+them.  The tables are built on first use and kept for the process; no cell
+is kept between calls.
 """
 from __future__ import annotations
 
@@ -31,8 +37,11 @@ import numpy as np
 
 #: |x| range of the vectorized path; its split products stay normal doubles
 FAST_MIN, FAST_MAX = 1e-280, 1e280
-#: bytes per cell: the widest "%.16e" text, "-d.<16 digits>e-ddd", and a separator
-SLOT = 25
+#: bytes per cell: the widest "%.16e" text, "-d.<16 digits>e-ddd", NUL-padded
+#: to 7 uint32 words, whose last byte is the separator
+SLOT = 28
+#: the exponent table covers k in [-K_MAX, K_MAX]; a cell has |k| <= 280
+K_MAX = 400
 #: a product this close to a rounding tie goes to Python: 1e5 times its error
 TIE_MARGIN = 1e-9
 #: cells formatted at once, which bounds the formatter's temporaries
@@ -54,6 +63,24 @@ def _four_digits() -> np.ndarray:
     """The ASCII bytes of "0000" .. "9999", each viewed as one uint32."""
     ascii_digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
     return np.ascontiguousarray(ascii_digits).view(np.uint32).ravel()
+
+
+def _words(texts: list[bytes], size: int) -> np.ndarray:
+    """Each ASCII text NUL-padded to size bytes and viewed as one uint."""
+    return np.frombuffer(b"".join(text.ljust(size, b"\0") for text in texts), f"u{size}")
+
+
+@functools.cache
+def _lead_words() -> np.ndarray:
+    """Word 0 of a cell, "d." or "-d.", at 10 * signbit + d."""
+    return _words([b"%s%d." % (sign, d) for sign in (b"", b"-") for d in range(10)], 4)
+
+
+@functools.cache
+def _exponent_words() -> np.ndarray:
+    """Words 5 and 6 of a cell as one uint64, "e+dd" .. "e-ddd", at k + K_MAX;
+    the text is at most 5 bytes, so the separator byte stays 0."""
+    return _words([b"e%+03d" % k for k in range(-K_MAX, K_MAX + 1)], 8)
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,22 +136,24 @@ def cells(x: np.ndarray) -> np.ndarray:
     n[zero] = 0
     k[zero] = 0
 
+    # the digit groups by floor division and a multiply-subtract, which
+    # numpy runs faster than divmod
+    head = n // 10**8
+    tail = n - head * 10**8
+    lead = head // 10**8
+    head -= lead * 10**8
+    words = np.empty((flat.size, SLOT // 4), np.uint32)
+    words[:, 0] = _lead_words()[lead + 10 * np.signbit(flat)]
     digits = _four_digits()
-    head, tail = np.divmod(n, 10**8)
-    lead, head = np.divmod(head, 10**8)
-    grid = np.zeros((flat.size, SLOT), np.uint8)
-    grid[:, 0] = np.where(np.signbit(flat), ord("-"), 0)
-    grid[:, 1] = lead + ord("0")
-    grid[:, 2] = ord(".")
-    groups = np.stack(np.divmod(head, 10**4) + np.divmod(tail, 10**4), axis=1)
-    grid[:, 3:19] = digits[groups].view(np.uint8)
-    grid[:, 19] = ord("e")
-    grid[:, 20:24] = digits[np.abs(k)].view(np.uint8).reshape(-1, 4)
-    grid[:, 20] = np.where(k < 0, ord("-"), ord("+"))
-    grid[:, 21] *= np.abs(k) >= 100  # two exponent digits below 100
+    for column, group in ((1, head), (3, tail)):  # one gather per word column:
+        high = group // 10**4  # an (n, 4) gather of all four groups is slower
+        words[:, column] = digits[high]
+        words[:, column + 1] = digits[group - high * 10**4]
+    words[:, 5:].view(np.uint64)[:, 0] = _exponent_words()[k + K_MAX]
+    grid = words.view(np.uint8)
     for i in np.flatnonzero(~fast):
         text = fallback(float(flat[i])).encode()
-        grid[i, :-1] = 0
+        grid[i] = 0
         grid[i, :len(text)] = np.frombuffer(text, np.uint8)
     return grid.reshape(x.shape + (SLOT,))
 
@@ -139,7 +168,8 @@ def emit(tables: dict[str, tuple[list[str], list[np.ndarray | None]]]
     so bitwise-equal vectors share their cells across all the tables, while
     0.0 and -0.0 stay apart.  The distinct vectors are formatted end to end in
     blocks of ``BLOCK_VALUES`` cells, and each file gathers its rows of cells
-    from them.  Nothing is kept between calls.
+    from them, each cell 7 uint32 words.  The lookup tables that ``cells``
+    copies the words from persist across calls; no cell does.
     """
     firsts: dict[bytes, int] = {}  # vector bytes -> its first row of cells
     total = 1  # row 0 of the cells is the empty cell
@@ -161,10 +191,10 @@ def emit(tables: dict[str, tuple[list[str], list[np.ndarray | None]]]
         layouts[name] = header, rows, np.array(starts)
     values = np.frombuffer(b"".join(firsts), dtype=float)
     del firsts  # its keys are a second copy of the values
-    grid = np.zeros((total, SLOT), np.uint8)
+    grid = np.zeros((total, SLOT // 4), np.uint32)  # a row of words per cell
     for start in range(0, len(values), BLOCK_VALUES):
         stop = start + BLOCK_VALUES  # both slices end at the last value
-        grid[1 + start:1 + stop] = cells(values[start:stop])
+        grid[1 + start:1 + stop] = cells(values[start:stop]).view(np.uint32)
     del values
 
     files = {}
@@ -176,8 +206,11 @@ def emit(tables: dict[str, tuple[list[str], list[np.ndarray | None]]]
         for first in range(0, rows, block):
             offsets = np.arange(first, min(first + block, rows))[:, None]
             # every row of an empty column reads row 0
-            part = np.take(grid, starts + offsets * (starts > 0), axis=0)
-            part[..., -1] = separators
-            parts.append(part.tobytes().translate(None, b"\0"))  # NUL padding goes
+            index = starts + offsets * (starts > 0)
+            text = bytearray(index.size * SLOT)  # the words are taken straight into it
+            part = np.frombuffer(text, np.uint32).reshape(index.shape + (SLOT // 4,))
+            np.take(grid, index, axis=0, out=part)
+            part.view(np.uint8)[..., -1] = separators
+            parts.append(text.translate(None, b"\0"))  # NUL padding goes
         files[name] = b"".join(parts)
     return files

@@ -516,6 +516,26 @@ def test_pow10_pairs_are_the_nearest_doubles():
         assert hi == float(exact) and lo == float(exact - Fraction(hi))
 
 
+def test_cells_are_nul_padded_format_text():
+    # zeros, subnormals, 3-digit exponents of both signs, the ends of the
+    # fast path and their neighbours, 17th-digit carries (the doubles
+    # nearest 1e-243, 1e-14 and 1e98 lie below those powers but format as
+    # them), NaN and infinities, each with both signs, in a 2-d array
+    ends = np.array([1e-280, 1e280])
+    carries = [1e-243, 1e-14, 1e98]
+    magnitudes = np.concatenate([
+        [0.0, 5e-324, 2.2250738585072009e-308, 1.5e-150, 2.5e123, 1e-300, 1e300],
+        ends, np.nextafter(ends, 0), np.nextafter(ends, np.inf),
+        carries, [np.nan, np.inf]])
+    x = np.concatenate([magnitudes, -magnitudes]).reshape(2, -1)
+    assert all(Decimal(c) < Decimal(10) ** round(math.log10(c)) for c in carries)
+    grid = _csvcells.cells(x)
+    assert grid.dtype == np.uint8 and grid.shape == x.shape + (_csvcells.SLOT,)
+    assert not grid[..., -1].any()
+    for value, cell in zip(x.ravel().tolist(), grid.reshape(-1, _csvcells.SLOT)):
+        assert cell.tobytes().replace(b"\0", b"") == ("%.16e" % value).encode()
+
+
 def test_csv_edge_values_take_the_fast_path(monkeypatch):
     # powers of ten and their neighbours, and values whose 17th digit carries
     # into a new leading digit; only non-finite cells, cells outside
@@ -746,10 +766,10 @@ def test_spline_that_overflows_above_the_spacing_floor_fails_before_writing(
 
 def test_overflowing_run_fails_on_norm_drift(tmp_path, capsys):
     # at these j0 the products of the RK4 steps overflow, although the stage
-    # bound of `_rk4_problem` stays finite.  The step at the ramp ends is
-    # far outside RK4's stability interval, so `validate` refuses them by
-    # naming the step count; a direct `integrate` call still fails on the
-    # non-finite norm drift (tests/test_kernels.py)
+    # bound of `fastforward.ramp_end_step` stays finite.  The step at the
+    # ramp ends is far outside RK4's stability interval, so `validate`
+    # refuses them by naming the step count; a direct `integrate` call still
+    # fails on the non-finite norm drift (tests/test_kernels.py)
     for model, j0, steps, y in [("two_spin", "1e5", 35400, "50"),
                                 ("three_spin_kagome", "1e6", 707200, "1e+03")]:
         out = tmp_path / model

@@ -15,7 +15,8 @@ three-spin run across the reflection-odd crossing (j0 = 1, b0 = 3), whose
 core system is the worst conditioned of the robustness sweep (min |C1| =
 0.137), and a three-spin run whose record interval of 1000 steps is longer
 than ``fastforward.CHUNK_STEPS``, so that each interval is propagated in
-pieces of 512 and 488 steps.
+pieces of 512 and 488 steps, and a three-spin ``spectrum_only`` run at
+t_ff = 1e-120, whose t and R cells have 3-digit negative exponents.
 
 For every output file the report says whether the parent's and the change's
 bytes are identical, and otherwise gives the largest |change - parent| of
@@ -65,6 +66,7 @@ CONFIGS = {
                             "--output_stride", "100"],
     "three_spin_long_intervals": ["--grid_points", "201", "--integrator_steps", "3000",
                                   "--output_stride", "1000"],
+    "spectrum_only_tiny_t": ["--mode", "spectrum_only", "--t_ff", "1e-120"],
 }
 
 #: name -> ``ffspin validate`` arguments
