@@ -145,8 +145,9 @@ def cells(x: np.ndarray) -> np.ndarray:
     words = np.empty((flat.size, SLOT // 4), np.uint32)
     words[:, 0] = _lead_words()[lead + 10 * np.signbit(flat)]
     digits = _four_digits()
-    for column, group in ((1, head), (3, tail)):  # one gather per word column:
-        high = group // 10**4  # an (n, 4) gather of all four groups is slower
+    # one gather per word column: an (n, 4) gather of all four groups is slower
+    for column, group in ((1, head), (3, tail)):
+        high = group // 10**4
         words[:, column] = digits[high]
         words[:, column + 1] = digits[group - high * 10**4]
     words[:, 5:].view(np.uint64)[:, 0] = _exponent_words()[k + K_MAX]
